@@ -87,6 +87,30 @@ func BenchmarkTableI_ParallelCompute(b *testing.B) {
 func BenchmarkTableI_SerialMemory(b *testing.B)  { tableIBench(b, workloads.SerialMemory) }
 func BenchmarkTableI_SerialCompute(b *testing.B) { tableIBench(b, workloads.SerialCompute) }
 
+// --- Cluster compute: host cost of one simulated TCU issue ---
+//
+// Table I parallel-compute at work 400 on one host worker is the run where
+// TCU.Tick/TCU.issue and the instruction-count replay are nearly all of the
+// host time, so host_ns/sim_instr is the go-bench anchor for the "cluster
+// compute" layer next to the end-to-end sim-par-compute number
+// (docs/PERF.md §Lowered issue stream). bench.sh records it and xmtperf
+// gates it lower-is-better.
+func BenchmarkTCUIssue(b *testing.B) {
+	cfg := xmtgo.ConfigChip1024()
+	cfg.HostWorkers = 1
+	prog := buildB(b, workloads.TableI(workloads.ParallelCompute, cfg.Clusters*cfg.TCUsPerCluster, 400),
+		xmtgo.DefaultCompileOptions())
+	var instrs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		instrs += cycleRun(b, prog, cfg).Instrs
+	}
+	b.StopTimer()
+	if instrs > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "host_ns/sim_instr")
+	}
+}
+
 // --- Host-parallel scaling: simulated cycles/sec vs Config.HostWorkers ---
 //
 // The parallel-memory and parallel-compute Table I groups on the 1024-TCU

@@ -132,7 +132,8 @@ func parseBenchLine(line string) (benchResult, bool) {
 }
 
 // summarize renders the one-line EXPERIMENTS.md record: the Table I
-// throughput and the host-parallel scaling curve, when present.
+// throughput, the host-parallel scaling curve and the cluster-compute
+// anchor (BenchmarkTCUIssue), when present.
 func summarize(f *benchFile) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "- bench %s (%s, %d CPUs): %d benchmarks", f.Date, f.Go, f.CPUs, len(f.Results))
@@ -148,6 +149,9 @@ func summarize(f *benchFile) string {
 	}
 	if len(scale) > 0 {
 		fmt.Fprintf(&b, "; scaling %s", strings.Join(scale, " "))
+	}
+	if v, ok := metricOf(f, "BenchmarkTCUIssue", "host_ns/sim_instr"); ok {
+		fmt.Fprintf(&b, "; TCU issue %.1f host_ns/sim_instr", v)
 	}
 	return b.String()
 }

@@ -85,6 +85,7 @@ func TestCompareDirections(t *testing.T) {
 		want   direction
 	}{
 		{"ns/op", lowerBetter}, {"B/op", lowerBetter}, {"allocs/op", lowerBetter},
+		{"host_ns/sim_instr", lowerBetter}, // BenchmarkTCUIssue's cluster-compute anchor
 		{"sim_cycle/sec", higherBetter}, {"sim_instr/sec", higherBetter},
 		{"iterations", infoOnly},
 	}

@@ -48,7 +48,7 @@ func main() {
 	var (
 		cfgName   = flag.String("config", "fpga64", "machine preset: fpga64 or chip1024")
 		mode      = flag.String("mode", "cycle", "simulation mode: cycle or func")
-		backend   = flag.String("backend", "", "functional-mode backend: interp or vm (default: config func_backend, else interp)")
+		backend   = flag.String("backend", "", "functional-mode backend: vm or interp (default: config func_backend, which the presets set to vm)")
 		maxCycles = flag.Int64("max-cycles", 0, "stop after this many cycles (0 = unlimited)")
 		showStats = flag.Bool("stats", false, "print instruction and activity counters")
 		counters  = flag.Bool("counters", false, "print the hardware performance counter report")
@@ -193,7 +193,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "\n=== %d instructions (functional mode%s, stopped by signal) ===\n", m.InstrCount, backend)
 		}
 		const chunk = 1 << 16
-		if cfg.FuncBackend == config.FuncBackendVM {
+		if cfg.UseFuncVM() {
 			vm, err := funcvm.Attach(m)
 			if err != nil {
 				fatal(err)
@@ -222,8 +222,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "\n=== %d instructions (functional mode) ===\n", m.InstrCount)
 		return
 	}
-	if cfg.FuncBackend == config.FuncBackendVM {
-		fatal(fmt.Errorf("-backend vm applies to the functional mode (-mode func)"))
+	if *backend != "" {
+		fatal(fmt.Errorf("-backend applies to the functional mode (-mode func)"))
 	}
 
 	sys, err := cycle.New(prog, cfg, os.Stdout)

@@ -59,7 +59,7 @@ func main() {
 		cfgName   = flag.String("config", "fpga64", "machine preset: fpga64 or chip1024")
 		cfgFile   = flag.String("config-file", "", "key=value configuration file")
 		mode      = flag.String("mode", "cycle", "simulation mode: cycle or func")
-		backend   = flag.String("backend", "", "functional-mode backend: interp or vm (default: config func_backend, else interp)")
+		backend   = flag.String("backend", "", "functional-mode backend: vm or interp (default: config func_backend, which the presets set to vm)")
 		maxCycles = flag.Int64("max-cycles", 0, "stop after this many cycles (0 = unlimited)")
 		showStats = flag.Bool("stats", false, "print instruction and activity counters")
 		hot       = flag.Bool("hot", false, "enable the hottest-memory-locations filter plug-in")
@@ -210,8 +210,8 @@ func main() {
 		}
 		return
 	}
-	if cfg.FuncBackend == config.FuncBackendVM {
-		fatal(fmt.Errorf("-backend vm applies to the functional mode (-mode func)"))
+	if *backend != "" {
+		fatal(fmt.Errorf("-backend applies to the functional mode (-mode func)"))
 	}
 
 	sys, err := cycle.New(prog, cfg, os.Stdout)
@@ -456,7 +456,7 @@ func runFunctional(prog *asm.Program, cfg config.Config, resume *checkpoint.Stat
 		}
 		fmt.Fprintf(os.Stderr, "\n=== %d instructions (functional mode, stopped by signal) ===\n", m.InstrCount)
 	}
-	if cfg.FuncBackend == config.FuncBackendVM {
+	if cfg.UseFuncVM() {
 		vm, err := funcvm.Attach(m)
 		if err != nil {
 			fatal(err)

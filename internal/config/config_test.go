@@ -150,3 +150,30 @@ func TestSampleCyclesKey(t *testing.T) {
 		t.Fatal("Describe does not mention sample_cycles")
 	}
 }
+
+// TestFuncBackendDefaultsToVM pins the default functional backend: the
+// presets and the zero value both resolve to the bytecode VM, and the
+// interpreter runs only when asked for by name.
+func TestFuncBackendDefaultsToVM(t *testing.T) {
+	for _, cfg := range []Config{FPGA64(), Chip1024(), {}} {
+		if !cfg.UseFuncVM() {
+			t.Errorf("%q: default func_backend %q does not select the vm", cfg.Name, cfg.FuncBackend)
+		}
+	}
+	cfg := Chip1024()
+	if !strings.Contains(cfg.Describe(), "func_backend=vm") {
+		t.Errorf("Describe does not show the vm default:\n%s", cfg.Describe())
+	}
+	if err := cfg.Set("func_backend=interp"); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.UseFuncVM() || !strings.Contains(cfg.Describe(), "func_backend=interp") {
+		t.Errorf("func_backend=interp did not select the interpreter (%q)", cfg.FuncBackend)
+	}
+	if err := cfg.Set("func_backend="); err != nil {
+		t.Fatal(err)
+	}
+	if !cfg.UseFuncVM() {
+		t.Error("an empty func_backend must mean the default (vm)")
+	}
+}

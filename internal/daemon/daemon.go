@@ -778,52 +778,64 @@ func (d *Daemon) suspend(j *job) {
 }
 
 // envelope is the per-job checkpoint sidecar (<id>.ckpt): the simulator
-// checkpoint plus the output accumulated up to it, so a resumed job's final
-// output is byte-identical to an uninterrupted run's.
+// checkpoint plus the output and the instruction count accumulated up to
+// it, so a resumed job's final output and Instrs are identical to an
+// uninterrupted run's. (Envelopes written before Instrs existed decode
+// with 0: such a job under-reports, as every resumed job used to.)
 type envelope struct {
 	Ckpt   []byte // checkpoint.Save bytes (self-versioned)
 	Output string
+	Instrs uint64
+}
+
+// resumePoint is a job's last persisted checkpoint as the run loop carries
+// it: where the next segment resumes, and what the segments before it
+// already produced. The zero value means "from the start".
+type resumePoint struct {
+	st     *checkpoint.State
+	output string
+	instrs uint64
 }
 
 func (d *Daemon) envPath(j *job) string {
 	return filepath.Join(d.opts.DataDir, j.id+".ckpt")
 }
 
-func (d *Daemon) saveEnvelope(j *job, st *checkpoint.State, output string) error {
+func (d *Daemon) saveEnvelope(j *job, rp resumePoint) error {
 	var buf bytes.Buffer
-	if err := checkpoint.Save(&buf, st); err != nil {
+	if err := checkpoint.Save(&buf, rp.st); err != nil {
 		return err
 	}
 	return atomicfile.WriteFunc(d.envPath(j), 0o644, func(w io.Writer) error {
-		return gobEncode(w, &envelope{Ckpt: buf.Bytes(), Output: output})
+		return gobEncode(w, &envelope{Ckpt: buf.Bytes(), Output: rp.output, Instrs: rp.instrs})
 	})
 }
 
-func (d *Daemon) loadEnvelope(j *job) (*checkpoint.State, string, error) {
+func (d *Daemon) loadEnvelope(j *job) (resumePoint, error) {
 	f, err := os.Open(d.envPath(j))
 	if os.IsNotExist(err) {
-		return nil, "", nil
+		return resumePoint{}, nil
 	}
 	if err != nil {
-		return nil, "", err
+		return resumePoint{}, err
 	}
 	defer f.Close()
 	var env envelope
 	if err := gobDecode(f, &env); err != nil {
-		return nil, "", fmt.Errorf("daemon: envelope %s: %v", d.envPath(j), err)
+		return resumePoint{}, fmt.Errorf("daemon: envelope %s: %v", d.envPath(j), err)
 	}
 	st, err := checkpoint.Load(bytes.NewReader(env.Ckpt))
 	if err != nil {
-		return nil, "", err
+		return resumePoint{}, err
 	}
-	return st, env.Output, nil
+	return resumePoint{st: st, output: env.Output, instrs: env.Instrs}, nil
 }
 
 // runJob drives one job from its current checkpoint (if any) to a terminal
 // state, a preemption/drain yield, or its retry bound.
 func (d *Daemon) runJob(j *job) {
 	tenant := tenantOf(&j.spec)
-	st, prefix, err := d.loadEnvelope(j)
+	rp, err := d.loadEnvelope(j)
 	if err != nil {
 		d.appendT(Record{Kind: RecFail, ID: j.id, Reason: err.Error()}, tenant)
 		d.terminal(j, StateFailed, &JobResult{Err: err.Error()})
@@ -862,7 +874,7 @@ func (d *Daemon) runJob(j *job) {
 		d.mu.Lock()
 		j.attempt++
 		j.budget = budget
-		resumed := st != nil
+		resumed := rp.st != nil
 		if resumed {
 			j.resumes++
 		}
@@ -884,7 +896,7 @@ func (d *Daemon) runJob(j *job) {
 		j.log.Info("attempt started", "op", "run", "attempt", att,
 			"budget", budget, "resumed", resumed)
 
-		out := d.runSegments(j, cfg, &st, &prefix, budget, att, attStart)
+		out := d.runSegments(j, cfg, &rp, budget, att, attStart)
 		d.obs.tracer.Add(obs.Span{Job: j.id, Tenant: tenant, Name: "run",
 			StartNs: attStart, DurNs: d.obs.tracer.Now() - attStart,
 			Attempt: att, Priority: j.spec.Priority, Detail: outcomeOf(&out)})
@@ -953,8 +965,8 @@ func (d *Daemon) runJob(j *job) {
 		d.retries++
 		d.mu.Unlock()
 		j.log.Warn("attempt failed; retrying", "op", "run", "attempt", att, "err", diag)
-		// st/prefix were advanced to the last persisted checkpoint by
-		// runSegments; the retry resumes there.
+		// rp was advanced to the last persisted checkpoint by runSegments;
+		// the retry resumes there.
 	}
 }
 
@@ -990,10 +1002,12 @@ func outcomeOf(out *segmentsOut) string {
 
 // runSegments runs one attempt as a chain of simulation segments separated
 // by checkpoint stops. At each stop it persists the envelope and the
-// journal record, then honors pending cancel/drain/preempt requests. st and
-// prefix track the last persisted checkpoint across the call — on a retry
-// the caller resumes from exactly that state.
-func (d *Daemon) runSegments(j *job, cfg config.Config, st **checkpoint.State, prefix *string, budget int64, att int, attStart int64) segmentsOut {
+// journal record, then honors pending cancel/drain/preempt requests. rp
+// tracks the last persisted checkpoint across the call — on a retry the
+// caller resumes from exactly that state. Every segment is a fresh
+// simulator whose counters start at zero, so the job's instruction count is
+// the checkpointed total plus the current segment's.
+func (d *Daemon) runSegments(j *job, cfg config.Config, rp *resumePoint, budget int64, att int, attStart int64) segmentsOut {
 	tenant := tenantOf(&j.spec)
 	ttfsSeen := false
 	// ttfs measures worker start -> the attempt's first observable sample
@@ -1006,14 +1020,14 @@ func (d *Daemon) runSegments(j *job, cfg config.Config, st **checkpoint.State, p
 		}
 	}
 	var out bytes.Buffer
-	startPrefix := *prefix
+	startPrefix := rp.output
 	for {
 		sys, err := cycle.New(j.prog, cfg, &out)
 		if err != nil {
 			return segmentsOut{err: err, output: startPrefix + out.String()}
 		}
-		if *st != nil {
-			if err := sys.RestoreState(*st); err != nil {
+		if rp.st != nil {
+			if err := sys.RestoreState(rp.st); err != nil {
 				return segmentsOut{err: err, output: startPrefix + out.String()}
 			}
 		}
@@ -1045,9 +1059,9 @@ func (d *Daemon) runSegments(j *job, cfg config.Config, st **checkpoint.State, p
 
 		segBudget := int64(0)
 		if budget > 0 {
-			segBudget = budget - offsetOf(*st)
+			segBudget = budget - offsetOf(rp.st)
 			if segBudget <= 0 {
-				return segmentsOut{cycle: offsetOf(*st), output: startPrefix + out.String()}
+				return segmentsOut{cycle: offsetOf(rp.st), output: startPrefix + out.String()}
 			}
 		}
 		res, err := sys.Run(segBudget)
@@ -1055,7 +1069,7 @@ func (d *Daemon) runSegments(j *job, cfg config.Config, st **checkpoint.State, p
 			smp.Finalize(res.Cycles, int64(res.Ticks), sys.Stats, sys.AliveTCUs())
 		}
 		if err != nil {
-			cyc := offsetOf(*st)
+			cyc := offsetOf(rp.st)
 			if res != nil {
 				cyc = res.Cycles
 			}
@@ -1069,11 +1083,10 @@ func (d *Daemon) runSegments(j *job, cfg config.Config, st **checkpoint.State, p
 			if d.aborted.Load() {
 				return segmentsOut{err: errAborted}
 			}
-			cst := sys.Capture()
-			envOut := startPrefix + out.String()
+			next := resumePoint{st: sys.Capture(), output: startPrefix + out.String(), instrs: rp.instrs + res.Instrs}
 			ckptStart := d.obs.tracer.Now()
-			if err := d.saveEnvelope(j, cst, envOut); err != nil {
-				return segmentsOut{cycle: res.Cycles, output: envOut, err: err}
+			if err := d.saveEnvelope(j, next); err != nil {
+				return segmentsOut{cycle: res.Cycles, output: next.output, err: err}
 			}
 			ckptDur := d.obs.tracer.Now() - ckptStart
 			d.obs.hists.Observe(obs.HistCkptWrite, ckptDur)
@@ -1083,10 +1096,10 @@ func (d *Daemon) runSegments(j *job, cfg config.Config, st **checkpoint.State, p
 				return segmentsOut{err: errAborted}
 			}
 			if _, err := d.appendT(Record{Kind: RecCkpt, ID: j.id, Cycle: res.Cycles}, tenant); err != nil {
-				return segmentsOut{cycle: res.Cycles, output: envOut, err: err}
+				return segmentsOut{cycle: res.Cycles, output: next.output, err: err}
 			}
 			observeTTFS()
-			*st, *prefix = cst, envOut
+			*rp = next
 			j.hasCkpt = true
 			j.log.Debug("checkpoint", "op", "ckpt", "attempt", att, "cycle", res.Cycles)
 
@@ -1098,11 +1111,11 @@ func (d *Daemon) runSegments(j *job, cfg config.Config, st **checkpoint.State, p
 			d.mu.Unlock()
 			switch {
 			case cancel:
-				return segmentsOut{cycle: res.Cycles, output: envOut, err: errCanceled}
+				return segmentsOut{cycle: res.Cycles, output: next.output, err: errCanceled}
 			case drain || (stopping && d.draining):
-				return segmentsOut{cycle: res.Cycles, output: envOut, err: errDrained}
+				return segmentsOut{cycle: res.Cycles, output: next.output, err: errDrained}
 			case preempt:
-				return segmentsOut{cycle: res.Cycles, output: envOut, err: errPreempted}
+				return segmentsOut{cycle: res.Cycles, output: next.output, err: errPreempted}
 			}
 			continue
 		}
@@ -1114,7 +1127,7 @@ func (d *Daemon) runSegments(j *job, cfg config.Config, st **checkpoint.State, p
 			return segmentsOut{
 				halted:  true,
 				cycle:   res.Cycles,
-				instrs:  res.Instrs,
+				instrs:  rp.instrs + res.Instrs,
 				output:  totalOut,
 				memHash: memHash(fin, totalOut),
 			}

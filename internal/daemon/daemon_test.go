@@ -113,16 +113,21 @@ func refResult(t *testing.T, spec JobSpec) *JobResult {
 	return mustDone(t, d, st.ID)
 }
 
-// sameResult asserts bit-identical architectural artifacts: program output
-// and the memory/registers fingerprint. Cycle counts are deliberately not
-// compared — as in TestCycleCheckpointResume, a checkpoint holds only
-// architectural state, so runs with different checkpoint histories
-// legitimately drift by a few cycles while ending in the same state.
+// sameResult asserts bit-identical architectural artifacts: program output,
+// the memory/registers fingerprint and the retired-instruction count (the
+// job's total over every segment it ran in, not its last segment's). Cycle
+// counts are deliberately not compared — as in TestCycleCheckpointResume, a
+// checkpoint holds only architectural state, so runs with different
+// checkpoint histories legitimately drift by a few cycles while ending in
+// the same state.
 func sameResult(t *testing.T, got, want *JobResult, context string) {
 	t.Helper()
 	if got.Output != want.Output || got.MemHash != want.MemHash {
 		t.Errorf("%s: result diverged from uninterrupted run:\n got  output=%q memhash=%s\n want output=%q memhash=%s",
 			context, got.Output, got.MemHash, want.Output, want.MemHash)
+	}
+	if got.Instrs != want.Instrs || want.Instrs == 0 {
+		t.Errorf("%s: instrs = %d, uninterrupted run retired %d", context, got.Instrs, want.Instrs)
 	}
 }
 

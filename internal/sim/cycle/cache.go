@@ -97,9 +97,9 @@ func (cm *CacheModule) Tick(cycle int64, now engine.Time) bool {
 	if !p.Shadow {
 		switch p.Kind {
 		case PkgLoad:
-			p.Data, p.Err = m.LoadValue(p.In, p.Addr)
+			p.Data, p.Err = m.LoadValue(p.In.Op, p.Addr)
 		case PkgStore, PkgStoreNB:
-			p.Err = m.StoreValue(p.In, p.Addr, p.Data)
+			p.Err = m.StoreValue(p.In.Op, p.Addr, p.Data)
 		case PkgPsm:
 			p.Data, p.Err = m.Psm(p.Addr, p.Data)
 		case PkgPrefetch:

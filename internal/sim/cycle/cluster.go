@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/bits"
 
+	"xmtgo/internal/asm"
 	"xmtgo/internal/isa"
 	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/sim/funcmodel"
+	"xmtgo/internal/sim/funcvm"
 	"xmtgo/internal/sim/stats"
 	"xmtgo/internal/sim/trace"
 )
@@ -27,12 +29,38 @@ type Cluster struct {
 	id   int
 	tcus []*TCU
 
-	// Shared functional units: freeAt[i] is the cluster cycle unit i
-	// becomes available. unitsBusyUntil caches the max over both pools so
-	// the tick's "units still draining" check is O(1).
-	fpuFreeAt      []int64
-	mduFreeAt      []int64
+	// issue is the program's lowered issue-record stream and text its
+	// source instructions (System.issue / Prog.Text), stats this cluster's
+	// entry of Stats.Cluster: held here so the per-issue path reaches them
+	// without walking through the System.
+	issue []funcvm.IssueRec
+	text  []isa.Instr
+	stats *stats.ClusterStats
+	// region is the spawn region whose instructions were last broadcast to
+	// this cluster (SpawnUnit.region; nil before the first spawn): the only
+	// pcs its TCUs may fetch.
+	region *asm.SpawnRegion
+	// observed is set while any per-issue observer is attached (instruction
+	// trace, event ring, profiler shard): one test on the issue path.
+	observed bool
+
+	// Shared functional units: unitFreeAt[i] is the cluster cycle unit i
+	// becomes available, the nFPU floating-point units first, then the
+	// multiply/divide units (one array: one cache line for both pools).
+	// unitsBusyUntil caches the max over both pools so the tick's "units
+	// still draining" check is O(1).
+	unitFreeAt     []int64
+	nFPU           int
 	unitsBusyUntil int64
+	// unitWait[p] has bit i set while TCU i sits on an instruction whose
+	// acquire of pool p (0 = FPU, 1 = MDU) was refused at its latest issue
+	// attempt. Such a TCU retries every cycle, and while every unit of the
+	// pool is busy past the cycle the retry can only be refused again — its
+	// one effect being FPUWaitCycles — so Tick accounts those retries
+	// without visiting the TCU (see parkedThisCycle). Maintained only when
+	// maskOK; cleared by TCU.unpark whenever the TCU stops being "running,
+	// about to re-issue that instruction".
+	unitWait [2]uint64
 
 	// ro is the cluster read-only cache (tags only; constants are read from
 	// shared memory and the tags are invalidated at spawn boundaries).
@@ -86,17 +114,24 @@ type Cluster struct {
 func newCluster(sys *System, id int) *Cluster {
 	cfg := sys.Cfg
 	c := &Cluster{
-		sys:       sys,
-		id:        id,
-		fpuFreeAt: make([]int64, cfg.FPUsPerCluster),
-		mduFreeAt: make([]int64, cfg.MDUsPerCluster),
-		sendQCap:  8 * cfg.ICNInjectPerCyc,
+		sys:        sys,
+		id:         id,
+		issue:      sys.issue,
+		text:       sys.Prog.Text,
+		stats:      &sys.Stats.Cluster[id],
+		unitFreeAt: make([]int64, cfg.FPUsPerCluster+cfg.MDUsPerCluster),
+		nFPU:       cfg.FPUsPerCluster,
+		sendQCap:   8 * cfg.ICNInjectPerCyc,
 	}
 	if cfg.ROCacheLines > 0 {
 		c.ro = newTagArray(cfg.ROCacheLines, 2, cfg.ROCacheLineSize)
 	}
-	for i := 0; i < cfg.TCUsPerCluster; i++ {
-		t := &TCU{
+	// One backing array per cluster: the tick walks its TCUs in index order,
+	// so their hot state sits in consecutive memory.
+	store := make([]TCU, cfg.TCUsPerCluster)
+	for i := range store {
+		t := &store[i]
+		*t = TCU{
 			sys:     sys,
 			cluster: c,
 			id:      id*cfg.TCUsPerCluster + i,
@@ -115,22 +150,27 @@ func newCluster(sys *System, id int) *Cluster {
 func (c *Cluster) Tick(cycle int64, now engine.Time) bool {
 	busy := false
 	if c.maskOK {
+		parked := c.parkedThisCycle(cycle)
+		if parked != 0 {
+			c.stats.FPUWaitCycles += uint64(bits.OnesCount64(parked))
+			busy = true
+		}
 		// Iterate a copy of the mask: state transitions during the loop
 		// (e.g. a stall expiring into running) edit c.tickMask, but the
 		// skipped TCUs' Ticks are pure no-ops, so the visit set is exactly
 		// the legacy full scan's set of TCUs that could do anything.
-		for m := c.tickMask; m != 0; m &= m - 1 {
-			if c.tcus[bits.TrailingZeros64(m)].Tick(cycle, now) {
+		for m := c.tickMask &^ parked; m != 0; m &= m - 1 {
+			if c.tcus[bits.TrailingZeros64(m)].Tick(c, cycle, now) {
 				busy = true
 			}
 		}
 		if c.nActive > 0 {
-			c.sys.Stats.Cluster[c.id].BusyCycles++
+			c.stats.BusyCycles++
 		}
 	} else {
 		active := false
 		for _, t := range c.tcus {
-			if t.Tick(cycle, now) {
+			if t.Tick(c, cycle, now) {
 				busy = true
 			}
 			if t.state != tcuIdle && t.state != tcuDone && t.state != tcuDead {
@@ -138,7 +178,7 @@ func (c *Cluster) Tick(cycle int64, now engine.Time) bool {
 			}
 		}
 		if active {
-			c.sys.Stats.Cluster[c.id].BusyCycles++
+			c.stats.BusyCycles++
 		}
 	}
 	// Shared units still draining keep the domain ticking so stalled TCUs
@@ -149,15 +189,51 @@ func (c *Cluster) Tick(cycle int64, now engine.Time) bool {
 	return busy
 }
 
+// pool returns the free-at cycles of one shared-unit pool (0 = FPU, 1 = MDU).
+func (c *Cluster) pool(p int) []int64 {
+	if p == 0 {
+		return c.unitFreeAt[:c.nFPU]
+	}
+	return c.unitFreeAt[c.nFPU:]
+}
+
+// poolOf maps a shared functional unit to its pool index.
+func poolOf(unit isa.Unit) int {
+	if unit == isa.UnitFPU {
+		return 0
+	}
+	return 1
+}
+
+// parkedThisCycle returns the TCUs whose tick this cycle is known without
+// running it: those waiting on a shared-unit pool none of whose units frees
+// by this cycle. Units free only as cycles pass (an acquire pushes one
+// further out), so every one of their retries would be refused, in any
+// order, whatever the other TCUs do. Observers see each retry (trace line,
+// event, profile sample), so an observed cluster parks nobody.
+func (c *Cluster) parkedThisCycle(cycle int64) (parked uint64) {
+	if c.unitWait[0]|c.unitWait[1] == 0 || c.observed {
+		return 0
+	}
+pools:
+	for p, w := range c.unitWait {
+		if w == 0 {
+			continue
+		}
+		for _, freeAt := range c.pool(p) {
+			if freeAt <= cycle {
+				continue pools
+			}
+		}
+		parked |= w
+	}
+	return parked
+}
+
 // acquire requests a shared unit of the given class at the given cycle.
 // On success it returns the operation latency to stall for.
 func (c *Cluster) acquire(unit isa.Unit, cycle, latency int64) (int64, bool) {
-	var pool []int64
-	if unit == isa.UnitFPU {
-		pool = c.fpuFreeAt
-	} else {
-		pool = c.mduFreeAt
-	}
+	pool := c.pool(poolOf(unit))
 	for i := range pool {
 		if pool[i] <= cycle {
 			pool[i] = cycle + latency
@@ -199,23 +275,25 @@ func (c *Cluster) Commit(now engine.Time) {
 	if c.evRing != nil {
 		ev = c.evRing.Len()
 	}
-	c.replay(0, int32(len(c.ob.recs)), 0, int32(len(c.ob.ops)), 0, int32(ev), now)
+	c.ob.cut()
+	c.replay(0, int32(len(c.ob.recs)), int32(len(c.ob.hist)), 0, int32(ev), now)
 	if c.sys.evlog != nil {
 		c.sys.evlog.ResetRing(c.evRing)
 	}
+	c.ob.flushCounts(c.sys.Stats, c.id)
 	c.ob.reset()
 }
 
 // replay commits one contiguous range of the outbox: records [rlo,rhi),
-// the op-count stream [olo,ohi), and ring events [elo,ehi). Counted ops
-// issued before a record flush before that record replays, preserving the
-// serial interleaving of counts with effects.
-func (c *Cluster) replay(rlo, rhi, olo, ohi, elo, ehi int32, now engine.Time) {
+// the op-histogram buckets up to hhi, and ring events [elo,ehi). Counts
+// issued before a record commit (outbox.due) before that record replays,
+// preserving the serial interleaving of counts with effects: a record that
+// stops the run leaves later counts uncommitted.
+func (c *Cluster) replay(rlo, rhi, hhi, elo, ehi int32, now engine.Time) {
 	s := c.sys
 	if s.evlog != nil && ehi > elo {
 		s.evlog.DrainRange(c.evRing, int(elo), int(ehi))
 	}
-	cur := olo
 	for i := rlo; i < rhi; i++ {
 		r := &c.ob.recs[i]
 		// Once the simulation has failed or halted, stop replaying: a later
@@ -229,21 +307,18 @@ func (c *Cluster) replay(rlo, rhi, olo, ohi, elo, ehi int32, now engine.Time) {
 			*r = obRec{}
 			continue
 		}
-		if r.opsIdx > cur {
-			s.Stats.CountInstrs(c.ob.ops[cur:r.opsIdx], c.id)
-			cur = r.opsIdx
-		}
+		c.commitCounts(r.histIdx)
 		switch r.kind {
 		case obStat:
 			*r.stat += r.n
 		case obTrace:
-			s.traceFn(r.t.id, r.pc, r.in, now)
+			s.traceFn(r.t.id, r.pc, *r.in, now)
 		case obPS:
 			s.ps.request(r.t, r.in, now)
 		case obSys:
-			halt, err := s.Machine.DoSys(&r.t.ctx, r.in)
+			halt, err := s.Machine.DoSys(&r.t.ctx, r.in.Imm)
 			if err != nil {
-				s.fail(&funcmodel.RuntimeError{PC: r.pc, Line: r.in.Line, In: r.in, Err: err})
+				s.fail(&funcmodel.RuntimeError{PC: r.pc, Line: r.in.Line, In: *r.in, Err: err})
 			} else if halt {
 				s.halt()
 			}
@@ -264,8 +339,18 @@ func (c *Cluster) replay(rlo, rhi, olo, ohi, elo, ehi int32, now engine.Time) {
 		}
 		*r = obRec{}
 	}
-	if ohi > cur && s.err == nil && !s.halted {
-		s.Stats.CountInstrs(c.ob.ops[cur:ohi], c.id)
+	if s.err == nil && !s.halted {
+		c.commitCounts(hhi)
+	}
+}
+
+// commitCounts commits the instruction counts of hist[:upTo]: they stay
+// counted whatever a later record does. See outbox.due for when they reach
+// the collector.
+func (c *Cluster) commitCounts(upTo int32) {
+	c.ob.due = upTo
+	if len(c.sys.Stats.Filters()) > 0 {
+		c.ob.flushCounts(c.sys.Stats, c.id)
 	}
 }
 
@@ -322,10 +407,10 @@ func (c *Cluster) CommitCycle(k int, now engine.Time) {
 	// below winEvBase and would otherwise be discarded by EndWindow's reset —
 	// the single-cycle engine drains them at its next commit. winEvBase is
 	// only the optimistic Rollback truncation point.
-	var rlo, olo, plo, elo int32
+	var rlo, plo, elo int32
 	if k > 0 {
 		prev := &c.ob.segs[k-1]
-		rlo, olo, plo, elo = prev.rec, prev.op, prev.prof, prev.ev
+		rlo, plo, elo = prev.rec, prev.prof, prev.ev
 	}
 	// Replay-order guard: a segment claiming a cycle other than winBase+k
 	// would silently reorder shared effects against other clusters'. Fail
@@ -339,7 +424,7 @@ func (c *Cluster) CommitCycle(k int, now engine.Time) {
 		return
 	}
 	s.beginCommit(seg.cycle, now)
-	c.replay(rlo, seg.rec, olo, seg.op, elo, seg.ev, now)
+	c.replay(rlo, seg.rec, seg.hist, elo, seg.ev, now)
 	// Deferred profile samples (optimistic mode): issues from cycles past
 	// the consensus window end were truncated by the rollback replay, so
 	// applying here keeps profiles identical to the direct-emit modes.
@@ -356,6 +441,7 @@ func (c *Cluster) EndWindow() {
 	if c.sys.evlog != nil {
 		c.sys.evlog.ResetRing(c.evRing)
 	}
+	c.ob.flushCounts(c.sys.Stats, c.id)
 	c.ob.reset()
 	c.profPend = c.profPend[:0]
 	c.deferProf = false
@@ -376,33 +462,15 @@ func (c *Cluster) Rollback() {
 	for i := range c.ob.recs {
 		c.ob.recs[i] = obRec{}
 	}
-	c.ob.recs = c.ob.recs[:0]
-	c.ob.ops = c.ob.ops[:0]
-	c.ob.segs = c.ob.segs[:0]
-	c.ob.wokeICN = false
-	c.ob.closing = false
+	c.ob.reset()
 	c.profPend = c.profPend[:0]
 }
 
 // tcuSnap captures one TCU's window-entry state for optimistic rollback.
 type tcuSnap struct {
-	ctx             funcmodel.Context
-	state           tcuState
-	stallUntil      int64
-	pendingNB       int
-	memWaitStart    engine.Time
-	blockPC         int32
-	blockOp         isa.Op
-	waitPS          bool
-	doneCounted     bool
-	pendingPbufLoad isa.Instr
-	pendingPbufAddr uint32
-	waitingPbuf     bool
-	pendingSend     *Package
-	pendingSendPkg  Package // contents of *pendingSend (retries mutate Issued)
-	pendingSendPC   int
-	pendingSendIn   isa.Instr
-	pbuf            []pbufEntry
+	hot            tcuHot
+	pendingSendPkg Package // contents of *hot.pendingSend (retries mutate Issued)
+	pbuf           []pbufEntry
 }
 
 // clusterSnap captures a cluster's window-entry state. Only state the
@@ -411,8 +479,7 @@ type tcuSnap struct {
 // construction.
 type clusterSnap struct {
 	tcus           []tcuSnap
-	fpuFreeAt      []int64
-	mduFreeAt      []int64
+	unitFreeAt     []int64
 	unitsBusyUntil int64
 	roLastUse      []int64
 	sendQLen       int
@@ -420,14 +487,14 @@ type clusterSnap struct {
 	stats          stats.ClusterStats
 	nActive        int
 	tickMask       uint64
+	unitWait       [2]uint64
 }
 
 func (c *Cluster) capture() {
 	s := &c.snap
 	if s.tcus == nil {
 		s.tcus = make([]tcuSnap, len(c.tcus))
-		s.fpuFreeAt = make([]int64, len(c.fpuFreeAt))
-		s.mduFreeAt = make([]int64, len(c.mduFreeAt))
+		s.unitFreeAt = make([]int64, len(c.unitFreeAt))
 		if c.ro != nil {
 			s.roLastUse = make([]int64, len(c.ro.lastUse))
 		}
@@ -437,69 +504,36 @@ func (c *Cluster) capture() {
 	}
 	for i, t := range c.tcus {
 		ts := &s.tcus[i]
-		pb := ts.pbuf
-		copy(pb, t.pbuf.entries)
-		*ts = tcuSnap{
-			ctx:             t.ctx,
-			state:           t.state,
-			stallUntil:      t.stallUntil,
-			pendingNB:       t.pendingNB,
-			memWaitStart:    t.memWaitStart,
-			blockPC:         t.blockPC,
-			blockOp:         t.blockOp,
-			waitPS:          t.waitPS,
-			doneCounted:     t.doneCounted,
-			pendingPbufLoad: t.pendingPbufLoad,
-			pendingPbufAddr: t.pendingPbufAddr,
-			waitingPbuf:     t.waitingPbuf,
-			pendingSend:     t.pendingSend,
-			pendingSendPC:   t.pendingSendPC,
-			pendingSendIn:   t.pendingSendIn,
-			pbuf:            pb,
-		}
+		copy(ts.pbuf, t.pbuf.entries)
+		ts.hot = t.tcuHot
 		if t.pendingSend != nil {
 			ts.pendingSendPkg = *t.pendingSend
 		}
 	}
-	copy(s.fpuFreeAt, c.fpuFreeAt)
-	copy(s.mduFreeAt, c.mduFreeAt)
+	copy(s.unitFreeAt, c.unitFreeAt)
 	s.unitsBusyUntil = c.unitsBusyUntil
 	if c.ro != nil {
 		copy(s.roLastUse, c.ro.lastUse)
 	}
 	s.sendQLen = len(c.sendQ)
 	s.asyncPortFree = c.sys.asyncPortFree[c.id]
-	s.stats = c.sys.Stats.Cluster[c.id]
+	s.stats = *c.stats
 	s.nActive = c.nActive
 	s.tickMask = c.tickMask
+	s.unitWait = c.unitWait
 }
 
 func (c *Cluster) restore() {
 	s := &c.snap
 	for i, t := range c.tcus {
 		ts := &s.tcus[i]
-		t.ctx = ts.ctx
-		t.state = ts.state
-		t.stallUntil = ts.stallUntil
-		t.pendingNB = ts.pendingNB
-		t.memWaitStart = ts.memWaitStart
-		t.blockPC = ts.blockPC
-		t.blockOp = ts.blockOp
-		t.waitPS = ts.waitPS
-		t.doneCounted = ts.doneCounted
-		t.pendingPbufLoad = ts.pendingPbufLoad
-		t.pendingPbufAddr = ts.pendingPbufAddr
-		t.waitingPbuf = ts.waitingPbuf
-		t.pendingSend = ts.pendingSend
-		t.pendingSendPC = ts.pendingSendPC
-		t.pendingSendIn = ts.pendingSendIn
-		if ts.pendingSend != nil {
-			*ts.pendingSend = ts.pendingSendPkg
+		t.tcuHot = ts.hot
+		if t.pendingSend != nil {
+			*t.pendingSend = ts.pendingSendPkg
 		}
 		copy(t.pbuf.entries, ts.pbuf)
 	}
-	copy(c.fpuFreeAt, s.fpuFreeAt)
-	copy(c.mduFreeAt, s.mduFreeAt)
+	copy(c.unitFreeAt, s.unitFreeAt)
 	c.unitsBusyUntil = s.unitsBusyUntil
 	if c.ro != nil {
 		copy(c.ro.lastUse, s.roLastUse)
@@ -511,9 +545,10 @@ func (c *Cluster) restore() {
 	}
 	c.sendQ = c.sendQ[:s.sendQLen]
 	c.sys.asyncPortFree[c.id] = s.asyncPortFree
-	c.sys.Stats.Cluster[c.id] = s.stats
+	*c.stats = s.stats
 	c.nActive = s.nActive
 	c.tickMask = s.tickMask
+	c.unitWait = s.unitWait
 }
 
 // send enqueues a package for ICN injection; it fails (backpressure) when
@@ -528,7 +563,7 @@ func (c *Cluster) send(p *Package, now engine.Time) bool {
 	if c.sys.Cfg.ICNAsync {
 		// Backpressure: refuse when the port has a deep backlog.
 		if c.sys.asyncPortFree[c.id] > now+8*c.sys.Cfg.ICNAsyncGapTicks {
-			c.sys.Stats.Cluster[c.id].SendStallCycles++
+			c.stats.SendStallCycles++
 			return false
 		}
 		arrive := c.sys.asyncDepart(p, c.id, now)
@@ -538,7 +573,7 @@ func (c *Cluster) send(p *Package, now engine.Time) bool {
 		return true
 	}
 	if len(c.sendQ) >= c.sendQCap {
-		c.sys.Stats.Cluster[c.id].SendStallCycles++
+		c.stats.SendStallCycles++
 		return false
 	}
 	c.sendQ = append(c.sendQ, p)
@@ -547,13 +582,14 @@ func (c *Cluster) send(p *Package, now engine.Time) bool {
 }
 
 // resetForSpawn prepares the cluster's TCUs for a new spawn.
-func (c *Cluster) resetForSpawn(pc int, mask uint32, bcast *[isa.NumRegs]int32) {
+func (c *Cluster) resetForSpawn(region *asm.SpawnRegion, mask uint32, bcast *[isa.NumRegs]int32) {
+	c.region = region
 	if c.ro != nil {
 		c.ro.InvalidateAll()
 	}
 	for _, t := range c.tcus {
 		if t.alive {
-			t.resetForSpawn(pc, mask, bcast)
+			t.resetForSpawn(region.Spawn+1, mask, bcast)
 		}
 	}
 }

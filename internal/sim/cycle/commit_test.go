@@ -42,11 +42,11 @@ func TestCommitStopsReplayAfterFailure(t *testing.T) {
 
 	var shared uint64
 	bang := errors.New("bang")
-	c.ob.count(isa.OpAddu)  // before the failure: must replay
-	c.ob.stat(&shared, 3)   // before the failure: must replay
-	c.ob.fail(bang)         // first failure wins
-	c.ob.count(isa.OpAddu)  // after the failure: must be discarded
-	c.ob.stat(&shared, 100) // after the failure: must be discarded
+	c.ob.count(uint8(isa.OpAddu)) // before the failure: must replay
+	c.ob.stat(&shared, 3)         // before the failure: must replay
+	c.ob.fail(bang)               // first failure wins
+	c.ob.count(uint8(isa.OpAddu)) // after the failure: must be discarded
+	c.ob.stat(&shared, 100)       // after the failure: must be discarded
 	c.ob.fail(errors.New("second failure must not replace the first"))
 
 	c.Commit(0)
@@ -66,7 +66,7 @@ func TestCommitStopsReplayAfterFailure(t *testing.T) {
 
 	// A later cluster's commit in the same tick must also replay nothing.
 	c2 := sys.clusters[1]
-	c2.ob.count(isa.OpAddu)
+	c2.ob.count(uint8(isa.OpAddu))
 	c2.ob.stat(&shared, 100)
 	c2.Commit(0)
 	if sys.Stats.TCUInstrs != 1 || shared != 3 {
@@ -88,10 +88,10 @@ func TestCommitStopsReplayAfterHalt(t *testing.T) {
 	haltInstr := isa.Instr{Op: isa.OpSys, Imm: 0}
 	tcu.ctx.Reg[isa.RegV0] = 42
 	var shared uint64
-	c.ob.sys(tcu, 0, printInstr)
-	c.ob.sys(tcu, 1, haltInstr)
-	c.ob.sys(tcu, 2, printInstr) // must not print: simulation already halted
-	c.ob.stat(&shared, 7)        // must not replay
+	c.ob.sys(tcu, 0, &printInstr)
+	c.ob.sys(tcu, 1, &haltInstr)
+	c.ob.sys(tcu, 2, &printInstr) // must not print: simulation already halted
+	c.ob.stat(&shared, 7)         // must not replay
 
 	c.Commit(0)
 

@@ -52,7 +52,7 @@ func TestArchitectureInventory(t *testing.T) {
 		if len(c.tcus) != cfg.TCUsPerCluster {
 			t.Fatalf("cluster %d has %d TCUs", c.id, len(c.tcus))
 		}
-		if len(c.fpuFreeAt) != cfg.FPUsPerCluster || len(c.mduFreeAt) != cfg.MDUsPerCluster {
+		if c.nFPU != cfg.FPUsPerCluster || len(c.unitFreeAt)-c.nFPU != cfg.MDUsPerCluster {
 			t.Fatal("shared unit counts wrong")
 		}
 		if c.ro == nil {

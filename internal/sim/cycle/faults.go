@@ -191,6 +191,7 @@ func (s *System) failTCU(t *TCU, now engine.Time) {
 		s.decommissionTCU(t, true, false, now)
 	default:
 		t.failing = true
+		t.unpark() // its next tick decommissions instead of re-issuing
 		s.wakeClusters(now)
 	}
 }

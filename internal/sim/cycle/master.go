@@ -6,6 +6,7 @@ import (
 	"xmtgo/internal/isa"
 	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/sim/funcmodel"
+	"xmtgo/internal/sim/funcvm"
 	"xmtgo/internal/sim/stats"
 	"xmtgo/internal/sim/trace"
 )
@@ -55,7 +56,6 @@ type Master struct {
 	prof         *stats.ProfShard // the profile's last shard; nil when off
 	memWaitStart engine.Time
 	blockPC      int32
-	blockOp      isa.Op
 }
 
 func newMaster(sys *System) *Master {
@@ -120,36 +120,40 @@ func (mt *Master) Tick(cycle int64, now engine.Time) bool {
 	return mt.state == masterRunning || mt.state == masterStalled
 }
 
-// issue dispatches one instruction; it returns whether the issue group may
-// continue this cycle.
+// issue dispatches one instruction on its lowered issue record (the same
+// stream the TCUs use); it returns whether the issue group may continue
+// this cycle.
 func (mt *Master) issue(cycle int64, now engine.Time) bool {
 	m := mt.sys.Machine
 	pc := mt.ctx.PC
-	if pc < 0 || pc >= len(m.Prog.Text) {
+	if pc < 0 || pc >= len(mt.sys.issue) {
 		mt.sys.fail(fmt.Errorf("cycle: master PC %d outside program", pc))
 		return false
 	}
-	in := m.Prog.Text[pc]
+	r := &mt.sys.issue[pc]
+	op := isa.Op(r.Op)
+	// in is only dereferenced by observers, errors and the memory system,
+	// which packages carry it to.
+	in := &mt.sys.Prog.Text[pc]
 	mt.ctx.PC++
 	if mt.sys.traceFn != nil {
-		mt.sys.traceFn(-1, pc, in, now)
+		mt.sys.traceFn(-1, pc, *in, now)
 	}
 	if mt.sys.evlog != nil {
 		mt.sys.evlog.Emit(trace.Event{TS: now, Dur: mt.sys.masterClock.Period(),
-			Kind: trace.EvInstr, Op: in.Op, Ctx: -1, PC: int32(pc), Arg: int64(in.Line)})
+			Kind: trace.EvInstr, Op: op, Ctx: -1, PC: int32(pc), Arg: int64(in.Line)})
 	}
 	if mt.prof != nil {
 		mt.prof.Issue(pc)
 	}
-	count := func() { mt.sys.Stats.CountInstr(in.Op, -1, true) }
-	meta := in.Op.Meta()
+	count := func() { mt.sys.Stats.CountInstr(op, -1, true) }
 	fail := func(err error) bool {
-		mt.sys.fail(&funcmodel.RuntimeError{PC: pc, Line: in.Line, In: in, Err: err})
+		mt.sys.fail(&funcmodel.RuntimeError{PC: pc, Line: in.Line, In: *in, Err: err})
 		return false
 	}
 
-	switch {
-	case in.Op == isa.OpSpawn:
+	switch r.Class {
+	case funcvm.ClsSpawn:
 		count()
 		// Order memory relative to the spawn boundary: drain the write
 		// buffer before broadcasting.
@@ -162,38 +166,35 @@ func (mt *Master) issue(cycle int64, now engine.Time) bool {
 		mt.beginSpawn(now)
 		return false
 
-	case in.Op == isa.OpJoin:
-		return fail(fmt.Errorf("join executed in serial mode"))
+	case funcvm.ClsJoin, funcvm.ClsChkid:
+		return fail(fmt.Errorf("%s executed in serial mode", op))
 
-	case in.Op == isa.OpChkid:
-		return fail(fmt.Errorf("chkid executed in serial mode"))
-
-	case in.Op == isa.OpBcast:
+	case funcvm.ClsBcast:
 		count()
-		mt.bcastMask |= 1 << uint(in.Rd)
-		mt.bcastRegs[in.Rd] = mt.ctx.Reg[in.Rd]
+		mt.bcastMask |= 1 << uint(r.Rd)
+		mt.bcastRegs[r.Rd&31] = mt.ctx.Reg[r.Rd&31]
 		return true
 
-	case in.Op == isa.OpPs:
+	case funcvm.ClsPs:
 		count()
-		old, err := m.Ps(in.G, mt.ctx.Reg[in.Rd])
+		old, err := m.Ps(r.G(), mt.ctx.Reg[r.Rd&31])
 		if err != nil {
 			return fail(err)
 		}
-		mt.ctx.SetReg(in.Rd, old)
+		mt.ctx.SetReg(r.Rd, old)
 		return true
 
-	case in.Op == isa.OpGrr:
+	case funcvm.ClsGrr:
 		count()
-		mt.ctx.SetReg(in.Rd, m.G[in.G])
+		mt.ctx.SetReg(r.Rd, m.G[r.G()])
 		return true
 
-	case in.Op == isa.OpGrw:
+	case funcvm.ClsGrw:
 		count()
-		m.G[in.G] = mt.ctx.Reg[in.Rd]
+		m.G[r.G()] = mt.ctx.Reg[r.Rd&31]
 		return true
 
-	case in.Op == isa.OpFence:
+	case funcvm.ClsFence:
 		count()
 		if mt.pendingNB > 0 {
 			mt.state = masterWaitFence
@@ -201,16 +202,16 @@ func (mt *Master) issue(cycle int64, now engine.Time) bool {
 		}
 		return true
 
-	case in.Op == isa.OpSys:
+	case funcvm.ClsSys:
 		// A checkpoint trap needs a quiescent machine: drain the write
 		// buffer first, then retry the trap.
-		if in.Imm == isa.SysCheckpoint && mt.pendingNB > 0 {
+		if r.Imm == isa.SysCheckpoint && mt.pendingNB > 0 {
 			mt.ctx.PC = pc
 			mt.state = masterWaitFence
 			return false
 		}
 		count()
-		halt, err := m.DoSys(&mt.ctx, in)
+		halt, err := m.DoSys(&mt.ctx, r.Imm)
 		if err != nil {
 			return fail(err)
 		}
@@ -225,15 +226,15 @@ func (mt *Master) issue(cycle int64, now engine.Time) bool {
 		}
 		return true
 
-	case in.Op == isa.OpPsm:
-		addr := m.EffAddr(&mt.ctx, in)
-		old, err := m.Psm(addr, mt.ctx.Reg[in.Rd])
+	case funcvm.ClsPsm:
+		addr := m.EffAddr(&mt.ctx, r.Rs, r.Imm)
+		old, err := m.Psm(addr, mt.ctx.Reg[r.Rd&31])
 		if err != nil {
 			return fail(err)
 		}
 		if !mt.send(&Package{Kind: PkgPsm, In: in, Cluster: -1, Addr: addr, Data: old, Issued: now, Shadow: true}) {
 			// Could not inject: undo and retry next cycle.
-			if _, uerr := m.Psm(addr, -mt.ctx.Reg[in.Rd]); uerr != nil {
+			if _, uerr := m.Psm(addr, -mt.ctx.Reg[r.Rd&31]); uerr != nil {
 				return fail(uerr)
 			}
 			mt.ctx.PC = pc
@@ -241,22 +242,22 @@ func (mt *Master) issue(cycle int64, now engine.Time) bool {
 		}
 		count()
 		mt.sys.Stats.PsmOps++
-		mt.blockWaitMem(now, pc, in.Op)
+		mt.blockWaitMem(now, pc)
 		return false
 
-	case in.Op == isa.OpPref:
+	case funcvm.ClsPref:
 		count()
 		return true // the master relies on its cache; prefetch is a no-op
 
-	case meta.Load: // lw, lb, lbu, lwro
-		addr := m.EffAddr(&mt.ctx, in)
-		v, err := m.LoadValue(in, addr)
+	case funcvm.ClsLoad, funcvm.ClsLoadRO: // lw, lb, lbu, lwro
+		addr := m.EffAddr(&mt.ctx, r.Rs, r.Imm)
+		v, err := m.LoadValue(op, addr)
 		if err != nil {
 			return fail(err)
 		}
 		if mt.cache.Lookup(addr, cycle) {
 			mt.sys.Stats.MasterCacheHits++
-			mt.ctx.SetReg(in.Rd, v)
+			mt.ctx.SetReg(r.Rd, v)
 			mt.stall(cycle + mt.sys.Cfg.MasterCacheLatency)
 			count()
 			return false
@@ -267,49 +268,49 @@ func (mt *Master) issue(cycle int64, now engine.Time) bool {
 		}
 		count()
 		mt.sys.Stats.MasterCacheMisses++
-		mt.blockWaitMem(now, pc, in.Op)
+		mt.blockWaitMem(now, pc)
 		return false
 
-	case meta.Store: // sw, sb, sw.nb: posted through the write buffer
-		addr := m.EffAddr(&mt.ctx, in)
-		kind := PkgStoreNB
-		p := &Package{Kind: kind, In: in, Cluster: -1, Addr: addr, Data: mt.ctx.Reg[in.Rd], Issued: now, Shadow: true}
+	case funcvm.ClsStore, funcvm.ClsStoreNB: // sw, sb, sw.nb: posted through the write buffer
+		addr := m.EffAddr(&mt.ctx, r.Rs, r.Imm)
+		data := mt.ctx.Reg[r.Rd&31]
+		p := &Package{Kind: PkgStoreNB, In: in, Cluster: -1, Addr: addr, Data: data, Issued: now, Shadow: true}
 		if !mt.send(p) {
 			mt.ctx.PC = pc
 			return false
 		}
-		if err := m.StoreValue(in, addr, mt.ctx.Reg[in.Rd]); err != nil {
+		if err := m.StoreValue(op, addr, data); err != nil {
 			return fail(err)
 		}
 		count()
 		mt.pendingNB++
 		return true
 
-	case meta.Unit == isa.UnitMDU || meta.Unit == isa.UnitFPU:
+	case funcvm.ClsMDU, funcvm.ClsFPU:
 		count()
-		if err := m.ExecCompute(&mt.ctx, in); err != nil {
+		if err := m.ExecCompute(&mt.ctx, op, r.Rd, r.Rs, r.Rt, r.Imm); err != nil {
 			return fail(err)
 		}
-		mt.stall(cycle + int64(meta.Latency))
+		mt.stall(cycle + int64(r.Lat))
 		return false
 
-	case meta.Branch:
+	case funcvm.ClsBranch:
 		count()
-		taken, target, err := m.EvalBranch(&mt.ctx, in)
+		taken, target, err := m.EvalBranch(&mt.ctx, op, r.Rs, r.Rt, int(r.Target))
 		if err != nil {
 			return fail(err)
 		}
 		if taken {
-			if target < 0 || target >= len(m.Prog.Text) {
+			if target < 0 || target >= len(mt.sys.issue) {
 				return fail(fmt.Errorf("branch target %d outside program", target))
 			}
 			mt.ctx.PC = target
 		}
 		return false // branches end the issue group
 
-	default:
+	default: // ClsCompute
 		count()
-		if err := m.ExecCompute(&mt.ctx, in); err != nil {
+		if err := m.ExecCompute(&mt.ctx, op, r.Rd, r.Rs, r.Rt, r.Imm); err != nil {
 			return fail(err)
 		}
 		return true
@@ -317,13 +318,13 @@ func (mt *Master) issue(cycle int64, now engine.Time) bool {
 }
 
 func (mt *Master) beginSpawn(now engine.Time) {
-	in := mt.sys.Prog.Text[mt.pendingSpawnPC]
+	r := &mt.sys.issue[mt.pendingSpawnPC]
 	region := mt.sys.Prog.RegionOf(mt.pendingSpawnPC + 1)
 	if region == nil || region.Spawn != mt.pendingSpawnPC {
 		mt.sys.fail(fmt.Errorf("cycle: spawn at %d has no linked region", mt.pendingSpawnPC))
 		return
 	}
-	low, high := mt.ctx.Reg[in.Rs], mt.ctx.Reg[in.Rt]
+	low, high := mt.ctx.Reg[r.Rs&31], mt.ctx.Reg[r.Rt&31]
 	mt.cache.InvalidateAll() // TCU writes become visible after the join
 	mt.state = masterWaitJoin
 	mt.sys.spawn.start(region, low, high, mt.bcastMask, &mt.bcastRegs, now)
@@ -346,11 +347,10 @@ func (mt *Master) stall(until int64) {
 
 // blockWaitMem parks the master waiting for a memory response, remembering
 // the blocking instruction for stall attribution.
-func (mt *Master) blockWaitMem(now engine.Time, pc int, op isa.Op) {
+func (mt *Master) blockWaitMem(now engine.Time, pc int) {
 	mt.state = masterWaitMem
 	mt.memWaitStart = now
 	mt.blockPC = int32(pc)
-	mt.blockOp = op
 }
 
 // memUnblocked attributes the just-finished master memory wait.
@@ -366,7 +366,7 @@ func (mt *Master) memUnblocked(now engine.Time) {
 	}
 	if mt.sys.evlog != nil {
 		mt.sys.evlog.Emit(trace.Event{TS: mt.memWaitStart, Dur: wait,
-			Kind: trace.EvMemWait, Op: mt.blockOp, Ctx: -1, PC: mt.blockPC})
+			Kind: trace.EvMemWait, Op: isa.Op(mt.sys.issue[mt.blockPC].Op), Ctx: -1, PC: mt.blockPC})
 	}
 }
 
@@ -395,7 +395,7 @@ func (mt *Master) send(p *Package) bool {
 // deliver commits an expiring package at the master.
 func (mt *Master) deliver(p *Package, now engine.Time) {
 	if p.Err != nil {
-		mt.sys.fail(&funcmodel.RuntimeError{Line: p.In.Line, In: p.In, Err: p.Err})
+		mt.sys.fail(&funcmodel.RuntimeError{Line: p.In.Line, In: *p.In, Err: p.Err})
 		return
 	}
 	switch p.Kind {

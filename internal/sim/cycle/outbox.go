@@ -3,6 +3,7 @@ package cycle
 import (
 	"xmtgo/internal/isa"
 	"xmtgo/internal/sim/engine"
+	"xmtgo/internal/sim/stats"
 )
 
 // The cluster macro-actor ticks all clusters inside one scheduler event,
@@ -48,8 +49,10 @@ func (k obKind) closing() bool {
 
 type obRec struct {
 	kind obKind
-	op   isa.Op
-	in   isa.Instr
+	// in points at the issuing instruction in Prog.Text (trace, ps, sys and
+	// race records): the commit phase reads Line, the operands or the whole
+	// instruction from there; the compute phase only takes the address.
+	in   *isa.Instr
 	t    *TCU
 	pkg  *Package
 	at   engine.Time
@@ -57,9 +60,9 @@ type obRec struct {
 	stat *uint64
 	err  error
 	pc   int
-	// opsIdx is the length of outbox.ops when this record was appended:
+	// histIdx is the length of outbox.hist when this record was appended:
 	// instruction counts issued before this record flush before it replays.
-	opsIdx int32
+	histIdx int32
 }
 
 // obSeg marks one window cycle's high-water marks in the outbox buffers
@@ -67,7 +70,7 @@ type obRec struct {
 type obSeg struct {
 	cycle int64 // absolute cluster cycle, for the replay-order guard
 	rec   int32 // end index into recs
-	op    int32 // end index into ops
+	hist  int32 // end index into hist
 	ev    int32 // end length of the cluster's event ring
 	prof  int32 // end index into the cluster's deferred profile PCs
 }
@@ -76,10 +79,25 @@ type obSeg struct {
 // All backing slices are reused across windows.
 type outbox struct {
 	recs []obRec
-	// ops is the instruction-count stream: one isa.Op per counted issue
-	// instead of a full obRec, flushed in batches between records
-	// (Stats.CountInstrs). This is the hottest append in the simulator.
-	ops []isa.Op
+	// Instruction counts travel as opcode histograms, one per replay range
+	// (the issues between two records, or up to a cycle mark): cnt/touched
+	// accumulate the open range — a counter bump per issue, the hottest
+	// write in the simulator — and cut closes it, appending one bucket per
+	// distinct opcode to hist. cnt is indexed by the byte-wide opcode of an
+	// issue record, so it needs no bounds check.
+	cnt     [256]uint32
+	touched []uint8
+	hist    []stats.OpCount
+	// due is the prefix of hist that replay has committed — advanced at the
+	// flush points, never past a failure or halt — and flushed the prefix
+	// already added to the collector. Nothing reads the instruction counters
+	// inside a window's commit, so flushCounts normally runs once, when the
+	// window (or the single-cycle commit) ends, and merges the window's
+	// cycles; with filter plug-ins attached it runs at every flush point, so
+	// the order of their Instr callbacks does not depend on the window size.
+	due     int32
+	flushed int32
+	merged  []stats.OpCount // flushCounts scratch
 	// wokeICN collapses duplicate ICN wakes within one window cycle (Wake
 	// is idempotent anyway; this just keeps the outbox small — and the
 	// wake is a closer, so the window ends at the cycle that set it).
@@ -92,37 +110,75 @@ type outbox struct {
 
 func (o *outbox) reset() {
 	o.recs = o.recs[:0]
-	o.ops = o.ops[:0]
+	o.cut()
+	o.hist, o.due, o.flushed = o.hist[:0], 0, 0
 	o.wokeICN = false
 	o.closing = false
 	o.segs = o.segs[:0]
 }
 
 func (o *outbox) add(r obRec) {
-	r.opsIdx = int32(len(o.ops))
+	o.cut()
+	r.histIdx = int32(len(o.hist))
 	o.recs = append(o.recs, r)
 	if r.kind.closing() {
 		o.closing = true
 	}
 }
 
-func (o *outbox) count(op isa.Op) {
-	o.ops = append(o.ops, op)
+// count records one committed issue of op (an isa.Op narrowed to the byte
+// the issue record holds).
+func (o *outbox) count(op uint8) {
+	if o.cnt[op] == 0 {
+		o.touched = append(o.touched, op)
+	}
+	o.cnt[op]++
+}
+
+// flushCounts adds the committed, not yet flushed counts to the collector,
+// as one bucket per distinct opcode. Runs in the commit phase, after the
+// window's last cut, so cnt/touched are idle and serve as the merge table.
+func (o *outbox) flushCounts(c *stats.Collector, cluster int) {
+	if o.due == o.flushed {
+		return
+	}
+	for _, b := range o.hist[o.flushed:o.due] {
+		if o.cnt[b.Op] == 0 {
+			o.touched = append(o.touched, uint8(b.Op))
+		}
+		o.cnt[b.Op] += b.N
+	}
+	o.merged = o.drain(o.merged[:0])
+	o.flushed = o.due
+	c.CountInstrs(o.merged, cluster)
+}
+
+// cut closes the open histogram range, appending its buckets to hist.
+func (o *outbox) cut() { o.hist = o.drain(o.hist) }
+
+// drain empties cnt/touched into dst, one bucket per touched opcode.
+func (o *outbox) drain(dst []stats.OpCount) []stats.OpCount {
+	for _, op := range o.touched {
+		dst = append(dst, stats.OpCount{Op: isa.Op(op), N: o.cnt[op]})
+		o.cnt[op] = 0
+	}
+	o.touched = o.touched[:0]
+	return dst
 }
 
 func (o *outbox) stat(ctr *uint64, n uint64) {
 	o.add(obRec{kind: obStat, stat: ctr, n: n})
 }
 
-func (o *outbox) trace(t *TCU, pc int, in isa.Instr) {
+func (o *outbox) trace(t *TCU, pc int, in *isa.Instr) {
 	o.add(obRec{kind: obTrace, t: t, pc: pc, in: in})
 }
 
-func (o *outbox) ps(t *TCU, in isa.Instr) {
+func (o *outbox) ps(t *TCU, in *isa.Instr) {
 	o.add(obRec{kind: obPS, t: t, in: in})
 }
 
-func (o *outbox) sys(t *TCU, pc int, in isa.Instr) {
+func (o *outbox) sys(t *TCU, pc int, in *isa.Instr) {
 	o.add(obRec{kind: obSys, t: t, pc: pc, in: in})
 }
 
@@ -154,7 +210,7 @@ func (o *outbox) fail(err error) {
 // inside the cluster (prefetch-buffer hit, read-only cache hit) during the
 // parallel compute phase. The address rides in n; the source line comes
 // from in.Line at commit. Only emitted when race checking is enabled.
-func (o *outbox) race(t *TCU, addr uint32, in isa.Instr) {
+func (o *outbox) race(t *TCU, addr uint32, in *isa.Instr) {
 	o.add(obRec{kind: obRace, t: t, in: in, n: uint64(addr)})
 }
 
@@ -163,13 +219,18 @@ func (o *outbox) race(t *TCU, addr uint32, in isa.Instr) {
 // profLen the deferred-profile cursor.
 func (o *outbox) mark(cycle int64, evLen, profLen int) (closing bool) {
 	closing = o.closing
-	o.segs = append(o.segs, obSeg{
-		cycle: cycle,
-		rec:   int32(len(o.recs)),
-		op:    int32(len(o.ops)),
-		ev:    int32(evLen),
-		prof:  int32(profLen),
-	})
+	o.cut()
+	// Fill the appended slot field by field: built as a composite literal the
+	// segment is assembled on the stack with 4-byte stores and copied out
+	// with 16-byte loads, which stalls on store forwarding once per cluster
+	// cycle.
+	o.segs = append(o.segs, obSeg{})
+	seg := &o.segs[len(o.segs)-1]
+	seg.cycle = cycle
+	seg.rec = int32(len(o.recs))
+	seg.hist = int32(len(o.hist))
+	seg.ev = int32(evLen)
+	seg.prof = int32(profLen)
 	o.closing = false
 	return closing
 }

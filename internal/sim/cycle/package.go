@@ -36,7 +36,7 @@ const (
 // package.)
 type Package struct {
 	Kind PkgKind
-	In   isa.Instr
+	In   *isa.Instr // the issuing instruction, in Prog.Text (never copied)
 
 	// Source routing: Cluster < 0 means the Master TCU.
 	Cluster int

@@ -24,7 +24,7 @@ type PSUnit struct {
 func newPSUnit(sys *System) *PSUnit { return &PSUnit{sys: sys} }
 
 // request is called by a TCU at issue; the TCU blocks until psDelivered.
-func (u *PSUnit) request(t *TCU, in isa.Instr, now engine.Time) {
+func (u *PSUnit) request(t *TCU, in *isa.Instr, now engine.Time) {
 	u.sys.Stats.PsOps++
 	lat := u.sys.Cfg.PSLatency * u.sys.Cfg.ClusterPeriod
 	reqAt := now
@@ -32,7 +32,7 @@ func (u *PSUnit) request(t *TCU, in isa.Instr, now engine.Time) {
 	u.sys.Sched.ScheduleFunc(applyAt, engine.PrioNegotiate, func(applyTime engine.Time) {
 		old, err := u.apply(&t.ctx, in)
 		if err != nil {
-			u.sys.fail(&funcmodel.RuntimeError{Line: in.Line, In: in, Err: err})
+			u.sys.fail(&funcmodel.RuntimeError{Line: in.Line, In: *in, Err: err})
 			return
 		}
 		u.sys.Sched.ScheduleFunc(applyTime+lat, engine.PrioTransfer, func(doneTime engine.Time) {
@@ -67,7 +67,7 @@ func (u *PSUnit) slotFor(at engine.Time) engine.Time {
 }
 
 // apply performs the global-register operation atomically.
-func (u *PSUnit) apply(ctx *funcmodel.Context, in isa.Instr) (int32, error) {
+func (u *PSUnit) apply(ctx *funcmodel.Context, in *isa.Instr) (int32, error) {
 	m := u.sys.Machine
 	switch in.Op {
 	case isa.OpPs:

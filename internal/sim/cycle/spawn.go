@@ -79,14 +79,13 @@ func (s *SpawnUnit) start(region *asm.SpawnRegion, low, high int32, mask uint32,
 	}
 	s.sys.Sched.ScheduleFunc(now+overhead, engine.PrioNegotiate, func(t engine.Time) {
 		s.total = s.sys.aliveTCUs
-		pc := region.Spawn + 1
 		if s.sys.race != nil {
 			// The broadcast orders the serial prefix before every virtual
 			// thread: open a fresh xmtsan epoch.
 			s.sys.race.EpochBegin()
 		}
 		for _, c := range s.sys.clusters {
-			c.resetForSpawn(pc, maskCopy, &bcastCopy)
+			c.resetForSpawn(region, maskCopy, &bcastCopy)
 		}
 		s.sys.wakeClusters(t)
 	})
@@ -163,6 +162,7 @@ func (s *SpawnUnit) adopt(a *TCU, o orphan, now engine.Time) {
 	a.ctx = o.ctx
 	a.ctx.ID = a.id
 	a.setState(tcuRunning)
+	a.unpark()
 	a.stallUntil = 0
 	a.pendingNB = 0
 	a.waitingPbuf = false

@@ -13,6 +13,7 @@ import (
 	"xmtgo/internal/sim/checkpoint"
 	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/sim/funcmodel"
+	"xmtgo/internal/sim/funcvm"
 	"xmtgo/internal/sim/race"
 	"xmtgo/internal/sim/stats"
 	"xmtgo/internal/sim/trace"
@@ -33,6 +34,11 @@ type System struct {
 	cacheClock   *engine.Clock
 	dramClock    *engine.Clock
 	masterClock  *engine.Clock
+
+	// issue is Prog lowered to the pre-decoded issue-record stream the TCUs
+	// and the master dispatch on (funcvm.IssueRec, indexed by pc): built
+	// once per program by the shared lowering pass and cached on it.
+	issue []funcvm.IssueRec
 
 	clusters []*Cluster
 	modules  []*CacheModule
@@ -132,6 +138,10 @@ func New(prog *asm.Program, cfg config.Config, out io.Writer) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	issue, err := funcvm.NewCode(prog).Issue()
+	if err != nil {
+		return nil, fmt.Errorf("cycle: %v", err)
+	}
 	mach, err := funcmodel.New(prog, cfg.MemBytes, out)
 	if err != nil {
 		return nil, err
@@ -141,6 +151,7 @@ func New(prog *asm.Program, cfg config.Config, out io.Writer) (*System, error) {
 		Prog:    prog,
 		Sched:   engine.New(),
 		Machine: mach,
+		issue:   issue,
 		Stats:   stats.NewCollector(cfg.Clusters, cfg.CacheModules, cfg.DRAMPorts),
 	}
 	s.lineShift = log2u(uint32(cfg.CacheLineSize))
@@ -262,6 +273,15 @@ func (s *System) endCommit() {
 // SetTrace installs an instruction observer (tcu = -1 for the master).
 func (s *System) SetTrace(fn func(tcu int, pc int, in isa.Instr, now engine.Time)) {
 	s.traceFn = fn
+	s.syncObserved()
+}
+
+// syncObserved recomputes every cluster's observed flag after an observer
+// was attached.
+func (s *System) syncObserved() {
+	for _, c := range s.clusters {
+		c.observed = s.traceFn != nil || c.evRing != nil || c.prof != nil
+	}
 }
 
 // SetEventLog enables structured event tracing into l: per-cluster rings
@@ -273,6 +293,7 @@ func (s *System) SetEventLog(l *trace.EventLog) {
 	for _, c := range s.clusters {
 		c.evRing = trace.NewRing(0)
 	}
+	s.syncObserved()
 }
 
 // EventLog returns the attached structured event log (nil when disabled).
@@ -293,6 +314,7 @@ func (s *System) AttachProfile(p *stats.LineProfile) {
 		c.prof = p.Shard(i)
 	}
 	s.master.prof = p.Shard(len(s.clusters))
+	s.syncObserved()
 }
 
 // Master context accessor (for tests and checkpoints).

@@ -6,6 +6,7 @@ import (
 	"xmtgo/internal/isa"
 	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/sim/funcmodel"
+	"xmtgo/internal/sim/funcvm"
 	"xmtgo/internal/sim/trace"
 )
 
@@ -38,14 +39,39 @@ const activeStates = 1<<tcuRunning | 1<<tcuStalled | 1<<tcuWaitMem |
 // units, a prefetch buffer, and access to the cluster-shared FPU/MDU and
 // the memory system. TCUs execute virtual threads handed out by the
 // prefix-sum-based spawn protocol.
+//
+// Layout matters here: the lockstep engine sweeps every TCU of the machine
+// each cycle, so a TCU's lines have left the L1 by the time it ticks again.
+// tcuHot comes first and is ordered so that everything a tick reads before
+// it touches an operand register — PC, stall horizon, state, flags, the
+// send stash — shares the cache line that ends ctx; the struct is padded to
+// a whole number of lines and each cluster's TCUs live in one backing array
+// (TestTCULayout pins both).
 type TCU struct {
+	tcuHot
+
 	sys     *System
 	cluster *Cluster
 	id      int // global TCU index
 	local   int // index within the cluster
 
-	ctx   funcmodel.Context
-	state tcuState
+	pbuf prefetchBuffer
+
+	_ [tcuPad]byte
+}
+
+// tcuPad rounds TCU up to a multiple of the 64-byte cache line.
+const tcuPad = 48
+
+// tcuHot is everything of a TCU the compute phase mutates (besides the
+// prefetch-buffer entries): the optimistic engine snapshots and restores it
+// as one value. ctx comes first so that the PC that ends it is followed at
+// once by what every tick tests — stall horizon, state, flags, posted-store
+// count, send stash — all on one cache line.
+type tcuHot struct {
+	ctx        funcmodel.Context // PC is its last field (bytes 144..152)
+	stallUntil int64             // cluster cycle (tcuStalled)
+	state      tcuState
 
 	// Fault-injection state (docs/ROBUSTNESS.md). alive starts true and goes
 	// false exactly once, at decommission. failing marks a TCU hit by a
@@ -53,35 +79,34 @@ type TCU struct {
 	// point in its compute phase. doneCounted records whether this TCU's
 	// completion has been counted by the spawn unit (its obDone committed) —
 	// needed so decommissioning a done TCU adjusts the join count correctly.
+	// None of the three changes inside a compute phase, so carrying them in
+	// the rollback snapshot is harmless.
 	alive       bool
 	failing     bool
 	doneCounted bool
 
-	stallUntil   int64 // cluster cycle (tcuStalled)
-	pendingNB    int   // outstanding non-blocking stores
-	memWaitStart engine.Time
-	blockPC      int32 // PC of the instruction blocked in tcuWaitMem
-	blockOp      isa.Op
-	waitPS       bool // the block is on the prefix-sum unit, not memory
+	waitPS      bool // the tcuWaitMem block is on the prefix-sum unit, not memory
+	waitingPbuf bool // ... or on an in-flight prefetch fill (pendingPbuf*)
 
-	pbuf prefetchBuffer
-
-	// pendingPbufLoad is the load instruction blocked on an in-flight
-	// prefetch fill (so it can commit straight from the filled line).
-	pendingPbufLoad isa.Instr
-	pendingPbufAddr uint32
-	waitingPbuf     bool
+	pendingNB int32 // outstanding non-blocking stores
+	blockPC   int32 // pc of the instruction blocked in tcuWaitMem
 
 	// pendingSend stashes a package the ICN injection port refused, so the
-	// retry next cycle skips re-fetch, effective-address computation and
-	// package construction. Only ops whose retry has no other per-attempt
-	// side effect use it (psm, plain loads, stores — not lwro, whose
-	// RO-cache probe counts a miss per attempt, and not pref, which drops).
-	// Cleared by any delivery at this TCU: a prefetch fill can turn the
-	// retried load into a buffer hit, so the slow path must re-decide.
+	// retry next cycle skips effective-address computation and package
+	// construction. Only ops whose retry has no other per-attempt side
+	// effect use it (psm, plain loads, stores — not lwro, whose RO-cache
+	// probe counts a miss per attempt, and not pref, which drops). Cleared
+	// by any delivery at this TCU: a prefetch fill can turn the retried load
+	// into a buffer hit, so the slow path must re-decide.
 	pendingSend   *Package
-	pendingSendPC int
-	pendingSendIn isa.Instr
+	pendingSendPC int32
+
+	// pendingPbufPC/Addr identify the load blocked on an in-flight prefetch
+	// fill (so it can commit straight from the filled line).
+	pendingPbufPC   int32
+	pendingPbufAddr uint32
+
+	memWaitStart engine.Time
 }
 
 // setState transitions the TCU's scheduling state, maintaining the
@@ -94,6 +119,7 @@ func (t *TCU) setState(ns tcuState) {
 		return
 	}
 	t.state = ns
+	t.unpark()
 	c := t.cluster
 	if c.maskOK {
 		if tickableStates&(1<<ns) != 0 {
@@ -111,6 +137,16 @@ func (t *TCU) setState(ns tcuState) {
 	}
 }
 
+// unpark withdraws the TCU from the cluster's shared-unit wait masks. Called
+// whenever something other than its own next issue attempt decides what the
+// TCU does next: any state change, a context reset or adoption, a fault
+// marking it failing.
+func (t *TCU) unpark() {
+	bit := uint64(1) << uint(t.local)
+	t.cluster.unitWait[0] &^= bit
+	t.cluster.unitWait[1] &^= bit
+}
+
 // resetForSpawn re-initializes the TCU at spawn onset: zeroed registers
 // with the broadcast master-register image applied, PC at the first
 // broadcast instruction.
@@ -122,6 +158,7 @@ func (t *TCU) resetForSpawn(pc int, bcastMask uint32, bcast *[isa.NumRegs]int32)
 		}
 	}
 	t.setState(tcuRunning)
+	t.unpark()
 	t.stallUntil = 0
 	t.pendingNB = 0
 	t.waitingPbuf = false
@@ -130,10 +167,11 @@ func (t *TCU) resetForSpawn(pc int, bcastMask uint32, bcast *[isa.NumRegs]int32)
 	t.pbuf.invalidateAll()
 }
 
-// Tick advances the TCU by one cluster cycle. It returns whether the TCU
+// Tick advances the TCU by one cluster cycle; c is t.cluster, passed down so
+// the issue path never reads it from the TCU. It returns whether the TCU
 // needs further ticks (a memory-blocked TCU is woken by its response event
 // instead).
-func (t *TCU) Tick(cycle int64, now engine.Time) bool {
+func (t *TCU) Tick(c *Cluster, cycle int64, now engine.Time) bool {
 	switch t.state {
 	case tcuIdle, tcuDone, tcuDraining, tcuDead:
 		return false
@@ -157,171 +195,249 @@ func (t *TCU) Tick(cycle int64, now engine.Time) bool {
 		if t.pendingNB > 0 {
 			return false
 		}
-		t.cluster.ob.decomm(t)
+		c.ob.decomm(t)
 		t.setState(tcuDead)
 		return false
 	}
 	if t.pendingSend != nil {
-		return t.retrySend(now)
+		return t.retrySend(c, now)
 	}
-	return t.issue(cycle, now)
+	return t.issue(c, cycle, now)
 }
 
-// profIssue records one issue with the cycle profiler, deferring to the
-// commit phase in optimistic mode (a rolled-back cycle must not leave
-// profile samples behind).
-func (t *TCU) profIssue(pc int) {
+// observeIssue feeds one issue attempt at pc to whichever observers are
+// attached (Cluster.observed): the instruction trace, the structured event
+// ring and the cycle profiler. Profile samples defer to the commit phase in
+// optimistic mode (a rolled-back cycle must not leave samples behind).
+func (t *TCU) observeIssue(pc int, now engine.Time) {
 	c := t.cluster
-	if c.prof == nil {
-		return
+	in := &c.text[pc]
+	if t.sys.traceFn != nil {
+		c.ob.trace(t, pc, in)
 	}
-	if c.deferProf {
+	if c.evRing != nil {
+		c.evRing.Emit(trace.Event{TS: now, Dur: t.sys.clusterClock.Period(),
+			Kind: trace.EvInstr, Op: in.Op, Ctx: int32(t.id), PC: int32(pc), Arg: int64(in.Line)})
+	}
+	switch {
+	case c.prof == nil:
+	case c.deferProf:
 		c.profPend = append(c.profPend, int32(pc))
-		return
+	default:
+		c.prof.Issue(pc)
 	}
-	c.prof.Issue(pc)
+}
+
+// fault aborts the simulation with a runtime error at pc (via the outbox:
+// issue runs in the compute phase).
+func (t *TCU) fault(pc int, err error) bool {
+	in := &t.cluster.text[pc]
+	t.cluster.ob.fail(&funcmodel.RuntimeError{PC: pc, Line: in.Line, In: *in, Err: err})
+	return false
 }
 
 // stashSend records a refused injection for the fast retry path and keeps
 // the PC on the refused instruction, exactly like the full re-issue would.
-func (t *TCU) stashSend(p *Package, pc int, in isa.Instr) bool {
+func (t *TCU) stashSend(p *Package, pc int) bool {
 	t.ctx.PC = pc
 	t.pendingSend = p
-	t.pendingSendPC = pc
-	t.pendingSendIn = in
+	t.pendingSendPC = int32(pc)
 	return true
 }
 
 // retrySend re-attempts a previously refused injection. The single-cycle
 // engine re-runs the whole issue on every retry — emitting trace, event and
 // profile records per attempt and refreshing the package's issue time — so
-// the fast path replicates exactly that, minus the redundant fetch,
+// the fast path replicates exactly that, minus the redundant
 // effective-address computation and package construction.
-func (t *TCU) retrySend(now engine.Time) bool {
+func (t *TCU) retrySend(c *Cluster, now engine.Time) bool {
 	p := t.pendingSend
-	pc := t.pendingSendPC
-	in := t.pendingSendIn
-	if t.sys.traceFn != nil {
-		t.cluster.ob.trace(t, pc, in)
+	pc := int(t.pendingSendPC)
+	if c.observed {
+		t.observeIssue(pc, now)
 	}
-	if t.cluster.evRing != nil {
-		t.cluster.evRing.Emit(trace.Event{TS: now, Dur: t.sys.clusterClock.Period(),
-			Kind: trace.EvInstr, Op: in.Op, Ctx: int32(t.id), PC: int32(pc), Arg: int64(in.Line)})
-	}
-	t.profIssue(pc)
 	p.Issued = now
-	if !t.cluster.send(p, now) {
+	if !c.send(p, now) {
 		return true
 	}
 	t.pendingSend = nil
 	t.ctx.PC = pc + 1
-	t.cluster.ob.count(in.Op)
-	switch {
-	case in.Op == isa.OpPsm:
-		t.cluster.ob.stat(&t.sys.Stats.PsmOps, 1)
-		t.blockMem(now, pc, in.Op)
+	r := &c.issue[pc]
+	c.ob.count(r.Op)
+	switch r.Class {
+	case funcvm.ClsPsm:
+		c.ob.stat(&c.sys.Stats.PsmOps, 1)
+		t.blockMem(now, pc)
 		return false
-	case p.Kind == PkgStoreNB:
+	case funcvm.ClsStoreNB:
 		t.pendingNB++
 		return true
 	default: // plain loads and blocking stores
-		t.blockMem(now, pc, in.Op)
+		t.blockMem(now, pc)
 		return false
 	}
 }
 
-// issue fetches and dispatches one instruction. It runs in the compute
-// phase of the cluster tick, which may execute concurrently with other
-// clusters: it only mutates TCU/cluster-local state and reads shared state;
-// every shared effect goes through the cluster outbox (see outbox.go).
-func (t *TCU) issue(cycle int64, now engine.Time) bool {
-	m := t.sys.Machine
-	region := t.sys.spawn.region
+// issue dispatches the instruction at the TCU's PC on its lowered issue
+// record (funcvm.IssueRec): class, operand slots and latency were decided
+// once when the program was lowered, so nothing here decodes an isa.Instr —
+// Prog.Text is only pointed into, for packages and deferred records. It
+// runs in the compute phase of the cluster tick, which may execute
+// concurrently with other clusters: it only mutates TCU/cluster-local state
+// and reads shared state; every shared effect goes through the cluster
+// outbox (see outbox.go).
+func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
+	region := c.region
 	if region == nil {
 		t.setState(tcuIdle)
 		return false
 	}
 	pc := t.ctx.PC
 	if pc <= region.Spawn || pc > region.Join {
-		t.cluster.ob.fail(fmt.Errorf("cycle: TCU %d fetched instruction %d outside the broadcast region (%d,%d]",
+		c.ob.fail(fmt.Errorf("cycle: TCU %d fetched instruction %d outside the broadcast region (%d,%d]",
 			t.id, pc, region.Spawn, region.Join))
 		return false
 	}
-	in := m.Prog.Text[pc]
-	t.ctx.PC++
-
-	if t.sys.traceFn != nil {
-		t.cluster.ob.trace(t, pc, in)
+	r := &c.issue[pc]
+	t.ctx.PC = pc + 1
+	if c.observed {
+		t.observeIssue(pc, now)
 	}
-	if t.cluster.evRing != nil {
-		t.cluster.evRing.Emit(trace.Event{TS: now, Dur: t.sys.clusterClock.Period(),
-			Kind: trace.EvInstr, Op: in.Op, Ctx: int32(t.id), PC: int32(pc), Arg: int64(in.Line)})
-	}
-	t.profIssue(pc)
+	m := c.sys.Machine
 
-	count := func() { t.cluster.ob.count(in.Op) }
-	meta := in.Op.Meta()
+	switch r.Class {
+	case funcvm.ClsCompute:
+		c.ob.count(r.Op)
+		if err := m.ExecCompute(&t.ctx, isa.Op(r.Op), r.Rd, r.Rs, r.Rt, r.Imm); err != nil {
+			return t.fault(pc, err)
+		}
+		return true
 
-	switch {
-	case in.Op == isa.OpJoin:
-		// Falling into join: this TCU's current virtual thread ended at the
-		// region boundary; the TCU is done (it must re-grab via ps, which
-		// the compiler always places before chkid, so reaching join means
-		// the code simply ran off the region: treat as done).
-		count()
-		t.finish(now)
-		return false
+	case funcvm.ClsMDU, funcvm.ClsFPU:
+		lat, ok := c.acquire(r.Unit, cycle, int64(r.Lat))
+		if !ok {
+			c.stats.FPUWaitCycles++
+			t.ctx.PC = pc // retry next cycle
+			if c.maskOK {
+				c.unitWait[poolOf(r.Unit)] |= 1 << uint(t.local)
+			}
+			return true
+		}
+		c.ob.count(r.Op)
+		if err := m.ExecCompute(&t.ctx, isa.Op(r.Op), r.Rd, r.Rs, r.Rt, r.Imm); err != nil {
+			return t.fault(pc, err)
+		}
+		t.stall(cycle + lat)
+		return true
 
-	case in.Op == isa.OpChkid:
-		count()
-		id := t.ctx.Reg[in.Rd]
-		if id > t.sys.spawn.high {
-			t.finish(now)
+	case funcvm.ClsBranch:
+		c.ob.count(r.Op)
+		taken, target, err := m.EvalBranch(&t.ctx, isa.Op(r.Op), r.Rs, r.Rt, int(r.Target))
+		if err != nil {
+			return t.fault(pc, err)
+		}
+		if taken {
+			t.ctx.PC = target
+		}
+		return true
+
+	case funcvm.ClsLoad: // lw, lb, lbu
+		addr := m.EffAddr(&t.ctx, r.Rs, r.Imm)
+		if e := t.pbuf.find(addr); e != nil {
+			c.ob.count(r.Op)
+			if e.ready {
+				c.ob.stat(&c.sys.Stats.PrefetchHits, 1)
+				e.lastUse = cycle
+				// xmtsan: a hit on prefetched data is exactly the stale-read
+				// mechanism of paper Fig. 6 — record it as this TCU's read.
+				if c.sys.race != nil {
+					c.ob.race(t, addr, &c.text[pc])
+				}
+				t.ctx.SetReg(r.Rd, extractPbuf(e, isa.Op(r.Op), addr))
+				return true
+			}
+			// The line's fill is in flight: wait for it instead of issuing
+			// duplicate traffic; the load commits straight from the fill.
+			e.waiter = t
+			t.waitingPbuf = true
+			t.pendingPbufPC = int32(pc)
+			t.pendingPbufAddr = addr
+			t.blockMem(now, pc)
 			return false
 		}
-		return true
-
-	case in.Op == isa.OpPs, in.Op == isa.OpGrr, in.Op == isa.OpGrw:
-		count()
-		t.blockMem(now, pc, in.Op)
-		t.waitPS = true
-		// The prefix-sum unit paces requests through a shared per-cycle
-		// window; submit at commit so slots are granted in cluster order.
-		t.cluster.ob.ps(t, in)
+		p := c.allocPkg()
+		*p = Package{Kind: PkgLoad, In: &c.text[pc], Cluster: c.id, TCU: t.local,
+			Addr: addr, Issued: now}
+		if !c.send(p, now) {
+			return t.stashSend(p, pc) // retry next cycle
+		}
+		c.ob.count(r.Op)
+		t.blockMem(now, pc)
 		return false
 
-	case in.Op == isa.OpFence:
-		count()
-		t.pbuf.invalidateAll()
-		if t.pendingNB > 0 {
-			t.setState(tcuWaitFence)
-			return false
+	case funcvm.ClsStore, funcvm.ClsStoreNB: // sw, sb, sw.nb
+		kind := PkgStore
+		if r.Class == funcvm.ClsStoreNB {
+			kind = PkgStoreNB
 		}
-		return true
-
-	case in.Op == isa.OpSys:
-		count()
-		// Syscalls print to the shared output stream (and may halt): defer
-		// to commit so output interleaves in deterministic cluster order.
-		t.cluster.ob.sys(t, pc, in)
-		return true
-
-	case in.Op == isa.OpPsm:
-		addr := m.EffAddr(&t.ctx, in)
-		p := t.cluster.allocPkg()
-		*p = Package{Kind: PkgPsm, In: in, Cluster: t.cluster.id, TCU: t.local,
-			Addr: addr, Data: t.ctx.Reg[in.Rd], Issued: now}
-		if !t.trySend(p, now) {
-			return t.stashSend(p, pc, in) // retry next cycle
+		p := c.allocPkg()
+		*p = Package{Kind: kind, In: &c.text[pc], Cluster: c.id, TCU: t.local,
+			Addr: m.EffAddr(&t.ctx, r.Rs, r.Imm), Data: t.ctx.Reg[r.Rd&31], Issued: now}
+		if !c.send(p, now) {
+			return t.stashSend(p, pc)
 		}
-		count()
-		t.cluster.ob.stat(&t.sys.Stats.PsmOps, 1)
-		t.blockMem(now, pc, in.Op)
+		c.ob.count(r.Op)
+		if kind == PkgStoreNB {
+			t.pendingNB++
+			return true
+		}
+		t.blockMem(now, pc)
 		return false
 
-	case in.Op == isa.OpPref:
-		count()
-		addr := m.EffAddr(&t.ctx, in)
+	case funcvm.ClsLoadRO:
+		c.ob.count(r.Op)
+		addr := m.EffAddr(&t.ctx, r.Rs, r.Imm)
+		if c.ro != nil && c.ro.Lookup(addr, cycle) {
+			c.ob.stat(&c.sys.Stats.ROHits, 1)
+			v, err := m.LoadValue(isa.Op(r.Op), addr)
+			if err != nil {
+				return t.fault(pc, err)
+			}
+			if c.sys.race != nil {
+				c.ob.race(t, addr, &c.text[pc])
+			}
+			t.ctx.SetReg(r.Rd, v)
+			t.stall(cycle + c.sys.Cfg.ROCacheLatency)
+			return true
+		}
+		c.ob.stat(&c.sys.Stats.ROMisses, 1)
+		p := c.allocPkg()
+		*p = Package{Kind: PkgLoad, In: &c.text[pc], Cluster: c.id, TCU: t.local,
+			Addr: addr, Issued: now}
+		if !c.send(p, now) {
+			// No stash: the RO-cache probe above counts a miss per attempt.
+			c.freePkg(p)
+			t.ctx.PC = pc
+			return true
+		}
+		t.blockMem(now, pc)
+		return false
+
+	case funcvm.ClsPsm:
+		p := c.allocPkg()
+		*p = Package{Kind: PkgPsm, In: &c.text[pc], Cluster: c.id, TCU: t.local,
+			Addr: m.EffAddr(&t.ctx, r.Rs, r.Imm), Data: t.ctx.Reg[r.Rd&31], Issued: now}
+		if !c.send(p, now) {
+			return t.stashSend(p, pc)
+		}
+		c.ob.count(r.Op)
+		c.ob.stat(&c.sys.Stats.PsmOps, 1)
+		t.blockMem(now, pc)
+		return false
+
+	case funcvm.ClsPref:
+		c.ob.count(r.Op)
+		addr := m.EffAddr(&t.ctx, r.Rs, r.Imm)
 		la := t.pbuf.lineOf(addr)
 		if t.pbuf.find(addr) != nil {
 			return true // already buffered or in flight
@@ -330,146 +446,67 @@ func (t *TCU) issue(cycle int64, now engine.Time) bool {
 		if e == nil {
 			return true // all slots in flight; drop the hint
 		}
-		p := t.cluster.allocPkg()
-		*p = Package{Kind: PkgPrefetch, In: in, Cluster: t.cluster.id, TCU: t.local,
+		p := c.allocPkg()
+		*p = Package{Kind: PkgPrefetch, In: &c.text[pc], Cluster: c.id, TCU: t.local,
 			Addr: la, LineAddr: la, Issued: now}
-		if !t.trySend(p, now) {
+		if !c.send(p, now) {
 			e.valid = false // could not inject; drop
-			t.cluster.freePkg(p)
+			c.freePkg(p)
 			return true
 		}
-		t.cluster.ob.stat(&t.sys.Stats.PrefetchFills, 1)
+		c.ob.stat(&c.sys.Stats.PrefetchFills, 1)
 		return true
 
-	case in.Op == isa.OpLwRO:
-		count()
-		addr := m.EffAddr(&t.ctx, in)
-		if t.cluster.ro != nil && t.cluster.ro.Lookup(addr, cycle) {
-			t.cluster.ob.stat(&t.sys.Stats.ROHits, 1)
-			v, err := m.LoadValue(in, addr)
-			if err != nil {
-				t.cluster.ob.fail(&funcmodel.RuntimeError{PC: pc, Line: in.Line, In: in, Err: err})
-				return false
-			}
-			if t.sys.race != nil {
-				t.cluster.ob.race(t, addr, in)
-			}
-			t.ctx.SetReg(in.Rd, v)
-			t.stall(cycle + t.sys.Cfg.ROCacheLatency)
-			return true
-		}
-		t.cluster.ob.stat(&t.sys.Stats.ROMisses, 1)
-		p := t.cluster.allocPkg()
-		*p = Package{Kind: PkgLoad, In: in, Cluster: t.cluster.id, TCU: t.local,
-			Addr: addr, Issued: now}
-		if !t.trySend(p, now) {
-			// No stash: the RO-cache probe above counts a miss per attempt.
-			t.cluster.freePkg(p)
-			t.ctx.PC = pc
-			return true
-		}
-		t.blockMem(now, pc, in.Op)
+	case funcvm.ClsPs, funcvm.ClsGrr, funcvm.ClsGrw:
+		c.ob.count(r.Op)
+		t.blockMem(now, pc)
+		t.waitPS = true
+		// The prefix-sum unit paces requests through a shared per-cycle
+		// window; submit at commit so slots are granted in cluster order.
+		c.ob.ps(t, &c.text[pc])
 		return false
 
-	case meta.Load: // lw, lb, lbu
-		addr := m.EffAddr(&t.ctx, in)
-		if e := t.pbuf.find(addr); e != nil {
-			count()
-			if e.ready {
-				t.cluster.ob.stat(&t.sys.Stats.PrefetchHits, 1)
-				e.lastUse = cycle
-				// xmtsan: a hit on prefetched data is exactly the stale-read
-				// mechanism of paper Fig. 6 — record it as this TCU's read.
-				if t.sys.race != nil {
-					t.cluster.ob.race(t, addr, in)
-				}
-				t.ctx.SetReg(in.Rd, extractPbuf(e, in, addr))
-				return true
-			}
-			// The line's fill is in flight: wait for it instead of issuing
-			// duplicate traffic; the load commits straight from the fill.
-			e.waiter = t
-			t.waitingPbuf = true
-			t.pendingPbufLoad = in
-			t.pendingPbufAddr = addr
-			t.blockMem(now, pc, in.Op)
-			return false
-		}
-		p := t.cluster.allocPkg()
-		*p = Package{Kind: PkgLoad, In: in, Cluster: t.cluster.id, TCU: t.local,
-			Addr: addr, Issued: now}
-		if !t.trySend(p, now) {
-			return t.stashSend(p, pc, in)
-		}
-		count()
-		t.blockMem(now, pc, in.Op)
-		return false
-
-	case meta.Store: // sw, sb, sw.nb
-		addr := m.EffAddr(&t.ctx, in)
-		kind := PkgStore
-		if in.Op == isa.OpSwNB {
-			kind = PkgStoreNB
-		}
-		p := t.cluster.allocPkg()
-		*p = Package{Kind: kind, In: in, Cluster: t.cluster.id, TCU: t.local,
-			Addr: addr, Data: t.ctx.Reg[in.Rd], Issued: now}
-		if !t.trySend(p, now) {
-			return t.stashSend(p, pc, in)
-		}
-		count()
-		if kind == PkgStoreNB {
-			t.pendingNB++
-			return true
-		}
-		t.blockMem(now, pc, in.Op)
-		return false
-
-	case meta.Unit == isa.UnitMDU || meta.Unit == isa.UnitFPU:
-		lat, ok := t.cluster.acquire(meta.Unit, cycle, int64(meta.Latency))
-		if !ok {
-			t.sys.Stats.Cluster[t.cluster.id].FPUWaitCycles++
-			t.ctx.PC = pc // retry next cycle
-			return true
-		}
-		count()
-		if err := m.ExecCompute(&t.ctx, in); err != nil {
-			t.cluster.ob.fail(&funcmodel.RuntimeError{PC: pc, Line: in.Line, In: in, Err: err})
-			return false
-		}
-		t.stall(cycle + lat)
-		return true
-
-	case meta.Branch:
-		count()
-		taken, target, err := m.EvalBranch(&t.ctx, in)
-		if err != nil {
-			t.cluster.ob.fail(&funcmodel.RuntimeError{PC: pc, Line: in.Line, In: in, Err: err})
-			return false
-		}
-		if taken {
-			t.ctx.PC = target
-		}
-		return true
-
-	case in.Op == isa.OpSpawn, in.Op == isa.OpBcast:
-		t.cluster.ob.fail(&funcmodel.RuntimeError{PC: pc, Line: in.Line, In: in,
-			Err: fmt.Errorf("%s executed by a parallel TCU", in.Op)})
-		return false
-
-	default:
-		count()
-		if err := m.ExecCompute(&t.ctx, in); err != nil {
-			t.cluster.ob.fail(&funcmodel.RuntimeError{PC: pc, Line: in.Line, In: in, Err: err})
+	case funcvm.ClsFence:
+		c.ob.count(r.Op)
+		t.pbuf.invalidateAll()
+		if t.pendingNB > 0 {
+			t.setState(tcuWaitFence)
 			return false
 		}
 		return true
+
+	case funcvm.ClsSys:
+		c.ob.count(r.Op)
+		// Syscalls print to the shared output stream (and may halt): defer
+		// to commit so output interleaves in deterministic cluster order.
+		c.ob.sys(t, pc, &c.text[pc])
+		return true
+
+	case funcvm.ClsChkid:
+		c.ob.count(r.Op)
+		if t.ctx.Reg[r.Rd&31] > c.sys.spawn.high {
+			t.finish(now)
+			return false
+		}
+		return true
+
+	case funcvm.ClsJoin:
+		// Falling into join: this TCU's current virtual thread ended at the
+		// region boundary; the TCU is done (it must re-grab via ps, which
+		// the compiler always places before chkid, so reaching join means
+		// the code simply ran off the region: treat as done).
+		c.ob.count(r.Op)
+		t.finish(now)
+		return false
+
+	default: // ClsSpawn, ClsBcast: serial-mode instructions
+		return t.fault(pc, fmt.Errorf("%s executed by a parallel TCU", isa.Op(r.Op)))
 	}
 }
 
-func extractPbuf(e *pbufEntry, in isa.Instr, addr uint32) int32 {
+func extractPbuf(e *pbufEntry, op isa.Op, addr uint32) int32 {
 	word := e.read(addr&^3, 4)
-	switch in.Op {
+	switch op {
 	case isa.OpLw:
 		return word
 	case isa.OpLb:
@@ -485,11 +522,10 @@ func (t *TCU) stall(until int64) {
 	t.stallUntil = until
 }
 
-func (t *TCU) blockMem(now engine.Time, pc int, op isa.Op) {
+func (t *TCU) blockMem(now engine.Time, pc int) {
 	t.setState(tcuWaitMem)
 	t.memWaitStart = now
 	t.blockPC = int32(pc)
-	t.blockOp = op
 	t.waitPS = false
 }
 
@@ -498,7 +534,7 @@ func (t *TCU) unblock(now engine.Time) {
 		wait := now - t.memWaitStart
 		if wait > 0 {
 			cycles := uint64(wait / t.sys.clusterClock.Period())
-			cs := &t.sys.Stats.Cluster[t.cluster.id]
+			cs := t.cluster.stats
 			if t.waitPS {
 				cs.PSWaitCycles += cycles
 			} else {
@@ -513,7 +549,7 @@ func (t *TCU) unblock(now engine.Time) {
 					kind = trace.EvPSWait
 				}
 				t.cluster.evRing.Emit(trace.Event{TS: t.memWaitStart, Dur: wait,
-					Kind: kind, Op: t.blockOp, Ctx: int32(t.id), PC: t.blockPC})
+					Kind: kind, Op: isa.Op(t.cluster.issue[t.blockPC].Op), Ctx: int32(t.id), PC: t.blockPC})
 			}
 		}
 		t.waitPS = false
@@ -535,12 +571,6 @@ func (t *TCU) finish(now engine.Time) {
 	t.cluster.ob.done(t)
 }
 
-// trySend enqueues a package into the cluster's ICN send queue. now is the
-// issuing cycle's edge time.
-func (t *TCU) trySend(p *Package, now engine.Time) bool {
-	return t.cluster.send(p, now)
-}
-
 // deliver commits an expiring package back at the TCU (the "commit stage"
 // of the paper's package life cycle).
 func (t *TCU) deliver(p *Package, now engine.Time) {
@@ -554,7 +584,7 @@ func (t *TCU) deliver(p *Package, now engine.Time) {
 		return
 	}
 	if p.Err != nil {
-		t.sys.fail(&funcmodel.RuntimeError{PC: 0, Line: p.In.Line, In: p.In, Err: p.Err})
+		t.sys.fail(&funcmodel.RuntimeError{PC: 0, Line: p.In.Line, In: *p.In, Err: p.Err})
 		return
 	}
 	switch p.Kind {
@@ -603,12 +633,13 @@ func (t *TCU) deliver(p *Package, now engine.Time) {
 					e.waiter = nil
 					if w.waitingPbuf {
 						w.waitingPbuf = false
+						ld := &t.cluster.text[w.pendingPbufPC]
 						if t.sys.race != nil {
 							// Delivery runs on the scheduler goroutine:
 							// record the waiter's read directly.
-							t.sys.raceRead(w.id, w.pendingPbufAddr, w.pendingPbufLoad.Line, now)
+							t.sys.raceRead(w.id, w.pendingPbufAddr, ld.Line, now)
 						}
-						w.ctx.SetReg(w.pendingPbufLoad.Rd, extractPbuf(e, w.pendingPbufLoad, w.pendingPbufAddr))
+						w.ctx.SetReg(ld.Rd, extractPbuf(e, ld.Op, w.pendingPbufAddr))
 						t.sys.Stats.PrefetchHits++
 						w.unblock(now)
 					}
@@ -627,7 +658,7 @@ func (t *TCU) recordLoadLatency(p *Package, now engine.Time) {
 }
 
 // psDelivered commits a prefix-sum/global-register response.
-func (t *TCU) psDelivered(in isa.Instr, old int32, now engine.Time) {
+func (t *TCU) psDelivered(in *isa.Instr, old int32, now engine.Time) {
 	switch in.Op {
 	case isa.OpPs, isa.OpGrr:
 		t.ctx.SetReg(in.Rd, old)

@@ -23,13 +23,21 @@ func b2i(b bool) int32 {
 	return 0
 }
 
+// These functions take decoded operand fields rather than an isa.Instr so
+// that every executor calls the same kernel with what it already holds:
+// the interpreter passes the fields of Prog.Text[pc], the cycle-accurate
+// model the slots of its lowered issue record (funcvm.IssueRec). Neither
+// copies a 48-byte instruction to do so.
+
 // ExecCompute executes a register-only instruction (ALU, shift, MDU, FPU),
-// writing the destination register. It must not be called for memory,
-// branch, or control instructions.
-func (m *Machine) ExecCompute(ctx *Context, in isa.Instr) error {
-	rs, rt := ctx.Reg[in.Rs], ctx.Reg[in.Rt]
+// writing the destination register. imm is the instruction's raw immediate:
+// masking (andi/ori/xori), pre-shifting (lui) and shift-amount clamping
+// happen here and nowhere else. It must not be called for memory, branch,
+// or control instructions.
+func (m *Machine) ExecCompute(ctx *Context, op isa.Op, rd, rsReg, rtReg isa.Reg, imm int32) error {
+	rs, rt := ctx.Reg[rsReg&31], ctx.Reg[rtReg&31]
 	var v int32
-	switch in.Op {
+	switch op {
 	case isa.OpNop:
 		return nil
 	case isa.OpAdd, isa.OpAddu:
@@ -49,25 +57,25 @@ func (m *Machine) ExecCompute(ctx *Context, in isa.Instr) error {
 	case isa.OpSltu:
 		v = b2i(uint32(rs) < uint32(rt))
 	case isa.OpAddi, isa.OpAddiu:
-		v = rs + in.Imm
+		v = rs + imm
 	case isa.OpAndi:
-		v = rs & (in.Imm & 0xffff)
+		v = rs & (imm & 0xffff)
 	case isa.OpOri:
-		v = rs | (in.Imm & 0xffff)
+		v = rs | (imm & 0xffff)
 	case isa.OpXori:
-		v = rs ^ (in.Imm & 0xffff)
+		v = rs ^ (imm & 0xffff)
 	case isa.OpSlti:
-		v = b2i(rs < in.Imm)
+		v = b2i(rs < imm)
 	case isa.OpSltiu:
-		v = b2i(uint32(rs) < uint32(in.Imm))
+		v = b2i(uint32(rs) < uint32(imm))
 	case isa.OpLui:
-		v = in.Imm << 16
+		v = imm << 16
 	case isa.OpSll:
-		v = rs << uint(in.Imm&31)
+		v = rs << uint(imm&31)
 	case isa.OpSrl:
-		v = int32(uint32(rs) >> uint(in.Imm&31))
+		v = int32(uint32(rs) >> uint(imm&31))
 	case isa.OpSra:
-		v = rs >> uint(in.Imm&31)
+		v = rs >> uint(imm&31)
 	case isa.OpSllv:
 		v = rs << uint(rt&31)
 	case isa.OpSrlv:
@@ -123,54 +131,54 @@ func (m *Machine) ExecCompute(ctx *Context, in isa.Instr) error {
 	case isa.OpCleS:
 		v = b2i(f32(rs) <= f32(rt))
 	default:
-		return fmt.Errorf("ExecCompute: %s is not a compute instruction", in.Op)
+		return fmt.Errorf("ExecCompute: %s is not a compute instruction", op)
 	}
-	ctx.SetReg(in.Rd, v)
+	ctx.SetReg(rd, v)
 	return nil
 }
 
 // EvalBranch evaluates a branch/jump at ctx (whose PC is already advanced
 // past the instruction) and returns whether it is taken and the target
 // instruction index. Link registers are written here.
-func (m *Machine) EvalBranch(ctx *Context, in isa.Instr) (taken bool, target int, err error) {
-	rs, rt := ctx.Reg[in.Rs], ctx.Reg[in.Rt]
-	switch in.Op {
+func (m *Machine) EvalBranch(ctx *Context, op isa.Op, rsReg, rtReg isa.Reg, static int) (taken bool, target int, err error) {
+	rs, rt := ctx.Reg[rsReg&31], ctx.Reg[rtReg&31]
+	switch op {
 	case isa.OpBeq:
-		return rs == rt, in.Target, nil
+		return rs == rt, static, nil
 	case isa.OpBne:
-		return rs != rt, in.Target, nil
+		return rs != rt, static, nil
 	case isa.OpBlez:
-		return rs <= 0, in.Target, nil
+		return rs <= 0, static, nil
 	case isa.OpBgtz:
-		return rs > 0, in.Target, nil
+		return rs > 0, static, nil
 	case isa.OpBltz:
-		return rs < 0, in.Target, nil
+		return rs < 0, static, nil
 	case isa.OpBgez:
-		return rs >= 0, in.Target, nil
+		return rs >= 0, static, nil
 	case isa.OpJ:
-		return true, in.Target, nil
+		return true, static, nil
 	case isa.OpJal:
 		ctx.SetReg(isa.RegRA, int32(ctx.PC))
-		return true, in.Target, nil
+		return true, static, nil
 	case isa.OpJr:
-		return true, int(ctx.Reg[in.Rs]), nil
+		return true, int(rs), nil
 	case isa.OpJalr:
-		t := int(ctx.Reg[in.Rs])
+		t := int(rs)
 		ctx.SetReg(isa.RegRA, int32(ctx.PC))
 		return true, t, nil
 	}
-	return false, 0, fmt.Errorf("EvalBranch: %s is not a branch", in.Op)
+	return false, 0, fmt.Errorf("EvalBranch: %s is not a branch", op)
 }
 
 // EffAddr computes the effective byte address of a memory instruction.
-func (m *Machine) EffAddr(ctx *Context, in isa.Instr) uint32 {
-	return uint32(ctx.Reg[in.Rs] + in.Imm)
+func (m *Machine) EffAddr(ctx *Context, base isa.Reg, off int32) uint32 {
+	return uint32(ctx.Reg[base&31] + off)
 }
 
 // LoadValue performs the memory-side read of a load instruction and
 // returns the register value to commit.
-func (m *Machine) LoadValue(in isa.Instr, addr uint32) (int32, error) {
-	switch in.Op {
+func (m *Machine) LoadValue(op isa.Op, addr uint32) (int32, error) {
+	switch op {
 	case isa.OpLw, isa.OpLwRO, isa.OpPref:
 		return m.ReadWord(addr)
 	case isa.OpLb:
@@ -180,25 +188,25 @@ func (m *Machine) LoadValue(in isa.Instr, addr uint32) (int32, error) {
 		b, err := m.LoadByte(addr)
 		return int32(b), err
 	}
-	return 0, fmt.Errorf("LoadValue: %s is not a load", in.Op)
+	return 0, fmt.Errorf("LoadValue: %s is not a load", op)
 }
 
 // StoreValue performs the memory-side write of a store instruction; data
 // is the value of the instruction's data register captured at issue.
-func (m *Machine) StoreValue(in isa.Instr, addr uint32, data int32) error {
-	switch in.Op {
+func (m *Machine) StoreValue(op isa.Op, addr uint32, data int32) error {
+	switch op {
 	case isa.OpSw, isa.OpSwNB:
 		return m.WriteWord(addr, data)
 	case isa.OpSb:
 		return m.StoreByte(addr, byte(data))
 	}
-	return fmt.Errorf("StoreValue: %s is not a store", in.Op)
+	return fmt.Errorf("StoreValue: %s is not a store", op)
 }
 
-// DoSys executes a sys trap for ctx. It returns whether the machine
-// halted.
-func (m *Machine) DoSys(ctx *Context, in isa.Instr) (halt bool, err error) {
-	switch in.Imm {
+// DoSys executes the sys trap with the given code for ctx. It returns
+// whether the machine halted.
+func (m *Machine) DoSys(ctx *Context, code int32) (halt bool, err error) {
+	switch code {
 	case isa.SysHalt:
 		m.Halted = true
 		return true, nil
@@ -219,7 +227,7 @@ func (m *Machine) DoSys(ctx *Context, in isa.Instr) (halt bool, err error) {
 	case isa.SysPrintFloat:
 		fmt.Fprintf(m.Out, "%g", f32(ctx.Reg[isa.RegV0]))
 	default:
-		return false, fmt.Errorf("unknown sys code %d", in.Imm)
+		return false, fmt.Errorf("unknown sys code %d", code)
 	}
 	return false, nil
 }

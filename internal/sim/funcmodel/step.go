@@ -33,25 +33,25 @@ func (m *Machine) Step() (bool, error) {
 	if ctx.PC < 0 || ctx.PC >= len(m.Prog.Text) {
 		return false, fmt.Errorf("funcmodel: PC %d outside program (context %d)", ctx.PC, ctx.ID)
 	}
-	in := m.Prog.Text[ctx.PC]
+	in := &m.Prog.Text[ctx.PC]
 	pc := ctx.PC
 	ctx.PC++
 	m.InstrCount++
 	if m.Trace != nil {
-		m.Trace(ctx, in)
+		m.Trace(ctx, *in)
 	}
 
 	wrap := func(err error) error {
 		if err == nil {
 			return nil
 		}
-		return &RuntimeError{PC: pc, Line: in.Line, In: in, Err: err}
+		return &RuntimeError{PC: pc, Line: in.Line, In: *in, Err: err}
 	}
 
 	meta := in.Op.Meta()
 	switch {
 	case in.Op == isa.OpSys:
-		halt, err := m.DoSys(ctx, in)
+		halt, err := m.DoSys(ctx, in.Imm)
 		if err != nil {
 			return false, wrap(err)
 		}
@@ -99,7 +99,7 @@ func (m *Machine) Step() (bool, error) {
 	case in.Op == isa.OpFence:
 		return true, nil // functional mode has no pending memory operations
 	case in.Op == isa.OpPsm:
-		addr := m.EffAddr(ctx, in)
+		addr := m.EffAddr(ctx, in.Rs, in.Imm)
 		old, err := m.Psm(addr, ctx.Reg[in.Rd])
 		if err != nil {
 			return false, wrap(err)
@@ -108,19 +108,19 @@ func (m *Machine) Step() (bool, error) {
 		return true, nil
 	case in.Op == isa.OpPref:
 		// Prefetch is a hint; functional mode validates the address only.
-		_, err := m.ReadWord(m.EffAddr(ctx, in) &^ 3)
+		_, err := m.ReadWord(m.EffAddr(ctx, in.Rs, in.Imm) &^ 3)
 		return true, wrap(err)
 	case meta.Load:
-		v, err := m.LoadValue(in, m.EffAddr(ctx, in))
+		v, err := m.LoadValue(in.Op, m.EffAddr(ctx, in.Rs, in.Imm))
 		if err != nil {
 			return false, wrap(err)
 		}
 		ctx.SetReg(in.Rd, v)
 		return true, nil
 	case meta.Store:
-		return true, wrap(m.StoreValue(in, m.EffAddr(ctx, in), ctx.Reg[in.Rd]))
+		return true, wrap(m.StoreValue(in.Op, m.EffAddr(ctx, in.Rs, in.Imm), ctx.Reg[in.Rd]))
 	case meta.Branch:
-		taken, target, err := m.EvalBranch(ctx, in)
+		taken, target, err := m.EvalBranch(ctx, in.Op, in.Rs, in.Rt, in.Target)
 		if err != nil {
 			return false, wrap(err)
 		}
@@ -132,11 +132,11 @@ func (m *Machine) Step() (bool, error) {
 		}
 		return true, nil
 	default:
-		return true, wrap(m.ExecCompute(ctx, in))
+		return true, wrap(m.ExecCompute(ctx, in.Op, in.Rd, in.Rs, in.Rt, in.Imm))
 	}
 }
 
-func (m *Machine) startSpawn(ctx *Context, in isa.Instr, pc int) error {
+func (m *Machine) startSpawn(ctx *Context, in *isa.Instr, pc int) error {
 	if m.inParallel {
 		return fmt.Errorf("nested spawn")
 	}

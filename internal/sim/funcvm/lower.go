@@ -1,6 +1,8 @@
 package funcvm
 
 import (
+	"fmt"
+
 	"xmtgo/internal/asm"
 	"xmtgo/internal/isa"
 )
@@ -41,11 +43,22 @@ type word struct {
 }
 
 // Code is the immutable lowered form of one program: a flat word stream
-// with a trailing fall-off sentinel, shareable by any number of VMs.
+// with a trailing fall-off sentinel for the bytecode VM, and the parallel
+// issue-record stream the cycle-accurate model dispatches on. Both come out
+// of the one lowering pass and are shareable by any number of machines.
 type Code struct {
 	words []word
 	text  []isa.Instr // the source instructions, for traces and errors
+
+	issue    []IssueRec
+	issueErr error // first instruction the cycle model cannot issue, if any
 }
+
+// Issue returns the program's issue-record stream, indexed by pc. It fails
+// when some instruction has no issue class or does not fit a record: the
+// cycle model refuses such a program when it is built, not when a TCU
+// reaches the instruction.
+func (c *Code) Issue() ([]IssueRec, error) { return c.issue, c.issueErr }
 
 // Len returns the number of program instructions (excluding the sentinel).
 func (c *Code) Len() int { return len(c.text) }
@@ -72,17 +85,25 @@ func wslot(r isa.Reg) uint8 {
 	return uint8(r)
 }
 
-// lower compiles the assembled program into the flat word stream. All
-// decode decisions move here: register numbers become file slots,
+// lower compiles the assembled program into the flat word stream and the
+// cycle model's issue records (issue.go). All decode decisions move here: register numbers become file slots,
 // immediates are folded (andi/ori/xori masked, lui pre-shifted, shift
 // amounts clamped), branch targets become absolute pc values, and
 // spawn/ps/psm/sys become dedicated superinstruction handlers.
 func lower(p *asm.Program) *Code {
 	n := len(p.Text)
 	words := make([]word, n+1)
+	c := &Code{words: words, text: p.Text, issue: make([]IssueRec, n)}
 	for i := 0; i < n; i++ {
 		in := p.Text[i]
 		w := &words[i]
+		if rec, err := lowerIssue(&p.Text[i]); err != nil {
+			if c.issueErr == nil {
+				c.issueErr = fmt.Errorf("lower: instruction %d (asm line %d): %v", i, in.Line, err)
+			}
+		} else {
+			c.issue[i] = rec
+		}
 		w.next = int32(i) + 1
 		w.d = wslot(in.Rd)
 		w.s = uint8(in.Rs)
@@ -307,5 +328,5 @@ func lower(p *asm.Program) *Code {
 		words[i].nextw = &words[i+1]
 		words[i].tgtw = &words[words[i].tgt]
 	}
-	return &Code{words: words, text: p.Text}
+	return c
 }

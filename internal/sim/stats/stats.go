@@ -135,64 +135,60 @@ func NewCollector(clusters, cacheModules, dramPorts int) *Collector {
 	}
 }
 
+// OpCount is one bucket of an opcode histogram: N committed issues of Op.
+type OpCount struct {
+	Op isa.Op
+	N  uint32
+}
+
 // CountInstr records one committed instruction.
 func (c *Collector) CountInstr(op isa.Op, cluster int, master bool) {
-	c.InstrByOp[op]++
-	c.InstrByUnit[op.Meta().Unit]++
 	if master {
+		c.InstrByOp[op]++
+		c.InstrByUnit[op.Meta().Unit]++
 		c.MasterInstrs++
-	} else {
-		c.TCUInstrs++
-		if cluster >= 0 && cluster < len(c.Cluster) {
-			cs := &c.Cluster[cluster]
-			cs.TCUInstrs++
-			switch op.Meta().Unit {
-			case isa.UnitALU, isa.UnitSFT, isa.UnitBR:
-				cs.ALUOps++
-			case isa.UnitFPU:
-				cs.FPUOps++
-			case isa.UnitMDU:
-				cs.MDUOps++
-			case isa.UnitMEM:
-				cs.MemOps++
-			}
+		for _, f := range c.filters {
+			f.Instr(op, true)
 		}
+		return
 	}
-	for _, f := range c.filters {
-		f.Instr(op, master)
-	}
+	c.CountInstrs([]OpCount{{Op: op, N: 1}}, cluster)
 }
 
 // CountInstrs records a batch of committed TCU instructions from one
-// cluster. The parallel engine buffers counted opcodes as a flat op stream
-// (one byte-sized op per issue instead of a full outbox record) and flushes
-// them here at commit; semantics match calling CountInstr per op with
-// master=false.
-func (c *Collector) CountInstrs(ops []isa.Op, cluster int) {
+// cluster, given as an opcode histogram. The cycle engine folds each replay
+// range's issues into one bucket per distinct opcode (outbox.count), so the
+// metadata lookup and the counter updates run once per bucket instead of
+// once per instruction; the resulting counters equal those of calling
+// CountInstr per instruction with master=false.
+func (c *Collector) CountInstrs(hist []OpCount, cluster int) {
 	var cs *ClusterStats
 	if cluster >= 0 && cluster < len(c.Cluster) {
 		cs = &c.Cluster[cluster]
 	}
-	for _, op := range ops {
-		unit := op.Meta().Unit
-		c.InstrByOp[op]++
-		c.InstrByUnit[unit]++
-		c.TCUInstrs++
+	for _, b := range hist {
+		n := uint64(b.N)
+		unit := b.Op.Meta().Unit
+		c.InstrByOp[b.Op] += n
+		c.InstrByUnit[unit] += n
+		c.TCUInstrs += n
 		if cs != nil {
-			cs.TCUInstrs++
+			cs.TCUInstrs += n
 			switch unit {
 			case isa.UnitALU, isa.UnitSFT, isa.UnitBR:
-				cs.ALUOps++
+				cs.ALUOps += n
 			case isa.UnitFPU:
-				cs.FPUOps++
+				cs.FPUOps += n
 			case isa.UnitMDU:
-				cs.MDUOps++
+				cs.MDUOps += n
 			case isa.UnitMEM:
-				cs.MemOps++
+				cs.MemOps += n
 			}
 		}
 		for _, f := range c.filters {
-			f.Instr(op, false)
+			for i := uint32(0); i < b.N; i++ {
+				f.Instr(b.Op, false)
+			}
 		}
 	}
 }

@@ -38,6 +38,14 @@ go build ./...
 echo "== go test"
 go test ./...
 
+echo "== go test (benchmark/: the nested xmtbench module)"
+# benchmark/ is a module of its own (xmtgo/benchmark, replace ../) that
+# calls into internal/sim, internal/asm and friends from outside, so tier-1
+# `go test ./...` never builds it: a signature change there can break it
+# with everything above green. Manifest guard + a smoke run of every
+# workload.
+(cd benchmark && go test ./...)
+
 echo "== conformance (three-way: interp vs funcvm vs cycle) + observability goldens"
 go test -count=1 -run 'TestFuncCycleConformance|TestFuncVMCheckpointResume|TestObservabilityGolden' .
 
@@ -56,11 +64,12 @@ go test -count=1 -run 'TestLookaheadDeterminism|TestLookaheadCheckpointResume|Te
 # Cross-run throughput gate: when bench.sh has recorded at least two
 # BENCH_HISTORY.jsonl entries, sim_cycle/sec and sim_instr/sec (direction:
 # up — this covers the functional backends' instr/sec, so the funcvm
-# dispatch loop cannot quietly lose its edge) must not regress beyond the
-# wide cross-host band.
+# dispatch loop cannot quietly lose its edge) and BenchmarkTCUIssue's
+# host_ns/sim_instr (direction: down — the cluster-compute anchor) must
+# not regress beyond the wide cross-host band.
 if [ -f BENCH_HISTORY.jsonl ] && [ "$(wc -l <BENCH_HISTORY.jsonl)" -ge 2 ]; then
-    echo "== xmtperf (BENCH_HISTORY.jsonl: sim_cycle/sec + sim_instr/sec regression gate)"
-    go run ./cmd/xmtperf -threshold 30 -t ns/op=60 -t allocs/op=60 -t B/op=60 BENCH_HISTORY.jsonl
+    echo "== xmtperf (BENCH_HISTORY.jsonl: sim_cycle/sec + sim_instr/sec + host_ns/sim_instr regression gate)"
+    go run ./cmd/xmtperf -threshold 30 -t ns/op=60 -t host_ns/sim_instr=60 -t allocs/op=60 -t B/op=60 BENCH_HISTORY.jsonl
 fi
 
 echo "== chaos soak (seeded fault-injection matrix, docs/ROBUSTNESS.md)"

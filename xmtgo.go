@@ -182,7 +182,7 @@ func RunFunctional(prog *Program, cfg Config, out io.Writer) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if cfg.FuncBackend == config.FuncBackendVM {
+	if cfg.UseFuncVM() {
 		vm, err := funcvm.Attach(m)
 		if err != nil {
 			m.ReleaseMemory()
