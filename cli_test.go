@@ -296,3 +296,75 @@ func TestCLIServeEndpoints(t *testing.T) {
 		t.Error("/status reports done while the loop is still running")
 	}
 }
+
+// TestCLIFailurePaths covers two failures the drivers must handle without
+// damage: a checkpoint write that fails midway leaves the previous
+// checkpoint intact (the two-stage signal contract of docs/ROBUSTNESS.md
+// promises a resumable file), and xmtbatch rejects handwritten assembly the
+// post-pass refuses when it loads the jobs file, not at run time.
+func TestCLIFailurePaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	bins := map[string]string{}
+	for _, tool := range []string{"xmtcc", "xmtsim", "xmtrun", "xmtbatch"} {
+		bins[tool] = filepath.Join(dir, tool)
+		if msg, err := exec.Command("go", "build", "-o", bins[tool], "./cmd/"+tool).CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", tool, err, msg)
+		}
+	}
+	write := func(name, content string) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	// The program traps into a checkpoint at once, so every run below
+	// reaches its checkpoint write. The write is made to fail with a
+	// 512-byte file-size limit on the child (a checkpoint is megabytes); a
+	// read-only directory would not do it, because the tests may run as
+	// root, which ignores directory permissions.
+	cFile := write("ckpt.c", "int main() { checkpoint(); print_int(7); return 0; }\n")
+	sFile := filepath.Join(dir, "ckpt.s")
+	if msg, err := exec.Command(bins["xmtcc"], "-o", sFile, cFile).CombinedOutput(); err != nil {
+		t.Fatalf("xmtcc: %v\n%s", err, msg)
+	}
+	const previous = "the previous checkpoint"
+	for _, c := range [][]string{
+		{bins["xmtsim"], sFile},
+		{bins["xmtsim"], "-mode", "func", "-backend", "interp", sFile},
+		{bins["xmtsim"], "-mode", "func", "-backend", "vm", sFile},
+		{bins["xmtrun"], cFile},
+	} {
+		ckpt := write("state.ckpt", previous)
+		args := append([]string{"-c", `ulimit -f 1; exec "$@"`, "sh", c[0], "-checkpoint", ckpt}, c[1:]...)
+		out, err := exec.Command("sh", args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("%v: exit 0 although the checkpoint write failed\n%s", c, out)
+		}
+		if got, _ := os.ReadFile(ckpt); string(got) != previous {
+			t.Errorf("%v: failed write left %d bytes in place of the previous checkpoint\n%s", c, len(got), out)
+		}
+	}
+
+	// A call inside a spawn region parses and assembles; only the post-pass
+	// refuses it.
+	bad := write("bad.s", `
+        .text
+main:   spawn $t0, $t1
+L:      chkid $t2
+        jal helper
+        j L
+        join
+helper: jr $ra
+`)
+	jobs := write("jobs.txt", "badjob "+bad+"\n")
+	out, err := exec.Command(bins["xmtbatch"], jobs).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), bad+":5:") {
+		t.Errorf("xmtbatch admitted illegal parallel code (err=%v), want a load error naming %s:5\n%s", err, bad, out)
+	}
+}

@@ -33,8 +33,8 @@ import (
 
 	"xmtgo/internal/asm"
 	"xmtgo/internal/batch"
-	"xmtgo/internal/codegen"
 	"xmtgo/internal/config"
+	"xmtgo/internal/jobrun"
 	"xmtgo/internal/sigctl"
 	"xmtgo/internal/sim/metrics"
 )
@@ -204,28 +204,22 @@ func loadJobs(path string) ([]batch.Job, error) {
 	return jobs, nil
 }
 
+// loadProgram reads one job's source and builds it: .s files as handwritten
+// assembly (post-pass verified), anything else as XMTC.
 func loadProgram(path string) (*asm.Program, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var unit *asm.Unit
+	kind := "xmtc"
 	if filepath.Ext(path) == ".s" {
-		unit, err = asm.Parse(path, string(src))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		res, err := codegen.Compile(path, string(src), codegen.Options{OptLevel: 1, PrefetchSlots: 4})
-		if err != nil {
-			return nil, err
-		}
-		for _, w := range res.Warnings {
-			fmt.Fprintln(os.Stderr, w)
-		}
-		unit = res.Unit
+		kind = "asm"
 	}
-	return asm.Assemble(unit)
+	prog, warnings, err := jobrun.Load(kind, path, string(src))
+	for _, w := range warnings {
+		fmt.Fprintln(os.Stderr, w)
+	}
+	return prog, err
 }
 
 func fatal(err error) {

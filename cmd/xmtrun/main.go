@@ -177,15 +177,7 @@ func main() {
 		defer stopSig()
 		stoppedBySignal := func(backend string) {
 			if *ckptOut != "" {
-				f, err := os.Create(*ckptOut)
-				if err != nil {
-					fatal(err)
-				}
-				if err := checkpoint.Save(f, checkpoint.Capture(m, int64(m.InstrCount))); err != nil {
-					f.Close()
-					fatal(err)
-				}
-				if err := f.Close(); err != nil {
+				if err := checkpoint.SaveFile(*ckptOut, checkpoint.Capture(m, int64(m.InstrCount))); err != nil {
 					fatal(err)
 				}
 				fmt.Fprintf(os.Stderr, "checkpoint written to %s (instruction %d)\n", *ckptOut, m.InstrCount)
@@ -262,14 +254,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "\n=== %d cycles, %d instructions ===\n", r.Cycles, r.Instrs)
 	if r.Checkpoint && *ckptOut != "" {
-		f, err := os.Create(*ckptOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := checkpoint.Save(f, sys.Capture()); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := checkpoint.SaveFile(*ckptOut, sys.Capture()); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "checkpoint written to %s (cycle %d; resume with xmtsim -resume)\n", *ckptOut, r.Cycles)

@@ -33,9 +33,9 @@ import (
 	"sync/atomic"
 
 	"xmtgo/internal/asm"
-	"xmtgo/internal/asm/postpass"
 	"xmtgo/internal/config"
 	"xmtgo/internal/floorplan"
+	"xmtgo/internal/jobrun"
 	"xmtgo/internal/prof"
 	"xmtgo/internal/sigctl"
 	"xmtgo/internal/sim/checkpoint"
@@ -159,14 +159,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	u, err := asm.Parse(flag.Arg(0), string(src))
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := postpass.Run(u); err != nil {
-		fatal(err)
-	}
-	prog, err := asm.Assemble(u)
+	prog, _, err := jobrun.Load("asm", flag.Arg(0), string(src))
 	if err != nil {
 		fatal(err)
 	}
@@ -182,13 +175,7 @@ func main() {
 
 	var resume *checkpoint.State
 	if *ckptIn != "" {
-		f, err := os.Open(*ckptIn)
-		if err != nil {
-			fatal(err)
-		}
-		resume, err = checkpoint.Load(f)
-		f.Close()
-		if err != nil {
+		if resume, err = checkpoint.LoadFile(*ckptIn); err != nil {
 			fatal(err)
 		}
 	}
@@ -273,7 +260,7 @@ func main() {
 	// runs later at each boundary and reads the already-advanced grid.
 	sampleInterval := cfg.SampleCycles
 	if *serveAddr != "" && sampleInterval <= 0 {
-		sampleInterval = 10000 // live serving needs a publish cadence
+		sampleInterval = metrics.DefaultSampleCycles // live serving needs a publish cadence
 	}
 	smp := metrics.Attach(sys, sampleInterval)
 	if smp != nil && tm != nil {
@@ -302,14 +289,9 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "\n=== %d cycles, %d instructions (%s) ===\n", res.Cycles, res.Instrs, endState(res))
 	if res.Checkpoint && *ckptOut != "" {
-		f, err := os.Create(*ckptOut)
-		if err != nil {
+		if err := checkpoint.SaveFile(*ckptOut, sys.Capture()); err != nil {
 			fatal(err)
 		}
-		if err := checkpoint.Save(f, sys.Capture()); err != nil {
-			fatal(err)
-		}
-		f.Close()
 		fmt.Fprintf(os.Stderr, "checkpoint written to %s (cycle %d)\n", *ckptOut, res.Cycles)
 	}
 	if *showStats {
@@ -427,15 +409,7 @@ func runFunctional(prog *asm.Program, cfg config.Config, resume *checkpoint.Stat
 		m.Trace = tr.FuncHook()
 	}
 	saveCkpt := func(m *funcmodel.Machine) error {
-		f, err := os.Create(ckptOut)
-		if err != nil {
-			return err
-		}
-		if err := checkpoint.Save(f, checkpoint.Capture(m, int64(m.InstrCount))); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := checkpoint.SaveFile(ckptOut, checkpoint.Capture(m, int64(m.InstrCount))); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "checkpoint written to %s (instruction %d)\n", ckptOut, m.InstrCount)

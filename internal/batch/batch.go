@@ -11,19 +11,18 @@
 package batch
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
 	"xmtgo/internal/asm"
-	"xmtgo/internal/atomicfile"
 	"xmtgo/internal/config"
+	"xmtgo/internal/jobrun"
 	"xmtgo/internal/obs"
 	"xmtgo/internal/sim/checkpoint"
 	"xmtgo/internal/sim/cycle"
@@ -121,15 +120,14 @@ type Options struct {
 // Result is the outcome of one job.
 type Result struct {
 	Name     string
-	Attempts int    // attempts consumed (1 = first try succeeded)
-	Resumes  int    // attempts that resumed from a checkpoint
-	Cycles   int64  // total simulated cycles of the final attempt
-	Instrs   uint64 // instructions retired by the final attempt's suffix
-	// Output is the program output of the final attempt. A resumed attempt
-	// replays only the suffix after its checkpoint, so output emitted
-	// before the checkpoint appears in the attempt that produced it, not
-	// here; callers that need the full stream should concatenate attempt
-	// logs.
+	Attempts int   // attempts consumed (1 = first try succeeded)
+	Resumes  int   // attempts that resumed from a checkpoint
+	Cycles   int64 // absolute simulated cycle the final attempt stopped at
+	// Instrs and Output are the job's totals across every segment and
+	// attempt this process ran, equal to an uninterrupted run's when the job
+	// completes. The .ckpt file holds simulator state only: a job resumed
+	// from one left by an earlier process reports only the suffix after it.
+	Instrs uint64
 	Output string
 	Err    error
 }
@@ -192,147 +190,76 @@ func runJob(job Job, opts Options, prog *progress) Result {
 		}
 	}
 
+	// The batch's persistence policy on top of the shared runner: one plain
+	// checkpoint file per job, rewritten at every stop. It holds simulator
+	// state only, so the output and instruction totals survive retries in
+	// this process (carried in the runner's Point) but not a re-run.
+	var from jobrun.Point
 	ckptPath := ""
 	if opts.OutDir != "" {
 		ckptPath = filepath.Join(opts.OutDir, job.Name+".ckpt")
+		st, err := checkpoint.LoadFile(ckptPath)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			r.Err = fmt.Errorf("job %s: %v", job.Name, err)
+			return r
+		}
+		from.State = st
 	}
+	run := jobrun.Runner{
+		Prog:            job.Prog,
+		Config:          cfg,
+		CheckpointEvery: opts.CheckpointEvery,
+		Monitor:         opts.Monitor,
+		SampleCycles:    opts.SampleCycles,
+		Checkpointed: func(next jobrun.Point) error {
+			if ckptPath != "" {
+				if err := checkpoint.SaveFile(ckptPath, next.State); err != nil {
+					return err
+				}
+			}
+			jlog.Debug("checkpoint", "op", "checkpoint", "cycle", next.Cycle(), "persisted", ckptPath != "")
+			if opts.Interrupt != nil && opts.Interrupt.Triggered() {
+				return ErrInterrupted
+			}
+			return nil
+		},
+	}
+	if opts.Interrupt != nil {
+		run.Started = opts.Interrupt.attach
+	}
+
 	budget := opts.TimeoutCycles
 	for attempt := 0; ; attempt++ {
 		r.Attempts = attempt + 1
 		prog.st.Current, prog.st.Attempt, prog.st.BudgetCycles = job.Name, r.Attempts, budget
 		prog.publish()
-		res, out, resumed, err := runAttempt(job, cfg, ckptPath, budget, opts, jlog)
-		if resumed {
+		if from.State != nil {
 			r.Resumes++
 		}
-		if res != nil {
-			r.Cycles = res.Cycles
-			r.Instrs = res.Instrs
-		}
-		r.Output = out
+		out, err := run.Attempt(from, budget)
+		r.Cycles, r.Instrs, r.Output = out.Cycles, out.Point.Instrs, out.Output
 		switch {
 		case errors.Is(err, ErrInterrupted):
 			r.Err = err
 			jlog.Info("interrupted", "op", "interrupt", "attempt", r.Attempts, "cycle", r.Cycles, "checkpoint_saved", ckptPath != "")
 			return r
-		case err == nil && res != nil && res.Halted:
-			jlog.Info("done", "op", "done", "attempt", r.Attempts, "cycles", res.Cycles, "instrs", res.Instrs, "resumes", r.Resumes)
+		case err != nil:
+			err = fmt.Errorf("job %s: %v", job.Name, err)
+		case out.Halted:
+			jlog.Info("done", "op", "done", "attempt", r.Attempts, "cycles", r.Cycles, "instrs", r.Instrs, "resumes", r.Resumes)
 			return r
-		case err == nil && res != nil && res.TimedOut:
+		default:
 			err = fmt.Errorf("job %s: cycle budget %d exhausted", job.Name, budget)
-		case err == nil:
-			err = fmt.Errorf("job %s: stopped without halting", job.Name)
 		}
 		if attempt >= opts.Retries {
 			r.Err = err
 			jlog.Error("giving up", "op", "fail", "attempt", r.Attempts, "err", err.Error())
 			return r
 		}
-		if budget > 0 {
-			budget = int64(float64(budget) * opts.Backoff)
-		}
+		budget = jobrun.Budget(opts.TimeoutCycles, opts.Backoff, attempt+1)
 		jlog.Warn("retrying", "op", "retry", "attempt", attempt+1, "err", err.Error(), "budget", budget)
+		if ckptPath != "" {
+			from = out.Point // without -out nothing persisted: restart
+		}
 	}
-}
-
-// runAttempt runs one attempt: a chain of simulation segments separated by
-// checkpoint stops, resuming from the job's persisted checkpoint if one
-// exists. budget is the attempt's absolute total-cycle ceiling (0 =
-// unlimited).
-func runAttempt(job Job, cfg config.Config, ckptPath string, budget int64, opts Options, jlog *slog.Logger) (*cycle.Result, string, bool, error) {
-	var out bytes.Buffer
-	st, err := loadCheckpoint(ckptPath)
-	if err != nil {
-		return nil, "", false, fmt.Errorf("job %s: %v", job.Name, err)
-	}
-	resumed := st != nil // resumed from a previous attempt's persisted state
-	for {
-		sys, err := cycle.New(job.Prog, cfg, &out)
-		if err != nil {
-			return nil, out.String(), resumed, fmt.Errorf("job %s: %v", job.Name, err)
-		}
-		if st != nil {
-			if err := sys.RestoreState(st); err != nil {
-				return nil, out.String(), resumed, fmt.Errorf("job %s: %v", job.Name, err)
-			}
-		}
-		sys.CheckpointEvery(opts.CheckpointEvery)
-		if opts.Interrupt != nil {
-			opts.Interrupt.attach(sys)
-		}
-
-		var smp *metrics.Sampler
-		if opts.Monitor != nil {
-			interval := opts.SampleCycles
-			if interval <= 0 {
-				interval = 10000
-			}
-			if smp = metrics.Attach(sys, interval); smp != nil {
-				smp.SetServer(opts.Monitor)
-			}
-		}
-
-		// Run accepts this segment's local cycle budget; the checkpoint
-		// offset already consumed part of the absolute budget.
-		segBudget := int64(0)
-		if budget > 0 {
-			segBudget = budget - checkpointOffset(st)
-			if segBudget <= 0 {
-				res := &cycle.Result{Cycles: checkpointOffset(st), TimedOut: true}
-				return res, out.String(), resumed, nil
-			}
-		}
-		res, err := sys.Run(segBudget)
-		if smp != nil && res != nil {
-			smp.Finalize(res.Cycles, int64(res.Ticks), sys.Stats, sys.AliveTCUs())
-		}
-		if err != nil {
-			return res, out.String(), resumed, fmt.Errorf("job %s: %v", job.Name, err)
-		}
-		if res.Checkpoint {
-			st = sys.Capture()
-			if ckptPath != "" {
-				if err := saveCheckpoint(ckptPath, st); err != nil {
-					return res, out.String(), resumed, fmt.Errorf("job %s: %v", job.Name, err)
-				}
-			}
-			jlog.Debug("checkpoint", "op", "checkpoint", "cycle", res.Cycles, "persisted", ckptPath != "")
-			if opts.Interrupt != nil && opts.Interrupt.Triggered() {
-				return res, out.String(), resumed, ErrInterrupted
-			}
-			continue
-		}
-		return res, out.String(), resumed, nil
-	}
-}
-
-func checkpointOffset(st *checkpoint.State) int64 {
-	if st == nil {
-		return 0
-	}
-	return st.CycleOffset
-}
-
-func loadCheckpoint(path string) (*checkpoint.State, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return checkpoint.Load(f)
-}
-
-// saveCheckpoint writes atomically and durably (fsync'd temp + rename +
-// directory sync, internal/atomicfile) so a crash — or a power loss — at
-// any instant never corrupts or loses the last good checkpoint.
-func saveCheckpoint(path string, st *checkpoint.State) error {
-	return atomicfile.WriteFunc(path, 0o644, func(w io.Writer) error {
-		return checkpoint.Save(w, st)
-	})
 }

@@ -99,6 +99,11 @@ func TestBatchResumesFromCheckpoint(t *testing.T) {
 	if res.Cycles < need {
 		t.Fatalf("final cycles %d < uninterrupted %d: resumed run skipped work", res.Cycles, need)
 	}
+	// Totals span every segment and attempt, not just the last one.
+	if res.Instrs != full[0].Instrs || res.Output != full[0].Output {
+		t.Fatalf("instrs=%d output=%q, want the uninterrupted run's %d / %q",
+			res.Instrs, res.Output, full[0].Instrs, full[0].Output)
+	}
 }
 
 // memWalkAsm walks memory a cache line per iteration, so the master is

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -17,8 +16,8 @@ import (
 
 	"xmtgo/internal/asm"
 	"xmtgo/internal/atomicfile"
-	"xmtgo/internal/codegen"
 	"xmtgo/internal/config"
+	"xmtgo/internal/jobrun"
 	"xmtgo/internal/obs"
 	"xmtgo/internal/sim/checkpoint"
 	"xmtgo/internal/sim/cycle"
@@ -104,8 +103,6 @@ type job struct {
 	budget      int64 // current attempt's budget
 	result      *JobResult
 
-	hasCkpt bool // a checkpoint envelope exists on disk
-
 	// Requests delivered to the running attempt at its next checkpoint
 	// boundary.
 	preemptReq, cancelReq, drainReq bool
@@ -148,7 +145,7 @@ type Daemon struct {
 
 	obs *obsState // lifecycle tracer, latency histograms, structured logs
 
-	compiles sync.Map // source hash -> *asm.Program
+	compiles sync.Map // progKey -> *asm.Program
 
 	wg sync.WaitGroup
 }
@@ -236,7 +233,6 @@ func (d *Daemon) recover(recs []Record) error {
 		case RecCkpt:
 			if j != nil {
 				j.cycles = rec.Cycle
-				j.hasCkpt = true
 			}
 		case RecPreempt:
 			if j != nil {
@@ -327,35 +323,20 @@ func tenantOf(spec *JobSpec) string {
 	return spec.Tenant
 }
 
+// progKey keys the program cache on the kind and source themselves, so two
+// tenants share a program only when their submissions are byte-identical.
+type progKey struct{ kind, source string }
+
 // compile builds (or fetches from cache) the program for a spec.
 func (d *Daemon) compile(spec *JobSpec) (*asm.Program, *APIError) {
-	h := fnv.New64a()
-	io.WriteString(h, spec.Kind)
-	h.Write([]byte{0})
-	io.WriteString(h, spec.Source)
-	key := h.Sum64()
+	key := progKey{spec.Kind, spec.Source}
 	if p, ok := d.compiles.Load(key); ok {
 		return p.(*asm.Program), nil
 	}
-
-	var unit *asm.Unit
-	var err error
-	switch spec.Kind {
-	case "", "asm":
-		unit, err = asm.Parse(spec.Name+".s", spec.Source)
-	case "xmtc", "c":
-		var res *codegen.Result
-		res, err = codegen.Compile(spec.Name+".c", spec.Source, codegen.Options{OptLevel: 1, PrefetchSlots: 4})
-		if res != nil {
-			unit = res.Unit
-		}
-	default:
-		return nil, apiErrorf(ErrBadRequest, "unknown program kind %q (want asm or xmtc)", spec.Kind)
+	prog, _, err := jobrun.Load(spec.Kind, spec.Name, spec.Source)
+	if errors.Is(err, jobrun.ErrKind) {
+		return nil, apiErrorf(ErrBadRequest, "%v", err)
 	}
-	if err != nil {
-		return nil, apiErrorf(ErrCompile, "%v", err)
-	}
-	prog, err := asm.Assemble(unit)
 	if err != nil {
 		return nil, apiErrorf(ErrCompile, "%v", err)
 	}
@@ -779,60 +760,75 @@ func (d *Daemon) suspend(j *job) {
 
 // envelope is the per-job checkpoint sidecar (<id>.ckpt): the simulator
 // checkpoint plus the output and the instruction count accumulated up to
-// it, so a resumed job's final output and Instrs are identical to an
-// uninterrupted run's. (Envelopes written before Instrs existed decode
-// with 0: such a job under-reports, as every resumed job used to.)
+// it — a jobrun.Point on disk — so a resumed job's final output and Instrs
+// are identical to an uninterrupted run's. (Envelopes written before Instrs
+// existed decode with 0: such a job under-reports, as every resumed job
+// used to.)
 type envelope struct {
 	Ckpt   []byte // checkpoint.Save bytes (self-versioned)
 	Output string
 	Instrs uint64
 }
 
-// resumePoint is a job's last persisted checkpoint as the run loop carries
-// it: where the next segment resumes, and what the segments before it
-// already produced. The zero value means "from the start".
-type resumePoint struct {
-	st     *checkpoint.State
-	output string
-	instrs uint64
-}
-
 func (d *Daemon) envPath(j *job) string {
 	return filepath.Join(d.opts.DataDir, j.id+".ckpt")
 }
 
-func (d *Daemon) saveEnvelope(j *job, rp resumePoint) error {
+func (d *Daemon) saveEnvelope(j *job, rp jobrun.Point) error {
 	var buf bytes.Buffer
-	if err := checkpoint.Save(&buf, rp.st); err != nil {
+	if err := checkpoint.Save(&buf, rp.State); err != nil {
 		return err
 	}
 	return atomicfile.WriteFunc(d.envPath(j), 0o644, func(w io.Writer) error {
-		return gobEncode(w, &envelope{Ckpt: buf.Bytes(), Output: rp.output, Instrs: rp.instrs})
+		return gobEncode(w, &envelope{Ckpt: buf.Bytes(), Output: rp.Output, Instrs: rp.Instrs})
 	})
 }
 
-func (d *Daemon) loadEnvelope(j *job) (resumePoint, error) {
+// loadEnvelope returns the job's last persisted point, the zero Point
+// ("from the start") when it has none.
+func (d *Daemon) loadEnvelope(j *job) (jobrun.Point, error) {
 	f, err := os.Open(d.envPath(j))
 	if os.IsNotExist(err) {
-		return resumePoint{}, nil
+		return jobrun.Point{}, nil
 	}
 	if err != nil {
-		return resumePoint{}, err
+		return jobrun.Point{}, err
 	}
 	defer f.Close()
 	var env envelope
 	if err := gobDecode(f, &env); err != nil {
-		return resumePoint{}, fmt.Errorf("daemon: envelope %s: %v", d.envPath(j), err)
+		return jobrun.Point{}, fmt.Errorf("daemon: envelope %s: %v", d.envPath(j), err)
 	}
 	st, err := checkpoint.Load(bytes.NewReader(env.Ckpt))
 	if err != nil {
-		return resumePoint{}, err
+		return jobrun.Point{}, err
 	}
-	return resumePoint{st: st, output: env.Output, instrs: env.Instrs}, nil
+	return jobrun.Point{State: st, Output: env.Output, Instrs: env.Instrs}, nil
+}
+
+// attempt is what the runner hooks need to know about the attempt they
+// serve.
+type attempt struct {
+	n     int   // attempt number, for spans, logs and diagnostics
+	start int64 // tracer clock at attempt start
+	ttfs  bool  // time-to-first-sample already observed
+}
+
+// observeTTFS records worker start -> the attempt's first observable sample
+// (first persisted checkpoint, or completion when the run never
+// checkpoints): how long a client waits before progress is visible.
+func (d *Daemon) observeTTFS(a *attempt) {
+	if !a.ttfs {
+		a.ttfs = true
+		d.obs.hists.Observe(obs.HistTTFS, d.obs.tracer.Now()-a.start)
+	}
 }
 
 // runJob drives one job from its current checkpoint (if any) to a terminal
-// state, a preemption/drain yield, or its retry bound.
+// state, a preemption/drain yield, or its retry bound. The segment loop is
+// jobrun's; the daemon's part is the durability policy (envelope, then the
+// journal record as the commit point), the stop requests, and the
+// observability around each attempt.
 func (d *Daemon) runJob(j *job) {
 	tenant := tenantOf(&j.spec)
 	rp, err := d.loadEnvelope(j)
@@ -853,295 +849,195 @@ func (d *Daemon) runJob(j *job) {
 		base = d.opts.BudgetCycles
 	}
 	deadline := j.spec.DeadlineCycles
-	baseWatchdog := cfg.WatchdogCycles
 
-	retries := 0
-	for {
-		budget := base
-		if budget > 0 && retries > 0 {
-			budget = int64(float64(budget) * math.Pow(d.opts.Backoff, float64(retries)))
-		}
+	var att attempt
+	run := jobrun.Runner{
+		Prog:            j.prog,
+		Config:          cfg,
+		CheckpointEvery: d.opts.CheckpointEvery,
+		Monitor:         d.opts.Monitor,
+		SampleCycles:    d.opts.SampleCycles,
+		Job:             j.id,
+		// Expose the system for preemption/cancel; deliver requests that
+		// raced with construction.
+		Started: func(sys *cycle.System) {
+			d.mu.Lock()
+			j.sys = sys
+			if j.preemptReq || j.cancelReq || j.drainReq || d.aborted.Load() {
+				sys.RequestCheckpoint()
+			}
+			d.mu.Unlock()
+		},
+		Checkpointed: func(next jobrun.Point) error { return d.checkpointed(j, &att, next) },
+	}
+
+	for retries := 0; ; retries++ {
+		budget := jobrun.Budget(base, d.opts.Backoff, retries)
 		if deadline > 0 && (budget <= 0 || budget > deadline) {
 			budget = deadline
 		}
-		if baseWatchdog > 0 && retries > 0 {
-			// A watchdog trip retries with a wider no-retire window too:
-			// the hang may have been a configuration artifact, and the
-			// budget alone cannot help if the watchdog re-trips first.
-			cfg.WatchdogCycles = int64(float64(baseWatchdog) * math.Pow(d.opts.Backoff, float64(retries)))
-		}
+		// A watchdog trip retries with a wider no-retire window too: the
+		// hang may have been a configuration artifact, and the budget alone
+		// cannot help if the watchdog re-trips first.
+		run.Config.WatchdogCycles = jobrun.Budget(cfg.WatchdogCycles, d.opts.Backoff, retries)
 
 		d.mu.Lock()
 		j.attempt++
 		j.budget = budget
-		resumed := rp.st != nil
+		resumed := rp.State != nil
 		if resumed {
 			j.resumes++
 		}
-		att := j.attempt
+		att = attempt{n: j.attempt}
 		d.mu.Unlock()
-		attStart := d.obs.tracer.Now()
+		att.start = d.obs.tracer.Now()
 		if j.retryNs > 0 {
-			d.obs.hists.Observe(obs.HistRetryBackoff, attStart-j.retryNs)
+			d.obs.hists.Observe(obs.HistRetryBackoff, att.start-j.retryNs)
 			j.retryNs = 0
 		}
 		if resumed {
-			d.obs.tracer.Instant(j.id, tenant, "resume", att)
+			d.obs.tracer.Instant(j.id, tenant, "resume", att.n)
 		}
-		if _, err := d.appendT(Record{Kind: RecStart, ID: j.id, Attempt: att}, tenant); err != nil {
+		if _, err := d.appendT(Record{Kind: RecStart, ID: j.id, Attempt: att.n}, tenant); err != nil {
 			d.terminal(j, StateFailed, &JobResult{Err: fmt.Sprintf("journal: %v", err)})
-			d.obs.tracer.Instant(j.id, tenant, "fail", att)
+			d.obs.tracer.Instant(j.id, tenant, "fail", att.n)
 			return
 		}
-		j.log.Info("attempt started", "op", "run", "attempt", att,
+		j.log.Info("attempt started", "op", "run", "attempt", att.n,
 			"budget", budget, "resumed", resumed)
 
-		out := d.runSegments(j, cfg, &rp, budget, att, attStart)
-		d.obs.tracer.Add(obs.Span{Job: j.id, Tenant: tenant, Name: "run",
-			StartNs: attStart, DurNs: d.obs.tracer.Now() - attStart,
-			Attempt: att, Priority: j.spec.Priority, Detail: outcomeOf(&out)})
-		switch {
-		case errors.Is(out.err, errAborted):
-			return // simulated crash: leave no clean trace
-		case errors.Is(out.err, errCanceled):
-			d.appendT(Record{Kind: RecCancel, ID: j.id}, tenant)
-			d.terminal(j, StateCanceled, &JobResult{Cycles: out.cycle, Output: out.output, Err: "canceled"})
-			d.obs.tracer.Instant(j.id, tenant, "cancel", att)
-			j.log.Info("canceled", "op", "run", "attempt", att, "cycle", out.cycle)
-			return
-		case errors.Is(out.err, errPreempted):
-			d.appendT(Record{Kind: RecPreempt, ID: j.id, Cycle: out.cycle, Reason: "preempt"}, tenant)
-			d.requeue(j)
-			j.log.Info("preempted", "op", "run", "attempt", att, "cycle", out.cycle)
-			return
-		case errors.Is(out.err, errDrained):
-			d.appendT(Record{Kind: RecPreempt, ID: j.id, Cycle: out.cycle, Reason: "drain"}, tenant)
-			d.suspend(j)
-			j.log.Info("suspended for drain", "op", "run", "attempt", att, "cycle", out.cycle)
-			return
+		out, err := run.Attempt(rp, budget)
+		if out.Halted {
+			d.observeTTFS(&att)
 		}
-
-		if out.err == nil && out.halted {
+		d.obs.tracer.Add(obs.Span{Job: j.id, Tenant: tenant, Name: "run",
+			StartNs: att.start, DurNs: d.obs.tracer.Now() - att.start,
+			Attempt: att.n, Priority: j.spec.Priority, Detail: outcomeOf(out.Halted, err)})
+		switch {
+		case errors.Is(err, errAborted):
+			return // simulated crash: leave no clean trace
+		case errors.Is(err, errCanceled):
+			d.appendT(Record{Kind: RecCancel, ID: j.id}, tenant)
+			d.terminal(j, StateCanceled, &JobResult{Cycles: out.Cycles, Output: out.Output, Err: "canceled"})
+			d.obs.tracer.Instant(j.id, tenant, "cancel", att.n)
+			j.log.Info("canceled", "op", "run", "attempt", att.n, "cycle", out.Cycles)
+			return
+		case errors.Is(err, errPreempted):
+			d.appendT(Record{Kind: RecPreempt, ID: j.id, Cycle: out.Cycles, Reason: "preempt"}, tenant)
+			d.requeue(j)
+			j.log.Info("preempted", "op", "run", "attempt", att.n, "cycle", out.Cycles)
+			return
+		case errors.Is(err, errDrained):
+			d.appendT(Record{Kind: RecPreempt, ID: j.id, Cycle: out.Cycles, Reason: "drain"}, tenant)
+			d.suspend(j)
+			j.log.Info("suspended for drain", "op", "run", "attempt", att.n, "cycle", out.Cycles)
+			return
+		case out.Halted:
 			res := &JobResult{
-				Cycles:  out.cycle,
-				Instrs:  out.instrs,
-				Output:  out.output,
-				MemHash: out.memHash,
+				Cycles:  out.Cycles,
+				Instrs:  out.Point.Instrs,
+				Output:  out.Output,
+				MemHash: memHash(out.Point.State, out.Output),
 			}
 			d.appendT(Record{Kind: RecDone, ID: j.id, Result: res}, tenant)
 			d.terminal(j, StateDone, res)
-			d.obs.tracer.Instant(j.id, tenant, "done", att)
-			j.log.Info("done", "op", "run", "attempt", att,
-				"cycles", out.cycle, "instrs", out.instrs)
+			d.obs.tracer.Instant(j.id, tenant, "done", att.n)
+			j.log.Info("done", "op", "run", "attempt", att.n,
+				"cycles", res.Cycles, "instrs", res.Instrs)
 			return
 		}
 
 		// Failure or timeout: build the structured diagnostic, decide
 		// whether to retry from the last checkpoint.
-		diag := ""
+		final := retries >= d.opts.Retries
+		var diag string
 		switch {
-		case out.err != nil:
-			diag = out.err.Error()
-		case deadline > 0 && out.cycle >= deadline:
-			diag = fmt.Sprintf("deadline_cycles %d reached at cycle %d (attempt %d)", deadline, out.cycle, att)
-			d.appendT(Record{Kind: RecFail, ID: j.id, Reason: diag}, tenant)
-			d.terminal(j, StateFailed, &JobResult{Cycles: out.cycle, Output: out.output, Err: diag})
-			d.obs.tracer.Instant(j.id, tenant, "fail", att)
-			j.log.Warn("failed", "op", "run", "attempt", att, "err", diag)
-			return
+		case err != nil:
+			diag = err.Error()
+		case deadline > 0 && out.Cycles >= deadline:
+			diag = fmt.Sprintf("deadline_cycles %d reached at cycle %d (attempt %d)", deadline, out.Cycles, att.n)
+			final = true
 		default:
-			diag = fmt.Sprintf("cycle budget %d exhausted at cycle %d (attempt %d)", budget, out.cycle, att)
+			diag = fmt.Sprintf("cycle budget %d exhausted at cycle %d (attempt %d)", budget, out.Cycles, att.n)
 		}
-		if retries >= d.opts.Retries {
+		if final {
 			d.appendT(Record{Kind: RecFail, ID: j.id, Reason: diag}, tenant)
-			d.terminal(j, StateFailed, &JobResult{Cycles: out.cycle, Output: out.output, Err: diag})
-			d.obs.tracer.Instant(j.id, tenant, "fail", att)
-			j.log.Warn("giving up", "op", "run", "attempt", att, "err", diag)
+			d.terminal(j, StateFailed, &JobResult{Cycles: out.Cycles, Output: out.Output, Err: diag})
+			d.obs.tracer.Instant(j.id, tenant, "fail", att.n)
+			j.log.Warn("failed", "op", "run", "attempt", att.n, "err", diag)
 			return
 		}
-		retries++
 		j.retryNs = d.obs.tracer.Now()
 		d.mu.Lock()
 		d.retries++
 		d.mu.Unlock()
-		j.log.Warn("attempt failed; retrying", "op", "run", "attempt", att, "err", diag)
-		// rp was advanced to the last persisted checkpoint by runSegments;
-		// the retry resumes there.
+		j.log.Warn("attempt failed; retrying", "op", "run", "attempt", att.n, "err", diag)
+		rp = out.Point // the last checkpoint this attempt committed
 	}
 }
 
-// segmentsOut is the outcome of one attempt.
-type segmentsOut struct {
-	halted  bool
-	cycle   int64
-	instrs  uint64
-	output  string // total accumulated output (resumed prefix included)
-	memHash string // set when halted
-	err     error  // nil, a sentinel, or a simulation error (watchdog etc.)
-}
-
 // outcomeOf classifies one attempt's outcome for the run span's detail arg.
-func outcomeOf(out *segmentsOut) string {
+func outcomeOf(halted bool, err error) string {
 	switch {
-	case errors.Is(out.err, errAborted):
+	case errors.Is(err, errAborted):
 		return "abort"
-	case errors.Is(out.err, errCanceled):
+	case errors.Is(err, errCanceled):
 		return "cancel"
-	case errors.Is(out.err, errPreempted):
+	case errors.Is(err, errPreempted):
 		return "preempt"
-	case errors.Is(out.err, errDrained):
+	case errors.Is(err, errDrained):
 		return "drain"
-	case out.err != nil:
+	case err != nil:
 		return "error"
-	case out.halted:
+	case halted:
 		return "done"
 	default:
 		return "timeout"
 	}
 }
 
-// runSegments runs one attempt as a chain of simulation segments separated
-// by checkpoint stops. At each stop it persists the envelope and the
-// journal record, then honors pending cancel/drain/preempt requests. rp
-// tracks the last persisted checkpoint across the call — on a retry the
-// caller resumes from exactly that state. Every segment is a fresh
-// simulator whose counters start at zero, so the job's instruction count is
-// the checkpointed total plus the current segment's.
-func (d *Daemon) runSegments(j *job, cfg config.Config, rp *resumePoint, budget int64, att int, attStart int64) segmentsOut {
+// checkpointed is the runner's checkpoint hook: persist the envelope,
+// commit it with the journal record, then honor a pending
+// cancel/drain/preempt request by ending the attempt with its sentinel. A
+// crash may land anywhere in here; every ordering is recoverable because
+// the envelope write is atomic and the journal append is the commit point.
+func (d *Daemon) checkpointed(j *job, att *attempt, next jobrun.Point) error {
 	tenant := tenantOf(&j.spec)
-	ttfsSeen := false
-	// ttfs measures worker start -> the attempt's first observable sample
-	// (first persisted checkpoint, or completion when the run never
-	// checkpoints): how long a client waits before progress is visible.
-	observeTTFS := func() {
-		if !ttfsSeen {
-			ttfsSeen = true
-			d.obs.hists.Observe(obs.HistTTFS, d.obs.tracer.Now()-attStart)
-		}
+	if d.aborted.Load() {
+		return errAborted
 	}
-	var out bytes.Buffer
-	startPrefix := rp.output
-	for {
-		sys, err := cycle.New(j.prog, cfg, &out)
-		if err != nil {
-			return segmentsOut{err: err, output: startPrefix + out.String()}
-		}
-		if rp.st != nil {
-			if err := sys.RestoreState(rp.st); err != nil {
-				return segmentsOut{err: err, output: startPrefix + out.String()}
-			}
-		}
-		sys.CheckpointEvery(d.opts.CheckpointEvery)
-
-		// Expose the system for preemption/cancel; deliver requests that
-		// raced with construction.
-		d.mu.Lock()
-		j.sys = sys
-		if j.preemptReq || j.cancelReq || j.drainReq {
-			sys.RequestCheckpoint()
-		}
-		d.mu.Unlock()
-		if d.aborted.Load() {
-			return segmentsOut{err: errAborted}
-		}
-
-		var smp *metrics.Sampler
-		if d.opts.Monitor != nil {
-			interval := d.opts.SampleCycles
-			if interval <= 0 {
-				interval = 10000
-			}
-			if smp = metrics.Attach(sys, interval); smp != nil {
-				smp.SetServer(d.opts.Monitor)
-				smp.SetJob(j.id)
-			}
-		}
-
-		segBudget := int64(0)
-		if budget > 0 {
-			segBudget = budget - offsetOf(rp.st)
-			if segBudget <= 0 {
-				return segmentsOut{cycle: offsetOf(rp.st), output: startPrefix + out.String()}
-			}
-		}
-		res, err := sys.Run(segBudget)
-		if smp != nil && res != nil {
-			smp.Finalize(res.Cycles, int64(res.Ticks), sys.Stats, sys.AliveTCUs())
-		}
-		if err != nil {
-			cyc := offsetOf(rp.st)
-			if res != nil {
-				cyc = res.Cycles
-			}
-			return segmentsOut{cycle: cyc, output: startPrefix + out.String(), err: err}
-		}
-
-		if res.Checkpoint {
-			// A crash may land anywhere in this window; every ordering is
-			// recoverable because the envelope write is atomic and the
-			// journal append is the commit point.
-			if d.aborted.Load() {
-				return segmentsOut{err: errAborted}
-			}
-			next := resumePoint{st: sys.Capture(), output: startPrefix + out.String(), instrs: rp.instrs + res.Instrs}
-			ckptStart := d.obs.tracer.Now()
-			if err := d.saveEnvelope(j, next); err != nil {
-				return segmentsOut{cycle: res.Cycles, output: next.output, err: err}
-			}
-			ckptDur := d.obs.tracer.Now() - ckptStart
-			d.obs.hists.Observe(obs.HistCkptWrite, ckptDur)
-			d.obs.tracer.Add(obs.Span{Job: j.id, Tenant: tenant, Name: "checkpoint-write",
-				StartNs: ckptStart, DurNs: ckptDur, Attempt: att})
-			if d.aborted.Load() {
-				return segmentsOut{err: errAborted}
-			}
-			if _, err := d.appendT(Record{Kind: RecCkpt, ID: j.id, Cycle: res.Cycles}, tenant); err != nil {
-				return segmentsOut{cycle: res.Cycles, output: next.output, err: err}
-			}
-			observeTTFS()
-			*rp = next
-			j.hasCkpt = true
-			j.log.Debug("checkpoint", "op", "ckpt", "attempt", att, "cycle", res.Cycles)
-
-			d.mu.Lock()
-			j.cycles = res.Cycles
-			cancel, drain, preempt := j.cancelReq, j.drainReq, j.preemptReq
-			stopping := d.stopWorkers
-			d.publishLocked()
-			d.mu.Unlock()
-			switch {
-			case cancel:
-				return segmentsOut{cycle: res.Cycles, output: next.output, err: errCanceled}
-			case drain || (stopping && d.draining):
-				return segmentsOut{cycle: res.Cycles, output: next.output, err: errDrained}
-			case preempt:
-				return segmentsOut{cycle: res.Cycles, output: next.output, err: errPreempted}
-			}
-			continue
-		}
-
-		totalOut := startPrefix + out.String()
-		if res.Halted {
-			observeTTFS()
-			fin := sys.Capture()
-			return segmentsOut{
-				halted:  true,
-				cycle:   res.Cycles,
-				instrs:  rp.instrs + res.Instrs,
-				output:  totalOut,
-				memHash: memHash(fin, totalOut),
-			}
-		}
-		// Timed out (budget exhausted).
-		return segmentsOut{cycle: res.Cycles, output: totalOut}
+	ckptStart := d.obs.tracer.Now()
+	if err := d.saveEnvelope(j, next); err != nil {
+		return err
 	}
-}
-
-func offsetOf(st *checkpoint.State) int64 {
-	if st == nil {
-		return 0
+	ckptDur := d.obs.tracer.Now() - ckptStart
+	d.obs.hists.Observe(obs.HistCkptWrite, ckptDur)
+	d.obs.tracer.Add(obs.Span{Job: j.id, Tenant: tenant, Name: "checkpoint-write",
+		StartNs: ckptStart, DurNs: ckptDur, Attempt: att.n})
+	if d.aborted.Load() {
+		return errAborted
 	}
-	return st.CycleOffset
+	if _, err := d.appendT(Record{Kind: RecCkpt, ID: j.id, Cycle: next.Cycle()}, tenant); err != nil {
+		return err
+	}
+	d.observeTTFS(att)
+	j.log.Debug("checkpoint", "op", "ckpt", "attempt", att.n, "cycle", next.Cycle())
+
+	d.mu.Lock()
+	j.cycles = next.Cycle()
+	cancel, drain, preempt := j.cancelReq, j.drainReq, j.preemptReq
+	stopping := d.stopWorkers
+	d.publishLocked()
+	d.mu.Unlock()
+	switch {
+	case cancel:
+		return errCanceled
+	case drain || (stopping && d.draining):
+		return errDrained
+	case preempt:
+		return errPreempted
+	}
+	return nil
 }
 
 // memHash fingerprints the final architectural state: FNV-1a over shared

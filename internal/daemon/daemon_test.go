@@ -181,6 +181,21 @@ func TestDaemonTypedErrors(t *testing.T) {
 	if got := codeOf(d.Submit(&JobSpec{Source: "not asm at all $$$", BudgetCycles: 1000})); got != ErrCompile {
 		t.Errorf("bad program: %s, want %s", got, ErrCompile)
 	}
+	// Handwritten assembly is verified by the post-pass at submit: a call
+	// inside a spawn region parses and assembles, but must not be admitted.
+	callInSpawn := `
+        .text
+main:   spawn $t0, $t1
+L:      chkid $t2
+        jal helper
+        j L
+        join
+helper: jr $ra
+`
+	if _, aerr := d.Submit(&JobSpec{Name: "bad", Kind: "asm", Source: callInSpawn, BudgetCycles: 1000}); aerr == nil ||
+		aerr.Code != ErrCompile || !strings.Contains(aerr.Message, "bad:5:") {
+		t.Errorf("illegal parallel code: %v, want %s naming bad:5", aerr, ErrCompile)
+	}
 	if got := codeOf(d.Submit(&JobSpec{Source: loopSrc(10), Kind: "fortran", BudgetCycles: 1000})); got != ErrBadRequest {
 		t.Errorf("bad kind: %s, want %s", got, ErrBadRequest)
 	}

@@ -1,0 +1,143 @@
+// Package jobrun is the one place that knows how a simulation job executes:
+// a chain of cycle-accurate segments separated by checkpoint stops, run
+// under an absolute cycle budget, resumable from any checkpoint it reached
+// (paper §III-E: checkpoints exist so long campaigns run in restartable
+// pieces). The batch runner and the xmtd daemon both drive a Runner; what
+// differs between them — where a checkpoint is persisted, who may ask a
+// running job to stop, what is logged — arrives through the two hooks.
+package jobrun
+
+import (
+	"bytes"
+	"math"
+
+	"xmtgo/internal/asm"
+	"xmtgo/internal/config"
+	"xmtgo/internal/sim/checkpoint"
+	"xmtgo/internal/sim/cycle"
+	"xmtgo/internal/sim/metrics"
+)
+
+// Point is a place a job can resume from: the simulator state at a
+// checkpoint plus what the segments before it produced. Every segment is a
+// fresh simulator whose counters and output start empty, so the totals
+// travel with the state. The zero Point means "from the start".
+type Point struct {
+	State  *checkpoint.State
+	Output string
+	Instrs uint64
+}
+
+// Cycle is the absolute cluster cycle the point was taken at.
+func (p Point) Cycle() int64 {
+	if p.State == nil {
+		return 0
+	}
+	return p.State.CycleOffset
+}
+
+// Runner runs attempts of one job.
+type Runner struct {
+	Prog   *asm.Program
+	Config config.Config
+	// CheckpointEvery stops each segment at the first quiescent point after
+	// this many cluster cycles (0 = only requested checkpoints stop it).
+	CheckpointEvery int64
+
+	// Monitor, when set, receives interval samples from every segment,
+	// labeled Job, every SampleCycles cycles (0 = the metrics default).
+	Monitor      *metrics.Server
+	SampleCycles int64
+	Job          string
+
+	// Started, when set, is called with each segment's simulator before it
+	// runs, so the caller can deliver (RequestCheckpoint) a stop request
+	// that raced with its construction.
+	Started func(*cycle.System)
+	// Checkpointed, when set, is called at every checkpoint stop with the
+	// point just reached. The caller persists it and returns nil to run the
+	// next segment, or an error to end the attempt with that error.
+	Checkpointed func(next Point) error
+}
+
+// Outcome is how one attempt ended.
+type Outcome struct {
+	// Point is the final machine state when Halted. Otherwise it is the
+	// last checkpoint Checkpointed accepted during the attempt (the
+	// attempt's starting point if none): where a retry resumes.
+	Point Point
+	// Halted reports that the program ran to its halt. Not halted with a
+	// nil error means the cycle budget ran out.
+	Halted bool
+	// Cycles is the absolute cycle the attempt stopped at.
+	Cycles int64
+	// Output is everything the job has printed so far, including what a
+	// failed or timed-out segment printed after Point.
+	Output string
+}
+
+// Attempt runs segments from the given point until the program halts, the
+// absolute cycle budget (0 = unlimited) runs out, the simulation fails, or
+// Checkpointed ends it. The error is the simulation's or Checkpointed's.
+func (r *Runner) Attempt(from Point, budget int64) (Outcome, error) {
+	at := from
+	for {
+		segBudget := int64(0)
+		if budget > 0 {
+			if segBudget = budget - at.Cycle(); segBudget <= 0 {
+				return Outcome{Point: at, Cycles: at.Cycle(), Output: at.Output}, nil
+			}
+		}
+		var out bytes.Buffer
+		sys, err := cycle.New(r.Prog, r.Config, &out)
+		if err == nil && at.State != nil {
+			err = sys.RestoreState(at.State)
+		}
+		if err != nil {
+			return Outcome{Point: at, Cycles: at.Cycle(), Output: at.Output}, err
+		}
+		sys.CheckpointEvery(r.CheckpointEvery)
+		if r.Started != nil {
+			r.Started(sys)
+		}
+		var smp *metrics.Sampler
+		if r.Monitor != nil {
+			interval := r.SampleCycles
+			if interval <= 0 {
+				interval = metrics.DefaultSampleCycles
+			}
+			smp = metrics.Attach(sys, interval)
+			smp.SetServer(r.Monitor)
+			smp.SetJob(r.Job)
+		}
+
+		res, err := sys.Run(segBudget)
+		if smp != nil {
+			smp.Finalize(res.Cycles, int64(res.Ticks), sys.Stats, sys.AliveTCUs())
+		}
+		end := Outcome{Point: at, Cycles: res.Cycles, Output: at.Output + out.String()}
+		if err != nil || res.TimedOut {
+			return end, err
+		}
+		reached := Point{State: sys.Capture(), Output: end.Output, Instrs: at.Instrs + res.Instrs}
+		if res.Halted {
+			end.Point, end.Halted = reached, true
+			return end, nil
+		}
+		if r.Checkpointed != nil {
+			if err := r.Checkpointed(reached); err != nil {
+				return end, err
+			}
+		}
+		at = reached
+	}
+}
+
+// Budget is the one backoff rule: the cycle budget (or watchdog window) of
+// retry n is base × backoff^n. A zero base means unlimited and stays zero.
+func Budget(base int64, backoff float64, retry int) int64 {
+	if base <= 0 || retry <= 0 {
+		return base
+	}
+	return int64(float64(base) * math.Pow(backoff, float64(retry)))
+}

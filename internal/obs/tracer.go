@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"xmtgo/internal/sim/trace"
 )
 
 // Span is one timed (or instant) lifecycle event of a service-layer job.
@@ -151,16 +153,7 @@ func jobTid(job string) int {
 // are host nanoseconds rendered as fractional microseconds. Formatting is
 // fixed, so the output is a pure function of the span list.
 func WriteChrome(w io.Writer, spans []Span, dropped uint64) error {
-	ew := &chromeWriter{w: w}
-	ew.printf("{\"traceEvents\":[\n")
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			ew.printf(",\n")
-		}
-		first = false
-		ew.printf(format, args...)
-	}
+	enc := trace.NewChromeEncoder(w)
 
 	// pid 0 = daemon-internal spans (no tenant); tenants follow in order of
 	// first appearance so the mapping is a pure function of the span list.
@@ -191,7 +184,7 @@ func WriteChrome(w io.Writer, spans []Span, dropped uint64) error {
 		if pid == 0 {
 			name = "xmtd"
 		}
-		emit(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":%q}}`, pid, name)
+		enc.Event(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":%q}}`, pid, name)
 	}
 	sort.Slice(threadOrder, func(i, k int) bool {
 		if threadOrder[i].pid != threadOrder[k].pid {
@@ -200,7 +193,7 @@ func WriteChrome(w io.Writer, spans []Span, dropped uint64) error {
 		return threadOrder[i].tid < threadOrder[k].tid
 	})
 	for _, th := range threadOrder {
-		emit(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%q}}`,
+		enc.Event(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%q}}`,
 			th.pid, th.tid, threads[th])
 	}
 
@@ -218,15 +211,14 @@ func WriteChrome(w io.Writer, spans []Span, dropped uint64) error {
 			args += fmt.Sprintf(`,"detail":%q`, s.Detail)
 		}
 		if s.Instant {
-			emit(`{"name":%q,"cat":"lifecycle","ph":"i","ts":%s,"pid":%d,"tid":%d,"s":"t","args":{%s}}`,
+			enc.Event(`{"name":%q,"cat":"lifecycle","ph":"i","ts":%s,"pid":%d,"tid":%d,"s":"t","args":{%s}}`,
 				s.Name, usec(s.StartNs), pid, tid, args)
 			continue
 		}
-		emit(`{"name":%q,"cat":"lifecycle","ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{%s}}`,
+		enc.Event(`{"name":%q,"cat":"lifecycle","ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{%s}}`,
 			s.Name, usec(s.StartNs), usec(s.DurNs), pid, tid, args)
 	}
-	ew.printf("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\"%d\"}}\n", dropped)
-	return ew.err
+	return enc.Close(dropped)
 }
 
 // usec renders nanoseconds as microseconds with nanosecond precision
@@ -237,16 +229,4 @@ func usec(ns int64) string {
 		neg, ns = "-", -ns
 	}
 	return fmt.Sprintf("%s%d.%03d", neg, ns/1000, ns%1000)
-}
-
-type chromeWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *chromeWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
 }

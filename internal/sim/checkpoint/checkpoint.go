@@ -17,8 +17,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"os"
 
 	"xmtgo/internal/asm"
+	"xmtgo/internal/atomicfile"
 	"xmtgo/internal/isa"
 	"xmtgo/internal/sim/funcmodel"
 )
@@ -132,4 +134,30 @@ func Load(r io.Reader) (*State, error) {
 		return nil, fmt.Errorf("checkpoint: %v", err)
 	}
 	return &st, nil
+}
+
+// SaveFile writes a checkpoint file atomically and durably (fsync'd temp +
+// rename + directory sync, internal/atomicfile): a crash, a power loss or a
+// second signal at any instant leaves either the previous checkpoint or the
+// new one, never a torn file.
+func SaveFile(path string, st *State) error {
+	return atomicfile.WriteFunc(path, 0o644, func(w io.Writer) error {
+		return Save(w, st)
+	})
+}
+
+// LoadFile reads a checkpoint file written by SaveFile. A missing file is
+// reported as the os error (errors.Is(err, fs.ErrNotExist)), so callers for
+// which "no checkpoint yet" means "from the start" can tell it apart.
+func LoadFile(path string) (*State, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := Load(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return st, nil
 }

@@ -8,6 +8,10 @@ import (
 	"xmtgo/internal/sim/trace"
 )
 
+// DefaultSampleCycles is the sampler period used when live serving needs a
+// publish cadence and the configuration names none.
+const DefaultSampleCycles = 10000
+
 // Sampler is the deterministic interval sampler: an activity plug-in
 // (paper §III-B / Fig. 3) that reads the counters every Interval cluster
 // cycles — at a point where every outbox of the sample tick has committed,

@@ -193,24 +193,15 @@ func (m ChromeMeta) pidTid(ctx int32) (int, int) {
 // events are written in log order with fixed formatting, so traces from
 // different host worker counts compare equal byte-for-byte.
 func (l *EventLog) WriteChrome(w io.Writer, meta ChromeMeta) error {
-	bw := newErrWriter(w)
-	bw.printf("{\"traceEvents\":[\n")
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			bw.printf(",\n")
-		}
-		first = false
-		bw.printf(format, args...)
-	}
+	enc := NewChromeEncoder(w)
 
 	// Metadata: name the master and cluster tracks.
-	emit(`{"name":"process_name","ph":"M","pid":0,"args":{"name":"master+memory"}}`)
-	emit(`{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"master-tcu"}}`)
+	enc.Event(`{"name":"process_name","ph":"M","pid":0,"args":{"name":"master+memory"}}`)
+	enc.Event(`{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"master-tcu"}}`)
 	for c := 0; c < meta.Clusters; c++ {
-		emit(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":"cluster %d"}}`, c+1, c)
+		enc.Event(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":"cluster %d"}}`, c+1, c)
 		for t := 0; t < meta.TCUsPerCluster; t++ {
-			emit(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"tcu %d"}}`,
+			enc.Event(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"tcu %d"}}`,
 				c+1, t, c*meta.TCUsPerCluster+t)
 		}
 	}
@@ -219,50 +210,74 @@ func (l *EventLog) WriteChrome(w io.Writer, meta ChromeMeta) error {
 		e := &l.Events[i]
 		switch e.Kind {
 		case EvQueueDepth:
-			emit(`{"name":"cacheq%d","ph":"C","ts":%d,"pid":0,"args":{"depth":%d}}`,
+			enc.Event(`{"name":"cacheq%d","ph":"C","ts":%d,"pid":0,"args":{"depth":%d}}`,
 				e.Ctx, e.TS, e.Arg)
 		case EvInstr:
 			pid, tid := meta.pidTid(e.Ctx)
-			emit(`{"name":"%s","cat":"instr","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{"pc":%d,"line":%d}}`,
+			enc.Event(`{"name":"%s","cat":"instr","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{"pc":%d,"line":%d}}`,
 				e.Op.Meta().Name, e.TS, e.Dur, pid, tid, e.PC, e.Arg)
 		case EvSpawn:
-			emit(`{"name":"spawn","cat":"spawn","ph":"X","ts":%d,"dur":%d,"pid":0,"tid":0,"args":{"vthreads":%d}}`,
+			enc.Event(`{"name":"spawn","cat":"spawn","ph":"X","ts":%d,"dur":%d,"pid":0,"tid":0,"args":{"vthreads":%d}}`,
 				e.TS, e.Dur, e.Arg)
 		case EvFault:
 			pid, tid := meta.pidTid(e.Ctx)
-			emit(`{"name":"fault","cat":"fault","ph":"i","ts":%d,"pid":%d,"tid":%d,"s":"g","args":{"kind":%d}}`,
+			enc.Event(`{"name":"fault","cat":"fault","ph":"i","ts":%d,"pid":%d,"tid":%d,"s":"g","args":{"kind":%d}}`,
 				e.TS, pid, tid, e.Arg)
 		case EvDecommission:
 			pid, tid := meta.pidTid(e.Ctx)
-			emit(`{"name":"decommission","cat":"fault","ph":"i","ts":%d,"pid":%d,"tid":%d,"s":"p","args":{"tcu":%d}}`,
+			enc.Event(`{"name":"decommission","cat":"fault","ph":"i","ts":%d,"pid":%d,"tid":%d,"s":"p","args":{"tcu":%d}}`,
 				e.TS, pid, tid, e.Ctx)
 		case EvRedispatch:
 			pid, tid := meta.pidTid(e.Ctx)
-			emit(`{"name":"redispatch","cat":"fault","ph":"i","ts":%d,"pid":%d,"tid":%d,"s":"t","args":{"latency":%d}}`,
+			enc.Event(`{"name":"redispatch","cat":"fault","ph":"i","ts":%d,"pid":%d,"tid":%d,"s":"t","args":{"latency":%d}}`,
 				e.TS, pid, tid, e.Arg)
 		case EvRace:
 			pid, tid := meta.pidTid(e.Ctx)
-			emit(`{"name":"race","cat":"race","ph":"i","ts":%d,"pid":%d,"tid":%d,"s":"g","args":{"write_line":%d,"other_line":%d}}`,
+			enc.Event(`{"name":"race","cat":"race","ph":"i","ts":%d,"pid":%d,"tid":%d,"s":"g","args":{"write_line":%d,"other_line":%d}}`,
 				e.TS, pid, tid, e.PC, e.Arg)
 		default: // wait spans
 			pid, tid := meta.pidTid(e.Ctx)
-			emit(`{"name":"%s","cat":"wait","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{"pc":%d,"op":"%s"}}`,
+			enc.Event(`{"name":"%s","cat":"wait","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{"pc":%d,"op":"%s"}}`,
 				e.Kind, e.TS, e.Dur, pid, tid, e.PC, e.Op.Meta().Name)
 		}
 	}
-	bw.printf("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\"%d\"}}\n", l.Dropped)
-	return bw.err
+	return enc.Close(l.Dropped)
 }
 
-// errWriter folds the repetitive error handling of sequential writes.
-type errWriter struct {
-	w   io.Writer
-	err error
+// ChromeEncoder writes the framing every Chrome trace-event document in the
+// toolchain shares ("traceEvents" array format): the header, one event per
+// line joined by commas, and the footer carrying displayTimeUnit and the
+// count of events the source ring dropped. The first write error sticks and
+// is returned by Close, so callers emit without checking.
+type ChromeEncoder struct {
+	w      io.Writer
+	err    error
+	events int
 }
 
-func newErrWriter(w io.Writer) *errWriter { return &errWriter{w: w} }
+// NewChromeEncoder starts a document on w.
+func NewChromeEncoder(w io.Writer) *ChromeEncoder {
+	e := &ChromeEncoder{w: w}
+	e.printf("{\"traceEvents\":[\n")
+	return e
+}
 
-func (e *errWriter) printf(format string, args ...any) {
+// Event appends one event object, formatted by the caller.
+func (e *ChromeEncoder) Event(format string, args ...any) {
+	if e.events > 0 {
+		e.printf(",\n")
+	}
+	e.events++
+	e.printf(format, args...)
+}
+
+// Close ends the document and reports the first error of any write.
+func (e *ChromeEncoder) Close(dropped uint64) error {
+	e.printf("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\"%d\"}}\n", dropped)
+	return e.err
+}
+
+func (e *ChromeEncoder) printf(format string, args ...any) {
 	if e.err != nil {
 		return
 	}

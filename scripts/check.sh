@@ -53,6 +53,14 @@ echo "== go test -race (simulator core + host-parallel determinism)"
 go test -race ./internal/sim/engine ./internal/sim/cycle ./internal/sim/funcmodel
 go test -race -run TestHostParallelDeterminism .
 
+echo "== go test -race (job execution: runner, batch, daemon stop/recovery paths)"
+# The runner's hooks are where other goroutines reach into a running job:
+# signal handlers (batch.Interrupt), and the daemon's preempt, cancel, drain
+# and crash paths, which request a checkpoint on a simulator a worker is
+# ticking. The rest of the daemon suite adds time, not shared state.
+go test -race ./internal/jobrun ./internal/batch
+go test -race -timeout 300s -run 'TestDaemonPreemptResumeBitIdentical|TestDaemonCancelPaths|TestDaemonDrainAndResume|TestDaemonCrashRecovery' ./internal/daemon
+
 echo "== lookahead gate (window determinism matrix + rollback sanity)"
 # The bounded-lookahead engine must be architecturally invisible: byte-
 # identical artifacts across host_workers {1,2,4} x lookahead {1, 3,
