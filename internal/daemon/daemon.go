@@ -1,10 +1,8 @@
 package daemon
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
 	"net"
@@ -15,11 +13,9 @@ import (
 	"time"
 
 	"xmtgo/internal/asm"
-	"xmtgo/internal/atomicfile"
 	"xmtgo/internal/config"
 	"xmtgo/internal/jobrun"
 	"xmtgo/internal/obs"
-	"xmtgo/internal/sim/checkpoint"
 	"xmtgo/internal/sim/cycle"
 	"xmtgo/internal/sim/metrics"
 )
@@ -76,14 +72,6 @@ type Options struct {
 	TraceCapacity int
 	LogCapacity   int
 }
-
-// sentinel outcomes of one attempt's segment loop.
-var (
-	errPreempted = errors.New("daemon: preempted")
-	errDrained   = errors.New("daemon: drained")
-	errCanceled  = errors.New("daemon: canceled")
-	errAborted   = errors.New("daemon: aborted")
-)
 
 // job is the daemon-internal job state. Mutable fields are guarded by
 // Daemon.mu except where noted.
@@ -756,303 +744,6 @@ func (d *Daemon) suspend(j *job) {
 	j.submittedNs = d.obs.tracer.Now()
 	d.queue.push(j)
 	d.publishLocked()
-}
-
-// envelope is the per-job checkpoint sidecar (<id>.ckpt): the simulator
-// checkpoint plus the output and the instruction count accumulated up to
-// it — a jobrun.Point on disk — so a resumed job's final output and Instrs
-// are identical to an uninterrupted run's. (Envelopes written before Instrs
-// existed decode with 0: such a job under-reports, as every resumed job
-// used to.)
-type envelope struct {
-	Ckpt   []byte // checkpoint.Save bytes (self-versioned)
-	Output string
-	Instrs uint64
-}
-
-func (d *Daemon) envPath(j *job) string {
-	return filepath.Join(d.opts.DataDir, j.id+".ckpt")
-}
-
-func (d *Daemon) saveEnvelope(j *job, rp jobrun.Point) error {
-	var buf bytes.Buffer
-	if err := checkpoint.Save(&buf, rp.State); err != nil {
-		return err
-	}
-	return atomicfile.WriteFunc(d.envPath(j), 0o644, func(w io.Writer) error {
-		return gobEncode(w, &envelope{Ckpt: buf.Bytes(), Output: rp.Output, Instrs: rp.Instrs})
-	})
-}
-
-// loadEnvelope returns the job's last persisted point, the zero Point
-// ("from the start") when it has none.
-func (d *Daemon) loadEnvelope(j *job) (jobrun.Point, error) {
-	f, err := os.Open(d.envPath(j))
-	if os.IsNotExist(err) {
-		return jobrun.Point{}, nil
-	}
-	if err != nil {
-		return jobrun.Point{}, err
-	}
-	defer f.Close()
-	var env envelope
-	if err := gobDecode(f, &env); err != nil {
-		return jobrun.Point{}, fmt.Errorf("daemon: envelope %s: %v", d.envPath(j), err)
-	}
-	st, err := checkpoint.Load(bytes.NewReader(env.Ckpt))
-	if err != nil {
-		return jobrun.Point{}, err
-	}
-	return jobrun.Point{State: st, Output: env.Output, Instrs: env.Instrs}, nil
-}
-
-// attempt is what the runner hooks need to know about the attempt they
-// serve.
-type attempt struct {
-	n     int   // attempt number, for spans, logs and diagnostics
-	start int64 // tracer clock at attempt start
-	ttfs  bool  // time-to-first-sample already observed
-}
-
-// observeTTFS records worker start -> the attempt's first observable sample
-// (first persisted checkpoint, or completion when the run never
-// checkpoints): how long a client waits before progress is visible.
-func (d *Daemon) observeTTFS(a *attempt) {
-	if !a.ttfs {
-		a.ttfs = true
-		d.obs.hists.Observe(obs.HistTTFS, d.obs.tracer.Now()-a.start)
-	}
-}
-
-// runJob drives one job from its current checkpoint (if any) to a terminal
-// state, a preemption/drain yield, or its retry bound. The segment loop is
-// jobrun's; the daemon's part is the durability policy (envelope, then the
-// journal record as the commit point), the stop requests, and the
-// observability around each attempt.
-func (d *Daemon) runJob(j *job) {
-	tenant := tenantOf(&j.spec)
-	rp, err := d.loadEnvelope(j)
-	if err != nil {
-		d.appendT(Record{Kind: RecFail, ID: j.id, Reason: err.Error()}, tenant)
-		d.terminal(j, StateFailed, &JobResult{Err: err.Error()})
-		d.obs.tracer.Instant(j.id, tenant, "fail", j.attempt)
-		j.log.Error("envelope load failed", "op", "run", "err", err.Error())
-		return
-	}
-
-	cfg := d.opts.Config
-	for _, kv := range j.spec.Sets {
-		_ = cfg.Set(kv) // validated at submit
-	}
-	base := j.spec.BudgetCycles
-	if base == 0 {
-		base = d.opts.BudgetCycles
-	}
-	deadline := j.spec.DeadlineCycles
-
-	var att attempt
-	run := jobrun.Runner{
-		Prog:            j.prog,
-		Config:          cfg,
-		CheckpointEvery: d.opts.CheckpointEvery,
-		Monitor:         d.opts.Monitor,
-		SampleCycles:    d.opts.SampleCycles,
-		Job:             j.id,
-		// Expose the system for preemption/cancel; deliver requests that
-		// raced with construction.
-		Started: func(sys *cycle.System) {
-			d.mu.Lock()
-			j.sys = sys
-			if j.preemptReq || j.cancelReq || j.drainReq || d.aborted.Load() {
-				sys.RequestCheckpoint()
-			}
-			d.mu.Unlock()
-		},
-		Checkpointed: func(next jobrun.Point) error { return d.checkpointed(j, &att, next) },
-	}
-
-	for retries := 0; ; retries++ {
-		budget := jobrun.Budget(base, d.opts.Backoff, retries)
-		if deadline > 0 && (budget <= 0 || budget > deadline) {
-			budget = deadline
-		}
-		// A watchdog trip retries with a wider no-retire window too: the
-		// hang may have been a configuration artifact, and the budget alone
-		// cannot help if the watchdog re-trips first.
-		run.Config.WatchdogCycles = jobrun.Budget(cfg.WatchdogCycles, d.opts.Backoff, retries)
-
-		d.mu.Lock()
-		j.attempt++
-		j.budget = budget
-		resumed := rp.State != nil
-		if resumed {
-			j.resumes++
-		}
-		att = attempt{n: j.attempt}
-		d.mu.Unlock()
-		att.start = d.obs.tracer.Now()
-		if j.retryNs > 0 {
-			d.obs.hists.Observe(obs.HistRetryBackoff, att.start-j.retryNs)
-			j.retryNs = 0
-		}
-		if resumed {
-			d.obs.tracer.Instant(j.id, tenant, "resume", att.n)
-		}
-		if _, err := d.appendT(Record{Kind: RecStart, ID: j.id, Attempt: att.n}, tenant); err != nil {
-			d.terminal(j, StateFailed, &JobResult{Err: fmt.Sprintf("journal: %v", err)})
-			d.obs.tracer.Instant(j.id, tenant, "fail", att.n)
-			return
-		}
-		j.log.Info("attempt started", "op", "run", "attempt", att.n,
-			"budget", budget, "resumed", resumed)
-
-		out, err := run.Attempt(rp, budget)
-		if out.Halted {
-			d.observeTTFS(&att)
-		}
-		d.obs.tracer.Add(obs.Span{Job: j.id, Tenant: tenant, Name: "run",
-			StartNs: att.start, DurNs: d.obs.tracer.Now() - att.start,
-			Attempt: att.n, Priority: j.spec.Priority, Detail: outcomeOf(out.Halted, err)})
-		switch {
-		case errors.Is(err, errAborted):
-			return // simulated crash: leave no clean trace
-		case errors.Is(err, errCanceled):
-			d.appendT(Record{Kind: RecCancel, ID: j.id}, tenant)
-			d.terminal(j, StateCanceled, &JobResult{Cycles: out.Cycles, Output: out.Output, Err: "canceled"})
-			d.obs.tracer.Instant(j.id, tenant, "cancel", att.n)
-			j.log.Info("canceled", "op", "run", "attempt", att.n, "cycle", out.Cycles)
-			return
-		case errors.Is(err, errPreempted):
-			d.appendT(Record{Kind: RecPreempt, ID: j.id, Cycle: out.Cycles, Reason: "preempt"}, tenant)
-			d.requeue(j)
-			j.log.Info("preempted", "op", "run", "attempt", att.n, "cycle", out.Cycles)
-			return
-		case errors.Is(err, errDrained):
-			d.appendT(Record{Kind: RecPreempt, ID: j.id, Cycle: out.Cycles, Reason: "drain"}, tenant)
-			d.suspend(j)
-			j.log.Info("suspended for drain", "op", "run", "attempt", att.n, "cycle", out.Cycles)
-			return
-		case out.Halted:
-			res := &JobResult{
-				Cycles:  out.Cycles,
-				Instrs:  out.Point.Instrs,
-				Output:  out.Output,
-				MemHash: memHash(out.Point.State, out.Output),
-			}
-			d.appendT(Record{Kind: RecDone, ID: j.id, Result: res}, tenant)
-			d.terminal(j, StateDone, res)
-			d.obs.tracer.Instant(j.id, tenant, "done", att.n)
-			j.log.Info("done", "op", "run", "attempt", att.n,
-				"cycles", res.Cycles, "instrs", res.Instrs)
-			return
-		}
-
-		// Failure or timeout: build the structured diagnostic, decide
-		// whether to retry from the last checkpoint.
-		final := retries >= d.opts.Retries
-		var diag string
-		switch {
-		case err != nil:
-			diag = err.Error()
-		case deadline > 0 && out.Cycles >= deadline:
-			diag = fmt.Sprintf("deadline_cycles %d reached at cycle %d (attempt %d)", deadline, out.Cycles, att.n)
-			final = true
-		default:
-			diag = fmt.Sprintf("cycle budget %d exhausted at cycle %d (attempt %d)", budget, out.Cycles, att.n)
-		}
-		if final {
-			d.appendT(Record{Kind: RecFail, ID: j.id, Reason: diag}, tenant)
-			d.terminal(j, StateFailed, &JobResult{Cycles: out.Cycles, Output: out.Output, Err: diag})
-			d.obs.tracer.Instant(j.id, tenant, "fail", att.n)
-			j.log.Warn("failed", "op", "run", "attempt", att.n, "err", diag)
-			return
-		}
-		j.retryNs = d.obs.tracer.Now()
-		d.mu.Lock()
-		d.retries++
-		d.mu.Unlock()
-		j.log.Warn("attempt failed; retrying", "op", "run", "attempt", att.n, "err", diag)
-		rp = out.Point // the last checkpoint this attempt committed
-	}
-}
-
-// outcomeOf classifies one attempt's outcome for the run span's detail arg.
-func outcomeOf(halted bool, err error) string {
-	switch {
-	case errors.Is(err, errAborted):
-		return "abort"
-	case errors.Is(err, errCanceled):
-		return "cancel"
-	case errors.Is(err, errPreempted):
-		return "preempt"
-	case errors.Is(err, errDrained):
-		return "drain"
-	case err != nil:
-		return "error"
-	case halted:
-		return "done"
-	default:
-		return "timeout"
-	}
-}
-
-// checkpointed is the runner's checkpoint hook: persist the envelope,
-// commit it with the journal record, then honor a pending
-// cancel/drain/preempt request by ending the attempt with its sentinel. A
-// crash may land anywhere in here; every ordering is recoverable because
-// the envelope write is atomic and the journal append is the commit point.
-func (d *Daemon) checkpointed(j *job, att *attempt, next jobrun.Point) error {
-	tenant := tenantOf(&j.spec)
-	if d.aborted.Load() {
-		return errAborted
-	}
-	ckptStart := d.obs.tracer.Now()
-	if err := d.saveEnvelope(j, next); err != nil {
-		return err
-	}
-	ckptDur := d.obs.tracer.Now() - ckptStart
-	d.obs.hists.Observe(obs.HistCkptWrite, ckptDur)
-	d.obs.tracer.Add(obs.Span{Job: j.id, Tenant: tenant, Name: "checkpoint-write",
-		StartNs: ckptStart, DurNs: ckptDur, Attempt: att.n})
-	if d.aborted.Load() {
-		return errAborted
-	}
-	if _, err := d.appendT(Record{Kind: RecCkpt, ID: j.id, Cycle: next.Cycle()}, tenant); err != nil {
-		return err
-	}
-	d.observeTTFS(att)
-	j.log.Debug("checkpoint", "op", "ckpt", "attempt", att.n, "cycle", next.Cycle())
-
-	d.mu.Lock()
-	j.cycles = next.Cycle()
-	cancel, drain, preempt := j.cancelReq, j.drainReq, j.preemptReq
-	stopping := d.stopWorkers
-	d.publishLocked()
-	d.mu.Unlock()
-	switch {
-	case cancel:
-		return errCanceled
-	case drain || (stopping && d.draining):
-		return errDrained
-	case preempt:
-		return errPreempted
-	}
-	return nil
-}
-
-// memHash fingerprints the final architectural state: FNV-1a over shared
-// memory, the global registers and the program output. Two runs with equal
-// hashes ended bit-identical for every architecturally visible artifact.
-func memHash(st *checkpoint.State, output string) string {
-	h := fnv.New64a()
-	h.Write(st.Mem)
-	var b [4]byte
-	for _, g := range st.G {
-		b[0], b[1], b[2], b[3] = byte(g), byte(g>>8), byte(g>>16), byte(g>>24)
-		h.Write(b[:])
-	}
-	io.WriteString(h, output)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Serve accepts connections on ln and speaks the xmt-jobs/v1 line protocol
