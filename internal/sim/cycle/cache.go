@@ -58,7 +58,24 @@ func (cm *CacheModule) accept(p *Package) bool {
 		cm.head = 0
 	}
 	cm.serviceQ = append(cm.serviceQ, p)
+	cm.sys.cacheActive.set(cm.id)
 	return true
+}
+
+// tickCaches is the cache clock domain's one Cycler: it ticks the modules
+// that hold requests (cacheActive), in index order — service order is memory
+// order — and drops a module once its Tick reports an empty queue. A stalled
+// module (CacheStall) reports busy, so it stays and resumes at stalledUntil.
+func (s *System) tickCaches(cycle int64, now engine.Time) bool {
+	busy := false
+	for m := s.cacheActive.next(0); m >= 0; m = s.cacheActive.next(m + 1) {
+		if s.modules[m].Tick(cycle, now) {
+			busy = true
+		} else {
+			s.cacheActive.clear(m)
+		}
+	}
+	return busy
 }
 
 // Tick serves one request per cache cycle (pipelined service: one dequeue

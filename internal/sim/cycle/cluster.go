@@ -108,7 +108,7 @@ type Cluster struct {
 	// compute phase; System.route frees a package after its delivery
 	// commits. The two never overlap in time (deliveries are scheduler
 	// events, the compute phase runs between them), so no locking is needed.
-	pkgFree []*Package
+	pkgFree pkgPool
 }
 
 func newCluster(sys *System, id int) *Cluster {
@@ -246,25 +246,6 @@ func (c *Cluster) acquire(unit isa.Unit, cycle, latency int64) (int64, bool) {
 	return 0, false
 }
 
-// allocPkg takes a Package from the cluster freelist (or allocates one).
-// Compute-phase only; the matching free happens in System.route after the
-// package's delivery commits.
-func (c *Cluster) allocPkg() *Package {
-	if n := len(c.pkgFree); n > 0 {
-		p := c.pkgFree[n-1]
-		c.pkgFree[n-1] = nil
-		c.pkgFree = c.pkgFree[:n-1]
-		return p
-	}
-	return new(Package)
-}
-
-// freePkg returns a delivered (or never-escaped) package to the freelist.
-func (c *Cluster) freePkg(p *Package) {
-	*p = Package{}
-	c.pkgFree = append(c.pkgFree, p)
-}
-
 // Commit drains the whole outbox — the serial phase of a single-cycle
 // cluster tick (engine.ShardCycler). Records replay in the exact order the
 // compute phase produced them, and clusters commit in cluster-id order, so
@@ -323,6 +304,7 @@ func (c *Cluster) replay(rlo, rhi, hhi, elo, ehi int32, now engine.Time) {
 				s.halt()
 			}
 		case obWakeICN:
+			s.icn.ports.set(c.id)
 			s.wakeICN(now)
 		case obAsync:
 			s.scheduleAsyncDeliver(r.pkg, r.at)

@@ -68,8 +68,9 @@ func TestArchitectureInventory(t *testing.T) {
 	if sys.icn == nil || sys.ps == nil || sys.spawn == nil || sys.master == nil {
 		t.Fatal("missing components")
 	}
-	// Macro-actor grouping: all clusters in one actor, all modules in one.
-	if sys.clusterMA.Len() != cfg.Clusters || sys.cacheMA.Len() != cfg.CacheModules {
+	// Macro-actor grouping: all clusters in one actor, all modules behind
+	// one (the cache domain's single Cycler walks its active set).
+	if sys.clusterMA.Len() != cfg.Clusters || sys.cacheMA.Len() != 1 || len(sys.cacheActive)*64 < cfg.CacheModules {
 		t.Fatal("macro-actor grouping wrong")
 	}
 }

@@ -6,10 +6,14 @@ import (
 
 // ICN models the high-throughput mesh-of-trees interconnection network
 // between clusters (plus the Master TCU's dedicated send path) and the
-// shared cache modules. It is implemented as a macro-actor — exactly the
-// case the paper singles out (§III-D): the network touches every cluster
-// every cycle, so per-component events would cross the scheduling-overhead
-// threshold; instead one actor iterates all ports per ICN cycle.
+// shared cache modules. It is implemented as a macro-actor — the case the
+// paper singles out (§III-D): under parallel traffic the network touches
+// every cluster every cycle, so per-component events would cross the
+// scheduling-overhead threshold, and one actor handles all ports in one
+// event per ICN cycle. Unlike the paper's poll-all macro-actor it visits
+// only the ports that hold work (ports, arriving): in a serial section one
+// of 129 ports is busy, and a scan of the rest was the largest line of the
+// serial-memory profile (docs/PERF.md §Activity-proportional memory system).
 //
 // Timing model (transaction level): a package injected at cycle T arrives
 // at its cache module's input after the base traversal latency; each
@@ -23,6 +27,13 @@ type ICN struct {
 	// arrival[m] holds packages in flight to module m with their earliest
 	// acceptance time.
 	arrival [][]arrivalPkt
+
+	// ports holds the injection ports whose send queue may be non-empty
+	// (cluster i is port i, the master the last), arriving the modules with
+	// packages in arrival. A port enters where its queue grows on the serial
+	// side (the obWakeICN replay, Master.send), a module in inject.
+	ports    activeSet
+	arriving activeSet
 
 	hopsPerTraversal int
 }
@@ -41,6 +52,8 @@ func newICN(sys *System) *ICN {
 	return &ICN{
 		sys:              sys,
 		arrival:          make([][]arrivalPkt, sys.Cfg.CacheModules),
+		ports:            newActiveSet(sys.Cfg.Clusters + 1),
+		arriving:         newActiveSet(sys.Cfg.CacheModules),
 		hopsPerTraversal: depth,
 	}
 }
@@ -105,65 +118,69 @@ func (s *System) returnLatency() engine.Time {
 	return s.Cfg.ICNBaseLatency * s.Cfg.ICNPeriod
 }
 
-// Tick drains cluster and master injection queues and feeds module queues.
-func (n *ICN) Tick(cycle int64, now engine.Time) bool {
+// inject moves up to ICNInjectPerCyc packages from one port's send queue
+// into the network and reports whether the queue still holds packages.
+func (n *ICN) inject(q *[]*Package, now engine.Time) bool {
 	cfg := n.sys.Cfg
 	latency := cfg.ICNBaseLatency * cfg.ICNPeriod
-	busy := false
-
 	inj := n.sys.injector
-	inject := func(q *[]*Package, budget int) {
-		qq := *q
-		k := 0
-		for k < budget && k < len(qq) {
-			p := qq[k]
-			k++
-			n.sys.Stats.ICNTraversals++
-			n.sys.Stats.ICNHops += uint64(n.hopsPerTraversal)
-			p.Hops += n.hopsPerTraversal
-			ready := now + latency
-			ghost := false
-			if inj != nil && len(inj.icnArmed) > 0 {
-				// The ICN macro-actor is serial: consuming the armed-fault
-				// queue here keeps faulty runs deterministic.
-				ready, ghost = inj.syncICNFault(ready, latency)
-			}
-			n.arrival[p.Module] = append(n.arrival[p.Module], arrivalPkt{p: p, ready: ready})
-			if ghost {
-				n.arrival[p.Module] = append(n.arrival[p.Module], arrivalPkt{p: p, ready: ready, ghost: true})
-			}
+	qq := *q
+	k := 0
+	for k < cfg.ICNInjectPerCyc && k < len(qq) {
+		p := qq[k]
+		k++
+		n.sys.Stats.ICNTraversals++
+		n.sys.Stats.ICNHops += uint64(n.hopsPerTraversal)
+		p.Hops += n.hopsPerTraversal
+		ready := now + latency
+		ghost := false
+		if inj != nil && len(inj.icnArmed) > 0 {
+			// The ICN macro-actor is serial: consuming the armed-fault
+			// queue here keeps faulty runs deterministic.
+			ready, ghost = inj.syncICNFault(ready, latency)
 		}
-		if k > 0 {
-			// Shift the remainder down in place: slicing the head off
-			// (q = q[1:]) would strand the backing array and force the
-			// sender to reallocate on every append.
-			rest := copy(qq, qq[k:])
-			for i := rest; i < len(qq); i++ {
-				qq[i] = nil
-			}
-			*q = qq[:rest]
+		n.arriving.set(p.Module)
+		n.arrival[p.Module] = append(n.arrival[p.Module], arrivalPkt{p: p, ready: ready})
+		if ghost {
+			n.arrival[p.Module] = append(n.arrival[p.Module], arrivalPkt{p: p, ready: ready, ghost: true})
 		}
 	}
-	for _, c := range n.sys.clusters {
-		inject(&c.sendQ, cfg.ICNInjectPerCyc)
-		if len(c.sendQ) > 0 {
+	if k > 0 {
+		// Shift the remainder down in place: slicing the head off
+		// (q = q[1:]) would strand the backing array and force the
+		// sender to reallocate on every append.
+		rest := copy(qq, qq[k:])
+		for i := rest; i < len(qq); i++ {
+			qq[i] = nil
+		}
+		*q = qq[:rest]
+	}
+	return len(*q) > 0
+}
+
+// Tick drains the active injection ports and feeds module queues.
+func (n *ICN) Tick(cycle int64, now engine.Time) bool {
+	cfg := n.sys.Cfg
+	busy := false
+	clusters := n.sys.clusters
+	for i := n.ports.next(0); i >= 0; i = n.ports.next(i + 1) {
+		q := &n.sys.master.sendQ
+		if i < len(clusters) {
+			q = &clusters[i].sendQ
+		}
+		if n.inject(q, now) {
 			busy = true
+		} else {
+			n.ports.clear(i)
 		}
-	}
-	inject(&n.sys.master.sendQ, cfg.ICNInjectPerCyc)
-	if len(n.sys.master.sendQ) > 0 {
-		busy = true
 	}
 
 	// Hand arrived packages to the modules, honoring their accept rate and
 	// service-queue capacity. earliest/blocked drive the idle-skip below.
 	earliest := engine.MaxTime
 	blocked := false
-	for m := range n.arrival {
+	for m := n.arriving.next(0); m >= 0; m = n.arriving.next(m + 1) {
 		q := n.arrival[m]
-		if len(q) == 0 {
-			continue
-		}
 		mod := n.sys.modules[m]
 		accepted := 0
 		i := 0
@@ -184,9 +201,13 @@ func (n *ICN) Tick(cycle int64, now engine.Time) bool {
 			accepted++
 		}
 		if i > 0 {
-			n.arrival[m] = append(q[:0], q[i:]...)
+			q = append(q[:0], q[i:]...)
+			n.arrival[m] = q
 		}
-		for _, a := range n.arrival[m] {
+		if len(q) == 0 {
+			n.arriving.clear(m)
+		}
+		for _, a := range q {
 			if a.ready <= now {
 				// Deferred by the accept budget or module backpressure:
 				// must retry next cycle.

@@ -45,6 +45,12 @@ type Master struct {
 
 	cache *tagArray
 	sendQ []*Package
+	// pkgFree recycles the master's shadow packages; System.route frees one
+	// after Master.deliver returns. The cluster pools' aliasing hazard (a
+	// restored pendingSend pointing at a recycled package, Cluster.Rollback)
+	// does not exist here: the master keeps no pointer to a sent package and
+	// never rolls back.
+	pkgFree pkgPool
 
 	bcastMask uint32
 	bcastRegs [isa.NumRegs]int32
@@ -232,7 +238,7 @@ func (mt *Master) issue(cycle int64, now engine.Time) bool {
 		if err != nil {
 			return fail(err)
 		}
-		if !mt.send(&Package{Kind: PkgPsm, In: in, Cluster: -1, Addr: addr, Data: old, Issued: now, Shadow: true}) {
+		if !mt.send(PkgPsm, in, addr, old, now) {
 			// Could not inject: undo and retry next cycle.
 			if _, uerr := m.Psm(addr, -mt.ctx.Reg[r.Rd&31]); uerr != nil {
 				return fail(uerr)
@@ -262,7 +268,7 @@ func (mt *Master) issue(cycle int64, now engine.Time) bool {
 			count()
 			return false
 		}
-		if !mt.send(&Package{Kind: PkgLoad, In: in, Cluster: -1, Addr: addr, Data: v, Issued: now, Shadow: true}) {
+		if !mt.send(PkgLoad, in, addr, v, now) {
 			mt.ctx.PC = pc
 			return false
 		}
@@ -274,8 +280,7 @@ func (mt *Master) issue(cycle int64, now engine.Time) bool {
 	case funcvm.ClsStore, funcvm.ClsStoreNB: // sw, sb, sw.nb: posted through the write buffer
 		addr := m.EffAddr(&mt.ctx, r.Rs, r.Imm)
 		data := mt.ctx.Reg[r.Rd&31]
-		p := &Package{Kind: PkgStoreNB, In: in, Cluster: -1, Addr: addr, Data: data, Issued: now, Shadow: true}
-		if !mt.send(p) {
+		if !mt.send(PkgStoreNB, in, addr, data, now) {
 			mt.ctx.PC = pc
 			return false
 		}
@@ -370,25 +375,32 @@ func (mt *Master) memUnblocked(now engine.Time) {
 	}
 }
 
-// send enqueues a shadow package on the master's dedicated ICN path.
-func (mt *Master) send(p *Package) bool {
-	p.Module = mt.sys.moduleOf(p.Addr)
-	if mt.sys.Cfg.ICNAsync {
-		now := mt.sys.Sched.Now()
-		port := len(mt.sys.clusters) // the master's own injection port
-		if mt.sys.asyncPortFree[port] > now+8*mt.sys.Cfg.ICNAsyncGapTicks {
-			mt.sys.Stats.MasterSendStalls++
+// send enqueues a shadow package on the master's dedicated ICN path, or
+// reports backpressure. The package is taken from the freelist only once the
+// port has accepted the send, so a refused attempt allocates nothing.
+func (mt *Master) send(kind PkgKind, in *isa.Instr, addr uint32, data int32, issued engine.Time) bool {
+	sys := mt.sys
+	now := sys.Sched.Now()
+	port := len(sys.clusters) // the master's own injection port
+	if sys.Cfg.ICNAsync {
+		if sys.asyncPortFree[port] > now+8*sys.Cfg.ICNAsyncGapTicks {
+			sys.Stats.MasterSendStalls++
 			return false
 		}
-		mt.sys.asyncSend(p, port, now)
-		return true
-	}
-	if len(mt.sendQ) >= 8*mt.sys.Cfg.ICNInjectPerCyc {
-		mt.sys.Stats.MasterSendStalls++
+	} else if len(mt.sendQ) >= 8*sys.Cfg.ICNInjectPerCyc {
+		sys.Stats.MasterSendStalls++
 		return false
 	}
+	p := mt.pkgFree.alloc()
+	*p = Package{Kind: kind, In: in, Cluster: -1, Addr: addr, Data: data,
+		Module: sys.moduleOf(addr), Issued: issued, Shadow: true}
+	if sys.Cfg.ICNAsync {
+		sys.asyncSend(p, port, now)
+		return true
+	}
 	mt.sendQ = append(mt.sendQ, p)
-	mt.sys.wakeICN(mt.sys.Sched.Now())
+	sys.icn.ports.set(port)
+	sys.wakeICN(now)
 	return true
 }
 

@@ -64,3 +64,23 @@ type Package struct {
 func (p *Package) isLoadLike() bool {
 	return p.Kind == PkgLoad || p.Kind == PkgPsm
 }
+
+// pkgPool is a freelist of Packages owned by one sender (a cluster or the
+// master). System.route is the single free point of a package that was sent.
+type pkgPool []*Package
+
+func (f *pkgPool) alloc() *Package {
+	if n := len(*f); n > 0 {
+		p := (*f)[n-1]
+		(*f)[n-1] = nil
+		*f = (*f)[:n-1]
+		return p
+	}
+	return new(Package)
+}
+
+// free returns a delivered (or never-escaped) package to the freelist.
+func (f *pkgPool) free(p *Package) {
+	*p = Package{}
+	*f = append(*f, p)
+}

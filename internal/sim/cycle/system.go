@@ -58,6 +58,9 @@ type System struct {
 	icnMA    *engine.MacroActor
 	cacheMA  *engine.MacroActor
 	masterMA *engine.MacroActor
+	// cacheActive holds the modules whose service queue may be non-empty:
+	// entered in CacheModule.accept, walked by tickCaches, cacheMA's Cycler.
+	cacheActive activeSet
 
 	lineShift uint
 	hashSalt  uint64
@@ -213,10 +216,8 @@ func New(prog *asm.Program, cfg config.Config, out io.Writer) (*System, error) {
 	}
 	s.clusterMA.SetLookahead(deriveLookahead(&cfg), cfg.EngineMode == config.EngineOptimistic)
 	s.icnMA = engine.NewMacroActor("icn", s.Sched, s.icnClock, s.icn)
-	s.cacheMA = engine.NewMacroActor("caches", s.Sched, s.cacheClock)
-	for _, cm := range s.modules {
-		s.cacheMA.Add(cm)
-	}
+	s.cacheActive = newActiveSet(cfg.CacheModules)
+	s.cacheMA = engine.NewMacroActor("caches", s.Sched, s.cacheClock, engine.CyclerFunc(s.tickCaches))
 	s.masterMA = engine.NewMacroActor("master", s.Sched, s.masterClock, s.master)
 
 	s.commitCycle, s.commitNow = -1, -1
@@ -350,18 +351,19 @@ func gcd64(a, b int64) int64 {
 }
 
 // route delivers an expiring package back to its originating context and
-// recycles the package. This is the single free point of the cluster
-// package pools: a package allocated in a cluster's compute phase lives
+// recycles the package. This is the single free point of the package pools:
+// a package allocated by a cluster's compute phase or by Master.send lives
 // until the memory system routes its (possibly in-place mutated) response
-// back here. Master packages are unpooled.
+// back here; nothing downstream of deliver keeps the pointer.
 func (s *System) route(p *Package, now engine.Time) {
 	if p.Cluster < 0 {
 		s.master.deliver(p, now)
+		s.master.pkgFree.free(p)
 		return
 	}
 	c := s.clusters[p.Cluster]
 	c.tcus[p.TCU].deliver(p, now)
-	c.freePkg(p)
+	c.pkgFree.free(p)
 }
 
 // pkgDeliver is a pooled actor that routes one package at its scheduled
@@ -464,9 +466,17 @@ func (s *System) Err() error { return s.err }
 // program waiting on something that can never arrive.
 func (s *System) Run(maxCycles int64) (*Result, error) {
 	defer s.pool.Close() // park worker goroutines between runs (nil-safe)
-	var stopEv *engine.Event
+	s.start(maxCycles)
+	s.Sched.Run()
+	return s.result(maxCycles)
+}
+
+// start arms everything a run needs before the first event: the cycle
+// budget's stop event, the fault plan, the watchdog, the checkpoint cadence,
+// the master's first wake and the activity plug-ins.
+func (s *System) start(maxCycles int64) {
 	if maxCycles > 0 {
-		stopEv = s.Sched.ScheduleStop(s.clusterClock.EdgeAt(maxCycles))
+		s.Sched.ScheduleStop(s.clusterClock.EdgeAt(maxCycles))
 	}
 	if s.injector != nil {
 		s.injector.schedule()
@@ -481,9 +491,10 @@ func (s *System) Run(maxCycles int64) (*Result, error) {
 	for _, pb := range s.plugins {
 		pb.scheduleNext(s, s.Sched.Now())
 	}
-	s.Sched.Run()
-	_ = stopEv
+}
 
+// result drains the trace rings and summarizes the finished run.
+func (s *System) result(maxCycles int64) (*Result, error) {
 	// Events emitted after the last commit (deliveries, final wait spans)
 	// are still sitting in the cluster rings: drain them, in cluster order.
 	if s.evlog != nil {

@@ -365,7 +365,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 			t.blockMem(now, pc)
 			return false
 		}
-		p := c.allocPkg()
+		p := c.pkgFree.alloc()
 		*p = Package{Kind: PkgLoad, In: &c.text[pc], Cluster: c.id, TCU: t.local,
 			Addr: addr, Issued: now}
 		if !c.send(p, now) {
@@ -380,7 +380,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		if r.Class == funcvm.ClsStoreNB {
 			kind = PkgStoreNB
 		}
-		p := c.allocPkg()
+		p := c.pkgFree.alloc()
 		*p = Package{Kind: kind, In: &c.text[pc], Cluster: c.id, TCU: t.local,
 			Addr: m.EffAddr(&t.ctx, r.Rs, r.Imm), Data: t.ctx.Reg[r.Rd&31], Issued: now}
 		if !c.send(p, now) {
@@ -411,12 +411,12 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 			return true
 		}
 		c.ob.stat(&c.sys.Stats.ROMisses, 1)
-		p := c.allocPkg()
+		p := c.pkgFree.alloc()
 		*p = Package{Kind: PkgLoad, In: &c.text[pc], Cluster: c.id, TCU: t.local,
 			Addr: addr, Issued: now}
 		if !c.send(p, now) {
 			// No stash: the RO-cache probe above counts a miss per attempt.
-			c.freePkg(p)
+			c.pkgFree.free(p)
 			t.ctx.PC = pc
 			return true
 		}
@@ -424,7 +424,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		return false
 
 	case funcvm.ClsPsm:
-		p := c.allocPkg()
+		p := c.pkgFree.alloc()
 		*p = Package{Kind: PkgPsm, In: &c.text[pc], Cluster: c.id, TCU: t.local,
 			Addr: m.EffAddr(&t.ctx, r.Rs, r.Imm), Data: t.ctx.Reg[r.Rd&31], Issued: now}
 		if !c.send(p, now) {
@@ -446,12 +446,12 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		if e == nil {
 			return true // all slots in flight; drop the hint
 		}
-		p := c.allocPkg()
+		p := c.pkgFree.alloc()
 		*p = Package{Kind: PkgPrefetch, In: &c.text[pc], Cluster: c.id, TCU: t.local,
 			Addr: la, LineAddr: la, Issued: now}
 		if !c.send(p, now) {
 			e.valid = false // could not inject; drop
-			c.freePkg(p)
+			c.pkgFree.free(p)
 			return true
 		}
 		c.ob.stat(&c.sys.Stats.PrefetchFills, 1)

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -58,6 +60,102 @@ func TestOverflowHorizonOrdering(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i] <= got[i-1] {
 			t.Fatalf("out of order at %d: %v", i, got)
+		}
+	}
+}
+
+// migrate's early-out compares against the ring horizon without dividing:
+// an event one tick inside, exactly at, and one tick past the horizon must
+// each fire at its own time — the one at the horizon migrates as soon as the
+// cursor's advance brings the horizon up to it — for unit and wide buckets,
+// from a cursor at zero and from one parked mid-run.
+func TestMigrateHorizonBoundary(t *testing.T) {
+	for _, width := range []Time{1, 8} {
+		for _, start := range []Time{0, 3*width + 1, Time(numBuckets)*width*5 + 2} {
+			s := New()
+			s.SetBucketWidth(width)
+			var got []Time
+			rec := func(now Time) { got = append(got, now) }
+			s.ScheduleFunc(start, PrioTransfer, rec)
+			s.Run() // park the cursor on start's bucket
+			horizon := (start/width + numBuckets) * width
+			want := []Time{start, start + 1, horizon - 1, horizon, horizon + 1, horizon + Time(numBuckets)*width}
+			for _, at := range []Time{want[5], want[4], want[3], want[2], want[1]} {
+				s.ScheduleFunc(at, PrioTransfer, rec)
+			}
+			if n := len(s.overflow); n != 3 {
+				t.Fatalf("width=%d start=%d: %d events overflowed, want 3 (horizon and beyond)", width, start, n)
+			}
+			s.Run()
+			if !slices.Equal(got, want) {
+				t.Fatalf("width=%d start=%d: fired %v, want %v", width, start, got, want)
+			}
+		}
+	}
+}
+
+// Pop order must equal the (time, priority, sequence) sort of what was
+// pushed, whatever mix of near, horizon-straddling and far-future times,
+// cancels and mid-run schedules the calendar sees.
+func TestPopOrderMatchesSortedReference(t *testing.T) {
+	type key struct {
+		at   Time
+		prio Priority
+		seq  int
+	}
+	rng := rand.New(rand.NewSource(15))
+	for round := 0; round < 200; round++ {
+		s := New()
+		width := Time(1 + rng.Intn(9))
+		s.SetBucketWidth(width)
+		span := Time(numBuckets) * width
+		var want, got []key
+		seq := 0
+		add := func(base Time) {
+			var at Time
+			switch rng.Intn(4) {
+			case 0:
+				at = base + Time(rng.Intn(int(2*width)))
+			case 1:
+				at = base + span - width + Time(rng.Intn(int(2*width)+1)) // around the horizon
+			case 2:
+				at = base + Time(rng.Int63n(int64(3*span)))
+			default:
+				at = base + Time(rng.Int63n(int64(40*span)))
+			}
+			k := key{at, Priority(rng.Intn(3) * 100), seq}
+			seq++
+			e := s.Schedule(at, k.prio, ActorFunc(func(now Time) {
+				if now != k.at {
+					t.Fatalf("event for t=%d fired at %d", k.at, now)
+				}
+				got = append(got, k)
+			}))
+			if rng.Intn(8) == 0 {
+				s.Cancel(e)
+				return
+			}
+			want = append(want, k)
+		}
+		for i := 0; i < 60; i++ {
+			add(0)
+		}
+		for steps := 0; s.Step(); steps++ {
+			if steps%7 == 0 && seq < 120 {
+				add(s.Now() + 1) // schedules arriving while the cursor moves
+			}
+		}
+		slices.SortStableFunc(want, func(a, b key) int {
+			if a.at != b.at {
+				return int(a.at - b.at)
+			}
+			if a.prio != b.prio {
+				return int(a.prio - b.prio)
+			}
+			return a.seq - b.seq
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d (width %d): pop order diverges from the sorted reference\n got %v\nwant %v", round, width, got, want)
 		}
 	}
 }

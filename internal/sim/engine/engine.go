@@ -436,9 +436,18 @@ func (s *Scheduler) take() {
 	s.ringN--
 }
 
-// migrate pulls overflow events that now fall inside the ring window.
+// migrate pulls overflow events that now fall inside the ring window. It
+// runs on every cursor advance, and most runs hold one far-future event
+// (stop, watchdog, sampler), so the common no-op must not divide:
+// time/width - curB < numBuckets is tested as time - curB*width <
+// numBuckets*width (curB*width never exceeds a pending event's time, so
+// neither side can overflow).
 func (s *Scheduler) migrate() {
-	for len(s.overflow) > 0 && s.overflow[0].time/s.width-s.curB < numBuckets {
+	if len(s.overflow) == 0 {
+		return
+	}
+	base, span := s.curB*s.width, numBuckets*s.width
+	for len(s.overflow) > 0 && s.overflow[0].time-base < span {
 		e := s.heapPop()
 		buckets := s.ring()
 		slot := int((e.time / s.width) & (numBuckets - 1))
