@@ -117,14 +117,22 @@ func BenchmarkTCUIssue(b *testing.B) {
 // machine are the workloads where the cluster macro-actor dominates host
 // time, so they bound what sharding the clusters across goroutines can buy.
 // Results are bit-identical at every worker count (TestHostParallelDeterminism);
-// only wall-clock changes. Meaningful scaling needs ≥ 4 physical cores.
+// only wall-clock changes. workers-auto is the config default
+// (host_workers=0): beside workers-1 it shows in BENCH_HISTORY.jsonl what the
+// default costs against the serial path, and the explicit arms show what
+// opting in to N workers buys on the recording host (docs/PERF.md
+// §Host-parallel cluster simulation).
 func BenchmarkHostParallelScaling(b *testing.B) {
 	for _, g := range []workloads.TableIGroup{workloads.ParallelMemory, workloads.ParallelCompute} {
 		cfg := xmtgo.ConfigChip1024()
 		prog := buildB(b, workloads.TableI(g, cfg.Clusters*cfg.TCUsPerCluster, 40),
 			xmtgo.DefaultCompileOptions())
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers-%d", g.Name(), w), func(b *testing.B) {
+		for _, w := range []int{0, 1, 2, 4, 8} {
+			arm := fmt.Sprintf("workers-%d", w)
+			if w == 0 {
+				arm = "workers-auto"
+			}
+			b.Run(g.Name()+"/"+arm, func(b *testing.B) {
 				wcfg := cfg
 				wcfg.HostWorkers = w
 				var cycles int64
@@ -143,9 +151,9 @@ func BenchmarkHostParallelScaling(b *testing.B) {
 
 // --- Bounded lookahead: window width and engine mode vs throughput ---
 //
-// Compares the legacy single-cycle engine (lookahead=1), the derived
-// conservative window and the optimistic rollback mode on the two parallel
-// Table I groups (docs/PERF.md §Lookahead). Results are bit-identical in
+// Compares one-cycle windows (lookahead=1), the derived conservative window
+// and the optimistic rollback mode on the two parallel Table I groups
+// (docs/PERF.md §Lookahead). Results are bit-identical in
 // every configuration (TestLookaheadDeterminism); only wall-clock changes.
 // The compute group is where multi-cycle windows pay: clusters run long
 // stretches without cross-cluster traffic clamping the span.

@@ -272,6 +272,7 @@ func TestCLIServeEndpoints(t *testing.T) {
 		"# TYPE xmt_instructions_total counter",
 		"# TYPE xmt_stall_cycles_total counter",
 		"# TYPE xmt_cache_hits_total counter",
+		"# TYPE xmt_engine_windows_total counter",
 		"xmt_tcus_alive 64",
 		"xmt_interval_window_cycles 500",
 	} {

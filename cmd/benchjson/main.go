@@ -141,10 +141,10 @@ func summarize(f *benchFile) string {
 		fmt.Fprintf(&b, "; TableI par-mem %s sim_cycle/sec", compact(v))
 	}
 	var scale []string
-	for _, w := range []int{1, 2, 4, 8} {
-		name := fmt.Sprintf("BenchmarkHostParallelScaling/Parallel,_memory_intensive/workers-%d", w)
+	for _, w := range []string{"auto", "1", "2", "4", "8"} {
+		name := "BenchmarkHostParallelScaling/Parallel,_memory_intensive/workers-" + w
 		if v, ok := metricOf(f, name, "sim_cycle/sec"); ok {
-			scale = append(scale, fmt.Sprintf("w%d=%s", w, compact(v)))
+			scale = append(scale, fmt.Sprintf("w%s=%s", w, compact(v)))
 		}
 	}
 	if len(scale) > 0 {

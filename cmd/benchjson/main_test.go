@@ -37,6 +37,8 @@ func TestSummarize(t *testing.T) {
 	f := &benchFile{Date: "2026-08-06", Go: "go1.24.0", CPUs: 1, Results: []benchResult{
 		{Name: "BenchmarkTableI_ParallelMemory-8", Iterations: 6,
 			Metrics: map[string]float64{"sim_cycle/sec": 48992}},
+		{Name: "BenchmarkHostParallelScaling/Parallel,_memory_intensive/workers-auto-8", Iterations: 5,
+			Metrics: map[string]float64{"sim_cycle/sec": 41900}},
 		{Name: "BenchmarkHostParallelScaling/Parallel,_memory_intensive/workers-1", Iterations: 5,
 			Metrics: map[string]float64{"sim_cycle/sec": 41300}},
 		{Name: "BenchmarkHostParallelScaling/Parallel,_memory_intensive/workers-4-8", Iterations: 5,
@@ -44,9 +46,9 @@ func TestSummarize(t *testing.T) {
 	}}
 	s := summarize(f)
 	for _, want := range []string{
-		"bench 2026-08-06 (go1.24.0, 1 CPUs): 3 benchmarks",
+		"bench 2026-08-06 (go1.24.0, 1 CPUs): 4 benchmarks",
 		"TableI par-mem 49.0k sim_cycle/sec",
-		"w1=41.3k", "w4=43.3k",
+		"wauto=41.9k", "w1=41.3k", "w4=43.3k",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q: %s", want, s)

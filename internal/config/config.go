@@ -99,14 +99,18 @@ type Config struct {
 	WatchdogCycles int64
 
 	// Host execution. HostWorkers is the number of host goroutines that
-	// tick the cluster shards in parallel (0 = GOMAXPROCS, 1 = serial).
-	// Simulation results are bit-identical for any value.
+	// tick the cluster shards: 1 runs everything on the scheduler goroutine,
+	// N > 1 gives each of N workers a fixed share of the clusters, and 0 (the
+	// default) resolves to the count that wins on the reference host —
+	// cycle.DefaultHostWorkers, which is 1 (docs/PERF.md §Host-parallel
+	// cluster simulation). Simulation results are bit-identical for any
+	// value.
 	HostWorkers int
 
 	// Bounded-lookahead engine (docs/PERF.md). Lookahead is the maximum
 	// number of consecutive cluster cycles one scheduler event may cover:
 	// 0 derives the window from the minimum cross-cluster round-trip
-	// latency, 1 restores the single-cycle engine. EngineMode selects the
+	// latency, 1 makes every window a single cycle. EngineMode selects the
 	// window strategy: EngineWindowed (conservative lockstep, the default;
 	// "" means windowed) or EngineOptimistic (speculative free-run with
 	// snapshot rollback). Results are bit-identical for every combination.
@@ -548,7 +552,7 @@ func (c *Config) Describe() string {
 	fmt.Fprintf(&b, "periods: cluster=%d icn=%d cache=%d dram=%d master=%d\n",
 		c.ClusterPeriod, c.ICNPeriod, c.CachePeriod, c.DRAMPeriod, c.MasterPeriod)
 	fmt.Fprintf(&b, "mem_bytes=%d seed=%d\n", c.MemBytes, c.Seed)
-	fmt.Fprintf(&b, "host_workers=%d (0 = GOMAXPROCS; results identical for any value)\n", c.HostWorkers)
+	fmt.Fprintf(&b, "host_workers=%d (0 = the default = 1, serial; N > 1 opts in to host-parallel clusters; results identical for any value)\n", c.HostWorkers)
 	mode := c.EngineMode
 	if mode == "" {
 		mode = EngineWindowed

@@ -18,12 +18,12 @@ import (
 // send port (paper Fig. 1 and §II). All clusters tick inside one
 // macro-actor on the cluster clock domain.
 //
-// Cluster implements engine.WindowShard: under the bounded-lookahead engine
-// it executes several cycles per scheduler event, marking the outbox with
-// per-cycle segments, and replays one segment per CommitCycle in (cycle,
-// cluster) order — bit-identical to the single-cycle engine. In optimistic
-// mode it additionally snapshots its window-entry state so an overrun past
-// the consensus window end can be rolled back and replayed.
+// Cluster implements engine.WindowShard: it executes one or more cycles per
+// scheduler event, marking the outbox with per-cycle segments, and replays
+// one segment per CommitCycle in (cycle, cluster) order — the interleaving
+// of a serial, one-cycle-per-event simulation. In optimistic mode it
+// additionally snapshots its window-entry state so an overrun past the
+// consensus window end can be rolled back and replayed.
 type Cluster struct {
 	sys  *System
 	id   int
@@ -246,25 +246,6 @@ func (c *Cluster) acquire(unit isa.Unit, cycle, latency int64) (int64, bool) {
 	return 0, false
 }
 
-// Commit drains the whole outbox — the serial phase of a single-cycle
-// cluster tick (engine.ShardCycler). Records replay in the exact order the
-// compute phase produced them, and clusters commit in cluster-id order, so
-// scheduler sequence numbers, prefix-sum slots, program output and shared
-// statistics end up identical to a fully serial simulation.
-func (c *Cluster) Commit(now engine.Time) {
-	ev := 0
-	if c.evRing != nil {
-		ev = c.evRing.Len()
-	}
-	c.ob.cut()
-	c.replay(0, int32(len(c.ob.recs)), int32(len(c.ob.hist)), 0, int32(ev), now)
-	if c.sys.evlog != nil {
-		c.sys.evlog.ResetRing(c.evRing)
-	}
-	c.ob.flushCounts(c.sys.Stats, c.id)
-	c.ob.reset()
-}
-
 // replay commits one contiguous range of the outbox: records [rlo,rhi),
 // the op-histogram buckets up to hhi, and ring events [elo,ehi). Counts
 // issued before a record commit (outbox.due) before that record replays,
@@ -336,38 +317,36 @@ func (c *Cluster) commitCounts(upTo int32) {
 	}
 }
 
-// BeginWindow opens a lookahead window (engine.WindowShard). With snapshot
-// set (optimistic mode) the cluster captures its window-entry state so an
-// overrun can be rolled back.
-func (c *Cluster) BeginWindow(snapshot bool) {
-	c.ob.segs = c.ob.segs[:0]
-	c.ob.closing = false
-	c.profPend = c.profPend[:0]
+// BeginWindow opens a window at the given cluster cycle (engine.WindowShard).
+// The buffers are clean already — endWindow and Rollback leave them so, and
+// nothing but this cluster's own compute phase writes its outbox. With
+// snapshot set (optimistic mode) the cluster captures its window-entry state
+// so an overrun can be rolled back.
+func (c *Cluster) BeginWindow(cycle int64, snapshot bool) {
+	c.winBase = cycle
+	if !snapshot {
+		return
+	}
 	c.winEvBase = 0
 	if c.evRing != nil {
 		c.winEvBase = c.evRing.Len()
 	}
-	c.deferProf = snapshot && c.prof != nil
-	if snapshot {
-		c.capture()
-	}
+	c.deferProf = c.prof != nil
+	c.capture()
 }
 
 // WindowTick runs one window cycle's compute phase and marks its segment.
 func (c *Cluster) WindowTick(cycle int64, now engine.Time) (busy, closing bool) {
-	if len(c.ob.segs) == 0 {
-		c.winBase = cycle
-	}
 	busy = c.Tick(cycle, now)
-	ev := c.winEvBase
+	ev := 0
 	if c.evRing != nil {
 		ev = c.evRing.Len()
 	}
 	closing = c.ob.mark(cycle, ev, len(c.profPend))
 	// Keep enough ring headroom for one more cycle's worth of events: a
 	// near-full ring closes the window, so multi-cycle batching can never
-	// drop an event the single-cycle engine would have kept (which drains
-	// the ring every cycle).
+	// drop an event that one-cycle windows would have kept (they drain the
+	// ring every cycle).
 	if !closing && c.evRing != nil && c.evRing.Cap()-c.evRing.Len() < len(c.tcus) {
 		closing = true
 	}
@@ -375,51 +354,54 @@ func (c *Cluster) WindowTick(cycle int64, now engine.Time) (busy, closing bool) 
 }
 
 // CommitCycle replays window cycle k's outbox segment at that cycle's edge
-// time (engine.WindowShard). Commits run serially, all clusters at cycle k
-// before any cluster at cycle k+1, reproducing the single-cycle engine's
-// (cycle, cluster) interleaving exactly.
-func (c *Cluster) CommitCycle(k int, now engine.Time) {
-	if k >= len(c.ob.segs) {
-		return
-	}
-	s := c.sys
-	seg := &c.ob.segs[k]
-	// Cycle 0 drains ring events from 0, not winEvBase: events emitted by
-	// serial contexts between windows (delivery unblocks, PS responses) sit
-	// below winEvBase and would otherwise be discarded by EndWindow's reset —
-	// the single-cycle engine drains them at its next commit. winEvBase is
-	// only the optimistic Rollback truncation point.
-	var rlo, plo, elo int32
-	if k > 0 {
-		prev := &c.ob.segs[k-1]
-		rlo, plo, elo = prev.rec, prev.prof, prev.ev
-	}
-	// Replay-order guard: a segment claiming a cycle other than winBase+k
-	// would silently reorder shared effects against other clusters'. Fail
-	// loudly (diagnostic, first-failure-wins discard) instead of
-	// corrupting state.
-	if want := c.winBase + int64(k); seg.cycle != want {
-		s.beginCommit(want, now)
-		s.fail(fmt.Errorf("cycle: window replay out of order: cluster %d segment %d buffered effects for cycle %d, expected %d (window start %d)",
-			c.id, k, seg.cycle, want, c.winBase))
-		s.endCommit()
-		return
-	}
-	s.beginCommit(seg.cycle, now)
-	c.replay(rlo, seg.rec, seg.hist, elo, seg.ev, now)
-	// Deferred profile samples (optimistic mode): issues from cycles past
-	// the consensus window end were truncated by the rollback replay, so
-	// applying here keeps profiles identical to the direct-emit modes.
-	if c.deferProf {
-		for _, pc := range c.profPend[plo:seg.prof] {
-			c.prof.Issue(int(pc))
+// time and, on the window's last cycle, closes the window
+// (engine.WindowShard). Commits run serially, all clusters at cycle k before
+// any cluster at cycle k+1: the (cycle, cluster) interleaving of one-cycle
+// windows, whatever the span.
+func (c *Cluster) CommitCycle(k int, now engine.Time, last bool) {
+	if k < len(c.ob.segs) {
+		s := c.sys
+		seg := &c.ob.segs[k]
+		// Cycle 0 drains ring events from 0, not winEvBase: events emitted
+		// by serial contexts between windows (delivery unblocks, PS
+		// responses) sit below winEvBase and would otherwise be discarded by
+		// endWindow's reset — they belong to the next commit. winEvBase is
+		// only the optimistic Rollback truncation point.
+		var rlo, plo, elo int32
+		if k > 0 {
+			prev := &c.ob.segs[k-1]
+			rlo, plo, elo = prev.rec, prev.prof, prev.ev
 		}
+		// Replay-order guard: a segment claiming a cycle other than
+		// winBase+k would silently reorder shared effects against other
+		// clusters'. Fail loudly (diagnostic, first-failure-wins discard)
+		// instead of corrupting state.
+		want := c.winBase + int64(k)
+		s.beginCommit(want, now)
+		if seg.cycle != want {
+			s.fail(fmt.Errorf("cycle: window replay out of order: cluster %d segment %d buffered effects for cycle %d, expected %d (window start %d)",
+				c.id, k, seg.cycle, want, c.winBase))
+		} else {
+			c.replay(rlo, seg.rec, seg.hist, elo, seg.ev, now)
+			// Deferred profile samples (optimistic mode): issues from cycles
+			// past the consensus window end were truncated by the rollback
+			// replay, so applying here keeps profiles identical to the
+			// direct-emit modes.
+			if c.deferProf {
+				for _, pc := range c.profPend[plo:seg.prof] {
+					c.prof.Issue(int(pc))
+				}
+			}
+		}
+		s.endCommit()
 	}
-	s.endCommit()
+	if last {
+		c.endWindow()
+	}
 }
 
-// EndWindow closes the window after every cycle's segment has committed.
-func (c *Cluster) EndWindow() {
+// endWindow closes the window after every cycle's segment has committed.
+func (c *Cluster) endWindow() {
 	if c.sys.evlog != nil {
 		c.sys.evlog.ResetRing(c.evRing)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // newCommitSystem builds a System around a trivial program without running
-// it, so a test can fill a cluster outbox by hand and call Commit directly.
+// it, so a test can fill a cluster outbox by hand and commit it directly.
 func newCommitSystem(t *testing.T) (*System, *bytes.Buffer) {
 	t.Helper()
 	u, err := asm.Parse("commit.s", "\t.text\nmain:\tsys 0\n")
@@ -30,9 +30,17 @@ func newCommitSystem(t *testing.T) (*System, *bytes.Buffer) {
 	return sys, &out
 }
 
+// commitOutbox runs one one-cycle window on an idle cluster: whatever the
+// test put in the outbox replays as that cycle's segment.
+func commitOutbox(c *Cluster) {
+	c.BeginWindow(0, false)
+	c.WindowTick(0, 0)
+	c.CommitCycle(0, 0, true)
+}
+
 // TestCommitStopsReplayAfterFailure is the regression test for the outbox
 // replay bug: when a cluster raised a failure and had further records (a ps
-// request, more instruction counts) queued in the same tick, Commit kept
+// request, more instruction counts) queued in the same tick, the commit kept
 // replaying them, so shared counters were bumped for effects that never
 // architecturally happened — and the amount of over-count depended on how
 // much work the tick had batched. Replay must stop at the first failure.
@@ -49,7 +57,7 @@ func TestCommitStopsReplayAfterFailure(t *testing.T) {
 	c.ob.stat(&shared, 100)       // after the failure: must be discarded
 	c.ob.fail(errors.New("second failure must not replace the first"))
 
-	c.Commit(0)
+	commitOutbox(c)
 
 	if !errors.Is(sys.Err(), bang) {
 		t.Fatalf("System.Err() = %v, want the first failure", sys.Err())
@@ -61,14 +69,14 @@ func TestCommitStopsReplayAfterFailure(t *testing.T) {
 		t.Errorf("shared stat = %d, want 3 (only the pre-failure add replays)", shared)
 	}
 	if len(c.ob.recs) != 0 {
-		t.Errorf("outbox not cleared after Commit: %d records remain", len(c.ob.recs))
+		t.Errorf("outbox not cleared after the commit: %d records remain", len(c.ob.recs))
 	}
 
 	// A later cluster's commit in the same tick must also replay nothing.
 	c2 := sys.clusters[1]
 	c2.ob.count(uint8(isa.OpAddu))
 	c2.ob.stat(&shared, 100)
-	c2.Commit(0)
+	commitOutbox(c2)
 	if sys.Stats.TCUInstrs != 1 || shared != 3 {
 		t.Errorf("post-failure commit of a later cluster replayed records: instrs=%d shared=%d",
 			sys.Stats.TCUInstrs, shared)
@@ -93,7 +101,7 @@ func TestCommitStopsReplayAfterHalt(t *testing.T) {
 	c.ob.sys(tcu, 2, &printInstr) // must not print: simulation already halted
 	c.ob.stat(&shared, 7)         // must not replay
 
-	c.Commit(0)
+	commitOutbox(c)
 
 	if !sys.halted {
 		t.Fatal("System did not halt")

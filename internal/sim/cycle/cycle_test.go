@@ -2,6 +2,7 @@ package cycle_test
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -219,5 +220,34 @@ func TestChip1024Compaction(t *testing.T) {
 	}
 	if !res.Halted {
 		t.Fatal("not halted")
+	}
+}
+
+// host_workers=0 resolves to the documented default, which is one worker: no
+// pool, no goroutine started by a run. An explicit count is honoured up to
+// the cluster count.
+func TestAutoWorkersResolution(t *testing.T) {
+	cfg := config.FPGA64() // 8 clusters
+	for _, tc := range []struct{ set, want int }{
+		{0, cycle.DefaultHostWorkers},
+		{1, 1},
+		{4, 4},
+		{64, cfg.Clusters},
+	} {
+		wcfg := cfg
+		wcfg.HostWorkers = tc.set
+		before := runtime.NumGoroutine()
+		sys, res, out := runCycle(t, compactionAsm, wcfg, 100_000)
+		if got := sys.HostWorkers(); got != tc.want {
+			t.Errorf("host_workers=%d resolved to %d workers, want %d", tc.set, got, tc.want)
+		}
+		if !res.Halted || out != "4" {
+			t.Errorf("host_workers=%d: halted=%v output=%q", tc.set, res.Halted, out)
+		}
+		// Run closes the pool and Close waits for its goroutines, so no
+		// worker count leaves one behind; one worker never starts any.
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("host_workers=%d: %d goroutines after Run, %d before", tc.set, after, before)
+		}
 	}
 }

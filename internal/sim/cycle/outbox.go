@@ -12,16 +12,16 @@ import (
 // cluster tick may mutate only cluster-local state; every effect on shared
 // state — scheduler events, global statistics, the prefix-sum unit's pacing
 // window, syscalls, the spawn unit's done count — is recorded in the
-// cluster's outbox and replayed by Cluster.Commit. Commits run serially in
-// cluster-id order, which is exactly the interleaving the serial simulator
-// produces, so scheduler sequence numbers, prefix-sum slot assignment,
-// program output and statistics all match to the bit.
+// cluster's outbox and replayed by Cluster.CommitCycle. Commits run serially
+// in cluster-id order, which is exactly the interleaving the serial
+// simulator produces, so scheduler sequence numbers, prefix-sum slot
+// assignment, program output and statistics all match to the bit.
 //
-// Under the bounded-lookahead engine a cluster executes several cycles
-// before any commit runs, so the outbox additionally carves its buffers
-// into per-cycle segments (obSeg): Cluster.CommitCycle replays exactly one
-// segment at that cycle's edge time, preserving the (cycle, cluster)
-// interleaving of the single-cycle engine.
+// A cluster may execute several cycles (a lookahead window) before any
+// commit runs, so the outbox carves its buffers into per-cycle segments
+// (obSeg): CommitCycle replays exactly one segment at that cycle's edge
+// time, preserving the (cycle, cluster) interleaving of a simulation that
+// commits after every cycle.
 
 type obKind uint8
 
@@ -92,9 +92,9 @@ type outbox struct {
 	// flush points, never past a failure or halt — and flushed the prefix
 	// already added to the collector. Nothing reads the instruction counters
 	// inside a window's commit, so flushCounts normally runs once, when the
-	// window (or the single-cycle commit) ends, and merges the window's
-	// cycles; with filter plug-ins attached it runs at every flush point, so
-	// the order of their Instr callbacks does not depend on the window size.
+	// window ends, and merges the window's cycles; with filter plug-ins
+	// attached it runs at every flush point, so the order of their Instr
+	// callbacks does not depend on the window size.
 	due     int32
 	flushed int32
 	merged  []stats.OpCount // flushCounts scratch
@@ -108,9 +108,10 @@ type outbox struct {
 	segs    []obSeg
 }
 
+// reset empties the outbox between windows. cnt/touched are empty already:
+// every cycle ends with a cut (mark), and flushCounts drains what it merges.
 func (o *outbox) reset() {
 	o.recs = o.recs[:0]
-	o.cut()
 	o.hist, o.due, o.flushed = o.hist[:0], 0, 0
 	o.wokeICN = false
 	o.closing = false
@@ -135,21 +136,28 @@ func (o *outbox) count(op uint8) {
 	o.cnt[op]++
 }
 
-// flushCounts adds the committed, not yet flushed counts to the collector,
-// as one bucket per distinct opcode. Runs in the commit phase, after the
-// window's last cut, so cnt/touched are idle and serve as the merge table.
+// flushCounts adds the committed, not yet flushed counts to the collector.
+// Runs in the commit phase, after the window's last cut, so cnt/touched are
+// idle and serve as the merge table that folds a multi-cycle window's ranges
+// into one bucket per distinct opcode. A one-cycle window has no cycles to
+// fold and hands its ranges over as they are.
 func (o *outbox) flushCounts(c *stats.Collector, cluster int) {
 	if o.due == o.flushed {
 		return
 	}
-	for _, b := range o.hist[o.flushed:o.due] {
+	pending := o.hist[o.flushed:o.due]
+	o.flushed = o.due
+	if len(o.segs) <= 1 {
+		c.CountInstrs(pending, cluster)
+		return
+	}
+	for _, b := range pending {
 		if o.cnt[b.Op] == 0 {
 			o.touched = append(o.touched, uint8(b.Op))
 		}
 		o.cnt[b.Op] += b.N
 	}
 	o.merged = o.drain(o.merged[:0])
-	o.flushed = o.due
 	c.CountInstrs(o.merged, cluster)
 }
 

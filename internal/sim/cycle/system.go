@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync/atomic"
 
 	"xmtgo/internal/asm"
@@ -18,6 +17,13 @@ import (
 	"xmtgo/internal/sim/stats"
 	"xmtgo/internal/sim/trace"
 )
+
+// DefaultHostWorkers is what Config.HostWorkers = 0 resolves to: the worker
+// count that wins on the reference host. One, on the evidence of the 2-vCPU
+// ledger (docs/PERF.md §Host-parallel cluster simulation): a cluster-cycle is
+// ~86 ns of compute, less than moving its outbox between cores costs, so
+// fanning the cluster domain out is an explicit opt-in (host_workers=N).
+const DefaultHostWorkers = 1
 
 // System is the assembled cycle-accurate XMT machine: every solid box of
 // the paper's Fig. 1 exists as one component instance, grouped into
@@ -196,12 +202,12 @@ func New(prog *asm.Program, cfg config.Config, out io.Writer) (*System, error) {
 		s.injector = inj
 	}
 
-	// Resolve the host worker count: 0 means all of GOMAXPROCS; never
-	// more workers than clusters. A single worker uses no pool at all —
-	// the identical two-phase tick/commit loop runs inline.
+	// Resolve the host worker count: never more workers than clusters. A
+	// single worker uses no pool at all — the same window loop runs on the
+	// scheduler goroutine.
 	workers := cfg.HostWorkers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = DefaultHostWorkers
 	}
 	if workers > cfg.Clusters {
 		workers = cfg.Clusters
@@ -258,8 +264,14 @@ func deriveLookahead(cfg *config.Config) int {
 func (s *System) Lookahead() int { return s.clusterMA.Lookahead() }
 
 // Rollbacks returns how many optimistic window overruns were rolled back
-// and replayed (always 0 in conservative modes).
+// and replayed (always 0 in the conservative mode).
 func (s *System) Rollbacks() uint64 { return s.clusterMA.Rollbacks() }
+
+// WindowStats returns the cluster domain's window counts by span and by
+// what ended each window (docs/PERF.md §Host-parallel cluster simulation).
+// They describe host scheduling, so they are in no counter report or
+// snapshot; call from the scheduler goroutine or after Run.
+func (s *System) WindowStats() engine.WindowStats { return s.clusterMA.WindowStats() }
 
 // beginCommit/endCommit bracket one window cycle's outbox replay, exposing
 // the committing cycle and its edge time to effects that run inside it.
@@ -441,7 +453,7 @@ func (s *System) fail(err error) {
 	}
 	// Stopping from inside a window commit: the scheduler clock still reads
 	// the window-entry time; advance it to the failing cycle's edge so
-	// Result.Cycles/Ticks match the single-cycle engine.
+	// Result.Cycles/Ticks do not depend on the window span.
 	if s.commitNow >= 0 {
 		s.Sched.AdvanceTo(s.commitNow)
 	}

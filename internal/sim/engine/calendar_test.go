@@ -3,7 +3,6 @@ package engine
 import (
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 )
 
@@ -229,106 +228,5 @@ func TestEventPoolReuse(t *testing.T) {
 	}
 	if want := 1000 - 334; fired != want {
 		t.Fatalf("fired %d, want %d", fired, want)
-	}
-}
-
-func TestWorkerPoolForEach(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		pool := NewWorkerPool(workers)
-		var hits [100]int32
-		for round := 0; round < 50; round++ {
-			pool.ForEach(len(hits), func(i int) {
-				atomic.AddInt32(&hits[i], 1)
-			})
-		}
-		pool.Close()
-		for i, h := range hits {
-			if h != 50 {
-				t.Fatalf("workers=%d: index %d ran %d times, want 50", workers, i, h)
-			}
-		}
-	}
-	// A nil pool runs inline.
-	var nilPool *WorkerPool
-	n := 0
-	nilPool.ForEach(7, func(int) { n++ })
-	if n != 7 {
-		t.Fatalf("nil pool ran %d calls, want 7", n)
-	}
-	nilPool.Close()
-}
-
-func TestWorkerPoolPanicPropagates(t *testing.T) {
-	pool := NewWorkerPool(4)
-	defer pool.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("worker panic did not propagate to the caller")
-		}
-	}()
-	pool.ForEach(64, func(i int) {
-		if i == 63 {
-			panic("boom")
-		}
-	})
-}
-
-// shard is a ShardCycler that proves the two-phase protocol: Tick only
-// touches shard-local state, Commit appends to the shared log.
-type shard struct {
-	id      int
-	ticks   int
-	pending bool
-	log     *[]int
-	limit   int
-}
-
-func (c *shard) Tick(cycle int64, now Time) bool {
-	c.ticks++
-	c.pending = true
-	return c.ticks < c.limit
-}
-
-func (c *shard) Commit(now Time) {
-	if c.pending {
-		c.pending = false
-		*c.log = append(*c.log, c.id)
-	}
-}
-
-// ParallelMacroActor must tick every shard each cycle and commit them in
-// shard order regardless of worker count — that order is the determinism
-// contract the cycle-accurate simulator builds on.
-func TestParallelMacroActorCommitOrder(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var pool *WorkerPool
-		if workers > 1 {
-			pool = NewWorkerPool(workers)
-		}
-		s := New()
-		clk := NewClock("c", 2)
-		ma := NewParallelMacroActor("shards", s, clk, pool)
-		var log []int
-		const nShards, cycles = 9, 5
-		for i := 0; i < nShards; i++ {
-			ma.Add(&shard{id: i, log: &log, limit: cycles})
-		}
-		if ma.Len() != nShards {
-			t.Fatalf("Len() = %d, want %d", ma.Len(), nShards)
-		}
-		ma.Wake(0)
-		s.Run()
-		pool.Close()
-		if len(log) != nShards*cycles {
-			t.Fatalf("workers=%d: %d commits, want %d", workers, len(log), nShards*cycles)
-		}
-		for i, id := range log {
-			if id != i%nShards {
-				t.Fatalf("workers=%d: commit order broken at %d: %v", workers, i, log[:i+1])
-			}
-		}
-		if s.Executed != cycles {
-			t.Fatalf("workers=%d: %d events executed, want %d (one per cycle)", workers, s.Executed, cycles)
-		}
 	}
 }

@@ -1,32 +1,26 @@
 package engine
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// ShardCycler is a Cycler whose tick is split into two phases so many
-// shards can tick concurrently inside one scheduler event:
+// WindowShard is one shard of a ParallelMacroActor. Its cycle is split into
+// a compute phase and a commit phase so many shards can tick concurrently
+// inside one scheduler event, and one event can cover several consecutive
+// cycles (a bounded-lookahead window):
 //
-//   - Tick (the compute phase) runs in parallel across shards and must be
-//     side-effect-local: it may mutate only shard-private state and read
-//     shared state, deferring every shared mutation into a shard-local
-//     outbox.
-//   - Commit (the serial phase) drains the outbox. Commits run on the
-//     scheduler goroutine in shard order after every shard's Tick has
-//     returned, so the interleaving of shared effects — scheduler sequence
-//     numbers included — is identical to a fully serial simulation.
-type ShardCycler interface {
-	Cycler
-	Commit(now Time)
-}
-
-// WindowShard extends ShardCycler with the bounded-lookahead window
-// protocol: a shard can execute several consecutive cycles inside one
-// scheduler event, buffering every shared effect with per-cycle marks, and
-// replay them afterwards in (cycle, shard) order — the exact interleaving
-// the single-cycle engine produces.
+//   - WindowTick (the compute phase) may run concurrently with other shards'
+//     and must be side-effect-local: it mutates only shard-private state and
+//     reads shared state, buffering every shared mutation with a per-cycle
+//     mark.
+//   - CommitCycle (the serial phase) replays one cycle's buffered effects.
+//     Commits run on the scheduler goroutine in (cycle, shard) order after
+//     every shard's compute phase has returned, so the interleaving of shared
+//     effects — scheduler sequence numbers included — is the one a fully
+//     serial, one-cycle-per-event simulation produces.
 //
 // Within a window the shard's inputs are frozen: the window driver
 // guarantees no other scheduler event fires between the window's cycles
@@ -36,57 +30,47 @@ type ShardCycler interface {
 // deferred effects: a record that would schedule work or mutate shared
 // machine state ("window-closing") truncates the window at the cycle that
 // produced it.
+//
+// Every window, one cycle or many, runs BeginWindow, WindowTick per cycle,
+// CommitCycle per cycle on every shard. With several workers a shard's
+// BeginWindow and WindowTicks always run on the same worker.
 type WindowShard interface {
-	ShardCycler
-	// BeginWindow starts a window; snapshot requests rollback capture
-	// (optimistic mode).
-	BeginWindow(snapshot bool)
+	// BeginWindow starts a window whose first cycle is `cycle`; snapshot
+	// requests rollback capture (optimistic mode).
+	BeginWindow(cycle int64, snapshot bool)
 	// WindowTick runs one cycle of the window and closes its effect
 	// segment. closing reports that this cycle buffered a window-closing
 	// effect (or that a buffer is near capacity), so no later cycle may
 	// execute in this window.
 	WindowTick(cycle int64, now Time) (busy, closing bool)
 	// CommitCycle replays the buffered effects of window cycle k at that
-	// cycle's edge time.
-	CommitCycle(k int, now Time)
-	// EndWindow releases window buffers after every cycle has committed.
-	EndWindow()
+	// cycle's edge time. last marks the window's final cycle: having
+	// replayed it the shard releases its window buffers, ready for the next
+	// BeginWindow. (Not a call of its own: at one cycle per window it would
+	// be a third of the calls.)
+	CommitCycle(k int, now Time, last bool)
 	// Rollback discards all window cycles, restoring the BeginWindow
 	// snapshot (optimistic mode only).
 	Rollback()
 }
 
-// poolJob is one ForEach invocation, shared by every participating worker.
-type poolJob struct {
-	n    int32
-	next *int32 // atomic work-stealing index
-	fn   func(i int)
-	wg   *sync.WaitGroup
-	pan  *atomic.Value // first panic from a helper goroutine
-}
+// panicValue boxes a recovered panic so values of any type fit one atomic
+// pointer.
+type panicValue struct{ v any }
 
-func (j poolJob) work() {
-	for {
-		i := atomic.AddInt32(j.next, 1) - 1
-		if i >= j.n {
-			return
-		}
-		j.fn(int(i))
-	}
-}
-
-// WorkerPool is a persistent pool of worker goroutines for data-parallel
-// fan-out inside a single scheduler event. The goroutines block on a job
-// channel between barriers, so the per-event cost is two channel hops per
-// helper rather than goroutine creation.
+// WorkerPool is a persistent set of helper goroutines for data-parallel
+// fan-out inside a single scheduler event. Helper h only ever runs worker
+// index h+1 (the caller is worker 0), so state a worker index owns stays
+// with one goroutine from event to event. The goroutines block on their job
+// channels between events.
 type WorkerPool struct {
 	n       int
-	jobs    chan poolJob
-	started bool
-	// inline short-circuits ForEach on single-CPU hosts: with one
-	// physical execution slot the helpers cannot overlap the caller, so
-	// the channel round trips are pure dispatch overhead.
-	inline bool
+	helpers []chan func(w int) // helpers[h] feeds worker index h+1
+	exited  sync.WaitGroup
+
+	// One RunWorkers call at a time: its join and its first panic.
+	wg  sync.WaitGroup
+	pan atomic.Pointer[panicValue]
 }
 
 // NewWorkerPool returns a pool of n workers (n <= 0 means GOMAXPROCS).
@@ -95,7 +79,7 @@ func NewWorkerPool(n int) *WorkerPool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	return &WorkerPool{n: n, inline: runtime.GOMAXPROCS(0) == 1}
+	return &WorkerPool{n: n}
 }
 
 // Size returns the worker count; a nil pool counts as one (serial).
@@ -106,44 +90,12 @@ func (p *WorkerPool) Size() int {
 	return p.n
 }
 
-// ForEach runs fn(i) for every i in [0, n) spread across the pool and
-// returns once all calls have completed. The calling goroutine participates
-// as one of the workers. A nil or single-worker pool — or any pool on a
-// single-CPU host — runs the calls inline, in index order.
-func (p *WorkerPool) ForEach(n int, fn func(i int)) {
-	if p == nil || p.n <= 1 || n <= 1 || p.inline {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if !p.started {
-		p.start()
-	}
-	helpers := p.n - 1
-	if helpers > n-1 {
-		helpers = n - 1
-	}
-	var next int32
-	var wg sync.WaitGroup
-	var pan atomic.Value
-	wg.Add(helpers)
-	job := poolJob{n: int32(n), next: &next, fn: fn, wg: &wg, pan: &pan}
-	for i := 0; i < helpers; i++ {
-		p.jobs <- job
-	}
-	job.work()
-	wg.Wait()
-	if v := pan.Load(); v != nil {
-		panic(v)
-	}
-}
-
-// RunWorkers runs fn(w) for every w in [0, k) with each call on its own
-// goroutine, the caller participating as worker 0. Unlike ForEach there is
-// no work stealing: every worker is live concurrently, so fn bodies may
-// synchronize with one another (the lockstep window barrier depends on
-// this). k must not exceed Size(); it is clamped. k <= 1 runs inline.
+// RunWorkers runs fn(w) for every w in [0, k), worker w+1 on helper
+// goroutine w and worker 0 on the caller. Every worker is live
+// concurrently, so fn bodies may synchronize with one another (the lockstep
+// window barrier depends on this). It returns once every call has returned
+// and then re-panics with the first panic any of them raised. k is clamped
+// to Size(); k <= 1 runs inline.
 func (p *WorkerPool) RunWorkers(k int, fn func(w int)) {
 	if p != nil && k > p.n {
 		k = p.n
@@ -152,186 +104,270 @@ func (p *WorkerPool) RunWorkers(k int, fn func(w int)) {
 		fn(0)
 		return
 	}
-	if !p.started {
+	if p.helpers == nil {
 		p.start()
 	}
-	var wg sync.WaitGroup
-	var pan atomic.Value
-	wg.Add(k - 1)
+	p.wg.Add(k - 1)
 	for w := 1; w < k; w++ {
-		w := w
-		next := int32(0)
-		p.jobs <- poolJob{n: 1, next: &next, fn: func(int) { fn(w) }, wg: &wg, pan: &pan}
+		p.helpers[w-1] <- fn
 	}
-	fn(0)
-	wg.Wait()
-	if v := pan.Load(); v != nil {
-		panic(v)
+	p.call(fn, 0)
+	p.wg.Wait()
+	if pv := p.pan.Swap(nil); pv != nil {
+		panic(pv.v)
 	}
+}
+
+// call runs fn(w), keeping the first panic for RunWorkers to re-raise.
+func (p *WorkerPool) call(fn func(w int), w int) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.pan.CompareAndSwap(nil, &panicValue{r})
+		}
+	}()
+	fn(w)
+}
+
+// ForEach runs fn(i) for every i in [0, n) with the workers claiming
+// indices from a shared counter, and returns once all calls have completed.
+// Only the optimistic free-run uses it: its shards run whole windows of
+// uneven length, which a fixed partition would balance badly. A nil or
+// single-worker pool runs the calls inline, in index order.
+func (p *WorkerPool) ForEach(n int, fn func(i int)) {
+	if p == nil || p.n <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int32
+	p.RunWorkers(n, func(int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	})
 }
 
 func (p *WorkerPool) start() {
-	p.jobs = make(chan poolJob)
-	for i := 0; i < p.n-1; i++ {
+	p.helpers = make([]chan func(w int), p.n-1)
+	p.exited.Add(len(p.helpers))
+	for h := range p.helpers {
+		jobs := make(chan func(w int))
+		p.helpers[h] = jobs
+		w := h + 1
 		go func() {
-			for job := range p.jobs {
-				func() {
-					defer job.wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							job.pan.CompareAndSwap(nil, r)
-						}
-					}()
-					job.work()
-				}()
+			defer p.exited.Done()
+			for fn := range jobs {
+				p.call(fn, w)
+				p.wg.Done()
 			}
 		}()
 	}
-	p.started = true
 }
 
-// Close stops the worker goroutines. The pool restarts lazily on the next
-// ForEach, so Close is safe to call between simulation runs. Nil-safe.
+// Close stops the helper goroutines and returns once they have exited. The
+// pool restarts lazily on the next use, so Close is safe to call between
+// simulation runs. Nil-safe.
 func (p *WorkerPool) Close() {
-	if p == nil || !p.started {
+	if p == nil || p.helpers == nil {
 		return
 	}
-	close(p.jobs)
-	p.started = false
+	for _, jobs := range p.helpers {
+		close(jobs)
+	}
+	p.exited.Wait()
+	p.helpers = nil
 }
 
-// spinBarrier synchronizes the lockstep window workers between cycles. It
-// is generation-counted: the last arriver of each cycle becomes the
-// coordinator, decides whether the window continues, and publishes the
-// decision together with the next generation number. Workers spin with
-// Gosched, so oversubscribed hosts (more workers than cores) stay live.
-type spinBarrier struct {
-	n       int32
-	arrived atomic.Int32
-	// state packs (generation << 1) | continueBit.
+// lockstep keeps a window's workers on the same cycle: each arrives with its
+// shards' verdict on cycle k, the last arriver (the coordinator) merges the
+// verdicts, decides whether the window continues to cycle k+1, and releases
+// the others with that decision. Workers spin with Gosched, so oversubscribed
+// hosts (more workers than cores) stay live. With one worker it is plain
+// bookkeeping: no atomic is touched.
+type lockstep struct {
+	n        int32
+	arrived  atomic.Int32
+	anyBusy  atomic.Bool // merged verdicts of the cycle in flight
+	anyClose atomic.Bool
+	// state packs generation<<2 | poisoned<<1 | continue. The coordinator's
+	// store of it publishes the result fields below to the other workers.
 	state atomic.Uint64
+
+	// Verdict on the last cycle every worker finished.
+	last          int
+	busy, closing bool
 }
 
-func (b *spinBarrier) reset(n int32) {
-	b.n = n
+const (
+	lockstepContinue = 1 << iota
+	lockstepPoisoned
+	lockstepGenShift = iota
+)
+
+func (b *lockstep) reset(n int) {
+	b.n = int32(n)
+	if n == 1 {
+		return
+	}
 	b.arrived.Store(0)
+	b.anyBusy.Store(false)
+	b.anyClose.Store(false)
 	b.state.Store(0)
 }
 
-// arrive returns true on the coordinator (last arriver of this cycle).
-func (b *spinBarrier) arrive() bool {
-	return b.arrived.Add(1) == b.n
-}
-
-// publish releases the workers of generation gen with the continue bit.
-// Coordinator only; it must reset arrived first.
-func (b *spinBarrier) publish(gen int, cont bool) {
-	b.arrived.Store(0)
-	v := uint64(gen+1) << 1
-	if cont {
-		v |= 1
+// arrive reports this worker's verdict on window cycle k — whether any of
+// its shards is still busy and whether any closed the window — and returns
+// whether to run cycle k+1. more is false on the span's last cycle.
+func (b *lockstep) arrive(k int, busy, closing, more bool) bool {
+	if b.n == 1 {
+		b.last, b.busy, b.closing = k, busy, closing
+		return more && busy && !closing
 	}
+	if busy {
+		b.anyBusy.Store(true)
+	}
+	if closing {
+		b.anyClose.Store(true)
+	}
+	if b.arrived.Add(1) < b.n {
+		return b.await(k)
+	}
+	b.last, b.busy, b.closing = k, b.anyBusy.Load(), b.anyClose.Load()
+	cont := more && b.busy && !b.closing
+	v := uint64(k+1) << lockstepGenShift
+	if cont {
+		b.anyBusy.Store(false)
+		b.anyClose.Store(false)
+		v |= lockstepContinue
+	}
+	b.arrived.Store(0)
 	b.state.Store(v)
+	return cont
 }
 
-// await blocks until the coordinator publishes generation gen's decision
-// and returns the continue bit.
-func (b *spinBarrier) await(gen int) bool {
+// await blocks until the coordinator publishes cycle k's decision, or until
+// the barrier is poisoned.
+func (b *lockstep) await(k int) bool {
 	for {
 		v := b.state.Load()
-		if int(v>>1) == gen+1 {
-			return v&1 != 0
+		if v&lockstepPoisoned != 0 {
+			return false
+		}
+		if int(v>>lockstepGenShift) == k+1 {
+			return v&lockstepContinue != 0
 		}
 		runtime.Gosched()
 	}
 }
 
-// ParallelMacroActor is a MacroActor whose components tick concurrently on
-// a WorkerPool and then commit serially in component order. Like
-// MacroActor it consumes one event per cycle regardless of component
-// count; unlike it, the compute phase of that event uses every host core.
-// With a nil pool it degrades to the exact serial two-phase loop, which is
-// why workers=1 and workers=N produce bit-identical results (the commit
-// order, not the compute order, defines all shared-state interleavings).
+// poison makes every worker leave at its next await: a worker that panicked
+// will never arrive, so no coordinator will release them. Nothing overwrites
+// the bit before the next reset — publishing cycle k needs every worker's
+// arrival, and the one that poisoned is past its last.
+func (b *lockstep) poison() { b.state.Store(lockstepPoisoned) }
+
+// WindowEnd says what bounded a window of the cluster domain.
+type WindowEnd uint8
+
+const (
+	// EndForeignEvent: the window ran up to the next event of another
+	// actor, whose effects its frozen inputs must not miss.
+	EndForeignEvent WindowEnd = iota
+	// EndClosingEffect: a shard buffered a window-closing effect.
+	EndClosingEffect
+	// EndAllQuiet: no shard had work left.
+	EndAllQuiet
+	// EndSpanCap: the window ran its full configured lookahead.
+	EndSpanCap
+	NumWindowEnds
+)
+
+func (e WindowEnd) String() string {
+	return [NumWindowEnds]string{"foreign_event", "closing_effect", "all_quiet", "span_cap"}[e]
+}
+
+// WindowSpanBuckets is the number of power-of-two span buckets in
+// WindowStats; the last one is open-ended.
+const WindowSpanBuckets = 8
+
+// WindowStats counts a ParallelMacroActor's windows by the cycles they
+// covered and by what ended them: element [b][e] is the number of windows
+// that covered 2^b..2^(b+1)-1 cycles and ended for cause e. It describes
+// host scheduling, not the simulated machine — though it is the same for any
+// worker count, it changes with the lookahead.
+type WindowStats [WindowSpanBuckets][NumWindowEnds]uint64
+
+func (s *WindowStats) record(cycles int, end WindowEnd) {
+	b := min(bits.Len(uint(cycles))-1, WindowSpanBuckets-1)
+	s[b][end]++
+}
+
+// ParallelMacroActor is a MacroActor whose shards tick concurrently on a
+// WorkerPool and then commit serially in shard order. Like MacroActor it
+// consumes one event per notification regardless of shard count; unlike it,
+// the compute phase of that event can use several host cores, and one event
+// covers up to `lookahead` consecutive cycles (a bounded-lookahead window):
+// the span is capped by the next foreign scheduler event and truncated at
+// the first cycle that buffers a window-closing effect, then every buffered
+// effect replays in (cycle, shard) order. Workers, lookahead and mode change
+// how the host gets through the cycles, never the result: the commit order,
+// not the compute order, defines all shared-state interleavings.
 //
-// When its components implement WindowShard and a lookahead > 1 is set,
-// one scheduler event covers up to `lookahead` consecutive cycles (a
-// bounded-lookahead window): the span is capped by the next foreign
-// scheduler event and truncated at the first cycle that buffers a
-// window-closing effect, then every buffered effect replays in
-// (cycle, shard) order — reproducing the single-cycle engine bit for bit
-// while paying scheduler and commit overhead once per window.
+// Shards are statically owned: with nw workers, shard i of n always ticks on
+// worker i*nw/n, so its state stays in one core's cache from window to
+// window. With a nil pool everything runs on the scheduler goroutine.
 type ParallelMacroActor struct {
 	Name  string
 	sched *Scheduler
 	clock *Clock
 	pool  *WorkerPool
-	comps []ShardCycler
-	busy  []bool
+	comps []WindowShard
 
-	// Window mode (SetLookahead). wcomps mirrors comps and is non-nil in
-	// every slot only when every component supports windows.
 	lookahead  int
 	optimistic bool
-	allWindows bool
-	wcomps     []WindowShard
 	rollbacks  atomic.Uint64
+	stats      WindowStats
 
-	// Hoisted single-cycle tick closure (avoids one allocation per event).
-	tickFn    func(i int)
-	tickCycle int64
-	tickNow   Time
+	// The window in flight, read by its workers.
+	winCycle          int64
+	winNow, winPeriod Time
+	winSpan           int
+	bar               lockstep
+	workerFn          func(w int) // hoisted: no closure per window
 
 	// Optimistic free-run state, reused across windows.
-	frFn             func(i int)
-	rbFn             func(i int)
-	frCycle          int64
-	frNow, frPeriod  Time
-	frSpan, frReplay int
-	ends, closeAt    []int
-	busyHist         []bool // [comp*lookahead + k]
-
-	bar spinBarrier
+	frFn, rbFn    func(i int)
+	frReplay      int
+	ends, closeAt []int
+	busyHist      []bool // [comp*lookahead + k]
 
 	scheduled bool
-	pending   *Event
 }
 
 // NewParallelMacroActor creates a parallel macro-actor on the given clock
 // domain. A nil pool means serial execution.
 func NewParallelMacroActor(name string, sched *Scheduler, clock *Clock, pool *WorkerPool) *ParallelMacroActor {
-	m := &ParallelMacroActor{Name: name, sched: sched, clock: clock, pool: pool,
-		lookahead: 1, allWindows: true}
-	m.tickFn = func(i int) { m.busy[i] = m.comps[i].Tick(m.tickCycle, m.tickNow) }
-	m.frFn = func(i int) { m.freeRun(i) }
-	m.rbFn = func(i int) { m.rollbackReplay(i) }
+	m := &ParallelMacroActor{Name: name, sched: sched, clock: clock, pool: pool, lookahead: 1}
+	m.workerFn = m.windowWorker
+	m.frFn = m.freeRun
+	m.rbFn = m.rollbackReplay
 	return m
 }
 
-// Add registers a component shard.
-func (m *ParallelMacroActor) Add(c ShardCycler) {
-	m.comps = append(m.comps, c)
-	m.busy = append(m.busy, false)
-	w, ok := c.(WindowShard)
-	if !ok {
-		m.allWindows = false
-	}
-	m.wcomps = append(m.wcomps, w)
-}
+// Add registers a shard.
+func (m *ParallelMacroActor) Add(c WindowShard) { m.comps = append(m.comps, c) }
 
-// Len returns the number of component shards.
+// Len returns the number of shards.
 func (m *ParallelMacroActor) Len() int { return len(m.comps) }
 
-// Workers returns the number of host workers ticking the shards.
-func (m *ParallelMacroActor) Workers() int { return m.pool.Size() }
-
 // SetLookahead configures the bounded-lookahead window: w is the maximum
-// cycles one scheduler event may cover (w <= 1 restores the single-cycle
-// engine). optimistic selects the speculative mode: shards free-run the
-// whole window independently — one barrier per window instead of one per
-// cycle — and shards that overran the consensus window boundary roll back
-// to their window-entry snapshot and replay. Results are bit-identical in
-// every mode; see docs/PERF.md.
+// cycles one scheduler event may cover (w <= 1: every window is one cycle).
+// optimistic selects the speculative mode: shards free-run the whole window
+// independently — one barrier per window instead of one per cycle — and
+// shards that overran the consensus window boundary roll back to their
+// window-entry snapshot and replay. Results are bit-identical in every
+// mode; see docs/PERF.md.
 func (m *ParallelMacroActor) SetLookahead(w int, optimistic bool) {
 	if w < 1 {
 		w = 1
@@ -340,12 +376,15 @@ func (m *ParallelMacroActor) SetLookahead(w int, optimistic bool) {
 	m.optimistic = optimistic
 }
 
-// Lookahead returns the configured window bound (1 = single-cycle engine).
+// Lookahead returns the configured window bound in cycles.
 func (m *ParallelMacroActor) Lookahead() int { return m.lookahead }
 
 // Rollbacks returns the number of shard-window rollbacks the optimistic
-// mode performed (0 in the conservative modes).
+// mode performed (0 in the conservative mode).
 func (m *ParallelMacroActor) Rollbacks() uint64 { return m.rollbacks.Load() }
+
+// WindowStats returns the window counts so far. Scheduler goroutine only.
+func (m *ParallelMacroActor) WindowStats() WindowStats { return m.stats }
 
 // Wake ensures a notification is scheduled for the next clock edge.
 // Idempotent within a cycle, like MacroActor.Wake.
@@ -358,173 +397,123 @@ func (m *ParallelMacroActor) Wake(now Time) {
 		return // clock gated off; re-woken on Enable
 	}
 	m.scheduled = true
-	m.pending = m.sched.Schedule(at, PrioClock, m)
+	m.sched.Schedule(at, PrioClock, m)
 }
 
-// Notify runs one lookahead window (possibly a single cycle): the parallel
-// compute phase(s), then the serial commit replay in (cycle, shard) order,
-// and re-arms the clock edge if any shard still has work.
+// Notify runs one window: the compute phase of up to windowSpan cycles on
+// every shard, then the serial commit replay in (cycle, shard) order, and
+// re-arms the clock edge if any shard still has work.
 func (m *ParallelMacroActor) Notify(now Time) {
 	m.scheduled = false
-	m.pending = nil
-	span := 1
-	if m.lookahead > 1 && m.allWindows && len(m.comps) > 0 {
-		span = m.windowSpan(now)
-	}
-	if span <= 1 {
-		m.notifyOne(now)
-		return
-	}
-	if m.optimistic {
-		m.notifyOptimistic(now, span)
+	span, foreign := m.windowSpan(now)
+	m.winCycle, m.winNow, m.winPeriod, m.winSpan = m.clock.Cycle(now), now, m.clock.Period(), span
+	var last int
+	var busy, closing bool
+	if m.optimistic && span > 1 {
+		last, busy, closing = m.freeRunWindow()
 	} else {
-		m.notifyWindow(now, span)
+		last, busy, closing = m.lockstepWindow()
+	}
+	for k := 0; k <= last; k++ {
+		nowK := now + Time(k)*m.winPeriod
+		for _, c := range m.comps {
+			c.CommitCycle(k, nowK, k == last)
+		}
+	}
+	end := EndSpanCap
+	switch {
+	case closing:
+		end = EndClosingEffect
+	case !busy:
+		end = EndAllQuiet
+	case foreign:
+		end = EndForeignEvent
+	}
+	m.stats.record(last+1, end)
+	if busy {
+		m.Wake(now + Time(last)*m.winPeriod)
 	}
 }
 
 // windowSpan bounds the next window: no more than lookahead cycles, and
 // only cycles whose edges fall strictly before the next foreign scheduler
 // event (whose effects the window's frozen-input contract must not miss).
-func (m *ParallelMacroActor) windowSpan(now Time) int {
+// foreign reports that the event, not the lookahead, set the bound.
+func (m *ParallelMacroActor) windowSpan(now Time) (span int, foreign bool) {
 	period := m.clock.Period()
-	if period <= 0 {
-		return 1
+	span = m.lookahead
+	if span <= 1 || period <= 0 {
+		return 1, false
 	}
-	span := m.lookahead
 	if nt := m.sched.NextTime(); nt != MaxTime {
-		avail := (nt - now + period - 1) / period
-		if avail < Time(span) {
-			span = int(avail)
+		if avail := (nt - now + period - 1) / period; avail < Time(span) {
+			span, foreign = int(avail), true
 		}
 	}
 	if span < 1 {
 		span = 1
 	}
-	return span
+	return span, foreign
 }
 
-// notifyOne is the exact single-cycle two-phase engine (lookahead=1 and
-// windows that collapse to one cycle).
-func (m *ParallelMacroActor) notifyOne(now Time) {
-	m.tickCycle, m.tickNow = m.clock.Cycle(now), now
-	m.pool.ForEach(len(m.comps), m.tickFn)
-	any := false
-	for i, c := range m.comps {
-		c.Commit(now)
-		if m.busy[i] {
-			any = true
-		}
-	}
-	if any {
-		m.Wake(now)
-	}
-}
-
-// notifyWindow runs a conservative lockstep window: every shard ticks
+// lockstepWindow runs the conservative compute phase: every shard ticks
 // cycle k before any shard ticks cycle k+1, so a window-closing effect in
-// any shard truncates the window for all of them without speculation. The
-// commit replay then runs once for the whole window.
-func (m *ParallelMacroActor) notifyWindow(now Time, span int) {
-	comps := m.wcomps
-	period := m.clock.Period()
-	cycle := m.clock.Cycle(now)
-	for _, c := range comps {
-		c.BeginWindow(false)
-	}
-	var last int
-	var anyBusy bool
-	nw := m.pool.Size()
-	if nw > len(comps) {
-		nw = len(comps)
-	}
-	if nw <= 1 {
-		last, anyBusy = m.lockstepSerial(cycle, now, period, span)
+// any shard truncates the window for all of them without speculation. It
+// returns the last cycle run and the merged verdict on it.
+func (m *ParallelMacroActor) lockstepWindow() (last int, busy, closing bool) {
+	nw := max(1, min(m.pool.Size(), len(m.comps)))
+	m.bar.reset(nw)
+	if nw == 1 {
+		m.tickShards(0)
 	} else {
-		last, anyBusy = m.lockstepParallel(nw, cycle, now, period, span)
+		m.pool.RunWorkers(nw, m.workerFn)
 	}
-	m.commitWindow(now, period, last)
-	if anyBusy {
-		m.Wake(now + Time(last)*period)
-	}
+	return m.bar.last, m.bar.busy, m.bar.closing
 }
 
-func (m *ParallelMacroActor) lockstepSerial(cycle int64, now, period Time, span int) (last int, anyBusy bool) {
-	comps := m.wcomps
-	for k := 0; k < span; k++ {
-		nowK := now + Time(k)*period
+// windowWorker is one of several workers of a lockstep window. If its
+// shards panic it never reaches the barrier the others wait at, so it
+// releases them before passing the panic on to RunWorkers.
+func (m *ParallelMacroActor) windowWorker(w int) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.bar.poison()
+			panic(r)
+		}
+	}()
+	m.tickShards(w)
+}
+
+// tickShards is worker w's share of a lockstep window: its own shards, cycle
+// by cycle, meeting the other workers after each.
+func (m *ParallelMacroActor) tickShards(w int) {
+	n, nw := len(m.comps), int(m.bar.n)
+	shards := m.comps[n*w/nw : n*(w+1)/nw]
+	for k := 0; ; k++ {
+		cycle, nowK := m.winCycle+int64(k), m.winNow+Time(k)*m.winPeriod
 		busy, closing := false, false
-		for _, c := range comps {
-			b, cl := c.WindowTick(cycle+int64(k), nowK)
+		for _, c := range shards {
+			if k == 0 {
+				c.BeginWindow(cycle, false)
+			}
+			b, cl := c.WindowTick(cycle, nowK)
 			busy = busy || b
 			closing = closing || cl
 		}
-		last, anyBusy = k, busy
-		if closing || !busy {
-			break
+		if !m.bar.arrive(k, busy, closing, k+1 < m.winSpan) {
+			return
 		}
 	}
-	return last, anyBusy
 }
 
-// lockstepParallel is the barrier-elided parallel window: one job dispatch
-// per window with an atomic spin barrier per cycle, instead of two channel
-// hops per helper per cycle.
-func (m *ParallelMacroActor) lockstepParallel(nw int, cycle int64, now, period Time, span int) (last int, anyBusy bool) {
-	comps := m.wcomps
-	n := len(comps)
-	m.bar.reset(int32(nw))
-	var busyF, closeF atomic.Int32
-	var lastK atomic.Int32
-	var lastBusy atomic.Int32
-	m.pool.RunWorkers(nw, func(w int) {
-		lo, hi := n*w/nw, n*(w+1)/nw
-		for k := 0; ; k++ {
-			nowK := now + Time(k)*period
-			busy, closing := false, false
-			for _, c := range comps[lo:hi] {
-				b, cl := c.WindowTick(cycle+int64(k), nowK)
-				busy = busy || b
-				closing = closing || cl
-			}
-			if busy {
-				busyF.Store(1)
-			}
-			if closing {
-				closeF.Store(1)
-			}
-			if m.bar.arrive() {
-				wasBusy := busyF.Load() == 1
-				cont := k+1 < span && wasBusy && closeF.Load() == 0
-				lastK.Store(int32(k))
-				if wasBusy {
-					lastBusy.Store(1)
-				} else {
-					lastBusy.Store(0)
-				}
-				if cont {
-					busyF.Store(0)
-					closeF.Store(0)
-				}
-				m.bar.publish(k, cont)
-			}
-			if !m.bar.await(k) {
-				return
-			}
-		}
-	})
-	return int(lastK.Load()), lastBusy.Load() == 1
-}
-
-// notifyOptimistic runs a speculative window: every shard free-runs the
-// full span independently (no per-cycle barrier at all), stopping only at
-// its own first window-closing cycle. The consensus window end E is the
+// freeRunWindow runs the optimistic compute phase: every shard free-runs
+// the full span independently (no per-cycle barrier at all), stopping only
+// at its own first window-closing cycle. The consensus window end E is the
 // earliest closing cycle across shards (or the first all-quiet cycle);
 // shards that ran past E roll back to their window-entry snapshot and
 // deterministically replay cycles up to E before the common commit.
-func (m *ParallelMacroActor) notifyOptimistic(now Time, span int) {
-	comps := m.wcomps
-	n := len(comps)
-	period := m.clock.Period()
+func (m *ParallelMacroActor) freeRunWindow() (last int, busy, closing bool) {
+	n := len(m.comps)
 	if len(m.ends) < n {
 		m.ends = make([]int, n)
 		m.closeAt = make([]int, n)
@@ -532,53 +521,42 @@ func (m *ParallelMacroActor) notifyOptimistic(now Time, span int) {
 	if len(m.busyHist) < n*m.lookahead {
 		m.busyHist = make([]bool, n*m.lookahead)
 	}
-	m.frCycle, m.frNow, m.frPeriod, m.frSpan = m.clock.Cycle(now), now, period, span
 	m.pool.ForEach(n, m.frFn)
 
-	e := span - 1
-	for i := 0; i < n; i++ {
-		if c := m.closeAt[i]; c >= 0 && c < e {
-			e = c
-		}
-	}
-	for k := 0; k <= e; k++ {
-		quiet := true
+	busyAt := func(k int) bool {
 		for i := 0; i < n; i++ {
 			if m.busyHist[i*m.lookahead+k] {
-				quiet = false
-				break
+				return true
 			}
 		}
-		if quiet {
-			e = k
+		return false
+	}
+	e := m.winSpan - 1
+	for i := 0; i < n; i++ {
+		if c := m.closeAt[i]; c >= 0 && c <= e {
+			e, closing = c, true
+		}
+	}
+	for k := 0; k < e; k++ {
+		if !busyAt(k) {
+			e, closing = k, false
 			break
 		}
 	}
 
 	m.frReplay = e
 	m.pool.ForEach(n, m.rbFn)
-
-	m.commitWindow(now, period, e)
-	anyBusy := false
-	for i := 0; i < n; i++ {
-		if m.busyHist[i*m.lookahead+e] {
-			anyBusy = true
-			break
-		}
-	}
-	if anyBusy {
-		m.Wake(now + Time(e)*period)
-	}
+	return e, busyAt(e), closing
 }
 
 // freeRun speculatively executes shard i through the window.
 func (m *ParallelMacroActor) freeRun(i int) {
-	c := m.wcomps[i]
-	c.BeginWindow(true)
+	c := m.comps[i]
+	c.BeginWindow(m.winCycle, true)
 	base := i * m.lookahead
 	end, closed := -1, -1
-	for k := 0; k < m.frSpan; k++ {
-		busy, closing := c.WindowTick(m.frCycle+int64(k), m.frNow+Time(k)*m.frPeriod)
+	for k := 0; k < m.winSpan; k++ {
+		busy, closing := c.WindowTick(m.winCycle+int64(k), m.winNow+Time(k)*m.winPeriod)
 		m.busyHist[base+k] = busy
 		end = k
 		if closing {
@@ -599,27 +577,11 @@ func (m *ParallelMacroActor) rollbackReplay(i int) {
 		return
 	}
 	m.rollbacks.Add(1)
-	c := m.wcomps[i]
+	c := m.comps[i]
 	c.Rollback()
 	base := i * m.lookahead
 	for k := 0; k <= e; k++ {
-		busy, _ := c.WindowTick(m.frCycle+int64(k), m.frNow+Time(k)*m.frPeriod)
+		busy, _ := c.WindowTick(m.winCycle+int64(k), m.winNow+Time(k)*m.winPeriod)
 		m.busyHist[base+k] = busy
-	}
-}
-
-// commitWindow replays every shard's buffered effects for cycles [0,last]
-// in (cycle, shard) order — the serial interleaving the single-cycle
-// engine produces — then releases the window buffers.
-func (m *ParallelMacroActor) commitWindow(now, period Time, last int) {
-	comps := m.wcomps
-	for k := 0; k <= last; k++ {
-		nowK := now + Time(k)*period
-		for _, c := range comps {
-			c.CommitCycle(k, nowK)
-		}
-	}
-	for _, c := range comps {
-		c.EndWindow()
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"xmtgo/internal/sim/engine"
 )
 
 // RenderProm writes the bundle in Prometheus text exposition format
@@ -69,6 +71,18 @@ func RenderProm(w io.Writer, p *Published) {
 		sort.Strings(keys)
 		for _, k := range keys {
 			fmt.Fprintf(w, "%s{kind=%q} %d\n", name, k, kinds[k])
+		}
+	}
+
+	if ws := p.Windows; ws != nil {
+		name := "xmt_engine_windows_total"
+		fmt.Fprintf(w, "# HELP %s Cluster-domain scheduler events by cycles covered (power-of-two buckets, labelled by lower bound) and by what ended the window.\n# TYPE %s counter\n", name, name)
+		for b := range ws {
+			for e, n := range ws[b] {
+				if n != 0 {
+					fmt.Fprintf(w, "%s{span_ge=\"%d\",end=%q} %d\n", name, 1<<b, engine.WindowEnd(e), n)
+				}
+			}
 		}
 	}
 

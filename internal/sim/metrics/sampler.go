@@ -3,6 +3,7 @@ package metrics
 import (
 	"xmtgo/internal/config"
 	"xmtgo/internal/sim/cycle"
+	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/sim/power"
 	"xmtgo/internal/sim/stats"
 	"xmtgo/internal/sim/trace"
@@ -45,6 +46,12 @@ type Sampler struct {
 	// /metrics can surface its dropped-event count (satellite of the
 	// service-observability work: silent ring truncation must be scrapable).
 	evlog func() *trace.EventLog
+
+	// windows, when set, reads the cluster domain's window counts for the
+	// xmt_engine_windows_total family. They describe how the host got
+	// through the cycles, so they go to /metrics only — never into samples,
+	// snapshots or the counters report.
+	windows func() engine.WindowStats
 }
 
 type prevState struct {
@@ -79,6 +86,7 @@ func Attach(sys *cycle.System, interval int64) *Sampler {
 	}
 	sp := NewSampler(sys.Cfg, interval, sys.StartCycle())
 	sp.evlog = sys.EventLog
+	sp.windows = sys.WindowStats
 	sys.AddActivityPlugin(sp)
 	return sp
 }
@@ -252,10 +260,15 @@ func (sp *Sampler) publish(s *Sample, cyc, ticks int64, st *stats.Collector, ali
 			status.TraceDropped = l.Dropped
 		}
 	}
-	sp.srv.Publish(&Published{
+	p := &Published{
 		Status:   status,
 		Counters: st.Snapshot(cyc, ticks),
 		Sample:   &smp,
 		Job:      sp.job,
-	})
+	}
+	if sp.windows != nil {
+		ws := sp.windows()
+		p.Windows = &ws
+	}
+	sp.srv.Publish(p)
 }

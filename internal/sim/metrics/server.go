@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"xmtgo/internal/obs"
+	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/sim/stats"
 )
 
@@ -90,6 +91,10 @@ type Published struct {
 	Status   Status
 	Counters *stats.Snapshot
 	Sample   *Sample
+	// Windows, when present, is the cluster domain's window counts by span
+	// and end cause (System.WindowStats): host-scheduling dynamics, the one
+	// part of a bundle that depends on the lookahead.
+	Windows *engine.WindowStats
 	// Job labels the bundle with the daemon job that produced it, so
 	// /stream?job=ID subscribers see only that job's samples.
 	Job string

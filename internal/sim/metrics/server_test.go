@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/sim/metrics"
 	"xmtgo/internal/sim/stats"
 )
@@ -72,7 +73,11 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("empty /status = %q", body)
 	}
 
-	srv.Publish(testBundle(500))
+	bundle := testBundle(500)
+	bundle.Windows = &engine.WindowStats{}
+	bundle.Windows[0][engine.EndClosingEffect] = 7
+	bundle.Windows[3][engine.EndSpanCap] = 2
+	srv.Publish(bundle)
 
 	body, ctype := get(t, "http://"+addr+"/metrics")
 	if !strings.HasPrefix(ctype, "text/plain") {
@@ -86,6 +91,8 @@ func TestServerEndpoints(t *testing.T) {
 		"xmt_watchdog_slack_cycles 4000",
 		"xmt_interval_ipc 2",
 		`xmt_faults_injected_total{kind="tcu_fail"} 0`,
+		`xmt_engine_windows_total{span_ge="1",end="closing_effect"} 7`,
+		`xmt_engine_windows_total{span_ge="8",end="span_cap"} 2`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)

@@ -3,10 +3,10 @@
 // the host-parallel determinism contract covers — results, program output,
 // statistics, Chrome traces, telemetry, race reports — must be byte-identical
 // across every combination of host worker count, lookahead window size
-// (single-cycle legacy, a deliberately awkward odd width, the derived
-// window) and the optimistic rollback mode. Checkpoint/resume must land on
-// the same architectural state even when the checkpoint period does not
-// divide the window width, i.e. when the stop falls mid-window.
+// (one cycle, a deliberately awkward odd width, the derived window) and the
+// optimistic rollback mode. Checkpoint/resume must land on the same
+// architectural state even when the checkpoint period does not divide the
+// window width, i.e. when the stop falls mid-window.
 package xmtgo_test
 
 import (
@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"xmtgo"
+	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/workloads"
 )
 
@@ -40,7 +41,7 @@ func lookaheadCorpus(t *testing.T) []detCase {
 }
 
 // engineVariants enumerates the engine configurations under test. lookahead=1
-// restores the legacy single-cycle engine and serves as the reference;
+// makes every window a single cycle and serves as the reference;
 // lookahead=3 forces windows that never align with the derived width;
 // lookahead=0 derives the window from the minimum cross-cluster latency;
 // optimistic free-runs and rolls back on overrun.
@@ -69,12 +70,20 @@ func TestLookaheadDeterminism(t *testing.T) {
 				t.Fatalf("reference run did not halt (cycles=%d)", ref.res.Cycles)
 			}
 			for _, v := range engineVariants() {
+				var windows engine.WindowStats
 				for _, w := range []int{1, 2, 4} {
 					vc := tc
 					vc.cfg.Lookahead = v.lookahead
 					vc.cfg.EngineMode = v.mode
 					r := runWorkers(t, vc, w)
 					id := fmt.Sprintf("%s/workers=%d", v.name, w)
+					// The cut into windows depends on the lookahead, never
+					// on the worker count.
+					if w == 1 {
+						windows = r.windows
+					} else if r.windows != windows {
+						t.Errorf("%s: window counts %v differ from one worker's %v", id, r.windows, windows)
+					}
 					if *r.res != *ref.res {
 						t.Errorf("%s: result %+v != reference %+v", id, *r.res, *ref.res)
 					}

@@ -1,8 +1,9 @@
 // Host-parallel determinism: the cycle-accurate simulator must produce
 // bit-identical results regardless of how many host workers tick the
 // cluster shards (Config.HostWorkers). This is the contract that makes
-// -workers safe to default to GOMAXPROCS: cycle counts, halt state, every
-// statistics counter and all program output match the serial run exactly.
+// -workers a pure host-speed choice (0, the default, resolves to one worker;
+// N fans the cluster domain out): cycle counts, halt state, every statistics
+// counter and all program output match the serial run exactly.
 // scripts/check.sh runs this test under -race, which also proves the
 // compute phase is free of shared-state races.
 package xmtgo_test
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"xmtgo"
+	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/sim/metrics"
 	"xmtgo/internal/sim/trace"
 	"xmtgo/internal/workloads"
@@ -80,6 +82,10 @@ type workersRun struct {
 	countersJSON string // machine-readable counter snapshot
 	prom         string // Prometheus text rendering of the final state
 	raceReport   string // xmtsan report (race checking is on for every run)
+	// windows is not part of that contract's artifacts — it describes host
+	// scheduling and changes with the lookahead — but for one lookahead it
+	// too must not depend on the worker count.
+	windows engine.WindowStats
 }
 
 func runWorkers(t *testing.T, tc detCase, workers int) workersRun {
@@ -119,7 +125,8 @@ func runWorkers(t *testing.T, tc detCase, workers int) workersRun {
 		samples:      telemetrySamples(t, smp),
 		countersJSON: telemetryCounters(t, sys, res),
 		prom:         telemetryProm(smp, sys, res),
-		raceReport:   raceRep.String()}
+		raceReport:   raceRep.String(),
+		windows:      sys.WindowStats()}
 }
 
 // telemetrySamples renders the sampler's JSONL artifact.

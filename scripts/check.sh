@@ -61,13 +61,17 @@ echo "== go test -race (job execution: runner, batch, daemon stop/recovery paths
 go test -race ./internal/jobrun ./internal/batch
 go test -race -timeout 300s -run 'TestDaemonPreemptResumeBitIdentical|TestDaemonCancelPaths|TestDaemonDrainAndResume|TestDaemonCrashRecovery' ./internal/daemon
 
-echo "== lookahead gate (window determinism matrix + rollback sanity)"
+echo "== lookahead gate (window determinism matrix + rollback sanity + worker contract under -race)"
 # The bounded-lookahead engine must be architecturally invisible: byte-
 # identical artifacts across host_workers {1,2,4} x lookahead {1, 3,
 # derived} x {windowed, optimistic}, checkpoint/resume mid-window, and the
 # optimistic run must actually exercise the rollback path (nonzero
 # System.Rollbacks) while matching the lockstep result.
 go test -count=1 -run 'TestLookaheadDeterminism|TestLookaheadCheckpointResume|TestOptimisticRollbackOccurs' .
+# What explicit workers promise: a shard stays on one worker and no shard
+# runs ahead of the lockstep, and a panicking shard comes out of the run
+# instead of hanging the workers at the cycle barrier.
+go test -race -count=10 -timeout 120s -run 'TestStaticShardOwnership|TestLockstepPanicPropagates' ./internal/sim/engine
 
 # Cross-run throughput gate: when bench.sh has recorded at least two
 # BENCH_HISTORY.jsonl entries, sim_cycle/sec and sim_instr/sec (direction:
