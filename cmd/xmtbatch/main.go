@@ -53,7 +53,7 @@ func main() {
 		retries   = flag.Int("retries", 2, "retry attempts per failed or timed-out job")
 		backoff   = flag.Float64("backoff", 2, "cycle-budget multiplier between attempts")
 		outDir    = flag.String("out", "", "directory for per-job checkpoint files (empty = retries restart from scratch)")
-		workers   = flag.Int("workers", 0, "host worker goroutines for the cluster shards (0 = the default = 1, serial; N > 1 fans the cluster domain out, an opt-in for hosts where it pays; results identical for any value)")
+		workers   = flag.Int("workers", 0, config.HostWorkersUsage)
 		quiet     = flag.Bool("q", false, "suppress per-attempt progress lines")
 
 		serveAddr    = flag.String("serve", "", "serve live metrics on this address while the batch runs (/metrics, /status, /stream)")

@@ -59,7 +59,7 @@ func main() {
 		cluster   = flag.Int("cluster", 0, "virtual-thread clustering factor")
 		noPref    = flag.Bool("no-prefetch", false, "disable compiler prefetching")
 		noNB      = flag.Bool("no-nbstore", false, "disable non-blocking stores")
-		workers   = flag.Int("workers", 0, "host worker goroutines for the cluster shards (0 = the default = 1, serial; N > 1 fans the cluster domain out, an opt-in for hosts where it pays; results identical for any value)")
+		workers   = flag.Int("workers", 0, config.HostWorkersUsage)
 		faultPlan = flag.String("fault", "", `fault-injection plan, e.g. "memflip:10;tcufail:2@5000-90000" (docs/ROBUSTNESS.md)`)
 		faultSeed = flag.Uint64("fault-seed", 0, "fault plan seed (0 = keep the preset's fault_seed)")
 		watchdog  = flag.Int64("watchdog", -1, "no-progress watchdog window in cluster cycles (0 disables; -1 = keep the preset's watchdog_cycles)")

@@ -74,7 +74,7 @@ func main() {
 		thermal   = flag.Bool("thermal", false, "attach the power/thermal DVFS manager plug-in")
 		plan      = flag.Bool("floorplan", false, "render the cluster floorplan at exit (activity or temperature)")
 		describe  = flag.Bool("describe", false, "print the machine configuration and exit")
-		workers   = flag.Int("workers", 0, "host worker goroutines for the cluster shards (0 = the default = 1, serial; N > 1 fans the cluster domain out, an opt-in for hosts where it pays; results identical for any value)")
+		workers   = flag.Int("workers", 0, config.HostWorkersUsage)
 		faultPlan = flag.String("fault", "", `fault-injection plan, e.g. "memflip:10;tcufail:2@5000-90000" (docs/ROBUSTNESS.md)`)
 		faultSeed = flag.Uint64("fault-seed", 0, "fault plan seed (0 = keep the preset's fault_seed)")
 		watchdog  = flag.Int64("watchdog", -1, "no-progress watchdog window in cluster cycles (0 disables; -1 = keep the preset's watchdog_cycles)")

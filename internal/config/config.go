@@ -100,11 +100,9 @@ type Config struct {
 
 	// Host execution. HostWorkers is the number of host goroutines that
 	// tick the cluster shards: 1 runs everything on the scheduler goroutine,
-	// N > 1 gives each of N workers a fixed share of the clusters, and 0 (the
-	// default) resolves to the count that wins on the reference host —
-	// cycle.DefaultHostWorkers, which is 1 (docs/PERF.md §Host-parallel
-	// cluster simulation). Simulation results are bit-identical for any
-	// value.
+	// N > 1 fans every cluster cycle out to N workers, and 0 (the default)
+	// resolves to DefaultHostWorkers. Simulation results are bit-identical
+	// for any value.
 	HostWorkers int
 
 	// Bounded-lookahead engine (docs/PERF.md). Lookahead is the maximum
@@ -148,6 +146,20 @@ type Config struct {
 	StaticWattsPerCluster float64
 	StaticWattsOther      float64
 }
+
+// DefaultHostWorkers is what HostWorkers = 0 resolves to: the worker count
+// that wins on the reference host. One, on the evidence of the 2-vCPU ledger
+// (docs/PERF.md §Host-parallel cluster simulation): a cluster-cycle is ~86 ns
+// of compute, less than moving its outbox between cores costs, so fanning
+// the cluster domain out is an explicit opt-in (host_workers=N).
+const DefaultHostWorkers = 1
+
+// hostWorkersNote says what a host_workers value means, for Describe and the
+// CLIs' -workers flags.
+var hostWorkersNote = fmt.Sprintf("0 = the default = %d; 1 = serial; N > 1 fans the cluster domain out to N host goroutines, an opt-in for hosts where it pays; results identical for any value", DefaultHostWorkers)
+
+// HostWorkersUsage is the help text of the CLIs' -workers flag.
+var HostWorkersUsage = "host worker goroutines for the cluster shards (" + hostWorkersNote + ")"
 
 // Engine modes for the bounded-lookahead parallel engine (docs/PERF.md).
 const (
@@ -552,7 +564,7 @@ func (c *Config) Describe() string {
 	fmt.Fprintf(&b, "periods: cluster=%d icn=%d cache=%d dram=%d master=%d\n",
 		c.ClusterPeriod, c.ICNPeriod, c.CachePeriod, c.DRAMPeriod, c.MasterPeriod)
 	fmt.Fprintf(&b, "mem_bytes=%d seed=%d\n", c.MemBytes, c.Seed)
-	fmt.Fprintf(&b, "host_workers=%d (0 = the default = 1, serial; N > 1 opts in to host-parallel clusters; results identical for any value)\n", c.HostWorkers)
+	fmt.Fprintf(&b, "host_workers=%d (%s)\n", c.HostWorkers, hostWorkersNote)
 	mode := c.EngineMode
 	if mode == "" {
 		mode = EngineWindowed

@@ -229,7 +229,7 @@ func TestChip1024Compaction(t *testing.T) {
 func TestAutoWorkersResolution(t *testing.T) {
 	cfg := config.FPGA64() // 8 clusters
 	for _, tc := range []struct{ set, want int }{
-		{0, cycle.DefaultHostWorkers},
+		{0, config.DefaultHostWorkers},
 		{1, 1},
 		{4, 4},
 		{64, cfg.Clusters},

@@ -18,13 +18,6 @@ import (
 	"xmtgo/internal/sim/trace"
 )
 
-// DefaultHostWorkers is what Config.HostWorkers = 0 resolves to: the worker
-// count that wins on the reference host. One, on the evidence of the 2-vCPU
-// ledger (docs/PERF.md §Host-parallel cluster simulation): a cluster-cycle is
-// ~86 ns of compute, less than moving its outbox between cores costs, so
-// fanning the cluster domain out is an explicit opt-in (host_workers=N).
-const DefaultHostWorkers = 1
-
 // System is the assembled cycle-accurate XMT machine: every solid box of
 // the paper's Fig. 1 exists as one component instance, grouped into
 // macro-actors per clock domain on a single discrete-event scheduler.
@@ -207,7 +200,7 @@ func New(prog *asm.Program, cfg config.Config, out io.Writer) (*System, error) {
 	// scheduler goroutine.
 	workers := cfg.HostWorkers
 	if workers <= 0 {
-		workers = DefaultHostWorkers
+		workers = config.DefaultHostWorkers
 	}
 	if workers > cfg.Clusters {
 		workers = cfg.Clusters

@@ -32,8 +32,7 @@ import (
 // produced it.
 //
 // Every window, one cycle or many, runs BeginWindow, WindowTick per cycle,
-// CommitCycle per cycle on every shard. With several workers a shard's
-// BeginWindow and WindowTicks always run on the same worker.
+// CommitCycle per cycle on every shard.
 type WindowShard interface {
 	// BeginWindow starts a window whose first cycle is `cycle`; snapshot
 	// requests rollback capture (optimistic mode).
@@ -59,18 +58,19 @@ type WindowShard interface {
 type panicValue struct{ v any }
 
 // WorkerPool is a persistent set of helper goroutines for data-parallel
-// fan-out inside a single scheduler event. Helper h only ever runs worker
-// index h+1 (the caller is worker 0), so state a worker index owns stays
-// with one goroutine from event to event. The goroutines block on their job
-// channels between events.
+// fan-out inside a single scheduler event. The goroutines block on a channel
+// between fan-outs.
 type WorkerPool struct {
-	n       int
-	helpers []chan func(w int) // helpers[h] feeds worker index h+1
-	exited  sync.WaitGroup
+	n      int
+	wake   chan struct{} // one token per helper per ForEach; nil until started
+	exited sync.WaitGroup
 
-	// One RunWorkers call at a time: its join and its first panic.
-	wg  sync.WaitGroup
-	pan atomic.Pointer[panicValue]
+	// The ForEach in flight (one at a time).
+	fn    func(i int)
+	count int32
+	next  atomic.Int32 // the next unclaimed index
+	wg    sync.WaitGroup
+	pan   atomic.Pointer[panicValue]
 }
 
 // NewWorkerPool returns a pool of n workers (n <= 0 means GOMAXPROCS).
@@ -90,49 +90,12 @@ func (p *WorkerPool) Size() int {
 	return p.n
 }
 
-// RunWorkers runs fn(w) for every w in [0, k), worker w+1 on helper
-// goroutine w and worker 0 on the caller. Every worker is live
-// concurrently, so fn bodies may synchronize with one another (the lockstep
-// window barrier depends on this). It returns once every call has returned
-// and then re-panics with the first panic any of them raised. k is clamped
-// to Size(); k <= 1 runs inline.
-func (p *WorkerPool) RunWorkers(k int, fn func(w int)) {
-	if p != nil && k > p.n {
-		k = p.n
-	}
-	if p == nil || k <= 1 {
-		fn(0)
-		return
-	}
-	if p.helpers == nil {
-		p.start()
-	}
-	p.wg.Add(k - 1)
-	for w := 1; w < k; w++ {
-		p.helpers[w-1] <- fn
-	}
-	p.call(fn, 0)
-	p.wg.Wait()
-	if pv := p.pan.Swap(nil); pv != nil {
-		panic(pv.v)
-	}
-}
-
-// call runs fn(w), keeping the first panic for RunWorkers to re-raise.
-func (p *WorkerPool) call(fn func(w int), w int) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.pan.CompareAndSwap(nil, &panicValue{r})
-		}
-	}()
-	fn(w)
-}
-
-// ForEach runs fn(i) for every i in [0, n) with the workers claiming
-// indices from a shared counter, and returns once all calls have completed.
-// Only the optimistic free-run uses it: its shards run whole windows of
-// uneven length, which a fixed partition would balance badly. A nil or
-// single-worker pool runs the calls inline, in index order.
+// ForEach runs fn(i) for every i in [0, n), the caller and the helpers
+// claiming indices from a shared counter, and returns once all calls have
+// completed; it then re-panics with the first panic any of them raised. A
+// helper that wakes late finds the indices taken, so a slow wake-up costs the
+// fan-out its parallelism, not its progress. A nil or single-worker pool runs
+// the calls inline, in index order.
 func (p *WorkerPool) ForEach(n int, fn func(i int)) {
 	if p == nil || p.n <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -140,25 +103,44 @@ func (p *WorkerPool) ForEach(n int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int32
-	p.RunWorkers(n, func(int) {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
+	if p.wake == nil {
+		p.start()
+	}
+	helpers := min(p.n, n) - 1
+	p.fn, p.count = fn, int32(n)
+	p.next.Store(0)
+	p.wg.Add(helpers)
+	for range helpers {
+		p.wake <- struct{}{}
+	}
+	p.work()
+	p.wg.Wait()
+	if pv := p.pan.Swap(nil); pv != nil {
+		panic(pv.v)
+	}
+}
+
+// work claims indices until none is left, keeping the first panic for
+// ForEach to re-raise.
+func (p *WorkerPool) work() {
+	defer func() {
+		if r := recover(); r != nil {
+			p.pan.CompareAndSwap(nil, &panicValue{r})
 		}
-	})
+	}()
+	for i := p.next.Add(1) - 1; i < p.count; i = p.next.Add(1) - 1 {
+		p.fn(int(i))
+	}
 }
 
 func (p *WorkerPool) start() {
-	p.helpers = make([]chan func(w int), p.n-1)
-	p.exited.Add(len(p.helpers))
-	for h := range p.helpers {
-		jobs := make(chan func(w int))
-		p.helpers[h] = jobs
-		w := h + 1
+	p.wake = make(chan struct{}, p.n-1)
+	p.exited.Add(p.n - 1)
+	for range p.n - 1 {
 		go func() {
 			defer p.exited.Done()
-			for fn := range jobs {
-				p.call(fn, w)
+			for range p.wake {
+				p.work()
 				p.wg.Done()
 			}
 		}()
@@ -169,103 +151,13 @@ func (p *WorkerPool) start() {
 // pool restarts lazily on the next use, so Close is safe to call between
 // simulation runs. Nil-safe.
 func (p *WorkerPool) Close() {
-	if p == nil || p.helpers == nil {
+	if p == nil || p.wake == nil {
 		return
 	}
-	for _, jobs := range p.helpers {
-		close(jobs)
-	}
+	close(p.wake)
 	p.exited.Wait()
-	p.helpers = nil
+	p.wake = nil
 }
-
-// lockstep keeps a window's workers on the same cycle: each arrives with its
-// shards' verdict on cycle k, the last arriver (the coordinator) merges the
-// verdicts, decides whether the window continues to cycle k+1, and releases
-// the others with that decision. Workers spin with Gosched, so oversubscribed
-// hosts (more workers than cores) stay live. With one worker it is plain
-// bookkeeping: no atomic is touched.
-type lockstep struct {
-	n        int32
-	arrived  atomic.Int32
-	anyBusy  atomic.Bool // merged verdicts of the cycle in flight
-	anyClose atomic.Bool
-	// state packs generation<<2 | poisoned<<1 | continue. The coordinator's
-	// store of it publishes the result fields below to the other workers.
-	state atomic.Uint64
-
-	// Verdict on the last cycle every worker finished.
-	last          int
-	busy, closing bool
-}
-
-const (
-	lockstepContinue = 1 << iota
-	lockstepPoisoned
-	lockstepGenShift = iota
-)
-
-func (b *lockstep) reset(n int) {
-	b.n = int32(n)
-	if n == 1 {
-		return
-	}
-	b.arrived.Store(0)
-	b.anyBusy.Store(false)
-	b.anyClose.Store(false)
-	b.state.Store(0)
-}
-
-// arrive reports this worker's verdict on window cycle k — whether any of
-// its shards is still busy and whether any closed the window — and returns
-// whether to run cycle k+1. more is false on the span's last cycle.
-func (b *lockstep) arrive(k int, busy, closing, more bool) bool {
-	if b.n == 1 {
-		b.last, b.busy, b.closing = k, busy, closing
-		return more && busy && !closing
-	}
-	if busy {
-		b.anyBusy.Store(true)
-	}
-	if closing {
-		b.anyClose.Store(true)
-	}
-	if b.arrived.Add(1) < b.n {
-		return b.await(k)
-	}
-	b.last, b.busy, b.closing = k, b.anyBusy.Load(), b.anyClose.Load()
-	cont := more && b.busy && !b.closing
-	v := uint64(k+1) << lockstepGenShift
-	if cont {
-		b.anyBusy.Store(false)
-		b.anyClose.Store(false)
-		v |= lockstepContinue
-	}
-	b.arrived.Store(0)
-	b.state.Store(v)
-	return cont
-}
-
-// await blocks until the coordinator publishes cycle k's decision, or until
-// the barrier is poisoned.
-func (b *lockstep) await(k int) bool {
-	for {
-		v := b.state.Load()
-		if v&lockstepPoisoned != 0 {
-			return false
-		}
-		if int(v>>lockstepGenShift) == k+1 {
-			return v&lockstepContinue != 0
-		}
-		runtime.Gosched()
-	}
-}
-
-// poison makes every worker leave at its next await: a worker that panicked
-// will never arrive, so no coordinator will release them. Nothing overwrites
-// the bit before the next reset — publishing cycle k needs every worker's
-// arrival, and the one that poisoned is past its last.
-func (b *lockstep) poison() { b.state.Store(lockstepPoisoned) }
 
 // WindowEnd says what bounded a window of the cluster domain.
 type WindowEnd uint8
@@ -314,9 +206,7 @@ func (s *WindowStats) record(cycles int, end WindowEnd) {
 // how the host gets through the cycles, never the result: the commit order,
 // not the compute order, defines all shared-state interleavings.
 //
-// Shards are statically owned: with nw workers, shard i of n always ticks on
-// worker i*nw/n, so its state stays in one core's cache from window to
-// window. With a nil pool everything runs on the scheduler goroutine.
+// With a nil pool everything runs on the scheduler goroutine.
 type ParallelMacroActor struct {
 	Name  string
 	sched *Scheduler
@@ -333,8 +223,13 @@ type ParallelMacroActor struct {
 	winCycle          int64
 	winNow, winPeriod Time
 	winSpan           int
-	bar               lockstep
-	workerFn          func(w int) // hoisted: no closure per window
+
+	// Lockstep state: the window cycle being ticked and each shard's verdict
+	// on it.
+	lsFn    func(j int) // hoisted: no closure per cycle
+	lsK     int
+	lsChunk int     // shards per lsFn call
+	verdict []uint8 // [chunk]: verdictBusy | verdictClosing
 
 	// Optimistic free-run state, reused across windows.
 	frFn, rbFn    func(i int)
@@ -349,14 +244,17 @@ type ParallelMacroActor struct {
 // domain. A nil pool means serial execution.
 func NewParallelMacroActor(name string, sched *Scheduler, clock *Clock, pool *WorkerPool) *ParallelMacroActor {
 	m := &ParallelMacroActor{Name: name, sched: sched, clock: clock, pool: pool, lookahead: 1}
-	m.workerFn = m.windowWorker
+	m.lsFn = m.lockstepTick
 	m.frFn = m.freeRun
 	m.rbFn = m.rollbackReplay
 	return m
 }
 
 // Add registers a shard.
-func (m *ParallelMacroActor) Add(c WindowShard) { m.comps = append(m.comps, c) }
+func (m *ParallelMacroActor) Add(c WindowShard) {
+	m.comps = append(m.comps, c)
+	m.verdict = append(m.verdict, 0)
+}
 
 // Len returns the number of shards.
 func (m *ParallelMacroActor) Len() int { return len(m.comps) }
@@ -456,54 +354,57 @@ func (m *ParallelMacroActor) windowSpan(now Time) (span int, foreign bool) {
 	return span, foreign
 }
 
+const (
+	verdictBusy = 1 << iota
+	verdictClosing
+)
+
 // lockstepWindow runs the conservative compute phase: every shard ticks
-// cycle k before any shard ticks cycle k+1, so a window-closing effect in
-// any shard truncates the window for all of them without speculation. It
-// returns the last cycle run and the merged verdict on it.
+// cycle k before any shard ticks cycle k+1 (one fan-out per cycle), so a
+// window-closing effect in any shard truncates the window for all of them
+// without speculation. It returns the last cycle run and the merged verdict
+// on it.
 func (m *ParallelMacroActor) lockstepWindow() (last int, busy, closing bool) {
-	nw := max(1, min(m.pool.Size(), len(m.comps)))
-	m.bar.reset(nw)
-	if nw == 1 {
-		m.tickShards(0)
-	} else {
-		m.pool.RunWorkers(nw, m.workerFn)
+	// One worker ticks every shard in a single call; several claim them one
+	// by one.
+	n := len(m.comps)
+	m.lsChunk = max(n, 1)
+	if m.pool.Size() > 1 {
+		m.lsChunk = 1
 	}
-	return m.bar.last, m.bar.busy, m.bar.closing
-}
-
-// windowWorker is one of several workers of a lockstep window. If its
-// shards panic it never reaches the barrier the others wait at, so it
-// releases them before passing the panic on to RunWorkers.
-func (m *ParallelMacroActor) windowWorker(w int) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.bar.poison()
-			panic(r)
-		}
-	}()
-	m.tickShards(w)
-}
-
-// tickShards is worker w's share of a lockstep window: its own shards, cycle
-// by cycle, meeting the other workers after each.
-func (m *ParallelMacroActor) tickShards(w int) {
-	n, nw := len(m.comps), int(m.bar.n)
-	shards := m.comps[n*w/nw : n*(w+1)/nw]
+	chunks := (n + m.lsChunk - 1) / m.lsChunk
 	for k := 0; ; k++ {
-		cycle, nowK := m.winCycle+int64(k), m.winNow+Time(k)*m.winPeriod
-		busy, closing := false, false
-		for _, c := range shards {
-			if k == 0 {
-				c.BeginWindow(cycle, false)
-			}
-			b, cl := c.WindowTick(cycle, nowK)
-			busy = busy || b
-			closing = closing || cl
+		m.lsK = k
+		m.pool.ForEach(chunks, m.lsFn)
+		var v uint8
+		for _, cv := range m.verdict[:chunks] {
+			v |= cv
 		}
-		if !m.bar.arrive(k, busy, closing, k+1 < m.winSpan) {
-			return
+		busy, closing = v&verdictBusy != 0, v&verdictClosing != 0
+		if !busy || closing || k+1 == m.winSpan {
+			return k, busy, closing
 		}
 	}
+}
+
+// lockstepTick runs window cycle lsK on the j-th chunk of shards.
+func (m *ParallelMacroActor) lockstepTick(j int) {
+	lo := j * m.lsChunk
+	cycle, now := m.winCycle+int64(m.lsK), m.winNow+Time(m.lsK)*m.winPeriod
+	var v uint8
+	for _, c := range m.comps[lo:min(lo+m.lsChunk, len(m.comps))] {
+		if m.lsK == 0 {
+			c.BeginWindow(cycle, false)
+		}
+		busy, closing := c.WindowTick(cycle, now)
+		if busy {
+			v |= verdictBusy
+		}
+		if closing {
+			v |= verdictClosing
+		}
+	}
+	m.verdict[j] = v
 }
 
 // freeRunWindow runs the optimistic compute phase: every shard free-runs

@@ -68,10 +68,10 @@ echo "== lookahead gate (window determinism matrix + rollback sanity + worker co
 # optimistic run must actually exercise the rollback path (nonzero
 # System.Rollbacks) while matching the lockstep result.
 go test -count=1 -run 'TestLookaheadDeterminism|TestLookaheadCheckpointResume|TestOptimisticRollbackOccurs' .
-# What explicit workers promise: a shard stays on one worker and no shard
-# runs ahead of the lockstep, and a panicking shard comes out of the run
-# instead of hanging the workers at the cycle barrier.
-go test -race -count=10 -timeout 120s -run 'TestStaticShardOwnership|TestLockstepPanicPropagates' ./internal/sim/engine
+# What explicit workers promise: no shard runs ahead of the lockstep, commits
+# come in (cycle, shard) order, and a panicking shard comes out of the run
+# instead of hanging it.
+go test -race -count=10 -timeout 120s -run 'TestWindowCommitOrder|TestLockstepPanicPropagates' ./internal/sim/engine
 
 # Cross-run throughput gate: when bench.sh has recorded at least two
 # BENCH_HISTORY.jsonl entries, sim_cycle/sec and sim_instr/sec (direction:
