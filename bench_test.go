@@ -332,6 +332,45 @@ func BenchmarkMacroActorThreshold(b *testing.B) {
 	}
 }
 
+// --- The event list: host cost of one scheduler event ---
+//
+// The go-bench anchor for the scheduler layer (docs/PERF.md §The event
+// list), in the two shapes the Table I runs put it in. serial-section is one
+// macro-actor re-arming its next clock edge while nothing but a far-future
+// stop event is pending — the master in a serial section, where every event
+// is next in line and bypasses the calendar queue. parallel-memory is three
+// macro-actors on one period plus 40 packages in flight at staggered
+// latencies, where events wait behind each other and the queue does its
+// work. Both run on the presets' geometry: period 8 on 8-tick buckets.
+// bench.sh records host_ns/event and xmtperf gates it lower-is-better.
+func BenchmarkSchedulerEdge(b *testing.B) {
+	const period, cycles = 8, 100_000
+	busy := engine.CyclerFunc(func(int64, engine.Time) bool { return true })
+	run := func(b *testing.B, actors, inflight int) {
+		var events uint64
+		for i := 0; i < b.N; i++ {
+			sched := engine.New()
+			sched.SetBucketWidth(period)
+			clock := engine.NewClock("bench", period)
+			for j := 0; j < actors; j++ {
+				engine.NewMacroActor("edge", sched, clock, busy).Wake(0)
+			}
+			for j := 0; j < inflight; j++ {
+				latency := engine.Time(3+j) * period
+				var hop engine.ActorFunc
+				hop = func(now engine.Time) { sched.Schedule(now+latency, engine.PrioTransfer, hop) }
+				sched.Schedule(latency, engine.PrioTransfer, hop)
+			}
+			sched.ScheduleStop(cycles * period)
+			sched.Run()
+			events += sched.Executed
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "host_ns/event")
+	}
+	b.Run("serial-section", func(b *testing.B) { run(b, 1, 0) })
+	b.Run("parallel-memory", func(b *testing.B) { run(b, 3, 40) })
+}
+
 // --- Fig. 5: discrete-event vs discrete-time main loops ---
 
 func BenchmarkDEvsDT(b *testing.B) {

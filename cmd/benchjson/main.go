@@ -132,8 +132,9 @@ func parseBenchLine(line string) (benchResult, bool) {
 }
 
 // summarize renders the one-line EXPERIMENTS.md record: the Table I
-// throughput, the host-parallel scaling curve and the cluster-compute
-// anchor (BenchmarkTCUIssue), when present.
+// throughput, the host-parallel scaling curve, the cluster-compute anchor
+// (BenchmarkTCUIssue) and the event-list anchor (BenchmarkSchedulerEdge),
+// when present.
 func summarize(f *benchFile) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "- bench %s (%s, %d CPUs): %d benchmarks", f.Date, f.Go, f.CPUs, len(f.Results))
@@ -152,6 +153,11 @@ func summarize(f *benchFile) string {
 	}
 	if v, ok := metricOf(f, "BenchmarkTCUIssue", "host_ns/sim_instr"); ok {
 		fmt.Fprintf(&b, "; TCU issue %.1f host_ns/sim_instr", v)
+	}
+	serial, ok1 := metricOf(f, "BenchmarkSchedulerEdge/serial-section", "host_ns/event")
+	contended, ok2 := metricOf(f, "BenchmarkSchedulerEdge/parallel-memory", "host_ns/event")
+	if ok1 && ok2 {
+		fmt.Fprintf(&b, "; scheduler edge %.1f / %.1f host_ns/event (serial-section / parallel-memory)", serial, contended)
 	}
 	return b.String()
 }

@@ -86,6 +86,7 @@ func TestCompareDirections(t *testing.T) {
 	}{
 		{"ns/op", lowerBetter}, {"B/op", lowerBetter}, {"allocs/op", lowerBetter},
 		{"host_ns/sim_instr", lowerBetter}, // BenchmarkTCUIssue's cluster-compute anchor
+		{"host_ns/event", lowerBetter},     // BenchmarkSchedulerEdge's event-list anchor
 		{"sim_cycle/sec", higherBetter}, {"sim_instr/sec", higherBetter},
 		{"iterations", infoOnly},
 	}

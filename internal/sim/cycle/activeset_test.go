@@ -13,45 +13,12 @@ import (
 	"xmtgo/internal/sim/funcmodel"
 )
 
-func (a activeSet) has(i int) bool { return a[i>>6]>>(uint(i)&63)&1 != 0 }
-
-func (a activeSet) members() []int {
+func members(a activeSet) []int {
 	var out []int
-	for i := a.next(0); i >= 0; i = a.next(i + 1) {
+	for i := a.Next(0); i >= 0; i = a.Next(i + 1) {
 		out = append(out, i)
 	}
 	return out
-}
-
-func TestActiveSetWalk(t *testing.T) {
-	a := newActiveSet(130) // three words
-	if len(a) != 3 || a.next(0) != -1 || a.next(192) != -1 {
-		t.Fatalf("empty set: %d words, next(0)=%d", len(a), a.next(0))
-	}
-	for _, i := range []int{129, 0, 63, 64, 127, 128, 5} {
-		a.set(i)
-	}
-	if got, want := fmt.Sprint(a.members()), "[0 5 63 64 127 128 129]"; got != want {
-		t.Fatalf("members = %s, want %s", got, want)
-	}
-	// A walk may drop the member it stands on and must see members added
-	// ahead of it — in the same word and in a later one — but not behind it.
-	var seen []int
-	for i := a.next(0); i >= 0; i = a.next(i + 1) {
-		seen = append(seen, i)
-		a.clear(i)
-		if i == 5 {
-			a.set(3)
-			a.set(6)
-			a.set(100)
-		}
-	}
-	if got, want := fmt.Sprint(seen), "[0 5 6 63 64 100 127 128 129]"; got != want {
-		t.Fatalf("walk visited %s, want %s", got, want)
-	}
-	if got := fmt.Sprint(a.members()); got != "[3]" {
-		t.Fatalf("after the walk members = %s, want [3]", got)
-	}
 }
 
 // memKernelSrc is Table I's parallel-memory kernel — the workload of
@@ -113,20 +80,20 @@ func checkActiveSets(t *testing.T, s *System) {
 	t.Helper()
 	now := s.Sched.Now()
 	for i, c := range s.clusters {
-		if len(c.sendQ) > 0 && !s.icn.ports.has(i) {
+		if len(c.sendQ) > 0 && !s.icn.ports.Has(i) {
 			t.Fatalf("t=%d: cluster %d holds %d packages outside icn.ports", now, i, len(c.sendQ))
 		}
 	}
-	if len(s.master.sendQ) > 0 && !s.icn.ports.has(len(s.clusters)) {
+	if len(s.master.sendQ) > 0 && !s.icn.ports.Has(len(s.clusters)) {
 		t.Fatalf("t=%d: master holds %d packages outside icn.ports", now, len(s.master.sendQ))
 	}
 	for m, q := range s.icn.arrival {
-		if len(q) > 0 && !s.icn.arriving.has(m) {
+		if len(q) > 0 && !s.icn.arriving.Has(m) {
 			t.Fatalf("t=%d: %d packages in flight to module %d outside icn.arriving", now, len(q), m)
 		}
 	}
 	for m, cm := range s.modules {
-		if len(cm.serviceQ) > cm.head && !s.cacheActive.has(m) {
+		if len(cm.serviceQ) > cm.head && !s.cacheActive.Has(m) {
 			t.Fatalf("t=%d: module %d queues %d requests outside cacheActive", now, m, len(cm.serviceQ)-cm.head)
 		}
 	}
@@ -194,7 +161,7 @@ func TestActiveSetInvariant(t *testing.T) {
 				if v.name == "faults" {
 					watchStalls = func() {
 						for m, cm := range s.modules {
-							if len(cm.serviceQ) > cm.head && s.Sched.Now() < cm.stalledUntil && s.cacheActive.has(m) {
+							if len(cm.serviceQ) > cm.head && s.Sched.Now() < cm.stalledUntil && s.cacheActive.Has(m) {
 								stalledWithWork = true
 							}
 						}
@@ -258,7 +225,7 @@ func TestActiveSetCheckpointResume(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, set := range []activeSet{s.icn.ports, s.icn.arriving, s.cacheActive} {
-						if m := set.members(); len(m) != 0 {
+						if m := members(set); len(m) != 0 {
 							t.Fatalf("restored system has members %v", m)
 						}
 					}
@@ -304,13 +271,13 @@ func TestActiveSetReentry(t *testing.T) {
 		}
 	}
 	send()
-	if !s.icn.ports.has(port) {
+	if !s.icn.ports.Has(port) {
 		t.Fatal("Master.send did not enter the port")
 	}
 	s.Sched.Step() // the ICN edge: injects, finds the queue empty, drops the port
-	if s.Stats.ICNTraversals != 1 || s.icn.ports.has(port) || len(s.master.sendQ) != 0 {
+	if s.Stats.ICNTraversals != 1 || s.icn.ports.Has(port) || len(s.master.sendQ) != 0 {
 		t.Fatalf("after the first edge: traversals=%d member=%v queued=%d",
-			s.Stats.ICNTraversals, s.icn.ports.has(port), len(s.master.sendQ))
+			s.Stats.ICNTraversals, s.icn.ports.Has(port), len(s.master.sendQ))
 	}
 	first := s.Sched.Now()
 	send() // same tick as the clear

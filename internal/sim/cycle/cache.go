@@ -58,7 +58,7 @@ func (cm *CacheModule) accept(p *Package) bool {
 		cm.head = 0
 	}
 	cm.serviceQ = append(cm.serviceQ, p)
-	cm.sys.cacheActive.set(cm.id)
+	cm.sys.cacheActive.Set(cm.id)
 	return true
 }
 
@@ -68,11 +68,11 @@ func (cm *CacheModule) accept(p *Package) bool {
 // module (CacheStall) reports busy, so it stays and resumes at stalledUntil.
 func (s *System) tickCaches(cycle int64, now engine.Time) bool {
 	busy := false
-	for m := s.cacheActive.next(0); m >= 0; m = s.cacheActive.next(m + 1) {
+	for m := s.cacheActive.Next(0); m >= 0; m = s.cacheActive.Next(m + 1) {
 		if s.modules[m].Tick(cycle, now) {
 			busy = true
 		} else {
-			s.cacheActive.clear(m)
+			s.cacheActive.Clear(m)
 		}
 	}
 	return busy

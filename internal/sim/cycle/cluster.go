@@ -285,7 +285,7 @@ func (c *Cluster) replay(rlo, rhi, hhi, elo, ehi int32, now engine.Time) {
 				s.halt()
 			}
 		case obWakeICN:
-			s.icn.ports.set(c.id)
+			s.icn.ports.Set(c.id)
 			s.wakeICN(now)
 		case obAsync:
 			s.scheduleAsyncDeliver(r.pkg, r.at)

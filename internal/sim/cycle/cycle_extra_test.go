@@ -200,6 +200,98 @@ func TestGatedDomainResumes(t *testing.T) {
 	}
 }
 
+// TestGateWithLoadInFlight: package deliveries are scheduler events, not
+// clock edges, so a load's response can arrive while the domain that issued
+// it is gated off and has no period to count the wait in. A plug-in that
+// toggles the gate every three cluster cycles makes that the common case —
+// for the master in a serial loop of missing loads, and for the TCUs (cluster
+// domain) inside a spawn. The run must finish with the ungated run's output.
+func TestGateWithLoadInFlight(t *testing.T) {
+	cases := []struct{ name, domain, src string }{
+		{"master", "master", `
+        .data
+A:      .space 8192
+        .text
+main:   la    $t0, A
+        li    $t1, 64
+        li    $v0, 7
+L:      lw    $t2, 0($t0)
+        addu  $v0, $v0, $t2
+        addiu $t0, $t0, 128
+        addiu $t1, $t1, -1
+        bgtz  $t1, L
+        sys   1
+        sys   0
+`},
+		{"tcu", "cluster", `
+        .data
+A:      .space 8192
+S:      .word 0
+        .text
+main:   la    $t0, A
+        la    $t1, S
+        bcast $t0
+        bcast $t1
+        li    $a0, 0
+        li    $a1, 63
+        fence
+        spawn $a0, $a1
+L:      addiu $tid, $zero, 1
+        ps    $tid, g63
+        chkid $tid
+        sll   $t2, $tid, 7
+        addu  $t3, $t0, $t2
+        lw    $t4, 0($t3)
+        addiu $t4, $t4, 1
+        psm   $t4, 0($t1)
+        j     L
+        join
+        lw    $v0, 0($t1)
+        sys   1
+        sys   0
+`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plain, want := buildSys(t, c.src, config.FPGA64())
+			if _, err := plain.Run(5_000_000); err != nil {
+				t.Fatal(err)
+			}
+			sys, out := buildSys(t, c.src, config.FPGA64())
+			toggles := 0
+			sys.AddActivityPlugin(pluginFunc{
+				name:     "gate",
+				interval: 3,
+				fn: func(snap *Snapshot, ctl *Control) {
+					var err error
+					if toggles++; toggles%2 == 1 {
+						err = ctl.Disable(c.domain)
+					} else {
+						err = ctl.Enable(c.domain)
+					}
+					if err != nil {
+						t.Error(err)
+					}
+				},
+			})
+			res, err := sys.Run(5_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Halted || out.String() != want.String() || out.Len() == 0 {
+				t.Fatalf("gated run: halted=%v printed %q, ungated printed %q", res.Halted, out, want)
+			}
+			waited := sys.Stats.MasterMemWaitCycles
+			if c.domain == "cluster" {
+				waited = sys.Stats.Cluster[0].MemWaitCycles + sys.Stats.Cluster[0].PSWaitCycles
+			}
+			if toggles < 20 || waited == 0 {
+				t.Fatalf("%d gate toggles, %d memory-wait cycles attributed: the path went unexercised", toggles, waited)
+			}
+		})
+	}
+}
+
 type pluginFunc struct {
 	name     string
 	interval int64

@@ -230,11 +230,7 @@ func (s *System) decommissionTCU(t *TCU, participating, hasThread bool, now engi
 // list to detect wedged simulations). The check is read-only until it
 // trips, so enabling it never perturbs simulation results.
 func (s *System) armWatchdog(lastInstrs uint64) {
-	period := s.clusterClock.Period()
-	if period <= 0 {
-		period = s.Cfg.ClusterPeriod // domain gated: fall back to nominal
-	}
-	at := s.Sched.Now() + s.Cfg.WatchdogCycles*period
+	at := s.Sched.Now() + s.Cfg.WatchdogCycles*livePeriod(s.clusterClock, s.Cfg.ClusterPeriod)
 	s.Sched.ScheduleFunc(at, engine.PrioStop-2, func(t engine.Time) {
 		if s.Sched.Stopped() {
 			return

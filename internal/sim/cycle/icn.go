@@ -52,8 +52,8 @@ func newICN(sys *System) *ICN {
 	return &ICN{
 		sys:              sys,
 		arrival:          make([][]arrivalPkt, sys.Cfg.CacheModules),
-		ports:            newActiveSet(sys.Cfg.Clusters + 1),
-		arriving:         newActiveSet(sys.Cfg.CacheModules),
+		ports:            engine.NewBitset(sys.Cfg.Clusters + 1),
+		arriving:         engine.NewBitset(sys.Cfg.CacheModules),
 		hopsPerTraversal: depth,
 	}
 }
@@ -139,7 +139,7 @@ func (n *ICN) inject(q *[]*Package, now engine.Time) bool {
 			// queue here keeps faulty runs deterministic.
 			ready, ghost = inj.syncICNFault(ready, latency)
 		}
-		n.arriving.set(p.Module)
+		n.arriving.Set(p.Module)
 		n.arrival[p.Module] = append(n.arrival[p.Module], arrivalPkt{p: p, ready: ready})
 		if ghost {
 			n.arrival[p.Module] = append(n.arrival[p.Module], arrivalPkt{p: p, ready: ready, ghost: true})
@@ -163,7 +163,7 @@ func (n *ICN) Tick(cycle int64, now engine.Time) bool {
 	cfg := n.sys.Cfg
 	busy := false
 	clusters := n.sys.clusters
-	for i := n.ports.next(0); i >= 0; i = n.ports.next(i + 1) {
+	for i := n.ports.Next(0); i >= 0; i = n.ports.Next(i + 1) {
 		q := &n.sys.master.sendQ
 		if i < len(clusters) {
 			q = &clusters[i].sendQ
@@ -171,7 +171,7 @@ func (n *ICN) Tick(cycle int64, now engine.Time) bool {
 		if n.inject(q, now) {
 			busy = true
 		} else {
-			n.ports.clear(i)
+			n.ports.Clear(i)
 		}
 	}
 
@@ -179,7 +179,7 @@ func (n *ICN) Tick(cycle int64, now engine.Time) bool {
 	// service-queue capacity. earliest/blocked drive the idle-skip below.
 	earliest := engine.MaxTime
 	blocked := false
-	for m := n.arriving.next(0); m >= 0; m = n.arriving.next(m + 1) {
+	for m := n.arriving.Next(0); m >= 0; m = n.arriving.Next(m + 1) {
 		q := n.arrival[m]
 		mod := n.sys.modules[m]
 		accepted := 0
@@ -205,7 +205,7 @@ func (n *ICN) Tick(cycle int64, now engine.Time) bool {
 			n.arrival[m] = q
 		}
 		if len(q) == 0 {
-			n.arriving.clear(m)
+			n.arriving.Clear(m)
 		}
 		for _, a := range q {
 			if a.ready <= now {

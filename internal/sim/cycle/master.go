@@ -364,7 +364,7 @@ func (mt *Master) memUnblocked(now engine.Time) {
 	if wait <= 0 {
 		return
 	}
-	cycles := uint64(wait / mt.sys.masterClock.Period())
+	cycles := uint64(wait / livePeriod(mt.sys.masterClock, mt.sys.Cfg.MasterPeriod))
 	mt.sys.Stats.MasterMemWaitCycles += cycles
 	if mt.prof != nil {
 		mt.prof.Stall(int(mt.blockPC), cycles)
@@ -399,7 +399,7 @@ func (mt *Master) send(kind PkgKind, in *isa.Instr, addr uint32, data int32, iss
 		return true
 	}
 	mt.sendQ = append(mt.sendQ, p)
-	sys.icn.ports.set(port)
+	sys.icn.ports.Set(port)
 	sys.wakeICN(now)
 	return true
 }

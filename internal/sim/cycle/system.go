@@ -215,7 +215,7 @@ func New(prog *asm.Program, cfg config.Config, out io.Writer) (*System, error) {
 	}
 	s.clusterMA.SetLookahead(deriveLookahead(&cfg), cfg.EngineMode == config.EngineOptimistic)
 	s.icnMA = engine.NewMacroActor("icn", s.Sched, s.icnClock, s.icn)
-	s.cacheActive = newActiveSet(cfg.CacheModules)
+	s.cacheActive = engine.NewBitset(cfg.CacheModules)
 	s.cacheMA = engine.NewMacroActor("caches", s.Sched, s.cacheClock, engine.CyclerFunc(s.tickCaches))
 	s.masterMA = engine.NewMacroActor("master", s.Sched, s.masterClock, s.master)
 
@@ -690,6 +690,17 @@ func (c *Control) Enable(domain string) error {
 // Stop ends the simulation from the plug-in.
 func (c *Control) Stop() { c.sys.Sched.Stop() }
 
+// livePeriod is the period to measure a span of time in when it may fall
+// inside a gate: the clock's own, or the domain's nominal one while it is
+// gated off and has none. Package deliveries, the watchdog and plug-in
+// samples are scheduler events, not clock edges, so they fire during a gate.
+func livePeriod(clk *engine.Clock, nominal int64) engine.Time {
+	if p := clk.Period(); p > 0 {
+		return p
+	}
+	return nominal
+}
+
 func (s *System) wakeAll(now engine.Time) {
 	s.clusterMA.Wake(now)
 	s.icnMA.Wake(now)
@@ -724,11 +735,7 @@ func (pb *pluginBinding) scheduleNext(s *System, now engine.Time) {
 	if interval <= 0 {
 		return
 	}
-	period := s.clusterClock.Period()
-	if period <= 0 {
-		period = s.Cfg.ClusterPeriod // domain gated: sample on nominal period
-	}
-	at := now + interval*period
+	at := now + interval*livePeriod(s.clusterClock, s.Cfg.ClusterPeriod)
 	s.Sched.ScheduleFunc(at, engine.PrioStop-1, func(t engine.Time) {
 		if s.Sched.Stopped() {
 			return

@@ -533,7 +533,7 @@ func (t *TCU) unblock(now engine.Time) {
 	if t.state == tcuWaitMem {
 		wait := now - t.memWaitStart
 		if wait > 0 {
-			cycles := uint64(wait / t.sys.clusterClock.Period())
+			cycles := uint64(wait / livePeriod(t.sys.clusterClock, t.sys.Cfg.ClusterPeriod))
 			cs := t.cluster.stats
 			if t.waitPS {
 				cs.PSWaitCycles += cycles

@@ -63,11 +63,10 @@ func TestOverflowHorizonOrdering(t *testing.T) {
 	}
 }
 
-// migrate's early-out compares against the ring horizon without dividing:
-// an event one tick inside, exactly at, and one tick past the horizon must
-// each fire at its own time — the one at the horizon migrates as soon as the
-// cursor's advance brings the horizon up to it — for unit and wide buckets,
-// from a cursor at zero and from one parked mid-run.
+// An event one tick inside, exactly at, and one tick past the ring's horizon
+// must each fire at its own time — the one at the horizon migrates as soon as
+// the cursor's advance brings the horizon up to it — for unit and wide
+// buckets, from a cursor at zero and from one left mid-run.
 func TestMigrateHorizonBoundary(t *testing.T) {
 	for _, width := range []Time{1, 8} {
 		for _, start := range []Time{0, 3*width + 1, Time(numBuckets)*width*5 + 2} {
@@ -76,7 +75,7 @@ func TestMigrateHorizonBoundary(t *testing.T) {
 			var got []Time
 			rec := func(now Time) { got = append(got, now) }
 			s.ScheduleFunc(start, PrioTransfer, rec)
-			s.Run() // park the cursor on start's bucket
+			s.Run() // leaves now, and with it the next push's cursor, on start's bucket
 			horizon := (start/width + numBuckets) * width
 			want := []Time{start, start + 1, horizon - 1, horizon, horizon + 1, horizon + Time(numBuckets)*width}
 			for _, at := range []Time{want[5], want[4], want[3], want[2], want[1]} {
@@ -159,9 +158,10 @@ func TestPopOrderMatchesSortedReference(t *testing.T) {
 	}
 }
 
-// RunUntil advances the cursor past empty buckets while peeking; a later
-// schedule behind the parked cursor must rewind it, not be lost or fire
-// out of order.
+// RunUntil and NextTime look ahead for the next event — here across the whole
+// ring to one in the overflow heap — and must leave the cursor where it was:
+// a schedule between now and what they found has to land in front of it, not
+// be lost or fire out of order.
 func TestScheduleBehindParkedCursor(t *testing.T) {
 	s := New()
 	var got []Time
@@ -172,6 +172,9 @@ func TestScheduleBehindParkedCursor(t *testing.T) {
 	s.RunUntil(500)
 	if s.Now() != 500 {
 		t.Fatalf("now = %d, want 500", s.Now())
+	}
+	if s.NextTime() != far || s.curB > 500 {
+		t.Fatalf("NextTime() = %d with the cursor at bucket %d; want %d and a cursor not past now", s.NextTime(), s.curB, far)
 	}
 	s.ScheduleFunc(600, PrioTransfer, rec)
 	s.ScheduleFunc(501, PrioTransfer, rec)

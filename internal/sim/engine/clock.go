@@ -16,6 +16,10 @@ type Clock struct {
 	enabled   bool
 
 	savedPeriod Time // period to restore on Enable
+
+	// gen counts the times the edge grid moved (SetPeriod, Disable, Enable).
+	// An edgeMemo made under one generation says nothing about the next.
+	gen uint32
 }
 
 // NewClock creates an enabled clock with the given period (ticks/cycle).
@@ -48,14 +52,20 @@ func (c *Clock) Cycle(now Time) int64 {
 // NextEdge returns the first clock edge strictly after now, or MaxTime when
 // the domain is gated off.
 func (c *Clock) NextEdge(now Time) Time {
+	edge, _ := c.edgeAfter(now)
+	return edge
+}
+
+// edgeAfter is NextEdge and the cycle count at that edge, for one divide.
+func (c *Clock) edgeAfter(now Time) (edge Time, cycle int64) {
 	if !c.enabled {
-		return MaxTime
+		return MaxTime, c.baseCycle
 	}
 	if now < c.baseTime {
-		return c.baseTime
+		return c.baseTime, c.baseCycle
 	}
 	n := (now-c.baseTime)/c.period + 1
-	return c.baseTime + n*c.period
+	return c.baseTime + n*c.period, c.baseCycle + n
 }
 
 // EdgeAt returns the time of the edge of the given domain-local cycle.
@@ -104,6 +114,7 @@ func (c *Clock) Enable(now Time) {
 	c.baseTime = now
 	c.period = c.savedPeriod
 	c.enabled = true
+	c.gen++
 }
 
 func (c *Clock) rebase(now Time) {
@@ -111,4 +122,47 @@ func (c *Clock) rebase(now Time) {
 		c.baseCycle = c.Cycle(now)
 	}
 	c.baseTime = now
+	c.gen++
+}
+
+// edgeMemo is a self-scheduling actor's memory of one edge of its clock's
+// current grid and the cycle that edge begins: the edge it armed last, or
+// the one it is being notified on. Cycle and NextEdge each cost a 64-bit
+// divide, and an actor that re-arms itself at every edge would pay both on
+// every notification; but notified on the edge it armed, under a clock
+// nobody has re-based since, it already knows the cycle, and the next edge
+// is one period on.
+type edgeMemo struct {
+	edge  Time // -1 when no edge is known
+	cycle int64
+	gen   uint32
+}
+
+// after is c.NextEdge(now), remembered.
+func (m *edgeMemo) after(c *Clock, now Time) Time {
+	m.edge, m.cycle = c.edgeAfter(now)
+	m.gen = c.gen
+	return m.edge
+}
+
+// cycleAt is c.Cycle(now). It leaves now in the memo if it is an edge.
+func (m *edgeMemo) cycleAt(c *Clock, now Time) int64 {
+	if now != m.edge || c.gen != m.gen {
+		m.cycle, m.gen = c.Cycle(now), c.gen
+		m.edge = -1
+		if c.EdgeAt(m.cycle) == now {
+			m.edge = now
+		}
+	}
+	return m.cycle
+}
+
+// next is c.NextEdge(now), remembered, for the now of the cycleAt before it.
+// The components ticked in between may have re-based the clock.
+func (m *edgeMemo) next(c *Clock, now Time) Time {
+	if now != m.edge || c.gen != m.gen {
+		return m.after(c, now)
+	}
+	m.edge, m.cycle = now+c.period, m.cycle+1
+	return m.edge
 }

@@ -8,13 +8,15 @@
 // clocked domains whose frequencies can be changed — or gated off — at
 // runtime by activity plug-ins.
 //
-// The event list is a bucketed calendar queue: near-future events live in a
-// ring of fixed-width time buckets (sorted lazily when the cursor reaches
-// them), far-future events overflow into a 4-ary min-heap and migrate into
-// the ring as the cursor advances. Event structs are pooled. Both choices
-// target the DE main loop's hot path: pops are amortized O(1) for the
-// clock-edge-aligned traffic a cycle-accurate simulator generates, and the
-// per-event allocation disappears.
+// The event list is a bucketed calendar queue behind a one-event front
+// register: an event that sorts before everything pending — a macro-actor
+// re-arming its next edge while the rest of the machine waits — never enters
+// the queue. Near-future events live in a ring of power-of-two-wide time
+// buckets (sorted lazily when the cursor reaches them) with an occupancy
+// bitmap, so the cursor jumps from one non-empty bucket to the next;
+// far-future events overflow into a 4-ary min-heap and migrate into the ring
+// as the cursor advances. Event structs are pooled. docs/PERF.md §The event
+// list has the invariants.
 //
 // A discrete-time (DT) main loop over the same component interface is
 // provided solely to reproduce the paper's Fig. 5 / §III-D comparison.
@@ -23,6 +25,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -81,6 +84,7 @@ const (
 	// horizon covers even the DRAM round-trip latencies and almost no
 	// event pays the overflow heap.
 	numBuckets = 512
+	slotMask   = numBuckets - 1
 
 	// maxFree bounds the event pool so a burst does not pin memory.
 	maxFree = 8192
@@ -100,30 +104,46 @@ type Scheduler struct {
 	// macro-actor threshold experiment.
 	Executed uint64
 
-	// Calendar ring: slot i of buckets holds the events of absolute
-	// bucket number b ≡ i (mod numBuckets) for the window
-	// [curB, curB+numBuckets). Only the cursor bucket (curB) is kept
-	// sorted; head is its consumed prefix (consumed slots are nil).
-	width   Time // bucket width in ticks
-	buckets [][]*Event
+	// front is the next-event register. The event in it sorts strictly
+	// before every event in the ring and the overflow heap, so Step takes it
+	// without touching either. An event enters it only when it is scheduled
+	// ahead of everything pending by (time, priority): its sequence number
+	// is the newest, so on a tie it would fire last, not first.
+	front *Event
+
+	// Calendar ring: slot i of buckets holds the events of absolute bucket
+	// number b ≡ i (mod numBuckets) for the window [curB, curB+numBuckets),
+	// and occ has bit i set while the slot holds an event that has not been
+	// popped. Only the cursor bucket (curB) is kept sorted; head is its
+	// consumed prefix (consumed slots are nil). The cursor moves only to the
+	// bucket of the event Step is about to pop, so it is never ahead of now
+	// while the ring holds anything, and no push can land behind it.
+	shift   uint // log2 of the bucket width in ticks
+	buckets *[numBuckets][]*Event
+	occ     Bitset
 	curB    int64 // absolute bucket number under the cursor
 	head    int
 	sorted  bool
 	ringN   int // events in the ring, including canceled ones
 
-	overflow []*Event // 4-ary min-heap of events past the ring horizon
-	canceled int      // canceled events still queued anywhere
+	// overflow is a 4-ary min-heap of the events past the ring horizon:
+	// every one of them lies in bucket curB+numBuckets or later.
+	overflow []*Event
+	canceled int      // canceled events still queued in ring or overflow
 	free     []*Event // event pool
 }
 
 // New returns an empty scheduler at time 0 with a one-tick bucket width.
 func New() *Scheduler {
-	return &Scheduler{width: 1}
+	return &Scheduler{buckets: new([numBuckets][]*Event), occ: NewBitset(numBuckets)}
 }
 
 // SetBucketWidth tunes the calendar-queue bucket width, typically to the
-// GCD of the clock-domain periods so one bucket holds exactly the events
-// of one edge. It may only be called while no events are pending.
+// GCD of the clock-domain periods so one bucket holds the events of one
+// edge. Buckets are a power of two wide so that finding an event's bucket is
+// a shift: w is rounded down to one, which keeps at most one edge per bucket
+// and shortens the ring's horizon by less than half. It may only be called
+// while no events are pending.
 func (s *Scheduler) SetBucketWidth(w Time) {
 	if w <= 0 {
 		panic(fmt.Sprintf("engine: bucket width %d", w))
@@ -131,24 +151,22 @@ func (s *Scheduler) SetBucketWidth(w Time) {
 	if s.Pending() != 0 {
 		panic("engine: SetBucketWidth with pending events")
 	}
-	s.width = w
-	s.curB = s.now / w
-	s.head, s.sorted = 0, false
+	s.shift = uint(bits.Len64(uint64(w)) - 1)
+	s.curB = s.now >> s.shift
 }
 
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// NextTime peeks at the earliest pending event and returns its time without
-// removing it (MaxTime when the queue is empty). The bounded-lookahead
-// window uses it to find how far the cluster domain can run before any
-// other component has an event due.
+// NextTime returns the time of the earliest pending event (MaxTime when
+// there is none). It is a pure read: neither the event nor the calendar
+// cursor moves. The bounded-lookahead window uses it to find how far the
+// cluster domain can run before any other component has an event due.
 func (s *Scheduler) NextTime() Time {
-	e := s.next()
-	if e == nil {
-		return MaxTime
+	if e := s.peek(); e != nil {
+		return e.time
 	}
-	return e.time
+	return MaxTime
 }
 
 // AdvanceTo moves the current time forward to t without processing events.
@@ -158,7 +176,7 @@ func (s *Scheduler) NextTime() Time {
 // reports. The committing component advances the clock to the cycle it
 // actually stopped at so Result.Cycles/Ticks match a single-cycle run.
 // Only valid when the simulation is stopping: events between now and t
-// would otherwise fire late.
+// would otherwise fire late (and the calendar cursor trusts that none do).
 func (s *Scheduler) AdvanceTo(t Time) {
 	if t > s.now {
 		s.now = t
@@ -167,7 +185,13 @@ func (s *Scheduler) AdvanceTo(t Time) {
 
 // Pending returns the number of events in the list (including canceled
 // events not yet dropped; compaction keeps that share bounded).
-func (s *Scheduler) Pending() int { return s.ringN + len(s.overflow) }
+func (s *Scheduler) Pending() int {
+	n := s.ringN + len(s.overflow)
+	if s.front != nil {
+		n++
+	}
+	return n
+}
 
 // Schedule enqueues a notification for actor a at time at with priority p.
 // Scheduling in the past panics: it indicates a component bug.
@@ -185,8 +209,48 @@ func (s *Scheduler) Schedule(at Time, p Priority, a Actor) *Event {
 		e = &Event{time: at, prio: p, seq: s.seq, actor: a}
 	}
 	s.seq++
-	s.push(e)
+	switch f := s.front; {
+	case f == nil && len(s.buckets[s.curB&slotMask]) > 0:
+		// Events wait in the cursor's own bucket, the rule on a busy machine:
+		// nothing scheduled now can lead them. (leads would say so too; this
+		// spares the busy path the call, and an occupied ring the look at
+		// where its cursor is.)
+		s.enqueue(e)
+	case f == nil:
+		if s.leads(at, p) {
+			s.front = e
+		} else {
+			s.push(e)
+		}
+	case before(at, p, f):
+		// e overtakes the front event, which still precedes everything
+		// queued and joins it.
+		s.front = e
+		s.push(f)
+	default:
+		s.push(e)
+	}
 	return e
+}
+
+// before reports whether a new event for (at, p) fires before e: its
+// sequence number is the newest there is, so a tie goes to e.
+func before(at Time, p Priority, e *Event) bool {
+	return at < e.time || at == e.time && p < e.prio
+}
+
+// leads reports whether an event scheduled now for (at, p) would fire before
+// everything in the ring and the overflow heap. Against the ring it compares
+// bucket numbers only — the event must fall in a bucket before the first
+// occupied one, and the heap lies past every ring bucket — so the test costs
+// a bitmap lookup, not a look inside a bucket; an event it turns away is
+// queued as usual.
+func (s *Scheduler) leads(at Time, p Priority) bool {
+	if s.ringN == 0 {
+		return len(s.overflow) == 0 || before(at, p, s.overflow[0])
+	}
+	cur := int(s.curB & slotMask)
+	return at>>s.shift-s.curB < int64((s.firstSlot(cur)-cur)&slotMask)
 }
 
 // ScheduleFunc is Schedule for a plain function.
@@ -208,14 +272,20 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Stopped reports whether the stop event has been reached or Stop called.
 func (s *Scheduler) Stopped() bool { return s.stopped }
 
-// Cancel marks e as canceled; it is dropped lazily. When canceled events
-// accumulate past half the queue the structure is compacted, so a
-// cancel-heavy workload keeps Pending() proportional to the live events.
+// Cancel marks e as canceled; it is dropped lazily (at once if it is the
+// front event). When canceled events accumulate past half the queue the
+// structure is compacted, so a cancel-heavy workload keeps Pending()
+// proportional to the live events.
 func (s *Scheduler) Cancel(e *Event) {
 	if e == nil || e.canceled {
 		return
 	}
 	e.canceled = true
+	if e == s.front {
+		s.front = nil
+		s.recycle(e)
+		return
+	}
 	s.canceled++
 	if s.canceled > compactMin && s.canceled*2 > s.Pending() {
 		s.compact()
@@ -228,11 +298,15 @@ func (s *Scheduler) Step() bool {
 	if s.stopped {
 		return false
 	}
-	e := s.next()
-	if e == nil {
-		return false
+	e := s.front
+	if e != nil {
+		s.front = nil
+	} else {
+		if e = s.next(); e == nil {
+			return false
+		}
+		s.take()
 	}
-	s.take()
 	s.now = e.time
 	if e.stop {
 		s.stopped = true
@@ -254,11 +328,8 @@ func (s *Scheduler) Run() {
 
 // RunUntil processes events with time <= deadline.
 func (s *Scheduler) RunUntil(deadline Time) {
-	for {
-		if s.stopped {
-			return
-		}
-		e := s.next()
+	for !s.stopped {
+		e := s.peek()
 		if e == nil {
 			return
 		}
@@ -275,7 +346,7 @@ func (s *Scheduler) RunUntil(deadline Time) {
 }
 
 // less orders events by (time, priority, sequence).
-func (s *Scheduler) less(a, b *Event) bool {
+func less(a, b *Event) bool {
 	if a.time != b.time {
 		return a.time < b.time
 	}
@@ -285,35 +356,58 @@ func (s *Scheduler) less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// --- calendar ring ---
-
-func (s *Scheduler) ring() [][]*Event {
-	if s.buckets == nil {
-		s.buckets = make([][]*Event, numBuckets)
+// compare is less for slices.SortFunc; no two events are equal.
+func compare(a, b *Event) int {
+	if less(a, b) {
+		return -1
 	}
-	return s.buckets
+	return 1
 }
 
-func (s *Scheduler) push(e *Event) {
-	b := e.time / s.width
-	if b < s.curB {
-		// A schedule landed behind the cursor: RunUntil parked the cursor
-		// ahead of now (advancing over empty buckets while peeking).
-		s.rewind(b)
+// --- calendar ring ---
+
+// firstSlot returns the first occupied slot in ring order starting at slot
+// from. The ring must hold an event.
+func (s *Scheduler) firstSlot(from int) int {
+	slot := s.occ.Next(from)
+	if slot < 0 {
+		slot = s.occ.Next(0)
 	}
+	return slot
+}
+
+// push queues e, in the ring if its bucket is inside the window.
+func (s *Scheduler) push(e *Event) {
+	if s.ringN == 0 {
+		// Nothing holds the cursor in place, and it may be anywhere: behind
+		// now when the front register carried time forward on its own, ahead
+		// of it when the last buckets it visited held only canceled events.
+		// Put it at now, so that an event a few cycles out lands in the ring.
+		s.curB = s.now >> s.shift
+		s.migrate()
+	}
+	s.enqueue(e)
+}
+
+// enqueue is push for a ring that holds an event, and so a cursor in place.
+func (s *Scheduler) enqueue(e *Event) {
+	b := e.time >> s.shift
 	if b-s.curB >= numBuckets {
 		s.heapPush(e)
 		return
 	}
-	buckets := s.ring()
-	slot := int(b & (numBuckets - 1))
+	buckets := s.buckets
+	slot := int(b & slotMask)
+	if len(buckets[slot]) == 0 {
+		s.occ.Set(slot)
+	}
 	if b == s.curB && s.sorted {
 		// Keep the cursor bucket's unconsumed tail sorted.
 		bk := buckets[slot]
 		lo, hi := s.head, len(bk)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if s.less(bk[mid], e) {
+			if less(bk[mid], e) {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -329,49 +423,11 @@ func (s *Scheduler) push(e *Event) {
 	s.ringN++
 }
 
-// rewind moves the cursor back to bucket b. Ring events whose bucket would
-// fall outside the new window spill into the overflow heap; events already
-// consumed from the old cursor bucket are physically removed first so they
-// can never refire.
-func (s *Scheduler) rewind(b int64) {
-	if s.buckets != nil {
-		if s.head > 0 {
-			slot := int(s.curB & (numBuckets - 1))
-			bk := s.buckets[slot]
-			n := copy(bk, bk[s.head:])
-			for i := n; i < len(bk); i++ {
-				bk[i] = nil
-			}
-			s.buckets[slot] = bk[:n]
-		}
-		if s.ringN > 0 {
-			for slot, bk := range s.buckets {
-				kept := bk[:0]
-				for _, e := range bk {
-					if e == nil {
-						continue
-					}
-					if e.time/s.width-b >= numBuckets {
-						s.heapPush(e)
-						s.ringN--
-					} else {
-						kept = append(kept, e)
-					}
-				}
-				for i := len(kept); i < len(bk); i++ {
-					bk[i] = nil
-				}
-				s.buckets[slot] = kept
-			}
-		}
-	}
-	s.curB = b
-	s.head, s.sorted = 0, false
-}
-
-// next positions the cursor at the earliest pending event and returns it
-// without removing it, or nil when the queue is empty. Canceled events are
-// dropped along the way.
+// next moves the cursor to the earliest queued event and returns it without
+// removing it, or nil when ring and heap are empty. Canceled events are
+// dropped along the way. Only Step calls it, with the front register empty
+// and about to pop what it returns: that is what keeps the cursor from
+// running ahead of now.
 func (s *Scheduler) next() *Event {
 	for {
 		if s.ringN == 0 {
@@ -379,116 +435,137 @@ func (s *Scheduler) next() *Event {
 				return nil
 			}
 			// Jump the cursor straight to the earliest overflow event.
-			if s.buckets != nil {
-				slot := int(s.curB & (numBuckets - 1))
-				bk := s.buckets[slot]
-				for i := range bk {
-					bk[i] = nil
-				}
-				s.buckets[slot] = bk[:0]
-			}
-			s.curB = s.overflow[0].time / s.width
-			s.head, s.sorted = 0, false
+			s.curB = s.overflow[0].time >> s.shift
 			s.migrate()
 			continue
 		}
-		slot := int(s.curB & (numBuckets - 1))
-		bk := s.buckets[slot]
-		if s.head >= len(bk) {
-			for i := range bk {
-				bk[i] = nil
-			}
-			s.buckets[slot] = bk[:0]
-			s.head, s.sorted = 0, false
-			s.curB++
+		cur := int(s.curB & slotMask)
+		bk := s.buckets[cur]
+		if len(bk) == 0 {
+			// The cursor bucket is spent (take left it empty and unsorted):
+			// jump to the next occupied one. Every overflow event lies past
+			// the old window, hence past this bucket, so migrating after the
+			// jump cannot put anything at or before it.
+			slot := s.firstSlot(cur)
+			s.curB += int64((slot - cur) & slotMask)
 			s.migrate()
-			continue
+			bk = s.buckets[slot]
 		}
 		if !s.sorted {
 			if len(bk)-s.head > 1 {
-				slices.SortFunc(bk[s.head:], func(a, b *Event) int {
-					if s.less(a, b) {
-						return -1
-					}
-					return 1
-				})
+				slices.SortFunc(bk[s.head:], compare)
 			}
 			s.sorted = true
 		}
 		e := bk[s.head]
+		if !e.canceled {
+			return e
+		}
+		s.take()
+		s.canceled--
+		s.recycle(e)
+	}
+}
+
+// take removes the event the cursor points at (the one next returned). A
+// bucket that gives up its last event is reset and leaves the occupancy map.
+func (s *Scheduler) take() {
+	slot := int(s.curB & slotMask)
+	bk := s.buckets[slot]
+	bk[s.head] = nil
+	s.head++
+	s.ringN--
+	if s.head == len(bk) {
+		s.buckets[slot] = bk[:0]
+		s.head, s.sorted = 0, false
+		s.occ.Clear(slot)
+	}
+}
+
+// peek returns the earliest live event without removing it, or nil when
+// there is none. It changes nothing: a peek that moved the cursor to what it
+// found would leave it ahead of now, and the next nearby push behind it.
+func (s *Scheduler) peek() *Event {
+	if s.front != nil {
+		return s.front
+	}
+	if s.ringN > 0 {
+		// Occupied buckets in ring order from the cursor — slots cur and up,
+		// then the wrapped ones below it; past the first only when a bucket
+		// holds nothing but canceled events.
+		cur := int(s.curB & slotMask)
+		for _, r := range [2][2]int{{cur, numBuckets}, {0, cur}} {
+			for slot := s.occ.Next(r[0]); slot >= 0 && slot < r[1]; slot = s.occ.Next(slot + 1) {
+				if e := earliest(s.buckets[slot]); e != nil {
+					return e
+				}
+			}
+		}
+	}
+	if len(s.overflow) > 0 && !s.overflow[0].canceled {
+		return s.overflow[0]
+	}
+	return earliest(s.overflow)
+}
+
+// earliest returns the first live event of an unsorted list in firing order.
+func earliest(list []*Event) (best *Event) {
+	for _, e := range list {
+		if e != nil && !e.canceled && (best == nil || less(e, best)) {
+			best = e
+		}
+	}
+	return best
+}
+
+// migrate pulls overflow events that now fall inside the ring window. It
+// runs whenever the cursor has moved. Canceled events are dropped here, not
+// moved: one may lie behind now (RunUntil steps over them), where the ring
+// has no slot for it.
+func (s *Scheduler) migrate() {
+	for len(s.overflow) > 0 && s.overflow[0].time>>s.shift-s.curB < numBuckets {
+		e := s.heapPop()
 		if e.canceled {
-			bk[s.head] = nil
-			s.head++
-			s.ringN--
 			s.canceled--
 			s.recycle(e)
 			continue
 		}
-		return e
-	}
-}
-
-// take removes the event the cursor points at (the one next returned).
-func (s *Scheduler) take() {
-	slot := int(s.curB & (numBuckets - 1))
-	s.buckets[slot][s.head] = nil
-	s.head++
-	s.ringN--
-}
-
-// migrate pulls overflow events that now fall inside the ring window. It
-// runs on every cursor advance, and most runs hold one far-future event
-// (stop, watchdog, sampler), so the common no-op must not divide:
-// time/width - curB < numBuckets is tested as time - curB*width <
-// numBuckets*width (curB*width never exceeds a pending event's time, so
-// neither side can overflow).
-func (s *Scheduler) migrate() {
-	if len(s.overflow) == 0 {
-		return
-	}
-	base, span := s.curB*s.width, numBuckets*s.width
-	for len(s.overflow) > 0 && s.overflow[0].time-base < span {
-		e := s.heapPop()
-		buckets := s.ring()
-		slot := int((e.time / s.width) & (numBuckets - 1))
-		buckets[slot] = append(buckets[slot], e)
+		slot := int((e.time >> s.shift) & slotMask)
+		s.buckets[slot] = append(s.buckets[slot], e)
+		s.occ.Set(slot)
 		s.ringN++
 	}
 }
 
-// compact rebuilds the queue without its canceled events.
+// compact rebuilds ring and heap without their canceled events.
 func (s *Scheduler) compact() {
 	live := make([]*Event, 0, s.Pending())
-	drop := func(e *Event) {
+	keep := func(e *Event) {
 		if e.canceled {
 			s.recycle(e)
 		} else {
 			live = append(live, e)
 		}
 	}
-	if s.buckets != nil {
-		for slot, bk := range s.buckets {
-			for _, e := range bk {
-				if e != nil {
-					drop(e)
-				}
+	for slot := s.occ.Next(0); slot >= 0; slot = s.occ.Next(slot + 1) {
+		bk := s.buckets[slot]
+		for i, e := range bk {
+			if e != nil {
+				keep(e)
 			}
-			for i := range bk {
-				bk[i] = nil
-			}
-			s.buckets[slot] = bk[:0]
+			bk[i] = nil
 		}
+		s.buckets[slot] = bk[:0]
+		s.occ.Clear(slot)
 	}
 	for _, e := range s.overflow {
-		drop(e)
+		keep(e)
 	}
 	s.overflow = s.overflow[:0]
-	s.ringN = 0
+	s.ringN, s.canceled = 0, 0
 	s.head, s.sorted = 0, false
-	s.curB = s.now / s.width
-	s.canceled = 0
 	for _, e := range live {
-		s.push(e)
+		s.push(e) // the first push puts the cursor at now
 	}
 }
 
@@ -509,7 +586,7 @@ func (s *Scheduler) heapPush(e *Event) {
 	i := len(s.overflow) - 1
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !s.less(s.overflow[i], s.overflow[parent]) {
+		if !less(s.overflow[i], s.overflow[parent]) {
 			break
 		}
 		s.overflow[i], s.overflow[parent] = s.overflow[parent], s.overflow[i]
@@ -529,7 +606,7 @@ func (s *Scheduler) heapPop() *Event {
 		min := i
 		first := i*heapArity + 1
 		for c := first; c < first+heapArity && c < n; c++ {
-			if s.less(s.overflow[c], s.overflow[min]) {
+			if less(s.overflow[c], s.overflow[min]) {
 				min = c
 			}
 		}

@@ -284,3 +284,127 @@ func TestPortDelivery(t *testing.T) {
 		t.Fatal("dst accessor")
 	}
 }
+
+// The front register holds an event only while it sorts strictly before
+// everything else pending, and every operation sees through it.
+func TestFrontRegister(t *testing.T) {
+	s := New()
+	var got []string
+	ev := func(name string) ActorFunc { return func(Time) { got = append(got, name) } }
+
+	a := s.Schedule(40, PrioClock, ev("a"))
+	if s.front != a || s.Pending() != 1 || s.NextTime() != 40 {
+		t.Fatalf("a lone event must sit in the front register: front=%v pending=%d next=%d", s.front == a, s.Pending(), s.NextTime())
+	}
+	// Same time and priority: the newer sequence number fires later, so a
+	// tie does not take the register. A lower priority value does.
+	b := s.Schedule(40, PrioClock, ev("b"))
+	if s.front != a {
+		t.Fatal("a tie displaced the front event")
+	}
+	s.Schedule(40, PrioTransfer, ev("c"))
+	d := s.Schedule(30, PrioTransfer, ev("d"))
+	if s.front != d || s.Pending() != 4 {
+		t.Fatalf("an earlier event must displace the front one: front is d=%v, pending=%d", s.front == d, s.Pending())
+	}
+	// Canceling the front event frees the register at once; the next event
+	// comes from the queue, in order.
+	s.Cancel(d)
+	if s.front != nil || s.Pending() != 3 || s.NextTime() != 40 {
+		t.Fatalf("after canceling the front event: front=%v pending=%d next=%d", s.front != nil, s.Pending(), s.NextTime())
+	}
+	s.Cancel(b)
+	// One event per Step, Executed counting each, whichever way it came.
+	for i, want := range []string{"a", "c"} {
+		if !s.Step() || s.Executed != uint64(i+1) || got[i] != want {
+			t.Fatalf("step %d fired %v (Executed=%d), want %s", i, got, s.Executed, want)
+		}
+	}
+	if s.Step() || s.Pending() != 0 {
+		t.Fatalf("drained scheduler stepped; pending=%d", s.Pending())
+	}
+}
+
+// A macro-actor alone on the list never enters the calendar, yet is still
+// one event per Step, and a stop event far in the future ends the run.
+func TestFrontRegisterSelfRearm(t *testing.T) {
+	s := New()
+	s.SetBucketWidth(8)
+	c := &counter{limit: 1 << 30}
+	ma := NewMacroActor("m", s, NewClock("c", 8), c)
+	s.ScheduleStop(8 * 10_000)
+	ma.Wake(0)
+	for i := int64(1); i <= 100; i++ {
+		if !s.Step() || c.ticks != i || s.Executed != uint64(i) || s.Now() != 8*i {
+			t.Fatalf("step %d: ticks=%d Executed=%d now=%d", i, c.ticks, s.Executed, s.Now())
+		}
+		if s.ringN != 0 || s.front == nil || s.Pending() != 2 {
+			t.Fatalf("step %d: the re-armed edge went to the queue (ringN=%d, pending=%d)", i, s.ringN, s.Pending())
+		}
+	}
+	s.Run()
+	if !s.Stopped() || s.Now() != 80_000 || c.ticks != 10_000 {
+		t.Fatalf("stopped=%v now=%d ticks=%d", s.Stopped(), s.Now(), c.ticks)
+	}
+}
+
+// gridCheck is a Cycler that compares the cycle its macro-actor derived with
+// the clock's own answer, and the edge it was notified at with the one the
+// clock named at the previous tick.
+type gridCheck struct {
+	t        *testing.T
+	clk      *Clock
+	ticks    int
+	nextEdge Time // NextEdge at the last tick; 0 before the first
+	rebased  bool // the clock moved since: the pending edge is off the new grid
+}
+
+func (g *gridCheck) Tick(cycle int64, now Time) bool {
+	g.ticks++
+	if want := g.clk.Cycle(now); cycle != want {
+		g.t.Fatalf("tick %d at t=%d: derived cycle %d, clock says %d", g.ticks, now, cycle, want)
+	}
+	if g.nextEdge != 0 && !g.rebased && now != g.nextEdge {
+		g.t.Fatalf("tick %d at t=%d: the clock's next edge was %d", g.ticks, now, g.nextEdge)
+	}
+	g.nextEdge, g.rebased = g.clk.NextEdge(now), false
+	return true
+}
+
+// The divide-free edge path (cycle+1, now+period) must agree with the clock
+// across every way the clock can be re-based under a running actor: period
+// changes on and off an edge, a gate, and an actor woken onto a new grid
+// while its old edge is still pending.
+func TestMacroActorEdgesAcrossRebase(t *testing.T) {
+	for _, single := range []bool{false, true} {
+		s := New()
+		clk := NewClock("c", 8)
+		g := &gridCheck{t: t, clk: clk}
+		wake := NewMacroActor("m", s, clk, g).Wake
+		if single {
+			wake = NewSingleActor(s, clk, g).Wake
+		}
+		rebase := func(at Time, f func(now Time)) {
+			s.ScheduleFunc(at, PrioStop-1, func(now Time) {
+				f(now)
+				g.rebased = true
+				wake(now)
+			})
+		}
+		rebase(80, func(now Time) { clk.SetPeriod(now, 6) })  // on an edge
+		rebase(203, func(now Time) { clk.SetPeriod(now, 7) }) // between edges
+		rebase(300, func(now Time) { clk.Disable(now) })
+		rebase(420, func(now Time) { clk.Enable(now) })
+		rebase(421, func(now Time) { clk.SetPeriod(now, 24) })
+		rebase(1000, func(now Time) { clk.SetPeriod(now, 1) })
+		s.ScheduleStop(1100)
+		wake(0)
+		s.Run()
+		// The count pins the schedule as a whole; both are what the dividing
+		// implementation produced. (A woken SingleActor keeps an edge it has
+		// pending, a MacroActor pulls it in to the new grid's next edge.)
+		if want := map[bool]int{false: 170, true: 150}[single]; g.ticks != want {
+			t.Fatalf("single=%v: %d ticks, want %d", single, g.ticks, want)
+		}
+	}
+}

@@ -31,11 +31,12 @@ type MacroActor struct {
 
 	scheduled bool
 	pending   *Event
+	armed     edgeMemo
 }
 
 // NewMacroActor creates a macro-actor driven by clock on sched.
 func NewMacroActor(name string, sched *Scheduler, clock *Clock, comps ...Cycler) *MacroActor {
-	return &MacroActor{Name: name, sched: sched, clock: clock, comps: comps}
+	return &MacroActor{Name: name, sched: sched, clock: clock, comps: comps, armed: edgeMemo{edge: -1}}
 }
 
 // Add appends a component.
@@ -48,7 +49,7 @@ func (m *MacroActor) Len() int { return len(m.comps) }
 // macro-actors deschedule themselves; components call Wake (typically from
 // Input) when new work arrives. A pending WakeAt further out is pulled in.
 func (m *MacroActor) Wake(now Time) {
-	edge := m.clock.NextEdge(now)
+	edge := m.armed.after(m.clock, now)
 	if edge == MaxTime {
 		return // domain gated off; the DVFS controller re-wakes on Enable
 	}
@@ -66,7 +67,7 @@ func (m *MacroActor) WakeAt(now, at Time) {
 		m.Wake(now)
 		return
 	}
-	edge := m.clock.NextEdge(at - 1) // first edge at or after `at`
+	edge := m.armed.after(m.clock, at-1) // first edge at or after `at`
 	if edge == MaxTime {
 		return
 	}
@@ -91,7 +92,7 @@ func (m *MacroActor) wakeEdge(edge Time) {
 func (m *MacroActor) Notify(now Time) {
 	m.scheduled = false
 	m.pending = nil
-	cycle := m.clock.Cycle(now)
+	cycle := m.armed.cycleAt(m.clock, now)
 	busy := false
 	for _, c := range m.comps {
 		if c.Tick(cycle, now) {
@@ -99,7 +100,9 @@ func (m *MacroActor) Notify(now Time) {
 		}
 	}
 	if busy {
-		m.Wake(now)
+		if edge := m.armed.next(m.clock, now); edge != MaxTime {
+			m.wakeEdge(edge)
+		}
 	}
 }
 
@@ -111,11 +114,12 @@ type SingleActor struct {
 	comp  Cycler
 
 	scheduled bool
+	armed     edgeMemo
 }
 
 // NewSingleActor wraps comp.
 func NewSingleActor(sched *Scheduler, clock *Clock, comp Cycler) *SingleActor {
-	return &SingleActor{sched: sched, clock: clock, comp: comp}
+	return &SingleActor{sched: sched, clock: clock, comp: comp, armed: edgeMemo{edge: -1}}
 }
 
 // Wake schedules the actor for the next clock edge if idle.
@@ -123,7 +127,7 @@ func (a *SingleActor) Wake(now Time) {
 	if a.scheduled {
 		return
 	}
-	edge := a.clock.NextEdge(now)
+	edge := a.armed.after(a.clock, now)
 	if edge == MaxTime {
 		return
 	}
@@ -134,8 +138,11 @@ func (a *SingleActor) Wake(now Time) {
 // Notify ticks the wrapped component once.
 func (a *SingleActor) Notify(now Time) {
 	a.scheduled = false
-	if a.comp.Tick(a.clock.Cycle(now), now) {
-		a.Wake(now)
+	if a.comp.Tick(a.armed.cycleAt(a.clock, now), now) && !a.scheduled {
+		if edge := a.armed.next(a.clock, now); edge != MaxTime {
+			a.scheduled = true
+			a.sched.Schedule(edge, PrioClock, a)
+		}
 	}
 }
 

@@ -76,12 +76,13 @@ go test -race -count=10 -timeout 120s -run 'TestWindowCommitOrder|TestLockstepPa
 # Cross-run throughput gate: when bench.sh has recorded at least two
 # BENCH_HISTORY.jsonl entries, sim_cycle/sec and sim_instr/sec (direction:
 # up — this covers the functional backends' instr/sec, so the funcvm
-# dispatch loop cannot quietly lose its edge) and BenchmarkTCUIssue's
-# host_ns/sim_instr (direction: down — the cluster-compute anchor) must
-# not regress beyond the wide cross-host band.
+# dispatch loop cannot quietly lose its edge), BenchmarkTCUIssue's
+# host_ns/sim_instr (direction: down — the cluster-compute anchor) and
+# BenchmarkSchedulerEdge's host_ns/event (direction: down — the event-list
+# anchor) must not regress beyond the wide cross-host band.
 if [ -f BENCH_HISTORY.jsonl ] && [ "$(wc -l <BENCH_HISTORY.jsonl)" -ge 2 ]; then
-    echo "== xmtperf (BENCH_HISTORY.jsonl: sim_cycle/sec + sim_instr/sec + host_ns/sim_instr regression gate)"
-    go run ./cmd/xmtperf -threshold 30 -t ns/op=60 -t host_ns/sim_instr=60 -t allocs/op=60 -t B/op=60 BENCH_HISTORY.jsonl
+    echo "== xmtperf (BENCH_HISTORY.jsonl: sim_cycle/sec + sim_instr/sec + host_ns/sim_instr + host_ns/event regression gate)"
+    go run ./cmd/xmtperf -threshold 30 -t ns/op=60 -t host_ns/sim_instr=60 -t host_ns/event=60 -t allocs/op=60 -t B/op=60 BENCH_HISTORY.jsonl
 fi
 
 echo "== chaos soak (seeded fault-injection matrix, docs/ROBUSTNESS.md)"
@@ -90,12 +91,13 @@ echo "== chaos soak (seeded fault-injection matrix, docs/ROBUSTNESS.md)"
 # (workload, seed) across worker counts even while faults corrupt state.
 go test -race -count=1 -timeout 300s -run 'TestChaosSoak|TestDegradedConformance' .
 
-echo "== fuzz smoke (parser + assembler + config + analyzer + backend differential)"
+echo "== fuzz smoke (parser + assembler + config + analyzer + backend differential + scheduler order)"
 go test -fuzz FuzzParseXMTC -fuzztime 5s -run '^$' ./internal/xmtc
 go test -fuzz FuzzAssemble -fuzztime 5s -run '^$' ./internal/asm
 go test -fuzz FuzzConfig -fuzztime 5s -run '^$' ./internal/config
 go test -fuzz FuzzAnalyze -fuzztime 5s -run '^$' ./internal/analysis
 go test -fuzz FuzzBackendDifferential -fuzztime 5s -run '^$' .
+go test -fuzz FuzzSchedulerOrder -fuzztime 5s -run '^$' ./internal/sim/engine
 
 echo "== telemetry endpoint smoke (xmtsim -serve)"
 # Start xmtsim with a live metrics server mid-run, scrape /metrics and
