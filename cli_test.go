@@ -3,33 +3,71 @@ package xmtgo_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// TestCLITools builds the three drivers and exercises their main paths end
-// to end: compile, simulate (both modes, with stats, overrides and memory
-// maps), trace, describe, and the compile-and-run one-step tool.
-func TestCLITools(t *testing.T) {
+// cliBuild holds the drivers the CLI tests run, built once per test process
+// (TestMain removes the directory).
+var cliBuild struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cliBuild.dir != "" {
+		os.RemoveAll(cliBuild.dir)
+	}
+	os.Exit(code)
+}
+
+// cliTools returns tool name → binary path for xmtcc, xmtsim, xmtrun and
+// xmtbatch.
+func cliTools(t *testing.T) map[string]string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	dir := t.TempDir()
-	bins := map[string]string{}
-	for _, tool := range []string{"xmtcc", "xmtsim", "xmtrun", "xmtbatch"} {
-		out := filepath.Join(dir, tool)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+tool)
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", tool, err, msg)
+	tools := []string{"xmtcc", "xmtsim", "xmtrun", "xmtbatch"}
+	cliBuild.once.Do(func() {
+		if cliBuild.dir, cliBuild.err = os.MkdirTemp("", "xmtcli"); cliBuild.err != nil {
+			return
 		}
-		bins[tool] = out
+		args := []string{"build", "-o", cliBuild.dir + string(filepath.Separator)}
+		for _, tool := range tools {
+			args = append(args, "./cmd/"+tool)
+		}
+		if msg, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			cliBuild.err = fmt.Errorf("go build: %v\n%s", err, msg)
+		}
+	})
+	if cliBuild.err != nil {
+		t.Fatal(cliBuild.err)
 	}
+	bins := map[string]string{}
+	for _, tool := range tools {
+		bins[tool] = filepath.Join(cliBuild.dir, tool)
+	}
+	return bins
+}
+
+// TestCLITools exercises the drivers' main paths end to end: compile, simulate (both modes, with stats, overrides and memory
+// maps), trace, describe, and the compile-and-run one-step tool.
+func TestCLITools(t *testing.T) {
+	bins := cliTools(t)
+	dir := t.TempDir()
 
 	src := `
 int n = 0;
@@ -185,14 +223,8 @@ Lloop:  lw    $t2, 0($t1)
 // /status mid-run. This is the end-to-end smoke test for the live
 // telemetry endpoint; scripts/check.sh runs it by name.
 func TestCLIServeEndpoints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries; skipped in -short mode")
-	}
+	bin := cliTools(t)["xmtsim"]
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "xmtsim")
-	if msg, err := exec.Command("go", "build", "-o", bin, "./cmd/xmtsim").CombinedOutput(); err != nil {
-		t.Fatalf("build xmtsim: %v\n%s", err, msg)
-	}
 	sFile := filepath.Join(dir, "loop.s")
 	if err := os.WriteFile(sFile, []byte(serveLoopAsm), 0o644); err != nil {
 		t.Fatal(err)
@@ -304,17 +336,8 @@ func TestCLIServeEndpoints(t *testing.T) {
 // promises a resumable file), and xmtbatch rejects handwritten assembly the
 // post-pass refuses when it loads the jobs file, not at run time.
 func TestCLIFailurePaths(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries; skipped in -short mode")
-	}
+	bins := cliTools(t)
 	dir := t.TempDir()
-	bins := map[string]string{}
-	for _, tool := range []string{"xmtcc", "xmtsim", "xmtrun", "xmtbatch"} {
-		bins[tool] = filepath.Join(dir, tool)
-		if msg, err := exec.Command("go", "build", "-o", bins[tool], "./cmd/"+tool).CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", tool, err, msg)
-		}
-	}
 	write := func(name, content string) string {
 		t.Helper()
 		path := filepath.Join(dir, name)
@@ -367,5 +390,162 @@ helper: jr $ra
 	out, err := exec.Command(bins["xmtbatch"], jobs).CombinedOutput()
 	if err == nil || !strings.Contains(string(out), bad+":5:") {
 		t.Errorf("xmtbatch admitted illegal parallel code (err=%v), want a load error naming %s:5\n%s", err, bad, out)
+	}
+}
+
+// ckptProgram traps into a checkpoint between two prints and two stores, so a
+// run resumed from that checkpoint has a visible remainder.
+const ckptProgram = `int A[4];
+int main() { A[0] = 3; print_int(1); checkpoint(); A[1] = 4; print_int(7); return 0; }
+`
+
+// runCLI runs one tool invocation in dir (empty: the test's own) and returns
+// its stdout, stderr and exit status.
+func runCLI(t *testing.T, dir, bin string, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	var out, errb strings.Builder
+	cmd := exec.Command(bin, args...)
+	cmd.Dir = dir
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	if err := cmd.Run(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("%s %v: %v", bin, args, err)
+		}
+		exit = ee.ExitCode()
+	}
+	return out.String(), errb.String(), exit
+}
+
+// TestCLIFrontEndEquivalence holds xmtrun to being xmtcc + xmtsim: for each
+// program and flag set, compiling with xmtcc and simulating the assembly
+// with xmtsim gives the same stdout, exit status, stderr (modulo tool and
+// file name) and telemetry files as xmtrun on the source. The flag sets of
+// the two tools differ by exactly xmtrun's four compile flags.
+func TestCLIFrontEndEquivalence(t *testing.T) {
+	bins := cliTools(t)
+	dir := t.TempDir()
+	fixture, err := os.ReadFile("testdata/observability/fixture.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	telemetry := []string{"-sample-cycles", "100", "-samples", "samples.jsonl", "-counters-json", "counters.json"}
+	flagSets := [][]string{
+		telemetry,
+		append([]string{"-stats", "-counters"}, telemetry...),
+		append([]string{"-race-check"}, telemetry...),
+		{"-mode", "func"},
+		{"-mode", "func", "-backend", "interp", "-dump", "A:2"},
+		{"-mode", "func", "-counters-json", "counters.json"}, // refused alike: exit 1
+	}
+	for name, src := range map[string]string{"fixture": string(fixture), "ckpt": ckptProgram} {
+		cFile, sFile := filepath.Join(dir, name+".c"), filepath.Join(dir, name+".s")
+		if err := os.WriteFile(cFile, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, msg, exit := runCLI(t, "", bins["xmtcc"], "-o", sFile, cFile); exit != 0 {
+			t.Fatalf("xmtcc %s: exit %d\n%s", name, exit, msg)
+		}
+		for _, flags := range flagSets {
+			type result struct {
+				stdout, stderr    string
+				exit              int
+				samples, counters []byte
+			}
+			var got [2]result
+			for i, tool := range []string{"xmtsim", "xmtrun"} {
+				work := filepath.Join(dir, tool)
+				os.RemoveAll(work)
+				if err := os.Mkdir(work, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				file := []string{sFile, cFile}[i]
+				r := &got[i]
+				r.stdout, r.stderr, r.exit = runCLI(t, work, bins[tool],
+					append(append([]string{"-checkpoint", "state.ckpt"}, flags...), file)...)
+				r.stderr = strings.NewReplacer(file, "FILE", tool, "TOOL").Replace(r.stderr)
+				r.samples, _ = os.ReadFile(filepath.Join(work, "samples.jsonl"))
+				r.counters, _ = os.ReadFile(filepath.Join(work, "counters.json"))
+			}
+			sim, run := got[0], got[1]
+			if sim.stdout != run.stdout || sim.exit != run.exit || sim.stderr != run.stderr {
+				t.Errorf("%s %v:\nxmtsim: exit %d stdout %q stderr:\n%s\nxmtrun: exit %d stdout %q stderr:\n%s",
+					name, flags, sim.exit, sim.stdout, sim.stderr, run.exit, run.stdout, run.stderr)
+			}
+			if string(sim.samples) != string(run.samples) || string(sim.counters) != string(run.counters) {
+				t.Errorf("%s %v: -samples or -counters-json bytes differ between xmtsim and xmtrun", name, flags)
+			}
+			if slices.Contains(flags, "-samples") && (len(sim.samples) == 0 || len(sim.counters) == 0) {
+				t.Errorf("%s %v: xmtsim wrote no telemetry (%d sample bytes, %d counter bytes)", name, flags, len(sim.samples), len(sim.counters))
+			}
+		}
+	}
+
+	flagNames := func(tool string) map[string]bool {
+		_, usage, _ := runCLI(t, "", bins[tool], "-h")
+		names := map[string]bool{}
+		for _, line := range strings.Split(usage, "\n") {
+			if rest, ok := strings.CutPrefix(line, "  -"); ok {
+				name, _, _ := strings.Cut(rest, " ")
+				names[name] = true
+			}
+		}
+		return names
+	}
+	sim, run := flagNames("xmtsim"), flagNames("xmtrun")
+	for _, own := range []string{"O", "cluster", "no-prefetch", "no-nbstore"} {
+		if !run[own] || sim[own] {
+			t.Errorf("compile flag -%s: xmtrun has it %v, xmtsim has it %v", own, run[own], sim[own])
+		}
+		delete(run, own)
+	}
+	if len(sim) == 0 || !maps.Equal(sim, run) {
+		t.Errorf("apart from the compile flags the two flag sets differ:\nxmtsim %v\nxmtrun %v", sim, run)
+	}
+}
+
+// TestCLIRunCheckpointResume: the checkpoint xmtrun writes is resumable by
+// xmtrun. In functional mode a checkpoint() call writes the file and the run
+// goes on (either backend); in cycle mode it writes the file and stops. The
+// resumed run prints the rest of the output and ends in the memory of a run
+// that was never checkpointed.
+func TestCLIRunCheckpointResume(t *testing.T) {
+	bins := cliTools(t)
+	dir := t.TempDir()
+	cFile := filepath.Join(dir, "ckpt.c")
+	if err := os.WriteFile(cFile, []byte(ckptProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	memory := func(stderr string) string {
+		_, dump, _ := strings.Cut(stderr, "A @")
+		return dump
+	}
+	wantOut, wantErr, _ := runCLI(t, "", bins["xmtrun"], "-mode", "func", "-dump", "A:2", cFile)
+	if wantOut != "17" || memory(wantErr) == "" {
+		t.Fatalf("reference run: stdout %q stderr:\n%s", wantOut, wantErr)
+	}
+	for _, c := range []struct {
+		mode     []string
+		firstLeg string // stdout of the run that writes the checkpoint
+	}{
+		{[]string{"-mode", "func", "-backend", "vm"}, "17"},
+		{[]string{"-mode", "func", "-backend", "interp"}, "17"},
+		{[]string{"-mode", "cycle"}, "1"},
+	} {
+		ckpt := filepath.Join(dir, "state.ckpt")
+		os.Remove(ckpt)
+		args := func(extra ...string) []string {
+			return append(append(append([]string{}, c.mode...), extra...), "-dump", "A:2", cFile)
+		}
+		out, msg, exit := runCLI(t, "", bins["xmtrun"], args("-checkpoint", ckpt)...)
+		if _, err := os.Stat(ckpt); err != nil || exit != 0 || out != c.firstLeg {
+			t.Errorf("xmtrun %v -checkpoint: exit %d, stdout %q (want %q), %v\n%s", c.mode, exit, out, c.firstLeg, err, msg)
+			continue
+		}
+		out, msg, exit = runCLI(t, "", bins["xmtrun"], args("-resume", ckpt)...)
+		if exit != 0 || "1"+out != wantOut || memory(msg) != memory(wantErr) {
+			t.Errorf("xmtrun %v -resume: exit %d, stdout %q (want the rest of %q), stderr:\n%swant memory %s",
+				c.mode, exit, out, wantOut, msg, memory(wantErr))
+		}
 	}
 }

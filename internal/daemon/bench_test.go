@@ -8,8 +8,9 @@ import (
 	"xmtgo/internal/obs"
 )
 
-// BenchmarkDaemon measures the daemon's service quality end to end
-// (scripts/bench_daemon.sh records both into BENCH_*.json):
+// BenchmarkDaemon is a quick closed-loop reading of the daemon's service
+// quality; the recorded trajectory is the benchmark's open-loop daemon-open
+// workload (benchmark/README.md). It reports:
 //
 //   - jobs/sec: short jobs pushed through the full pipeline — fsync'd
 //     journal append, admission, queue, worker, result — per second.

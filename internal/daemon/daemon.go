@@ -767,6 +767,26 @@ func (d *Daemon) Serve(ln net.Listener) error {
 	}
 }
 
+// stopWorkersLocked stops the workers taking jobs and asks every running job
+// to checkpoint at its next quiescent boundary. With drain the job is marked
+// so that its worker journals a clean suspend; without (Abort's simulated
+// crash) the worker journals nothing. The caller holds d.mu.
+func (d *Daemon) stopWorkersLocked(drain bool) {
+	d.stopWorkers = true
+	for _, j := range d.jobs {
+		if j.state != StateRunning {
+			continue
+		}
+		if drain {
+			j.drainReq = true
+		}
+		if j.sys != nil {
+			j.sys.RequestCheckpoint()
+		}
+	}
+	d.cond.Broadcast()
+}
+
 // Drain performs the graceful shutdown: stop admitting, suspend running
 // jobs at their next checkpoint boundary, journal the clean-shutdown
 // marker, close the journal. Queued and suspended jobs remain durably
@@ -775,16 +795,7 @@ func (d *Daemon) Drain() error {
 	d.mu.Lock()
 	already := d.draining
 	d.draining = true
-	d.stopWorkers = true
-	for _, j := range d.jobs {
-		if j.state == StateRunning {
-			j.drainReq = true
-			if j.sys != nil {
-				j.sys.RequestCheckpoint()
-			}
-		}
-	}
-	d.cond.Broadcast()
+	d.stopWorkersLocked(true)
 	d.publishLocked()
 	d.mu.Unlock()
 
@@ -817,13 +828,7 @@ func (d *Daemon) Drain() error {
 func (d *Daemon) Abort() {
 	d.aborted.Store(true)
 	d.mu.Lock()
-	d.stopWorkers = true
-	for _, j := range d.jobs {
-		if j.state == StateRunning && j.sys != nil {
-			j.sys.RequestCheckpoint()
-		}
-	}
-	d.cond.Broadcast()
+	d.stopWorkersLocked(false)
 	if d.ln != nil {
 		d.ln.Close()
 	}
@@ -841,20 +846,11 @@ func (d *Daemon) Abort() {
 // errors). Prefer Drain for orderly shutdown.
 func (d *Daemon) Close() error {
 	d.mu.Lock()
-	d.stopWorkers = true
-	d.cond.Broadcast()
+	d.draining = true
+	d.stopWorkersLocked(true)
 	if d.ln != nil {
 		d.ln.Close()
 	}
-	for _, j := range d.jobs {
-		if j.state == StateRunning {
-			j.drainReq = true
-			if j.sys != nil {
-				j.sys.RequestCheckpoint()
-			}
-		}
-	}
-	d.draining = true
 	d.mu.Unlock()
 	d.wg.Wait()
 	d.jmu.Lock()

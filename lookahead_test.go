@@ -22,8 +22,9 @@ import (
 
 // lookaheadCorpus is a focused subset of the determinism corpus: the two
 // parallel Table I groups stress the cache/ICN request loop (short windows,
-// frequent truncation), compaction adds data-dependent ps traffic, and the
-// chip1024 case exercises window commits across 64 sharded clusters.
+// frequent truncation), compaction adds data-dependent ps traffic, the
+// chip1024 case exercises window commits across 64 sharded clusters, and the
+// wide-cluster case the full-scan tick path of clusters above 64 TCUs.
 func lookaheadCorpus(t *testing.T) []detCase {
 	t.Helper()
 	fpga := xmtgo.ConfigFPGA64()
@@ -37,6 +38,7 @@ func lookaheadCorpus(t *testing.T) []detCase {
 		{name: "compaction", src: comp, cfg: fpga},
 		{name: "parmem-chip1024",
 			src: workloads.TableI(workloads.ParallelMemory, chip.Clusters*chip.TCUsPerCluster, 4), cfg: chip},
+		wideClusterCase(),
 	}
 }
 

@@ -67,7 +67,18 @@ func determinismCorpus(t *testing.T) []detCase {
 	// The 1024-TCU chip shards 64 clusters across the pool.
 	cases = append(cases, detCase{name: "tableI-parmem-chip1024",
 		src: workloads.TableI(workloads.ParallelMemory, chip.Clusters*chip.TCUsPerCluster, 4), cfg: chip})
+	cases = append(cases, wideClusterCase())
 	return cases
+}
+
+// wideClusterCase has more than 64 TCUs per cluster, the one supported input
+// for which Cluster.Tick and TCU.setState cannot use the 64-bit tick mask
+// and scan every TCU instead.
+func wideClusterCase() detCase {
+	wide := xmtgo.ConfigFPGA64()
+	wide.Clusters, wide.TCUsPerCluster = 2, 128
+	return detCase{name: "tableI-parmem-wide-clusters",
+		src: workloads.TableI(workloads.ParallelMemory, wide.Clusters*wide.TCUsPerCluster, 1), cfg: wide}
 }
 
 // workersRun is one run's observable artifacts: everything that the

@@ -34,6 +34,12 @@ fi
 
 echo "== go build"
 go build ./...
+# The gates below run xmtperf, xmtrun and xmtlint several times between
+# them: link each once.
+go build -o /tmp/xmtperf.check ./cmd/xmtperf
+go build -o /tmp/xmtrun.check ./cmd/xmtrun
+go build -o /tmp/xmtlint.check ./cmd/xmtlint
+trap 'rm -f /tmp/xmtperf.check /tmp/xmtrun.check /tmp/xmtlint.check' EXIT
 
 echo "== go test"
 go test ./...
@@ -82,7 +88,7 @@ go test -race -count=10 -timeout 120s -run 'TestWindowCommitOrder|TestLockstepPa
 # anchor) must not regress beyond the wide cross-host band.
 if [ -f BENCH_HISTORY.jsonl ] && [ "$(wc -l <BENCH_HISTORY.jsonl)" -ge 2 ]; then
     echo "== xmtperf (BENCH_HISTORY.jsonl: sim_cycle/sec + sim_instr/sec + host_ns/sim_instr + host_ns/event regression gate)"
-    go run ./cmd/xmtperf -threshold 30 -t ns/op=60 -t host_ns/sim_instr=60 -t host_ns/event=60 -t allocs/op=60 -t B/op=60 BENCH_HISTORY.jsonl
+    /tmp/xmtperf.check -threshold 30 -t ns/op=60 -t host_ns/sim_instr=60 -t host_ns/event=60 -t allocs/op=60 -t B/op=60 BENCH_HISTORY.jsonl
 fi
 
 echo "== chaos soak (seeded fault-injection matrix, docs/ROBUSTNESS.md)"
@@ -120,7 +126,6 @@ echo "== xmtd observability gate (lifecycle trace, latency histograms, structure
 go test -count=1 -timeout 300s -run TestCLIDaemonObservability .
 
 echo "== xmtperf self-test (seeded regression fixture must trip the gate)"
-go build -o /tmp/xmtperf.check ./cmd/xmtperf
 if /tmp/xmtperf.check testdata/perf/bench_base.json testdata/perf/bench_regressed.json >/dev/null; then
     echo "ERROR: xmtperf passed the seeded regression fixture; it must exit nonzero" >&2
     exit 1
@@ -133,10 +138,10 @@ echo "== xmtperf gate (fixture counters vs committed baseline)"
 # real; any drift is a simulator-semantics change that needs a rebless
 # of testdata/perf/baseline_counters.json alongside the goldens).
 counters=$(mktemp)
-go run ./cmd/xmtrun -config fpga64 -counters-json "$counters" \
+/tmp/xmtrun.check -config fpga64 -counters-json "$counters" \
     testdata/observability/fixture.c >/dev/null
 /tmp/xmtperf.check -threshold 0.5 testdata/perf/baseline_counters.json "$counters"
-rm -f "$counters" /tmp/xmtperf.check
+rm -f "$counters"
 
 echo "== coverage gate"
 # Total statement coverage must not drop below the recorded baseline
@@ -157,7 +162,7 @@ if [ "$(printf '%s\n' "$baseline" "$total" | sort -g | head -1)" != "$baseline" 
 fi
 
 echo "== xmtlint (dogfood over examples/xmtc)"
-XMTLINT="go run ./cmd/xmtlint"
+XMTLINT=/tmp/xmtlint.check
 
 # Clean fixtures: zero findings, through the full pipeline where possible.
 $XMTLINT -compile \
@@ -184,14 +189,14 @@ go test -count=1 -run 'TestXmtsan' .
 # CLI smoke: the Fig. 6 litmus must race under xmtsan, the Fig. 7 litmus
 # must not (report goes to stderr; the exit status stays 0 either way).
 racelog=$(mktemp)
-go run ./cmd/xmtrun -config fpga64 -race-check \
+/tmp/xmtrun.check -config fpga64 -race-check \
     examples/xmtc/litmus_relaxed.c >/dev/null 2>"$racelog"
 if ! grep -q '^race:' "$racelog"; then
     echo "ERROR: xmtsan reported the Fig. 6 litmus race-free" >&2
     cat "$racelog" >&2
     exit 1
 fi
-go run ./cmd/xmtrun -config fpga64 -race-check \
+/tmp/xmtrun.check -config fpga64 -race-check \
     examples/xmtc/litmus_psm.c >/dev/null 2>"$racelog"
 if ! grep -q '^xmtsan: 0 race(s)' "$racelog"; then
     echo "ERROR: xmtsan flagged the synchronized Fig. 7 litmus" >&2
