@@ -3,6 +3,7 @@ package cycle
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,14 +75,19 @@ func compileKernel(t *testing.T, threads int) (*asm.Program, string) {
 }
 
 // checkActiveSets is the invariant: every non-empty queue of the memory
-// system has its bit set (a set bit over an empty queue is legal). A queue
-// outside its set is never visited again — the hang this test hunts.
+// system has its bit set (a set bit over an empty queue is legal), and every
+// TCU a masked cluster must visit again is where its tick will find it. A
+// queue outside its set, or a stalled TCU off the stall calendar, is never
+// visited again — the hang this test hunts.
 func checkActiveSets(t *testing.T, s *System) {
 	t.Helper()
 	now := s.Sched.Now()
 	for i, c := range s.clusters {
 		if len(c.sendQ) > 0 && !s.icn.ports.Has(i) {
 			t.Fatalf("t=%d: cluster %d holds %d packages outside icn.ports", now, i, len(c.sendQ))
+		}
+		if c.maskOK {
+			checkCalendar(t, c)
 		}
 	}
 	if len(s.master.sendQ) > 0 && !s.icn.ports.Has(len(s.clusters)) {
@@ -95,6 +101,45 @@ func checkActiveSets(t *testing.T, s *System) {
 	for m, cm := range s.modules {
 		if len(cm.serviceQ) > cm.head && !s.cacheActive.Has(m) {
 			t.Fatalf("t=%d: module %d queues %d requests outside cacheActive", now, m, len(cm.serviceQ)-cm.head)
+		}
+	}
+}
+
+// checkCalendar asserts a masked cluster's issue-side sets: tickMask is
+// exactly its running TCUs and stalled its stalled ones; each stalled TCU
+// has a ring bit that the next ticks pop no later than its stall ends;
+// every shared-unit waiter is running; poolNext is each pool's earliest
+// free cycle.
+func checkCalendar(t *testing.T, c *Cluster) {
+	t.Helper()
+	now := c.sys.Sched.Now()
+	for _, u := range c.tcus {
+		bit := uint64(1) << uint(u.local)
+		if running := u.state == tcuRunning; running != (c.tickMask&bit != 0) {
+			t.Fatalf("t=%d: TCU %d in state %d, tickMask bit %v", now, u.id, u.state, !running)
+		}
+		if (c.unitWait[0]|c.unitWait[1])&bit != 0 && u.state != tcuRunning {
+			t.Fatalf("t=%d: TCU %d waits on a shared unit in state %d", now, u.id, u.state)
+		}
+		stalled := u.state == tcuStalled
+		if stalled != (c.stalled&bit != 0) {
+			t.Fatalf("t=%d: TCU %d in state %d, stalled bit %v", now, u.id, u.state, !stalled)
+		}
+		if !stalled {
+			continue
+		}
+		armed := false
+		for k := c.lastTick + 1; k <= min(u.stallUntil, c.lastTick+stallRingSize-1); k++ {
+			armed = armed || c.stallRing[k&(stallRingSize-1)]&bit != 0
+		}
+		if !armed {
+			t.Fatalf("t=%d: TCU %d stalled until cycle %d has no ring bit in (%d, %d]",
+				now, u.id, u.stallUntil, c.lastTick, min(u.stallUntil, c.lastTick+stallRingSize-1))
+		}
+	}
+	for p := range c.poolNext {
+		if m := slices.Min(c.pool(p)); c.poolNext[p] != m {
+			t.Fatalf("t=%d: cluster %d pool %d: poolNext %d, earliest free unit %d", now, c.id, p, c.poolNext[p], m)
 		}
 	}
 }
@@ -294,5 +339,133 @@ func TestActiveSetReentry(t *testing.T) {
 	}
 	if s.master.pendingNB != 0 || len(s.master.pkgFree) != 2 {
 		t.Fatalf("pendingNB=%d, %d packages back on the master freelist (want 0, 2)", s.master.pendingNB, len(s.master.pkgFree))
+	}
+}
+
+// mduSpawn is an MDU-bound spawn: 256 virtual threads of `ps; chkid; div;
+// mul; div; addu; j` on a machine with one MDU per cluster, so most TCU
+// cycles are spent stalled on a unit or refused one.
+const mduSpawn = `
+        .text
+main:   li    $a0, 0
+        li    $a1, 255
+        li    $t1, 7
+        bcast $t1
+        spawn $a0, $a1
+L:      addiu $tid, $zero, 1
+        ps    $tid, g63
+        chkid $tid
+        div   $t2, $tid, $t1
+        mul   $t3, $t2, $t1
+        div   $t4, $t3, $t1
+        addu  $v0, $v0, $t4
+        j     L
+        join
+        sys   0
+`
+
+// roSpawn mixes read-only-cache hits with divides, so stalls of two lengths
+// share the stall calendar.
+const roSpawn = `
+        .data
+k:      .word 42
+        .text
+main:   la    $t0, k
+        bcast $t0
+        li    $t1, 7
+        bcast $t1
+        li    $a0, 0
+        li    $a1, 255
+        spawn $a0, $a1
+L:      addiu $tid, $zero, 1
+        ps    $tid, g63
+        chkid $tid
+        lwro  $t2, 0($t0)
+        div   $t3, $tid, $t1
+        lwro  $t4, 0($t0)
+        addu  $t5, $t2, $t4
+        j     L
+        join
+        sys   0
+`
+
+// periodCycler is a DVFS plug-in that moves the cluster clock through
+// periods 8, 13 and 24 every interval cycles. Each change re-bases the clock
+// under the cluster edge already pending on the old grid, so the next ticks
+// skip or repeat cycle numbers.
+func periodCycler(interval int64) ActivityPlugin {
+	n := 0
+	return pluginFunc{name: "dvfs", interval: interval, fn: func(_ *Snapshot, ctl *Control) {
+		n++
+		if err := ctl.SetPeriod("cluster", []int64{8, 13, 24}[n%3]); err != nil {
+			panic(err)
+		}
+	}}
+}
+
+// TestStallCalendar runs stall-heavy spawns under the invariant check after
+// every event and pins each run's Result and FPUWaitCycles to the values of
+// the simulator that visited every stalled TCU every cycle: the MDU-bound
+// spawn, the same on the 1024-TCU chip, read-only-cache stalls longer than
+// the ring, and the MDU spawn under a plug-in that re-bases the cluster clock
+// every k cycles (the case that needs the ring to catch up on skipped cycle
+// numbers).
+func TestStallCalendar(t *testing.T) {
+	type want struct {
+		res     Result
+		fpuWait uint64 // summed over clusters
+	}
+	type calendarCase struct {
+		name   string
+		src    string
+		cfg    config.Config
+		plugin ActivityPlugin
+		want   want
+	}
+	rolong := config.FPGA64()
+	rolong.ROCacheLatency = 40 // past the ring: re-armed at its horizon
+	cases := []calendarCase{
+		{"mdu", mduSpawn, config.FPGA64(), nil,
+			want{Result{Cycles: 1195, Ticks: 9560, Instrs: 2246, Halted: true}, 54720}},
+		{"mdu-chip1024", mduSpawn, config.Chip1024(), nil,
+			want{Result{Cycles: 341, Ticks: 2728, Instrs: 5126, Halted: true}, 32256}},
+		{"rocache-past-ring", roSpawn, rolong, nil,
+			want{Result{Cycles: 630, Ticks: 5040, Instrs: 2249, Halted: true}, 6464}},
+	}
+	for _, d := range []struct {
+		k    int64
+		want want
+	}{
+		{1, want{Result{Cycles: 1226, Ticks: 18392, Instrs: 2246, Halted: true}, 38076}},
+		{3, want{Result{Cycles: 1178, Ticks: 17664, Instrs: 2246, Halted: true}, 55090}},
+		{5, want{Result{Cycles: 1199, Ticks: 17984, Instrs: 2246, Halted: true}, 56124}},
+		{7, want{Result{Cycles: 1208, Ticks: 18072, Instrs: 2246, Halted: true}, 56050}},
+		{11, want{Result{Cycles: 1196, Ticks: 17888, Instrs: 2246, Halted: true}, 55436}},
+	} {
+		cases = append(cases, calendarCase{fmt.Sprint("dvfs-every", d.k), mduSpawn, config.FPGA64(), periodCycler(d.k), d.want})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.MemBytes = 1 << 20
+			s, _ := buildSys(t, tc.src, tc.cfg)
+			if tc.plugin != nil {
+				s.AddActivityPlugin(tc.plugin)
+			}
+			stepRun(t, s, nil)
+			res, err := s.result(10_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := want{res: *res}
+			for _, cs := range s.Stats.Cluster {
+				got.fpuWait += cs.FPUWaitCycles
+			}
+			if got != tc.want {
+				t.Errorf("got %+v, want %+v", got, tc.want)
+			}
+			if tc.src == roSpawn && s.Stats.ROHits == 0 {
+				t.Error("no read-only cache hit: the long stall went unexercised")
+			}
+		})
 	}
 }

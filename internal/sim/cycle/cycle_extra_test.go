@@ -205,7 +205,10 @@ func TestGatedDomainResumes(t *testing.T) {
 // it is gated off and has no period to count the wait in. A plug-in that
 // toggles the gate every three cluster cycles makes that the common case —
 // for the master in a serial loop of missing loads, and for the TCUs (cluster
-// domain) inside a spawn. The run must finish with the ungated run's output.
+// domain) inside a spawn. The same plug-in makes a cluster edge that was
+// pending at the gate commit ps requests while the domain has no edges to
+// pace them on (the "ps" case: they apply at arrival). The run must finish
+// with the ungated run's output.
 func TestGateWithLoadInFlight(t *testing.T) {
 	cases := []struct{ name, domain, src string }{
 		{"master", "master", `
@@ -247,6 +250,30 @@ L:      addiu $tid, $zero, 1
         j     L
         join
         lw    $v0, 0($t1)
+        sys   1
+        sys   0
+`},
+		{"ps", "cluster", `
+        .data
+S:      .word 0
+        .text
+main:   la    $t0, S
+        bcast $t0
+        li    $t1, 7
+        bcast $t1
+        li    $a0, 0
+        li    $a1, 255
+        spawn $a0, $a1
+L:      addiu $tid, $zero, 1
+        ps    $tid, g63
+        chkid $tid
+        div   $t2, $tid, $t1
+        mul   $t3, $t2, $t1
+        div   $t4, $t3, $t1
+        psm   $t4, 0($t0)
+        j     L
+        join
+        lw    $v0, 0($t0)
         sys   1
         sys   0
 `},

@@ -46,9 +46,16 @@ func (u *PSUnit) request(t *TCU, in *isa.Instr, now engine.Time) {
 }
 
 // slotFor paces requests at PSPerCycle per cluster cycle, returning the
-// apply time for a request arriving at the unit at time `at`.
+// apply time for a request arriving at the unit at time `at`. A gated
+// cluster domain has no edges to pace on — a request is made while gated
+// only by a commit on an edge that was already pending at the gate — so
+// such a request applies at its arrival and takes no slot
+// (docs/SIMULATOR.md §Activity plug-ins).
 func (u *PSUnit) slotFor(at engine.Time) engine.Time {
 	clk := u.sys.clusterClock
+	if !clk.Enabled() {
+		return at
+	}
 	c := clk.Cycle(at)
 	if c > u.windowCycle {
 		u.windowCycle = c

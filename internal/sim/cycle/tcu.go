@@ -18,17 +18,11 @@ const (
 	tcuRunning                   // may issue at the next cluster edge
 	tcuStalled                   // local/shared-unit latency until stallUntil
 	tcuWaitMem                   // blocked on a memory / prefix-sum response
-	tcuWaitFence                 // waiting for pending non-blocking stores
+	tcuWaitFence                 // waiting for pending non-blocking stores (the last delivery unblocks it)
 	tcuDraining                  // out of work, draining posted stores before done
 	tcuDone                      // blocked at chkid; all its work is finished
 	tcuDead                      // permanently decommissioned by an injected fault
 )
-
-// tickableStates marks the states whose Tick can make progress without an
-// external delivery: these are the only TCUs the cluster tick must visit.
-// tcuWaitFence's fence check is self-contained, so it stays tickable even
-// though it usually waits on store responses.
-const tickableStates = 1<<tcuRunning | 1<<tcuStalled | 1<<tcuWaitFence
 
 // activeStates marks the states that count toward the cluster's BusyCycles
 // attribution (everything but idle/done/dead).
@@ -40,8 +34,9 @@ const activeStates = 1<<tcuRunning | 1<<tcuStalled | 1<<tcuWaitMem |
 // the memory system. TCUs execute virtual threads handed out by the
 // prefix-sum-based spawn protocol.
 //
-// Layout matters here: the lockstep engine sweeps every TCU of the machine
-// each cycle, so a TCU's lines have left the L1 by the time it ticks again.
+// Layout matters here: a cluster tick visits its running TCUs in index
+// order, and with 1024 TCUs on the chip a TCU's lines have left the L1 by
+// the time it issues again.
 // tcuHot comes first and is ordered so that everything a tick reads before
 // it touches an operand register — PC, stall horizon, state, flags, the
 // send stash — shares the cache line that ends ctx; the struct is padded to
@@ -110,9 +105,9 @@ type tcuHot struct {
 }
 
 // setState transitions the TCU's scheduling state, maintaining the
-// cluster's tickable-TCU bitmask and active count. Every state write after
-// construction must go through here (or restore the mask wholesale, as the
-// optimistic rollback does).
+// cluster's running and stalled masks and active count. Every state write
+// after construction must go through here (or restore the masks wholesale,
+// as the optimistic rollback does).
 func (t *TCU) setState(ns tcuState) {
 	os := t.state
 	if os == ns {
@@ -122,10 +117,14 @@ func (t *TCU) setState(ns tcuState) {
 	t.unpark()
 	c := t.cluster
 	if c.maskOK {
-		if tickableStates&(1<<ns) != 0 {
-			c.tickMask |= 1 << uint(t.local)
-		} else {
-			c.tickMask &^= 1 << uint(t.local)
+		bit := uint64(1) << uint(t.local)
+		c.tickMask &^= bit
+		c.stalled &^= bit
+		switch ns {
+		case tcuRunning:
+			c.tickMask |= bit
+		case tcuStalled:
+			c.stalled |= bit
 		}
 	}
 	if activeStates&(1<<ns) != 0 {
@@ -167,27 +166,27 @@ func (t *TCU) resetForSpawn(pc int, bcastMask uint32, bcast *[isa.NumRegs]int32)
 	t.pbuf.invalidateAll()
 }
 
-// Tick advances the TCU by one cluster cycle; c is t.cluster, passed down so
-// the issue path never reads it from the TCU. It returns whether the TCU
-// needs further ticks (a memory-blocked TCU is woken by its response event
-// instead).
+// Tick advances the TCU by one cluster cycle in the full scan of a cluster
+// too wide for its masks; c is t.cluster, passed down so the issue path
+// never reads it from the TCU. It returns whether the TCU needs further
+// ticks (a blocked TCU is woken by its response event instead).
 func (t *TCU) Tick(c *Cluster, cycle int64, now engine.Time) bool {
 	switch t.state {
-	case tcuIdle, tcuDone, tcuDraining, tcuDead:
-		return false
-	case tcuWaitMem:
-		return false
-	case tcuWaitFence:
-		if t.pendingNB > 0 {
-			return false
-		}
-		t.setState(tcuRunning)
+	case tcuRunning:
 	case tcuStalled:
 		if cycle < t.stallUntil {
 			return true
 		}
 		t.setState(tcuRunning)
+	default:
+		return false
 	}
+	return t.run(c, cycle, now)
+}
+
+// run is one cycle of a running TCU: it issues its next instruction, or
+// retries a refused send, or decommissions it at its safe point.
+func (t *TCU) run(c *Cluster, cycle int64, now engine.Time) bool {
 	if t.failing {
 		// Safe point: no in-flight blocking request. Posted stores must
 		// still drain (the memory system would deliver into a dead TCU);
@@ -314,12 +313,12 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		return true
 
 	case funcvm.ClsMDU, funcvm.ClsFPU:
-		lat, ok := c.acquire(r.Unit, cycle, int64(r.Lat))
-		if !ok {
+		p := poolOf(r.Unit)
+		if !c.acquire(p, cycle, int64(r.Lat)) {
 			c.stats.FPUWaitCycles++
 			t.ctx.PC = pc // retry next cycle
 			if c.maskOK {
-				c.unitWait[poolOf(r.Unit)] |= 1 << uint(t.local)
+				c.unitWait[p] |= 1 << uint(t.local)
 			}
 			return true
 		}
@@ -327,7 +326,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		if err := m.ExecCompute(&t.ctx, isa.Op(r.Op), r.Rd, r.Rs, r.Rt, r.Imm); err != nil {
 			return t.fault(pc, err)
 		}
-		t.stall(cycle + lat)
+		t.stall(c, cycle, int64(r.Lat))
 		return true
 
 	case funcvm.ClsBranch:
@@ -407,7 +406,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 				c.ob.race(t, addr, &c.text[pc])
 			}
 			t.ctx.SetReg(r.Rd, v)
-			t.stall(cycle + c.sys.Cfg.ROCacheLatency)
+			t.stall(c, cycle, c.sys.Cfg.ROCacheLatency)
 			return true
 		}
 		c.ob.stat(&c.sys.Stats.ROMisses, 1)
@@ -517,9 +516,19 @@ func extractPbuf(e *pbufEntry, op isa.Op, addr uint32) int32 {
 	return word
 }
 
-func (t *TCU) stall(until int64) {
+// stall holds the TCU for lat cycles after this one; a masked cluster
+// looks at it again only when the stall calendar says it ends. A stall of
+// no cycles (rocache_latency 0) ends before the next tick: the TCU stays
+// running.
+func (t *TCU) stall(c *Cluster, cycle, lat int64) {
+	if lat <= 0 {
+		return
+	}
 	t.setState(tcuStalled)
-	t.stallUntil = until
+	t.stallUntil = cycle + lat
+	if c.maskOK {
+		c.arm(t, cycle)
+	}
 }
 
 func (t *TCU) blockMem(now engine.Time, pc int) {

@@ -221,3 +221,50 @@ func TestHostParallelDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestObserverDoesNotPerturb holds the issue-side shortcuts of an
+// unobserved cluster — shared-unit waiters accounted without a visit — to
+// the observed run, which visits every retry: the event log is the only
+// difference between the two runs, and it must not change what executes.
+// The other determinism gates attach the event log to every run they
+// compare, so without this test nothing compares the unobserved path.
+func TestObserverDoesNotPerturb(t *testing.T) {
+	run := func(t *testing.T, tc detCase, observed bool) (*xmtgo.SimResult, *xmtgo.Stats, string, string) {
+		t.Helper()
+		prog, _, err := xmtgo.Build(tc.name+".c", tc.src, xmtgo.DefaultCompileOptions(), tc.memmaps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		sys, err := xmtgo.NewSimulator(prog, tc.cfg, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if observed {
+			sys.SetEventLog(trace.NewEventLog())
+		}
+		res, err := sys.Run(2_000_000)
+		if err != nil {
+			t.Fatalf("observed=%v: %v", observed, err)
+		}
+		return res, sys.Stats, out.String(), telemetryCounters(t, sys, res)
+	}
+	for _, tc := range determinismCorpus(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			res, st, out, ctr := run(t, tc, false)
+			ores, ost, oout, octr := run(t, tc, true)
+			if *res != *ores {
+				t.Errorf("result %+v, observed %+v", *res, *ores)
+			}
+			if !reflect.DeepEqual(st, ost) {
+				t.Error("statistics diverged from the observed run")
+			}
+			if out != oout {
+				t.Errorf("program output %q, observed %q", out, oout)
+			}
+			if ctr != octr {
+				t.Errorf("counters JSON diverged from the observed run:\n%s\nvs observed\n%s", ctr, octr)
+			}
+		})
+	}
+}

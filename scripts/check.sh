@@ -55,9 +55,9 @@ echo "== go test (benchmark/: the nested xmtbench module)"
 echo "== conformance (three-way: interp vs funcvm vs cycle) + observability goldens"
 go test -count=1 -run 'TestFuncCycleConformance|TestFuncVMCheckpointResume|TestObservabilityGolden' .
 
-echo "== go test -race (simulator core + host-parallel determinism)"
+echo "== go test -race (simulator core + host-parallel determinism + unobserved issue path)"
 go test -race ./internal/sim/engine ./internal/sim/cycle ./internal/sim/funcmodel
-go test -race -run TestHostParallelDeterminism .
+go test -race -run 'TestHostParallelDeterminism|TestObserverDoesNotPerturb' .
 
 echo "== go test -race (job execution: runner, batch, daemon stop/recovery paths)"
 # The runner's hooks are where other goroutines reach into a running job:
