@@ -14,7 +14,7 @@ import (
 // /status daemon block byte-stable in shape.
 const (
 	HistQueueWait      = "queue_wait"      // submit accepted -> worker picks the job up
-	HistCompile        = "compile"         // source -> loaded program (cache misses only)
+	HistCompile        = "compile"         // source -> loaded program, every successful submit (program-cache hits included)
 	HistTTFS           = "ttfs"            // worker start -> first checkpoint/sample
 	HistCkptWrite      = "ckpt_write"      // checkpoint envelope serialize+write+rename
 	HistJournalFsync   = "journal_fsync"   // one journal append incl. fsync

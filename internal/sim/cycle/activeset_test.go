@@ -76,7 +76,7 @@ func compileKernel(t *testing.T, threads int) (*asm.Program, string) {
 
 // checkActiveSets is the invariant: every non-empty queue of the memory
 // system has its bit set (a set bit over an empty queue is legal), and every
-// TCU a masked cluster must visit again is where its tick will find it. A
+// TCU a cluster must visit again is where its tick will find it. A
 // queue outside its set, or a stalled TCU off the stall calendar, is never
 // visited again — the hang this test hunts.
 func checkActiveSets(t *testing.T, s *System) {
@@ -86,9 +86,7 @@ func checkActiveSets(t *testing.T, s *System) {
 		if len(c.sendQ) > 0 && !s.icn.ports.Has(i) {
 			t.Fatalf("t=%d: cluster %d holds %d packages outside icn.ports", now, i, len(c.sendQ))
 		}
-		if c.maskOK {
-			checkCalendar(t, c)
-		}
+		checkCalendar(t, c)
 	}
 	if len(s.master.sendQ) > 0 && !s.icn.ports.Has(len(s.clusters)) {
 		t.Fatalf("t=%d: master holds %d packages outside icn.ports", now, len(s.master.sendQ))
@@ -105,8 +103,8 @@ func checkActiveSets(t *testing.T, s *System) {
 	}
 }
 
-// checkCalendar asserts a masked cluster's issue-side sets: tickMask is
-// exactly its running TCUs and stalled its stalled ones; each stalled TCU
+// checkCalendar asserts a cluster's issue-side sets: setRunning is
+// exactly its running TCUs and setStalled its stalled ones; each stalled TCU
 // has a ring bit that the next ticks pop no later than its stall ends;
 // every shared-unit waiter is running; poolNext is each pool's earliest
 // free cycle.
@@ -114,15 +112,16 @@ func checkCalendar(t *testing.T, c *Cluster) {
 	t.Helper()
 	now := c.sys.Sched.Now()
 	for _, u := range c.tcus {
-		bit := uint64(1) << uint(u.local)
-		if running := u.state == tcuRunning; running != (c.tickMask&bit != 0) {
-			t.Fatalf("t=%d: TCU %d in state %d, tickMask bit %v", now, u.id, u.state, !running)
+		w, bit := u.local>>6, uint64(1)<<(uint(u.local)&63)
+		has := func(k int) bool { return c.issueSets[w][k]&bit != 0 }
+		if running := u.state == tcuRunning; running != has(setRunning) {
+			t.Fatalf("t=%d: TCU %d in state %d, running bit %v", now, u.id, u.state, !running)
 		}
-		if (c.unitWait[0]|c.unitWait[1])&bit != 0 && u.state != tcuRunning {
+		if (has(setWaiting) || has(setWaiting+1)) && u.state != tcuRunning {
 			t.Fatalf("t=%d: TCU %d waits on a shared unit in state %d", now, u.id, u.state)
 		}
 		stalled := u.state == tcuStalled
-		if stalled != (c.stalled&bit != 0) {
+		if stalled != has(setStalled) {
 			t.Fatalf("t=%d: TCU %d in state %d, stalled bit %v", now, u.id, u.state, !stalled)
 		}
 		if !stalled {
@@ -130,7 +129,7 @@ func checkCalendar(t *testing.T, c *Cluster) {
 		}
 		armed := false
 		for k := c.lastTick + 1; k <= min(u.stallUntil, c.lastTick+stallRingSize-1); k++ {
-			armed = armed || c.stallRing[k&(stallRingSize-1)]&bit != 0
+			armed = armed || c.stallRing[w][k&(stallRingSize-1)]&bit != 0
 		}
 		if !armed {
 			t.Fatalf("t=%d: TCU %d stalled until cycle %d has no ring bit in (%d, %d]",
@@ -168,7 +167,9 @@ type setPreset struct {
 func setPresets() []setPreset {
 	wide := config.FPGA64() // multi-word sets: 129 ports, 128 modules
 	wide.Name, wide.Clusters, wide.TCUsPerCluster, wide.CacheModules = "wide128", 128, 2, 128
-	ps := []setPreset{{"fpga64", config.FPGA64()}, {"chip1024", config.Chip1024()}, {"wide128", wide}}
+	wide96 := config.FPGA64() // multi-word issue-side sets: one full word and a half
+	wide96.Name, wide96.Clusters, wide96.TCUsPerCluster = "wide96", 2, 96
+	ps := []setPreset{{"fpga64", config.FPGA64()}, {"chip1024", config.Chip1024()}, {"wide128", wide}, {"wide96", wide96}}
 	for i := range ps {
 		ps[i].cfg.MemBytes = 1 << 20 // the kernel needs 32 KiB; building a system zeroes all of it
 	}
@@ -404,16 +405,20 @@ func periodCycler(interval int64) ActivityPlugin {
 }
 
 // TestStallCalendar runs stall-heavy spawns under the invariant check after
-// every event and pins each run's Result and FPUWaitCycles to the values of
-// the simulator that visited every stalled TCU every cycle: the MDU-bound
-// spawn, the same on the 1024-TCU chip, read-only-cache stalls longer than
-// the ring, and the MDU spawn under a plug-in that re-bases the cluster clock
-// every k cycles (the case that needs the ring to catch up on skipped cycle
-// numbers).
+// every event and pins each run's Result, FPUWaitCycles, BusyCycles and
+// event count to the values of the simulator that visited every stalled TCU
+// every cycle: the MDU-bound spawn, the same on the 1024-TCU chip,
+// read-only-cache stalls longer than the ring, and the MDU spawn under a
+// plug-in that re-bases the cluster clock every k cycles (the case that
+// needs the ring to catch up on skipped cycle numbers). The rows on clusters
+// wider than 64 TCUs pin the full scan that ran them before the issue-side
+// sets went multi-word.
 func TestStallCalendar(t *testing.T) {
 	type want struct {
-		res     Result
-		fpuWait uint64 // summed over clusters
+		res      Result
+		fpuWait  uint64 // summed over clusters
+		busy     uint64 // BusyCycles, summed over clusters
+		executed uint64 // Sched.Executed
 	}
 	type calendarCase struct {
 		name   string
@@ -424,23 +429,35 @@ func TestStallCalendar(t *testing.T) {
 	}
 	rolong := config.FPGA64()
 	rolong.ROCacheLatency = 40 // past the ring: re-armed at its horizon
+	wide := func(base config.Config, clusters, tcus int) config.Config {
+		base.Clusters, base.TCUsPerCluster = clusters, tcus
+		return base
+	}
 	cases := []calendarCase{
 		{"mdu", mduSpawn, config.FPGA64(), nil,
-			want{Result{Cycles: 1195, Ticks: 9560, Instrs: 2246, Halted: true}, 54720}},
+			want{Result{Cycles: 1195, Ticks: 9560, Instrs: 2246, Halted: true}, 54720, 9308, 964}},
 		{"mdu-chip1024", mduSpawn, config.Chip1024(), nil,
-			want{Result{Cycles: 341, Ticks: 2728, Instrs: 5126, Halted: true}, 32256}},
+			want{Result{Cycles: 341, Ticks: 2728, Instrs: 5126, Halted: true}, 32256, 5344, 2661}},
 		{"rocache-past-ring", roSpawn, rolong, nil,
-			want{Result{Cycles: 630, Ticks: 5040, Instrs: 2249, Halted: true}, 6464}},
+			want{Result{Cycles: 630, Ticks: 5040, Instrs: 2249, Halted: true}, 6464, 4592, 1391}},
+		{"mdu-1x128", mduSpawn, wide(config.FPGA64(), 1, 128), nil,
+			want{Result{Cycles: 9256, Ticks: 74048, Instrs: 2438, Halted: true}, 876224, 9223, 2700}},
+		{"mdu-2x96", mduSpawn, wide(config.FPGA64(), 2, 96), nil,
+			want{Result{Cycles: 4654, Ticks: 37232, Instrs: 2630, Halted: true}, 546144, 9240, 2513}},
+		{"rocache-past-ring-2x96", roSpawn, wide(rolong, 2, 96), nil,
+			want{Result{Cycles: 2155, Ticks: 17240, Instrs: 5015, Halted: true}, 230719, 4236, 2584}},
+		{"dvfs-every3-2x96", mduSpawn, wide(config.FPGA64(), 2, 96), periodCycler(3),
+			want{Result{Cycles: 4643, Ticks: 69640, Instrs: 2630, Halted: true}, 547317, 9249, 10220}},
 	}
 	for _, d := range []struct {
 		k    int64
 		want want
 	}{
-		{1, want{Result{Cycles: 1226, Ticks: 18392, Instrs: 2246, Halted: true}, 38076}},
-		{3, want{Result{Cycles: 1178, Ticks: 17664, Instrs: 2246, Halted: true}, 55090}},
-		{5, want{Result{Cycles: 1199, Ticks: 17984, Instrs: 2246, Halted: true}, 56124}},
-		{7, want{Result{Cycles: 1208, Ticks: 18072, Instrs: 2246, Halted: true}, 56050}},
-		{11, want{Result{Cycles: 1196, Ticks: 17888, Instrs: 2246, Halted: true}, 55436}},
+		{1, want{Result{Cycles: 1226, Ticks: 18392, Instrs: 2246, Halted: true}, 38076, 6488, 6375}},
+		{3, want{Result{Cycles: 1178, Ticks: 17664, Instrs: 2246, Halted: true}, 55090, 9304, 2937}},
+		{5, want{Result{Cycles: 1199, Ticks: 17984, Instrs: 2246, Halted: true}, 56124, 9460, 2191}},
+		{7, want{Result{Cycles: 1208, Ticks: 18072, Instrs: 2246, Halted: true}, 56050, 9480, 1770}},
+		{11, want{Result{Cycles: 1196, Ticks: 17888, Instrs: 2246, Halted: true}, 55436, 9372, 1458}},
 	} {
 		cases = append(cases, calendarCase{fmt.Sprint("dvfs-every", d.k), mduSpawn, config.FPGA64(), periodCycler(d.k), d.want})
 	}
@@ -456,9 +473,10 @@ func TestStallCalendar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := want{res: *res}
+			got := want{res: *res, executed: s.Sched.Executed}
 			for _, cs := range s.Stats.Cluster {
 				got.fpuWait += cs.FPUWaitCycles
+				got.busy += cs.BusyCycles
 			}
 			if got != tc.want {
 				t.Errorf("got %+v, want %+v", got, tc.want)

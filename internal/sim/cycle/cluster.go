@@ -52,24 +52,33 @@ type Cluster struct {
 	unitFreeAt []int64
 	nFPU       int
 	poolNext   [2]int64
-	// unitWait[p] has bit i set while TCU i sits on an instruction whose
+
+	// The issue-side sets: issueSets[w][k] is word w of set k, bit i of it
+	// TCU 64w+i. A word's four sets sit side by side, so a state change or
+	// the visit of 64 TCUs reads one cache line, whatever the cluster width.
+	//
+	// setRunning has a TCU's bit while it is running: the only TCUs whose
+	// tick can do anything. Stalled ones wait on the stall calendar, blocked
+	// ones (memory, prefix sum, fence, drain) on the delivery that unblocks
+	// them. Maintained by TCU.setState.
+	//
+	// setWaiting+p has a TCU's bit while it sits on an instruction whose
 	// acquire of pool p was refused at its latest issue attempt. Such a TCU
 	// retries every cycle, and once no unit of the pool is free at the cycle
 	// the retry can only be refused again — its one effect being
-	// FPUWaitCycles — so Tick accounts it without visiting the TCU.
-	// Maintained only when maskOK; cleared by TCU.unpark whenever the TCU
-	// stops being "running, about to re-issue that instruction".
-	unitWait [2]uint64
-
-	// The stall calendar (maintained only when maskOK): stalled has bit i
-	// set while TCU i is tcuStalled, and stallRing[k%stallRingSize] holds
-	// the stalled TCUs to look at again at cluster cycle k — the end of
-	// their stall, or the ring's horizon for a longer one, which re-arms.
-	// lastTick is the cycle of the latest Tick: the next one pops every slot
-	// since, because a SetPeriod re-base under an edge that was already
-	// pending skips cycle numbers (and a gated clock repeats one).
-	stalled   uint64
-	stallRing [stallRingSize]uint64
+	// FPUWaitCycles — so Tick accounts it without visiting the TCU. Cleared
+	// by TCU.unpark whenever the TCU stops being "running, about to re-issue
+	// that instruction".
+	//
+	// The stall calendar: setStalled has a TCU's bit while it is tcuStalled,
+	// and stallRing[w][k%stallRingSize] holds word w of the stalled TCUs to
+	// look at again at cluster cycle k — the end of their stall, or the
+	// ring's horizon for a longer one, which re-arms. lastTick is the cycle
+	// of the latest Tick: the next one pops every slot since, because a
+	// SetPeriod re-base under an edge that was already pending skips cycle
+	// numbers (and a gated clock repeats one).
+	issueSets [][4]uint64
+	stallRing [][stallRingSize]uint64
 	lastTick  int64
 
 	// ro is the cluster read-only cache (tags only; constants are read from
@@ -96,13 +105,6 @@ type Cluster struct {
 	// off); same ownership rules as evRing.
 	prof *stats.ProfShard
 
-	// tickMask has bit i set while TCU i is running: the only TCUs whose
-	// tick can do anything. Stalled ones wait on the stall calendar, blocked
-	// ones (memory, prefix sum, fence, drain) on the delivery that unblocks
-	// them. Maintained by TCU.setState. maskOK is false for clusters with
-	// more than 64 TCUs (full-scan fallback).
-	tickMask uint64
-	maskOK   bool
 	// nActive counts TCUs in any state but idle/done/dead: the BusyCycles
 	// attribution check without scanning every TCU.
 	nActive int
@@ -136,6 +138,9 @@ func newCluster(sys *System, id int) *Cluster {
 	if cfg.ROCacheLines > 0 {
 		c.ro = newTagArray(cfg.ROCacheLines, 2, cfg.ROCacheLineSize)
 	}
+	words := (cfg.TCUsPerCluster + 63) / 64
+	c.issueSets = make([][4]uint64, words)
+	c.stallRing = make([][stallRingSize]uint64, words)
 	// One backing array per cluster: the tick walks its TCUs in index order,
 	// so their hot state sits in consecutive memory.
 	store := make([]TCU, cfg.TCUsPerCluster)
@@ -152,54 +157,63 @@ func newCluster(sys *System, id int) *Cluster {
 		t.alive = true
 		c.tcus = append(c.tcus, t)
 	}
-	c.maskOK = len(c.tcus) <= 64
 	return c
 }
+
+// The sets of Cluster.issueSets.
+const (
+	setRunning = 0 // tcuRunning
+	setWaiting = 1 // setWaiting+p: refused a unit of pool p (0 = FPU, 1 = MDU)
+	setStalled = 3 // tcuStalled
+)
 
 // stallRingSize is the stall calendar's reach in cycles (a power of two).
 // Every shared-unit latency is at most 16; a longer read-only-cache stall
 // re-arms at the horizon.
 const stallRingSize = 32
 
-// Tick advances every TCU of the cluster one cluster cycle. A cluster of at
-// most 64 TCUs visits only those that issue this cycle: running TCUs, which
-// include the stalls that end now, minus the shared-unit waiters whose
-// retry is known to be refused.
+// Tick advances every TCU of the cluster one cluster cycle. It visits only
+// the TCUs that issue this cycle: running TCUs, which include the stalls
+// that end now, minus the shared-unit waiters whose retry is known to be
+// refused. It walks the sets a word (64 TCUs) at a time; no TCU's issue
+// changes another's state, so each word's TCUs see what a walk of the
+// whole cluster would show them.
 func (c *Cluster) Tick(cycle int64, now engine.Time) bool {
 	busy := false
-	if c.maskOK {
-		if c.stalled != 0 {
-			c.expireStalls(cycle)
+	for w := range c.issueSets {
+		g := &c.issueSets[w]
+		if g[setStalled] != 0 {
+			c.expireStalls(w, cycle)
 			// A stall still running keeps the domain ticking until it ends.
-			busy = c.stalled != 0
+			busy = busy || g[setStalled] != 0
 		}
-		c.lastTick = cycle
-		// Waiters of a pool with no free unit this cycle are refused
-		// whatever runs before them: parked in bulk. The others are refused
-		// once lower-indexed TCUs have taken every unit that freed, which
-		// poolNext says at their turn. Observers see each retry (trace line,
-		// event, profile sample), so an observed cluster visits them all.
+		// Waiters of a pool with no free unit at their word's turn are
+		// refused whatever runs before them: parked in bulk. The others are
+		// refused once lower-indexed TCUs have taken every unit that freed,
+		// which poolNext says at their turn. Observers see each retry (trace
+		// line, event, profile sample), so an observed cluster visits them
+		// all.
 		var parked, atTurn uint64
-		if w := c.unitWait[0] | c.unitWait[1]; w != 0 && !c.observed {
-			for p, pw := range c.unitWait {
-				if c.poolNext[p] > cycle {
-					parked |= pw
+		if wait := g[setWaiting] | g[setWaiting+1]; wait != 0 && !c.observed {
+			for p, next := range c.poolNext {
+				if next > cycle {
+					parked |= g[setWaiting+p]
 				}
 			}
-			atTurn = w &^ parked
+			atTurn = wait &^ parked
 			if parked != 0 {
 				c.stats.FPUWaitCycles += uint64(bits.OnesCount64(parked))
 				busy = true
 			}
 		}
-		// Iterate a copy of the mask: a TCU that stalls or blocks leaves
-		// c.tickMask, but no TCU's issue changes another's state, so each
+		// Iterate a copy of the word: a TCU that stalls or blocks leaves
+		// setRunning, but no TCU's issue changes another's state, so each
 		// visit finds its TCU running.
-		for m := c.tickMask &^ parked; m != 0; m &= m - 1 {
+		for m := g[setRunning] &^ parked; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
 			if bit := uint64(1) << uint(i); atTurn&bit != 0 {
 				p := 1
-				if c.unitWait[0]&bit != 0 {
+				if g[setWaiting]&bit != 0 {
 					p = 0
 				}
 				if c.poolNext[p] > cycle {
@@ -208,26 +222,14 @@ func (c *Cluster) Tick(cycle int64, now engine.Time) bool {
 					continue
 				}
 			}
-			if c.tcus[i].run(c, cycle, now) {
+			if c.tcus[w<<6|i].run(c, cycle, now) {
 				busy = true
 			}
 		}
-		if c.nActive > 0 {
-			c.stats.BusyCycles++
-		}
-	} else {
-		active := false
-		for _, t := range c.tcus {
-			if t.Tick(c, cycle, now) {
-				busy = true
-			}
-			if t.state != tcuIdle && t.state != tcuDone && t.state != tcuDead {
-				active = true
-			}
-		}
-		if active {
-			c.stats.BusyCycles++
-		}
+	}
+	c.lastTick = cycle
+	if c.nActive > 0 {
+		c.stats.BusyCycles++
 	}
 	return busy
 }
@@ -267,21 +269,22 @@ func (c *Cluster) acquire(p int, cycle, latency int64) bool {
 	return true
 }
 
-// expireStalls moves the TCUs whose stall ends by cycle from the stall
-// calendar into tickMask, popping the slot of every cycle since the last
-// tick, and re-arms those whose stall reaches past the ring's horizon.
-func (c *Cluster) expireStalls(cycle int64) {
-	from := max(c.lastTick+1, cycle-stallRingSize+1)
+// expireStalls moves the TCUs of word w whose stall ends by cycle from the
+// stall calendar into setRunning, popping the word's slot of every cycle
+// since the last tick, and re-arms those whose stall reaches past the ring's
+// horizon.
+func (c *Cluster) expireStalls(w int, cycle int64) {
+	ring := &c.stallRing[w]
 	var due uint64
-	for k := from; k <= cycle; k++ {
-		slot := &c.stallRing[k&(stallRingSize-1)]
+	for k := max(c.lastTick+1, cycle-stallRingSize+1); k <= cycle; k++ {
+		slot := &ring[k&(stallRingSize-1)]
 		due |= *slot
 		*slot = 0
 	}
-	// A bit of a TCU that left its stall some other way is stale: masked
-	// out here, or re-armed if the TCU has stalled again since.
-	for due &= c.stalled; due != 0; due &= due - 1 {
-		t := c.tcus[bits.TrailingZeros64(due)]
+	// A bit of a TCU that left its stall some other way is stale: masked out
+	// here, or re-armed if the TCU has stalled again since.
+	for due &= c.issueSets[w][setStalled]; due != 0; due &= due - 1 {
+		t := c.tcus[w<<6|bits.TrailingZeros64(due)]
 		if cycle < t.stallUntil {
 			c.arm(t, cycle)
 		} else {
@@ -294,7 +297,7 @@ func (c *Cluster) expireStalls(cycle int64) {
 // or at the horizon if that lies beyond the ring.
 func (c *Cluster) arm(t *TCU, cycle int64) {
 	at := min(t.stallUntil, cycle+stallRingSize-1)
-	c.stallRing[at&(stallRingSize-1)] |= 1 << uint(t.local)
+	c.stallRing[t.local>>6][at&(stallRingSize-1)] |= 1 << (uint(t.local) & 63)
 }
 
 // replay commits one contiguous range of the outbox: records [rlo,rhi),
@@ -500,11 +503,9 @@ type clusterSnap struct {
 	asyncPortFree engine.Time
 	stats         stats.ClusterStats
 	nActive       int
-	tickMask      uint64
-	unitWait      [2]uint64
+	issueSets     [][4]uint64
+	stallRing     [][stallRingSize]uint64
 	poolNext      [2]int64
-	stalled       uint64
-	stallRing     [stallRingSize]uint64
 	lastTick      int64
 }
 
@@ -513,6 +514,8 @@ func (c *Cluster) capture() {
 	if s.tcus == nil {
 		s.tcus = make([]tcuSnap, len(c.tcus))
 		s.unitFreeAt = make([]int64, len(c.unitFreeAt))
+		s.issueSets = make([][4]uint64, len(c.issueSets))
+		s.stallRing = make([][stallRingSize]uint64, len(c.stallRing))
 		if c.ro != nil {
 			s.roLastUse = make([]int64, len(c.ro.lastUse))
 		}
@@ -536,11 +539,9 @@ func (c *Cluster) capture() {
 	s.asyncPortFree = c.sys.asyncPortFree[c.id]
 	s.stats = *c.stats
 	s.nActive = c.nActive
-	s.tickMask = c.tickMask
-	s.unitWait = c.unitWait
+	copy(s.issueSets, c.issueSets)
+	copy(s.stallRing, c.stallRing)
 	s.poolNext = c.poolNext
-	s.stalled = c.stalled
-	s.stallRing = c.stallRing
 	s.lastTick = c.lastTick
 }
 
@@ -567,11 +568,9 @@ func (c *Cluster) restore() {
 	c.sys.asyncPortFree[c.id] = s.asyncPortFree
 	*c.stats = s.stats
 	c.nActive = s.nActive
-	c.tickMask = s.tickMask
-	c.unitWait = s.unitWait
+	copy(c.issueSets, s.issueSets)
+	copy(c.stallRing, s.stallRing)
 	c.poolNext = s.poolNext
-	c.stalled = s.stalled
-	c.stallRing = s.stallRing
 	c.lastTick = s.lastTick
 }
 

@@ -105,8 +105,8 @@ type tcuHot struct {
 }
 
 // setState transitions the TCU's scheduling state, maintaining the
-// cluster's running and stalled masks and active count. Every state write
-// after construction must go through here (or restore the masks wholesale,
+// cluster's running and stalled sets and active count. Every state write
+// after construction must go through here (or restore the sets wholesale,
 // as the optimistic rollback does).
 func (t *TCU) setState(ns tcuState) {
 	os := t.state
@@ -114,19 +114,25 @@ func (t *TCU) setState(ns tcuState) {
 		return
 	}
 	t.state = ns
-	t.unpark()
-	c := t.cluster
-	if c.maskOK {
-		bit := uint64(1) << uint(t.local)
-		c.tickMask &^= bit
-		c.stalled &^= bit
-		switch ns {
-		case tcuRunning:
-			c.tickMask |= bit
-		case tcuStalled:
-			c.stalled |= bit
-		}
+	// The sets hold exactly the running and the stalled TCUs, and only a
+	// running one waits on a shared unit: the old state names the bits to
+	// clear.
+	g, bit := t.sets()
+	switch os {
+	case tcuRunning:
+		g[setRunning] &^= bit
+		g[setWaiting] &^= bit // unpark
+		g[setWaiting+1] &^= bit
+	case tcuStalled:
+		g[setStalled] &^= bit
 	}
+	switch ns {
+	case tcuRunning:
+		g[setRunning] |= bit
+	case tcuStalled:
+		g[setStalled] |= bit
+	}
+	c := t.cluster
 	if activeStates&(1<<ns) != 0 {
 		if activeStates&(1<<os) == 0 {
 			c.nActive++
@@ -136,14 +142,20 @@ func (t *TCU) setState(ns tcuState) {
 	}
 }
 
-// unpark withdraws the TCU from the cluster's shared-unit wait masks. Called
+// unpark withdraws the TCU from the cluster's shared-unit wait sets. Called
 // whenever something other than its own next issue attempt decides what the
-// TCU does next: any state change, a context reset or adoption, a fault
-// marking it failing.
+// TCU does next: leaving the running state, a context reset or adoption, a
+// fault marking it failing.
 func (t *TCU) unpark() {
-	bit := uint64(1) << uint(t.local)
-	t.cluster.unitWait[0] &^= bit
-	t.cluster.unitWait[1] &^= bit
+	g, bit := t.sets()
+	g[setWaiting] &^= bit
+	g[setWaiting+1] &^= bit
+}
+
+// sets returns the word of the cluster's issue-side sets that holds the TCU,
+// and the TCU's bit in it.
+func (t *TCU) sets() (*[4]uint64, uint64) {
+	return &t.cluster.issueSets[t.local>>6], 1 << (uint(t.local) & 63)
 }
 
 // resetForSpawn re-initializes the TCU at spawn onset: zeroed registers
@@ -166,26 +178,11 @@ func (t *TCU) resetForSpawn(pc int, bcastMask uint32, bcast *[isa.NumRegs]int32)
 	t.pbuf.invalidateAll()
 }
 
-// Tick advances the TCU by one cluster cycle in the full scan of a cluster
-// too wide for its masks; c is t.cluster, passed down so the issue path
-// never reads it from the TCU. It returns whether the TCU needs further
-// ticks (a blocked TCU is woken by its response event instead).
-func (t *TCU) Tick(c *Cluster, cycle int64, now engine.Time) bool {
-	switch t.state {
-	case tcuRunning:
-	case tcuStalled:
-		if cycle < t.stallUntil {
-			return true
-		}
-		t.setState(tcuRunning)
-	default:
-		return false
-	}
-	return t.run(c, cycle, now)
-}
-
 // run is one cycle of a running TCU: it issues its next instruction, or
-// retries a refused send, or decommissions it at its safe point.
+// retries a refused send, or decommissions it at its safe point. c is
+// t.cluster, passed down so the issue path never reads it from the TCU. It
+// returns whether the TCU needs further ticks (a blocked TCU is woken by its
+// response event instead).
 func (t *TCU) run(c *Cluster, cycle int64, now engine.Time) bool {
 	if t.failing {
 		// Safe point: no in-flight blocking request. Posted stores must
@@ -317,9 +314,8 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		if !c.acquire(p, cycle, int64(r.Lat)) {
 			c.stats.FPUWaitCycles++
 			t.ctx.PC = pc // retry next cycle
-			if c.maskOK {
-				c.unitWait[p] |= 1 << uint(t.local)
-			}
+			g, bit := t.sets()
+			g[setWaiting+p] |= bit
 			return true
 		}
 		c.ob.count(r.Op)
@@ -516,19 +512,16 @@ func extractPbuf(e *pbufEntry, op isa.Op, addr uint32) int32 {
 	return word
 }
 
-// stall holds the TCU for lat cycles after this one; a masked cluster
-// looks at it again only when the stall calendar says it ends. A stall of
-// no cycles (rocache_latency 0) ends before the next tick: the TCU stays
-// running.
+// stall holds the TCU for lat cycles after this one; the cluster looks at
+// it again only when the stall calendar says it ends. A stall of no cycles
+// (rocache_latency 0) ends before the next tick: the TCU stays running.
 func (t *TCU) stall(c *Cluster, cycle, lat int64) {
 	if lat <= 0 {
 		return
 	}
 	t.setState(tcuStalled)
 	t.stallUntil = cycle + lat
-	if c.maskOK {
-		c.arm(t, cycle)
-	}
+	c.arm(t, cycle)
 }
 
 func (t *TCU) blockMem(now engine.Time, pc int) {

@@ -71,9 +71,9 @@ func determinismCorpus(t *testing.T) []detCase {
 	return cases
 }
 
-// wideClusterCase has more than 64 TCUs per cluster, the one supported input
-// for which Cluster.Tick and TCU.setState cannot use the 64-bit tick mask
-// and scan every TCU instead.
+// wideClusterCase has more than 64 TCUs per cluster: the cluster's
+// issue-side sets (running, stalled, shared-unit waiters and the stall
+// calendar) span two words, so Cluster.Tick walks more than one.
 func wideClusterCase() detCase {
 	wide := xmtgo.ConfigFPGA64()
 	wide.Clusters, wide.TCUsPerCluster = 2, 128

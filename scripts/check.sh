@@ -148,9 +148,11 @@ echo "== coverage gate"
 # (78.0% at the PR-2 seed, 78.1% at PR-5, 78.9% at PR-8, 79.0% at PR-9 —
 # the daemon, its CLIs and sigctl ship with in-process coverage; measured
 # 79.3% then, 79.5% at PR-10 with internal/obs and the daemon threading,
-# baselined with slack for timing-dependent daemon branches). Raise the
-# baseline when coverage improves; never lower it to make a change pass.
-baseline=79.0
+# baselined with slack for timing-dependent daemon branches; 83.6% once
+# the cluster tick's issue-side sets went multi-word, baselined at 83.5%).
+# Raise the baseline when coverage improves; never lower it to make a
+# change pass.
+baseline=83.5
 profile=$(mktemp)
 go test -count=1 -coverprofile="$profile" -coverpkg=./... ./... >/dev/null
 total=$(go tool cover -func="$profile" | tail -1 | sed 's/.*[[:space:]]\([0-9.]*\)%/\1/')
