@@ -90,9 +90,9 @@ func BenchmarkTableI_SerialCompute(b *testing.B) { tableIBench(b, workloads.Seri
 // --- Cluster compute: host cost of one simulated TCU issue ---
 //
 // Table I parallel-compute at work 400 on one host worker is the run where
-// TCU.run/TCU.issue and the instruction-count replay are nearly all of the
-// host time, so host_ns/sim_instr is the go-bench anchor for the "cluster
-// compute" layer next to the end-to-end sim-par-compute number
+// TCU.run/TCU.issue, which counts each instruction as it issues, are nearly
+// all of the host time, so host_ns/sim_instr is the go-bench anchor for the
+// "cluster compute" layer next to the end-to-end sim-par-compute number
 // (docs/PERF.md §Lowered issue stream). bench.sh records it and xmtperf
 // gates it lower-is-better.
 func BenchmarkTCUIssue(b *testing.B) {

@@ -42,7 +42,10 @@ type Cluster struct {
 	region *asm.SpawnRegion
 	// observed is set while any per-issue observer is attached (instruction
 	// trace, event ring, profiler shard): one test on the issue path.
+	// filtered is set while filter plug-ins are attached (System.start): one
+	// test per replayed record.
 	observed bool
+	filtered bool
 
 	// Shared functional units: unitFreeAt[i] is the cluster cycle unit i
 	// becomes available, the nFPU floating-point units first, then the
@@ -300,30 +303,38 @@ func (c *Cluster) arm(t *TCU, cycle int64) {
 	c.stallRing[t.local>>6][at&(stallRingSize-1)] |= 1 << (uint(t.local) & 63)
 }
 
-// replay commits one contiguous range of the outbox: records [rlo,rhi),
-// the op-histogram buckets up to hhi, and ring events [elo,ehi). Counts
-// issued before a record commit (outbox.due) before that record replays,
-// preserving the serial interleaving of counts with effects: a record that
-// stops the run leaves later counts uncommitted.
-func (c *Cluster) replay(rlo, rhi, hhi, elo, ehi int32, now engine.Time) {
+// count records one issue of r. The issue counts in the cluster's stats row
+// at once, and the outbox logs it for the commit.
+func (c *Cluster) count(r *funcvm.IssueRec) {
+	c.stats.ByUnit[r.Unit]++
+	c.ob.log = append(c.ob.log, r.Op)
+}
+
+// replay commits one contiguous range of the outbox: records [rlo,rhi), the
+// issues logged in [llo,lhi), and ring events [elo,ehi). The issues logged
+// before a record commit before that record replays, as in a serial
+// simulation.
+//
+// Once the simulation has failed or halted, replay stops: a later record
+// from the same tick (a ps request, a syscall print) would otherwise still
+// take effect — bumping PsOps for a request whose response can never run,
+// or printing past a halt — which both double-counts against the serial
+// semantics and varies with how much work the tick batched. First failure
+// wins; the rest of the outbox is discarded, and the issues from the stop
+// on are taken back: from the stopping record's, or from llo when the range
+// starts stopped. (See TestCommitStopsReplayAfterFailure.)
+func (c *Cluster) replay(rlo, rhi, llo, lhi, elo, ehi int32, now engine.Time) {
 	s := c.sys
 	if s.evlog != nil && ehi > elo {
 		s.evlog.DrainRange(c.evRing, int(elo), int(ehi))
 	}
-	for i := rlo; i < rhi; i++ {
+	from, i := llo, rlo
+	for ; i < rhi && s.err == nil && !s.halted; i++ {
 		r := &c.ob.recs[i]
-		// Once the simulation has failed or halted, stop replaying: a later
-		// record from the same tick (a ps request, a syscall print) would
-		// otherwise still take effect — bumping PsOps for a request whose
-		// response can never run, or printing past a halt — which both
-		// double-counts against the serial semantics and varies with how
-		// much work the tick batched. First failure wins; the rest of the
-		// outbox is discarded. (See TestCommitStopsReplayAfterFailure.)
-		if s.err != nil || s.halted {
-			*r = obRec{}
-			continue
+		from = r.logIdx
+		if c.filtered {
+			c.feed(from)
 		}
-		c.commitCounts(r.histIdx)
 		switch r.kind {
 		case obStat:
 			*r.stat += r.n
@@ -356,19 +367,38 @@ func (c *Cluster) replay(rlo, rhi, hhi, elo, ehi int32, now engine.Time) {
 		}
 		*r = obRec{}
 	}
-	if s.err == nil && !s.halted {
-		c.commitCounts(hhi)
+	if s.err != nil || s.halted {
+		clear(c.ob.recs[i:rhi])
+		c.uncount(from)
+		return
+	}
+	if c.filtered {
+		c.feed(lhi)
 	}
 }
 
-// commitCounts commits the instruction counts of hist[:upTo]: they stay
-// counted whatever a later record does. See outbox.due for when they reach
-// the collector.
-func (c *Cluster) commitCounts(upTo int32) {
-	c.ob.due = upTo
-	if len(c.sys.Stats.Filters()) > 0 {
-		c.ob.flushCounts(c.sys.Stats, c.id)
+// feed hands the logged issues before index upTo that the filter plug-ins
+// have not seen to them, in issue order.
+func (c *Cluster) feed(upTo int32) {
+	for _, op := range c.ob.log[c.ob.fed:upTo] {
+		for _, f := range c.sys.Stats.Filters() {
+			f.Instr(isa.Op(op), false)
+		}
 	}
+	c.ob.fed = upTo
+}
+
+// uncount takes back the window's issues from log index from on: a stop
+// discards them, but they counted when they issued. The log is cut there,
+// so the stopped window's later segments find nothing left to take back.
+func (c *Cluster) uncount(from int32) {
+	if int(from) >= len(c.ob.log) {
+		return
+	}
+	for _, op := range c.ob.log[from:] {
+		c.stats.ByUnit[isa.Op(op).Meta().Unit]--
+	}
+	c.ob.log = c.ob.log[:from]
 }
 
 // BeginWindow opens a window at the given cluster cycle (engine.WindowShard).
@@ -421,10 +451,10 @@ func (c *Cluster) CommitCycle(k int, now engine.Time, last bool) {
 		// responses) sit below winEvBase and would otherwise be discarded by
 		// endWindow's reset — they belong to the next commit. winEvBase is
 		// only the optimistic Rollback truncation point.
-		var rlo, plo, elo int32
+		var rlo, llo, plo, elo int32
 		if k > 0 {
 			prev := &c.ob.segs[k-1]
-			rlo, plo, elo = prev.rec, prev.prof, prev.ev
+			rlo, llo, plo, elo = prev.rec, prev.log, prev.prof, prev.ev
 		}
 		// Replay-order guard: a segment claiming a cycle other than
 		// winBase+k would silently reorder shared effects against other
@@ -435,8 +465,9 @@ func (c *Cluster) CommitCycle(k int, now engine.Time, last bool) {
 		if seg.cycle != want {
 			s.fail(fmt.Errorf("cycle: window replay out of order: cluster %d segment %d buffered effects for cycle %d, expected %d (window start %d)",
 				c.id, k, seg.cycle, want, c.winBase))
+			c.uncount(llo)
 		} else {
-			c.replay(rlo, seg.rec, seg.hist, elo, seg.ev, now)
+			c.replay(rlo, seg.rec, llo, seg.log, elo, seg.ev, now)
 			// Deferred profile samples (optimistic mode): issues from cycles
 			// past the consensus window end were truncated by the rollback
 			// replay, so applying here keeps profiles identical to the
@@ -459,7 +490,6 @@ func (c *Cluster) endWindow() {
 	if c.sys.evlog != nil {
 		c.sys.evlog.ResetRing(c.evRing)
 	}
-	c.ob.flushCounts(c.sys.Stats, c.id)
 	c.ob.reset()
 	c.profPend = c.profPend[:0]
 	c.deferProf = false

@@ -8,6 +8,7 @@ import (
 	"xmtgo/internal/asm"
 	"xmtgo/internal/config"
 	"xmtgo/internal/isa"
+	"xmtgo/internal/sim/funcvm"
 )
 
 // newCommitSystem builds a System around a trivial program without running
@@ -43,18 +44,21 @@ func commitOutbox(c *Cluster) {
 // request, more instruction counts) queued in the same tick, the commit kept
 // replaying them, so shared counters were bumped for effects that never
 // architecturally happened — and the amount of over-count depended on how
-// much work the tick had batched. Replay must stop at the first failure.
+// much work the tick had batched. Replay must stop at the first failure, and
+// the issues counted past it must be taken back.
 func TestCommitStopsReplayAfterFailure(t *testing.T) {
 	sys, _ := newCommitSystem(t)
 	c := sys.clusters[0]
 
 	var shared uint64
 	bang := errors.New("bang")
-	c.ob.count(uint8(isa.OpAddu)) // before the failure: must replay
-	c.ob.stat(&shared, 3)         // before the failure: must replay
-	c.ob.fail(bang)               // first failure wins
-	c.ob.count(uint8(isa.OpAddu)) // after the failure: must be discarded
-	c.ob.stat(&shared, 100)       // after the failure: must be discarded
+	addu := &funcvm.IssueRec{Op: uint8(isa.OpAddu), Unit: isa.UnitALU}
+	mul := &funcvm.IssueRec{Op: uint8(isa.OpMul), Unit: isa.UnitMDU}
+	c.count(addu)         // before the failure: stays counted
+	c.ob.stat(&shared, 3) // before the failure: must replay
+	c.ob.fail(bang)       // first failure wins
+	c.count(mul)          // after the failure: taken back
+	c.ob.stat(&shared, 100)
 	c.ob.fail(errors.New("second failure must not replace the first"))
 
 	commitOutbox(c)
@@ -62,24 +66,30 @@ func TestCommitStopsReplayAfterFailure(t *testing.T) {
 	if !errors.Is(sys.Err(), bang) {
 		t.Fatalf("System.Err() = %v, want the first failure", sys.Err())
 	}
-	if sys.Stats.TCUInstrs != 1 {
-		t.Errorf("TCUInstrs = %d, want 1 (only the pre-failure count replays)", sys.Stats.TCUInstrs)
+	if got := sys.Stats.Cluster[0].ByUnit; got[isa.UnitALU] != 1 || got[isa.UnitMDU] != 0 {
+		t.Errorf("cluster 0 counts %v, want only the pre-failure ALU issue", got)
 	}
 	if shared != 3 {
 		t.Errorf("shared stat = %d, want 3 (only the pre-failure add replays)", shared)
 	}
-	if len(c.ob.recs) != 0 {
-		t.Errorf("outbox not cleared after the commit: %d records remain", len(c.ob.recs))
+	if len(c.ob.recs) != 0 || len(c.ob.log) != 0 {
+		t.Errorf("outbox not cleared after the commit: %d records, %d logged issues remain",
+			len(c.ob.recs), len(c.ob.log))
 	}
 
-	// A later cluster's commit in the same tick must also replay nothing.
+	// A later cluster's commit in the same tick replays nothing, and takes
+	// back its issues, which counted when they issued.
 	c2 := sys.clusters[1]
-	c2.ob.count(uint8(isa.OpAddu))
+	c2.count(addu)
+	c2.count(mul)
 	c2.ob.stat(&shared, 100)
+	if n := sys.Stats.Cluster[1].TCUInstrs(); n != 2 {
+		t.Fatalf("cluster 1 counts %d issues before its commit, want 2", n)
+	}
 	commitOutbox(c2)
-	if sys.Stats.TCUInstrs != 1 || shared != 3 {
-		t.Errorf("post-failure commit of a later cluster replayed records: instrs=%d shared=%d",
-			sys.Stats.TCUInstrs, shared)
+	if sys.Stats.TCUInstrs() != 1 || sys.Stats.Cluster[1].TCUInstrs() != 0 || shared != 3 {
+		t.Errorf("post-failure commit of a later cluster kept effects: instrs=%d (cluster 1: %d) shared=%d",
+			sys.Stats.TCUInstrs(), sys.Stats.Cluster[1].TCUInstrs(), shared)
 	}
 }
 

@@ -208,8 +208,8 @@ func TestEveryOpcodeCycleMatchesFunctional(t *testing.T) {
 		if got, want := sys.MasterContext().Reg, fm.Master.Reg; got != want {
 			t.Errorf("%s: master registers differ:\n cycle      %v\n functional %v", mode, got, want)
 		}
-		if res.Instrs == 0 || sys.Stats.TCUInstrs == 0 {
-			t.Errorf("%s: no instructions counted (total %d, tcu %d)", mode, res.Instrs, sys.Stats.TCUInstrs)
+		if res.Instrs == 0 || sys.Stats.TCUInstrs() == 0 {
+			t.Errorf("%s: no instructions counted (total %d, tcu %d)", mode, res.Instrs, sys.Stats.TCUInstrs())
 		}
 	}
 }
@@ -242,9 +242,10 @@ func (f *seqFilter) Mem(addr uint32, op isa.Op, module int, hit bool) {
 }
 func (f *seqFilter) Report(io.Writer) {}
 
-// TestFilterCallbackOrderIsEngineIndependent: instruction counts reach the
-// collector merged per window, but a filter plug-in must see the same
-// callback sequence whatever the window size, engine mode or worker count.
+// TestFilterCallbackOrderIsEngineIndependent: TCU instruction callbacks
+// reach a filter plug-in at commit, in (cycle, cluster) order and in issue
+// order within a cluster, so it sees the same callback sequence whatever
+// the window size, engine mode or worker count.
 func TestFilterCallbackOrderIsEngineIndependent(t *testing.T) {
 	p := mustProgram(t, compactionAsm)
 	var want uint64

@@ -3,7 +3,6 @@ package cycle
 import (
 	"xmtgo/internal/isa"
 	"xmtgo/internal/sim/engine"
-	"xmtgo/internal/sim/stats"
 )
 
 // The cluster macro-actor ticks all clusters inside one scheduler event,
@@ -60,9 +59,9 @@ type obRec struct {
 	stat *uint64
 	err  error
 	pc   int
-	// histIdx is the length of outbox.hist when this record was appended:
-	// instruction counts issued before this record flush before it replays.
-	histIdx int32
+	// logIdx is the length of outbox.log when this record was appended: the
+	// issues before it commit before the record replays.
+	logIdx int32
 }
 
 // obSeg marks one window cycle's high-water marks in the outbox buffers
@@ -70,7 +69,7 @@ type obRec struct {
 type obSeg struct {
 	cycle int64 // absolute cluster cycle, for the replay-order guard
 	rec   int32 // end index into recs
-	hist  int32 // end index into hist
+	log   int32 // end index into log
 	ev    int32 // end length of the cluster's event ring
 	prof  int32 // end index into the cluster's deferred profile PCs
 }
@@ -79,25 +78,13 @@ type obSeg struct {
 // All backing slices are reused across windows.
 type outbox struct {
 	recs []obRec
-	// Instruction counts travel as opcode histograms, one per replay range
-	// (the issues between two records, or up to a cycle mark): cnt/touched
-	// accumulate the open range — a counter bump per issue, the hottest
-	// write in the simulator — and cut closes it, appending one bucket per
-	// distinct opcode to hist. cnt is indexed by the byte-wide opcode of an
-	// issue record, so it needs no bounds check.
-	cnt     [256]uint32
-	touched []uint8
-	hist    []stats.OpCount
-	// due is the prefix of hist that replay has committed — advanced at the
-	// flush points, never past a failure or halt — and flushed the prefix
-	// already added to the collector. Nothing reads the instruction counters
-	// inside a window's commit, so flushCounts normally runs once, when the
-	// window ends, and merges the window's cycles; with filter plug-ins
-	// attached it runs at every flush point, so the order of their Instr
-	// callbacks does not depend on the window size.
-	due     int32
-	flushed int32
-	merged  []stats.OpCount // flushCounts scratch
+	// log holds the opcode (an isa.Op narrowed to a byte) of every issue the
+	// window counted (Cluster.count). The counts themselves are in the
+	// cluster's stats row already; commit reads the log only to take issues
+	// back past a stop (Cluster.uncount) and to feed filter plug-ins, which
+	// have been fed log[:fed].
+	log []uint8
+	fed int32
 	// wokeICN collapses duplicate ICN wakes within one window cycle (Wake
 	// is idempotent anyway; this just keeps the outbox small — and the
 	// wake is a closer, so the window ends at the cycle that set it).
@@ -108,70 +95,21 @@ type outbox struct {
 	segs    []obSeg
 }
 
-// reset empties the outbox between windows. cnt/touched are empty already:
-// every cycle ends with a cut (mark), and flushCounts drains what it merges.
+// reset empties the outbox between windows.
 func (o *outbox) reset() {
 	o.recs = o.recs[:0]
-	o.hist, o.due, o.flushed = o.hist[:0], 0, 0
+	o.log, o.fed = o.log[:0], 0
 	o.wokeICN = false
 	o.closing = false
 	o.segs = o.segs[:0]
 }
 
 func (o *outbox) add(r obRec) {
-	o.cut()
-	r.histIdx = int32(len(o.hist))
+	r.logIdx = int32(len(o.log))
 	o.recs = append(o.recs, r)
 	if r.kind.closing() {
 		o.closing = true
 	}
-}
-
-// count records one committed issue of op (an isa.Op narrowed to the byte
-// the issue record holds).
-func (o *outbox) count(op uint8) {
-	if o.cnt[op] == 0 {
-		o.touched = append(o.touched, op)
-	}
-	o.cnt[op]++
-}
-
-// flushCounts adds the committed, not yet flushed counts to the collector.
-// Runs in the commit phase, after the window's last cut, so cnt/touched are
-// idle and serve as the merge table that folds a multi-cycle window's ranges
-// into one bucket per distinct opcode. A one-cycle window has no cycles to
-// fold and hands its ranges over as they are.
-func (o *outbox) flushCounts(c *stats.Collector, cluster int) {
-	if o.due == o.flushed {
-		return
-	}
-	pending := o.hist[o.flushed:o.due]
-	o.flushed = o.due
-	if len(o.segs) <= 1 {
-		c.CountInstrs(pending, cluster)
-		return
-	}
-	for _, b := range pending {
-		if o.cnt[b.Op] == 0 {
-			o.touched = append(o.touched, uint8(b.Op))
-		}
-		o.cnt[b.Op] += b.N
-	}
-	o.merged = o.drain(o.merged[:0])
-	c.CountInstrs(o.merged, cluster)
-}
-
-// cut closes the open histogram range, appending its buckets to hist.
-func (o *outbox) cut() { o.hist = o.drain(o.hist) }
-
-// drain empties cnt/touched into dst, one bucket per touched opcode.
-func (o *outbox) drain(dst []stats.OpCount) []stats.OpCount {
-	for _, op := range o.touched {
-		dst = append(dst, stats.OpCount{Op: isa.Op(op), N: o.cnt[op]})
-		o.cnt[op] = 0
-	}
-	o.touched = o.touched[:0]
-	return dst
 }
 
 func (o *outbox) stat(ctr *uint64, n uint64) {
@@ -227,7 +165,6 @@ func (o *outbox) race(t *TCU, addr uint32, in *isa.Instr) {
 // profLen the deferred-profile cursor.
 func (o *outbox) mark(cycle int64, evLen, profLen int) (closing bool) {
 	closing = o.closing
-	o.cut()
 	// Fill the appended slot field by field: built as a composite literal the
 	// segment is assembled on the stack with 4-byte stores and copied out
 	// with 16-byte loads, which stalls on store forwarding once per cluster
@@ -236,7 +173,7 @@ func (o *outbox) mark(cycle int64, evLen, profLen int) (closing bool) {
 	seg := &o.segs[len(o.segs)-1]
 	seg.cycle = cycle
 	seg.rec = int32(len(o.recs))
-	seg.hist = int32(len(o.hist))
+	seg.log = int32(len(o.log))
 	seg.ev = int32(evLen)
 	seg.prof = int32(profLen)
 	o.closing = false

@@ -478,8 +478,12 @@ func (s *System) Run(maxCycles int64) (*Result, error) {
 
 // start arms everything a run needs before the first event: the cycle
 // budget's stop event, the fault plan, the watchdog, the checkpoint cadence,
-// the master's first wake and the activity plug-ins.
+// the master's first wake and the activity plug-ins. It also tells the
+// clusters whether filter plug-ins are attached.
 func (s *System) start(maxCycles int64) {
+	for _, c := range s.clusters {
+		c.filtered = len(s.Stats.Filters()) > 0
+	}
 	if maxCycles > 0 {
 		s.Sched.ScheduleStop(s.clusterClock.EdgeAt(maxCycles))
 	}

@@ -259,7 +259,7 @@ func (t *TCU) retrySend(c *Cluster, now engine.Time) bool {
 	t.pendingSend = nil
 	t.ctx.PC = pc + 1
 	r := &c.issue[pc]
-	c.ob.count(r.Op)
+	c.count(r)
 	switch r.Class {
 	case funcvm.ClsPsm:
 		c.ob.stat(&c.sys.Stats.PsmOps, 1)
@@ -303,7 +303,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 
 	switch r.Class {
 	case funcvm.ClsCompute:
-		c.ob.count(r.Op)
+		c.count(r)
 		if err := m.ExecCompute(&t.ctx, isa.Op(r.Op), r.Rd, r.Rs, r.Rt, r.Imm); err != nil {
 			return t.fault(pc, err)
 		}
@@ -318,7 +318,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 			g[setWaiting+p] |= bit
 			return true
 		}
-		c.ob.count(r.Op)
+		c.count(r)
 		if err := m.ExecCompute(&t.ctx, isa.Op(r.Op), r.Rd, r.Rs, r.Rt, r.Imm); err != nil {
 			return t.fault(pc, err)
 		}
@@ -326,7 +326,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		return true
 
 	case funcvm.ClsBranch:
-		c.ob.count(r.Op)
+		c.count(r)
 		taken, target, err := m.EvalBranch(&t.ctx, isa.Op(r.Op), r.Rs, r.Rt, int(r.Target))
 		if err != nil {
 			return t.fault(pc, err)
@@ -339,7 +339,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 	case funcvm.ClsLoad: // lw, lb, lbu
 		addr := m.EffAddr(&t.ctx, r.Rs, r.Imm)
 		if e := t.pbuf.find(addr); e != nil {
-			c.ob.count(r.Op)
+			c.count(r)
 			if e.ready {
 				c.ob.stat(&c.sys.Stats.PrefetchHits, 1)
 				e.lastUse = cycle
@@ -366,7 +366,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		if !c.send(p, now) {
 			return t.stashSend(p, pc) // retry next cycle
 		}
-		c.ob.count(r.Op)
+		c.count(r)
 		t.blockMem(now, pc)
 		return false
 
@@ -381,7 +381,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		if !c.send(p, now) {
 			return t.stashSend(p, pc)
 		}
-		c.ob.count(r.Op)
+		c.count(r)
 		if kind == PkgStoreNB {
 			t.pendingNB++
 			return true
@@ -390,7 +390,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		return false
 
 	case funcvm.ClsLoadRO:
-		c.ob.count(r.Op)
+		c.count(r)
 		addr := m.EffAddr(&t.ctx, r.Rs, r.Imm)
 		if c.ro != nil && c.ro.Lookup(addr, cycle) {
 			c.ob.stat(&c.sys.Stats.ROHits, 1)
@@ -425,13 +425,13 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		if !c.send(p, now) {
 			return t.stashSend(p, pc)
 		}
-		c.ob.count(r.Op)
+		c.count(r)
 		c.ob.stat(&c.sys.Stats.PsmOps, 1)
 		t.blockMem(now, pc)
 		return false
 
 	case funcvm.ClsPref:
-		c.ob.count(r.Op)
+		c.count(r)
 		addr := m.EffAddr(&t.ctx, r.Rs, r.Imm)
 		la := t.pbuf.lineOf(addr)
 		if t.pbuf.find(addr) != nil {
@@ -453,7 +453,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		return true
 
 	case funcvm.ClsPs, funcvm.ClsGrr, funcvm.ClsGrw:
-		c.ob.count(r.Op)
+		c.count(r)
 		t.blockMem(now, pc)
 		t.waitPS = true
 		// The prefix-sum unit paces requests through a shared per-cycle
@@ -462,7 +462,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		return false
 
 	case funcvm.ClsFence:
-		c.ob.count(r.Op)
+		c.count(r)
 		t.pbuf.invalidateAll()
 		if t.pendingNB > 0 {
 			t.setState(tcuWaitFence)
@@ -471,14 +471,14 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		return true
 
 	case funcvm.ClsSys:
-		c.ob.count(r.Op)
+		c.count(r)
 		// Syscalls print to the shared output stream (and may halt): defer
 		// to commit so output interleaves in deterministic cluster order.
 		c.ob.sys(t, pc, &c.text[pc])
 		return true
 
 	case funcvm.ClsChkid:
-		c.ob.count(r.Op)
+		c.count(r)
 		if t.ctx.Reg[r.Rd&31] > c.sys.spawn.high {
 			t.finish(now)
 			return false
@@ -490,7 +490,7 @@ func (t *TCU) issue(c *Cluster, cycle int64, now engine.Time) bool {
 		// region boundary; the TCU is done (it must re-grab via ps, which
 		// the compiler always places before chkid, so reaching join means
 		// the code simply ran off the region: treat as done).
-		c.ob.count(r.Op)
+		c.count(r)
 		t.finish(now)
 		return false
 

@@ -152,7 +152,7 @@ func (sp *Sampler) boundary(cyc, ticks int64, st *stats.Collector, aliveTCUs int
 	}
 
 	var cur prevState
-	cur.masterInstrs, cur.tcuInstrs = st.MasterInstrs, st.TCUInstrs
+	cur.masterInstrs, cur.tcuInstrs = st.MasterInstrs, st.TCUInstrs()
 	for i := range st.Cluster {
 		cs := &st.Cluster[i]
 		cur.stallMem += cs.MemWaitCycles

@@ -10,15 +10,16 @@ import (
 	"testing"
 	"time"
 
+	"xmtgo/internal/isa"
 	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/sim/metrics"
 	"xmtgo/internal/sim/stats"
 )
 
 func testBundle(cycleN int64) *metrics.Published {
-	col := &stats.Collector{}
+	col := stats.NewCollector(1, 0, 0)
 	col.MasterInstrs = 100
-	col.TCUInstrs = 900
+	col.Cluster[0].ByUnit[isa.UnitALU] = 900
 	return &metrics.Published{
 		Status: metrics.Status{
 			Cycle: cycleN, Ticks: cycleN * 8, Instrs: 1000, AliveTCUs: 64,

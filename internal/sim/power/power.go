@@ -57,10 +57,10 @@ func (m *Model) Sample(c *stats.Collector, windowTicks int64) Sample {
 	for i := range m.prevCluster {
 		cur := c.Cluster[i]
 		prev := m.prevCluster[i]
-		nJ := float64(cur.ALUOps-prev.ALUOps)*m.cfg.EnergyALU +
-			float64(cur.FPUOps-prev.FPUOps)*m.cfg.EnergyFPU +
-			float64(cur.MDUOps-prev.MDUOps)*m.cfg.EnergyMDU +
-			float64(cur.MemOps-prev.MemOps)*m.cfg.EnergyMem
+		nJ := float64(cur.ALUOps()-prev.ALUOps())*m.cfg.EnergyALU +
+			float64(cur.FPUOps()-prev.FPUOps())*m.cfg.EnergyFPU +
+			float64(cur.MDUOps()-prev.MDUOps())*m.cfg.EnergyMDU +
+			float64(cur.MemOps()-prev.MemOps())*m.cfg.EnergyMem
 		m.prevCluster[i] = cur
 		out.PerCluster[i] = nJ*1e-9/sec + m.cfg.StaticWattsPerCluster
 		out.Total += out.PerCluster[i]

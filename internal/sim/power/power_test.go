@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xmtgo/internal/config"
+	"xmtgo/internal/isa"
 	"xmtgo/internal/sim/stats"
 )
 
@@ -22,7 +23,7 @@ func TestPowerSampleMath(t *testing.T) {
 	}
 
 	// Busy window: cluster 0 does 1000 ALU ops.
-	c.Cluster[0].ALUOps = 1000
+	c.Cluster[0].ByUnit[isa.UnitALU] = 1000
 	s = m.Sample(c, ticks)
 	sec := float64(ticks) * NominalTickSeconds
 	wantDyn := 1000 * cfg.EnergyALU * 1e-9 / sec

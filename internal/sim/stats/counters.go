@@ -15,20 +15,14 @@ import (
 // compare equal byte-for-byte (the golden tests rely on this).
 func (c *Collector) ReportCounters(w io.Writer) {
 	fmt.Fprintf(w, "== instructions ==\n")
-	fmt.Fprintf(w, "total=%d master=%d tcu=%d\n", c.TotalInstrs(), c.MasterInstrs, c.TCUInstrs)
-	fmt.Fprintf(w, "by unit:")
-	for u := 0; u < isa.NumUnits; u++ {
-		if c.InstrByUnit[u] > 0 {
-			fmt.Fprintf(w, " %s=%d", isa.Unit(u), c.InstrByUnit[u])
-		}
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "total=%d master=%d tcu=%d\n", c.TotalInstrs(), c.MasterInstrs, c.TCUInstrs())
+	c.reportByUnit(w)
 
 	fmt.Fprintf(w, "== per-cluster activity ==\n")
 	fmt.Fprintf(w, "cluster     instrs       alu       fpu       mdu       mem      busy   memwait   fpuwait    pswait sendstall\n")
-	var tot ClusterStats
+	var tot ClusterRow
 	for i := range c.Cluster {
-		cs := &c.Cluster[i]
+		cs := c.Cluster[i].Row()
 		fmt.Fprintf(w, "%7d %10d %9d %9d %9d %9d %9d %9d %9d %9d %9d\n",
 			i, cs.TCUInstrs, cs.ALUOps, cs.FPUOps, cs.MDUOps, cs.MemOps,
 			cs.BusyCycles, cs.MemWaitCycles, cs.FPUWaitCycles, cs.PSWaitCycles, cs.SendStallCycles)
@@ -98,4 +92,15 @@ func (c *Collector) ReportCounters(w io.Writer) {
 		fmt.Fprintf(w, "== race sanitizer ==\n")
 		fmt.Fprintf(w, "checks=%d reports=%d\n", c.RaceChecks, c.RaceReports)
 	}
+}
+
+// reportByUnit writes the committed instructions of every unit that has any.
+func (c *Collector) reportByUnit(w io.Writer) {
+	fmt.Fprintf(w, "by unit:")
+	for u, n := range c.InstrByUnit() {
+		if n > 0 {
+			fmt.Fprintf(w, " %s=%d", isa.Unit(u), n)
+		}
+	}
+	fmt.Fprintln(w)
 }

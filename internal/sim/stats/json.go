@@ -24,7 +24,7 @@ type Snapshot struct {
 	Ticks  int64  `json:"ticks"`
 
 	Instructions InstrSnapshot  `json:"instructions"`
-	Clusters     []ClusterStats `json:"clusters"`
+	Clusters     []ClusterRow   `json:"clusters"`
 	Stalls       StallSnapshot  `json:"stalls"`
 	Memory       MemorySnapshot `json:"memory"`
 	PrefixSum    PSSnapshot     `json:"prefix_sum"`
@@ -42,6 +42,33 @@ type InstrSnapshot struct {
 	Master uint64            `json:"master"`
 	TCU    uint64            `json:"tcu"`
 	ByUnit map[string]uint64 `json:"by_unit"`
+}
+
+// ClusterRow is one cluster's counters as the counter report prints them:
+// the instruction counts derived from ClusterStats.ByUnit, then its activity
+// counters. The JSON tags are part of the stable counter schema.
+type ClusterRow struct {
+	TCUInstrs       uint64 `json:"instrs"`
+	ALUOps          uint64 `json:"alu"`
+	FPUOps          uint64 `json:"fpu"`
+	MDUOps          uint64 `json:"mdu"`
+	MemOps          uint64 `json:"mem"`
+	BusyCycles      uint64 `json:"busy_cycles"`
+	MemWaitCycles   uint64 `json:"mem_wait_cycles"`
+	FPUWaitCycles   uint64 `json:"fpu_wait_cycles"`
+	PSWaitCycles    uint64 `json:"ps_wait_cycles"`
+	SendStallCycles uint64 `json:"send_stall_cycles"`
+}
+
+// Row returns the cluster's report row.
+func (cs *ClusterStats) Row() ClusterRow {
+	return ClusterRow{
+		TCUInstrs: cs.TCUInstrs(), ALUOps: cs.ALUOps(), FPUOps: cs.FPUOps(),
+		MDUOps: cs.MDUOps(), MemOps: cs.MemOps(),
+		BusyCycles: cs.BusyCycles, MemWaitCycles: cs.MemWaitCycles,
+		FPUWaitCycles: cs.FPUWaitCycles, PSWaitCycles: cs.PSWaitCycles,
+		SendStallCycles: cs.SendStallCycles,
+	}
 }
 
 // StallSnapshot is the machine-wide stall-cycle breakdown by cause.
@@ -149,19 +176,20 @@ func (c *Collector) Snapshot(cycle, ticks int64) *Snapshot {
 	s := &Snapshot{Schema: SnapshotSchema, Cycle: cycle, Ticks: ticks}
 
 	s.Instructions = InstrSnapshot{
-		Total: c.TotalInstrs(), Master: c.MasterInstrs, TCU: c.TCUInstrs,
+		Total: c.TotalInstrs(), Master: c.MasterInstrs, TCU: c.TCUInstrs(),
 		ByUnit: map[string]uint64{},
 	}
-	for u := 0; u < isa.NumUnits; u++ {
-		if c.InstrByUnit[u] > 0 {
-			s.Instructions.ByUnit[isa.Unit(u).String()] = c.InstrByUnit[u]
+	for u, n := range c.InstrByUnit() {
+		if n > 0 {
+			s.Instructions.ByUnit[isa.Unit(u).String()] = n
 		}
 	}
 
-	s.Clusters = append([]ClusterStats(nil), c.Cluster...)
+	s.Clusters = make([]ClusterRow, len(c.Cluster))
 	var tot ClusterStats
 	for i := range c.Cluster {
 		cs := &c.Cluster[i]
+		s.Clusters[i] = cs.Row()
 		tot.MemWaitCycles += cs.MemWaitCycles
 		tot.FPUWaitCycles += cs.FPUWaitCycles
 		tot.PSWaitCycles += cs.PSWaitCycles

@@ -5,15 +5,18 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"xmtgo/internal/isa"
 )
 
 func filledCollector() *Collector {
 	c := NewCollector(2, 4, 2)
 	c.MasterInstrs = 40
-	c.TCUInstrs = 60
-	c.InstrByUnit[0] = 100
-	c.Cluster[0] = ClusterStats{TCUInstrs: 30, MemWaitCycles: 5, SendStallCycles: 2}
-	c.Cluster[1] = ClusterStats{TCUInstrs: 30, FPUWaitCycles: 3, PSWaitCycles: 1}
+	c.MasterByUnit[isa.UnitALU] = 40
+	c.Cluster[0] = ClusterStats{MemWaitCycles: 5, SendStallCycles: 2}
+	c.Cluster[0].ByUnit[isa.UnitALU] = 30
+	c.Cluster[1] = ClusterStats{FPUWaitCycles: 3, PSWaitCycles: 1}
+	c.Cluster[1].ByUnit[isa.UnitMEM] = 30
 	c.CacheHits[1] = 9
 	c.CacheMisses[1] = 1
 	c.CacheQueueFull[0] = 4
@@ -40,7 +43,8 @@ func TestSnapshotSchema(t *testing.T) {
 	if s.Cycle != 1234 || s.Ticks != 9872 {
 		t.Fatalf("coords %d/%d", s.Cycle, s.Ticks)
 	}
-	if s.Instructions.Total != 100 || s.Instructions.Master != 40 {
+	if s.Instructions.Total != 100 || s.Instructions.Master != 40 || s.Instructions.TCU != 60 ||
+		s.Instructions.ByUnit["ALU"] != 70 || s.Instructions.ByUnit["MEM"] != 30 {
 		t.Errorf("instructions %+v", s.Instructions)
 	}
 	if s.Stalls.Mem != 5 || s.Stalls.FPUMDU != 3 || s.Stalls.PS != 1 || s.Stalls.ICNSend != 2 {
@@ -55,7 +59,8 @@ func TestSnapshotSchema(t *testing.T) {
 	if s.Faults.Injected != 3 || s.Faults.TCUFail != 1 || s.Faults.Decommissioned != 1 {
 		t.Errorf("faults %+v", s.Faults)
 	}
-	if len(s.Clusters) != 2 || s.Clusters[0].TCUInstrs != 30 {
+	if len(s.Clusters) != 2 || s.Clusters[0].TCUInstrs != 30 || s.Clusters[0].ALUOps != 30 ||
+		s.Clusters[1].MemOps != 30 || s.Clusters[1].ALUOps != 0 {
 		t.Errorf("clusters %+v", s.Clusters)
 	}
 }

@@ -18,31 +18,55 @@ import (
 	"xmtgo/internal/isa"
 )
 
-// ClusterStats are per-cluster activity counters. Each cluster updates only
-// its own entry, so the fields are safe to bump from the parallel compute
-// phase without going through the outbox. The JSON tags are part of the
-// stable machine-readable counter schema (see json.go).
+// ClusterStats are one cluster's counters: the instructions its TCUs
+// committed, by functional unit, and its activity counters. Only the
+// cluster's own compute phase and serial contexts write them (see
+// Collector). ByUnit counts an instruction when it issues, and the commit
+// that stops a run takes back the issues the stop discards
+// (cycle.Cluster.uncount), so between windows it holds committed
+// instructions only.
 type ClusterStats struct {
-	TCUInstrs       uint64 `json:"instrs"` // instructions committed by this cluster's TCUs
-	ALUOps          uint64 `json:"alu"`
-	FPUOps          uint64 `json:"fpu"`
-	MDUOps          uint64 `json:"mdu"`
-	MemOps          uint64 `json:"mem"`
-	BusyCycles      uint64 `json:"busy_cycles"`       // cycles with at least one active TCU
-	MemWaitCycles   uint64 `json:"mem_wait_cycles"`   // TCU-cycles spent blocked on memory
-	FPUWaitCycles   uint64 `json:"fpu_wait_cycles"`   // TCU-cycles spent waiting for a shared FPU/MDU
-	PSWaitCycles    uint64 `json:"ps_wait_cycles"`    // TCU-cycles spent blocked on the prefix-sum unit
-	SendStallCycles uint64 `json:"send_stall_cycles"` // TCU-cycles the ICN injection port refused a send
+	ByUnit          [isa.NumUnits]uint64
+	BusyCycles      uint64 // cycles with at least one active TCU
+	MemWaitCycles   uint64 // TCU-cycles spent blocked on memory
+	FPUWaitCycles   uint64 // TCU-cycles spent waiting for a shared FPU/MDU
+	PSWaitCycles    uint64 // TCU-cycles spent blocked on the prefix-sum unit
+	SendStallCycles uint64 // TCU-cycles the ICN injection port refused a send
 }
 
-// Collector accumulates all counters of one simulation run. The simulator
-// is single-goroutine, so plain integers suffice.
+// TCUInstrs returns the instructions committed by the cluster's TCUs.
+func (cs *ClusterStats) TCUInstrs() uint64 {
+	var n uint64
+	for _, v := range cs.ByUnit {
+		n += v
+	}
+	return n
+}
+
+// ALUOps returns the committed integer ALU, shift and branch operations.
+func (cs *ClusterStats) ALUOps() uint64 {
+	return cs.ByUnit[isa.UnitALU] + cs.ByUnit[isa.UnitSFT] + cs.ByUnit[isa.UnitBR]
+}
+
+// FPUOps returns the committed floating-point operations.
+func (cs *ClusterStats) FPUOps() uint64 { return cs.ByUnit[isa.UnitFPU] }
+
+// MDUOps returns the committed multiply/divide operations.
+func (cs *ClusterStats) MDUOps() uint64 { return cs.ByUnit[isa.UnitMDU] }
+
+// MemOps returns the committed load/store operations.
+func (cs *ClusterStats) MemOps() uint64 { return cs.ByUnit[isa.UnitMEM] }
+
+// Collector accumulates all counters of one simulation run. Each cluster's
+// entry of Cluster is written only by that cluster's compute phase, which
+// may run on a host worker concurrently with other clusters', or by serial
+// contexts. Every other field is written by serial contexts only: the
+// scheduler goroutine, outside any compute phase. So plain integers suffice.
 type Collector struct {
-	// Instruction counters.
-	InstrByOp    [isa.NumOps]uint64
-	InstrByUnit  [isa.NumUnits]uint64
+	// Instruction counters: the master's here, the TCUs' in their cluster's
+	// row (TCUInstrs, InstrByUnit).
 	MasterInstrs uint64
-	TCUInstrs    uint64
+	MasterByUnit [isa.NumUnits]uint64
 
 	// Activity counters.
 	Cluster []ClusterStats
@@ -135,62 +159,41 @@ func NewCollector(clusters, cacheModules, dramPorts int) *Collector {
 	}
 }
 
-// OpCount is one bucket of an opcode histogram: N committed issues of Op.
-type OpCount struct {
-	Op isa.Op
-	N  uint32
-}
-
-// CountInstr records one committed instruction.
+// CountInstr records one committed instruction: the master's, or one of
+// the given cluster's TCUs'. The cycle engine counts TCU issues in the
+// cluster's row itself (cycle.Cluster.count) and feeds filters at commit.
 func (c *Collector) CountInstr(op isa.Op, cluster int, master bool) {
+	unit := op.Meta().Unit
 	if master {
-		c.InstrByOp[op]++
-		c.InstrByUnit[op.Meta().Unit]++
+		c.MasterByUnit[unit]++
 		c.MasterInstrs++
-		for _, f := range c.filters {
-			f.Instr(op, true)
-		}
-		return
+	} else {
+		c.Cluster[cluster].ByUnit[unit]++
 	}
-	c.CountInstrs([]OpCount{{Op: op, N: 1}}, cluster)
+	for _, f := range c.filters {
+		f.Instr(op, master)
+	}
 }
 
-// CountInstrs records a batch of committed TCU instructions from one
-// cluster, given as an opcode histogram. The cycle engine folds each replay
-// range's issues into one bucket per distinct opcode (outbox.count), so the
-// metadata lookup and the counter updates run once per bucket instead of
-// once per instruction; the resulting counters equal those of calling
-// CountInstr per instruction with master=false.
-func (c *Collector) CountInstrs(hist []OpCount, cluster int) {
-	var cs *ClusterStats
-	if cluster >= 0 && cluster < len(c.Cluster) {
-		cs = &c.Cluster[cluster]
-	}
-	for _, b := range hist {
-		n := uint64(b.N)
-		unit := b.Op.Meta().Unit
-		c.InstrByOp[b.Op] += n
-		c.InstrByUnit[unit] += n
-		c.TCUInstrs += n
-		if cs != nil {
-			cs.TCUInstrs += n
-			switch unit {
-			case isa.UnitALU, isa.UnitSFT, isa.UnitBR:
-				cs.ALUOps += n
-			case isa.UnitFPU:
-				cs.FPUOps += n
-			case isa.UnitMDU:
-				cs.MDUOps += n
-			case isa.UnitMEM:
-				cs.MemOps += n
-			}
-		}
-		for _, f := range c.filters {
-			for i := uint32(0); i < b.N; i++ {
-				f.Instr(b.Op, false)
-			}
+// InstrByUnit returns the committed instructions by functional unit, the
+// master's and every cluster's.
+func (c *Collector) InstrByUnit() [isa.NumUnits]uint64 {
+	n := c.MasterByUnit
+	for i := range c.Cluster {
+		for u, v := range c.Cluster[i].ByUnit {
+			n[u] += v
 		}
 	}
+	return n
+}
+
+// TCUInstrs returns the instructions committed by all TCUs.
+func (c *Collector) TCUInstrs() uint64 {
+	var n uint64
+	for i := range c.Cluster {
+		n += c.Cluster[i].TCUInstrs()
+	}
+	return n
 }
 
 // CountMem records one memory access observed at a cache module.
@@ -211,7 +214,7 @@ func (c *Collector) CountMem(addr uint32, op isa.Op, module int, hit bool) {
 }
 
 // TotalInstrs returns all committed instructions.
-func (c *Collector) TotalInstrs() uint64 { return c.MasterInstrs + c.TCUInstrs }
+func (c *Collector) TotalInstrs() uint64 { return c.MasterInstrs + c.TCUInstrs() }
 
 // TotalCacheHits sums over modules.
 func (c *Collector) TotalCacheHits() (hits, misses uint64) {
@@ -233,7 +236,11 @@ func (c *Collector) Filters() []Filter { return c.filters }
 // customizes the statistics reported at the end.
 type Filter interface {
 	Name() string
-	// Instr observes one committed instruction.
+	// Instr observes one committed instruction. The master's arrive as it
+	// issues them. TCU instructions arrive at the cycle engine's commit, in
+	// (cycle, cluster) order and, within one cluster's cycle, in issue order,
+	// so the sequence is the same for any host worker count, window size and
+	// engine mode.
 	Instr(op isa.Op, master bool)
 	// Mem observes one memory access served at a cache module.
 	Mem(addr uint32, op isa.Op, module int, hit bool)
@@ -243,14 +250,8 @@ type Filter interface {
 
 // Report writes the standard end-of-run statistics, then each filter's.
 func (c *Collector) Report(w io.Writer) {
-	fmt.Fprintf(w, "instructions: total=%d master=%d tcu=%d\n", c.TotalInstrs(), c.MasterInstrs, c.TCUInstrs)
-	fmt.Fprintf(w, "by unit:")
-	for u := 0; u < isa.NumUnits; u++ {
-		if c.InstrByUnit[u] > 0 {
-			fmt.Fprintf(w, " %s=%d", isa.Unit(u), c.InstrByUnit[u])
-		}
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "instructions: total=%d master=%d tcu=%d\n", c.TotalInstrs(), c.MasterInstrs, c.TCUInstrs())
+	c.reportByUnit(w)
 	hits, misses := c.TotalCacheHits()
 	fmt.Fprintf(w, "shared cache: hits=%d misses=%d psm=%d\n", hits, misses, c.PsmOps)
 	fmt.Fprintf(w, "icn: traversals=%d hops=%d\n", c.ICNTraversals, c.ICNHops)

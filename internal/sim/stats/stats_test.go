@@ -16,17 +16,14 @@ func TestInstrCounting(t *testing.T) {
 	c.CountInstr(isa.OpLw, 2, false)
 	c.CountInstr(isa.OpAddS, 3, false)
 	c.CountInstr(isa.OpJal, -1, true)
-	if c.TotalInstrs() != 6 || c.MasterInstrs != 1 || c.TCUInstrs != 5 {
-		t.Fatalf("totals wrong: %d/%d/%d", c.TotalInstrs(), c.MasterInstrs, c.TCUInstrs)
+	if c.TotalInstrs() != 6 || c.MasterInstrs != 1 || c.TCUInstrs() != 5 {
+		t.Fatalf("totals wrong: %d/%d/%d", c.TotalInstrs(), c.MasterInstrs, c.TCUInstrs())
 	}
-	if c.InstrByOp[isa.OpAdd] != 2 {
-		t.Fatal("per-op count wrong")
-	}
-	if c.InstrByUnit[isa.UnitALU] != 2 || c.InstrByUnit[isa.UnitMDU] != 1 {
+	if u := c.InstrByUnit(); u[isa.UnitALU] != 2 || u[isa.UnitMDU] != 1 || u[isa.UnitBR] != 1 {
 		t.Fatal("per-unit count wrong")
 	}
-	if c.Cluster[0].ALUOps != 2 || c.Cluster[1].MDUOps != 1 ||
-		c.Cluster[2].MemOps != 1 || c.Cluster[3].FPUOps != 1 {
+	if c.Cluster[0].ALUOps() != 2 || c.Cluster[1].MDUOps() != 1 ||
+		c.Cluster[2].MemOps() != 1 || c.Cluster[3].FPUOps() != 1 {
 		t.Fatal("per-cluster counts wrong")
 	}
 }

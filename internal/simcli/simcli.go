@@ -338,7 +338,7 @@ func (d *driver) runCycle(prog *asm.Program, src string, cfg config.Config, resu
 		}
 		vals := make([]float64, cfg.Clusters)
 		for i := range vals {
-			vals[i] = float64(sys.Stats.Cluster[i].TCUInstrs)
+			vals[i] = float64(sys.Stats.Cluster[i].TCUInstrs())
 		}
 		p.Render(d.stderr, "per-cluster committed instructions", vals, math.NaN(), math.NaN())
 	}

@@ -12,10 +12,13 @@ package xmtgo_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xmtgo"
+	"xmtgo/internal/isa"
 	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/workloads"
 )
@@ -158,6 +161,127 @@ func TestOptimisticRollbackOccurs(t *testing.T) {
 	}
 	if *oRes != *wRes {
 		t.Errorf("optimistic result %+v != windowed %+v", *oRes, *wRes)
+	}
+}
+
+// stopProgram spawns 1024 threads that each multiply in a loop, convert to
+// float and store; thread 200 then runs STOP, which the test replaces with
+// an instruction that ends the run from a TCU. On chip1024 the stop comes in
+// the first round of threads, on fpga64 in the fourth.
+const stopProgram = `
+        .data
+A:      .space 4096
+        .text
+main:
+        la    $t0, A
+        bcast $t0
+        li    $a0, 0
+        li    $a1, 1023
+        fence
+        spawn $a0, $a1
+Lgrab:  addiu $tid, $zero, 1
+        ps    $tid, g63
+        chkid $tid
+        andi  $t2, $tid, 7
+        addiu $t2, $t2, 2
+        addu  $t3, $zero, $tid
+Lwork:  mul   $t3, $t3, $t2
+        sll   $t4, $t3, 1
+        xor   $t3, $t3, $t4
+        addiu $t2, $t2, -1
+        bgtz  $t2, Lwork
+        cvt.s.w $t9, $t3
+        sll   $t5, $tid, 2
+        addu  $t5, $t0, $t5
+        sw    $t3, 0($t5)
+        andi  $t6, $tid, 255
+        addiu $t7, $zero, 200
+        bne   $t6, $t7, Lnext
+        STOP
+Lnext:  j     Lgrab
+        join
+        sys   0
+`
+
+// unitFilter is a filter plug-in counting its Instr callbacks by unit.
+type unitFilter struct{ master, tcu [isa.NumUnits]uint64 }
+
+func (f *unitFilter) Name() string { return "units" }
+func (f *unitFilter) Instr(op isa.Op, master bool) {
+	if master {
+		f.master[op.Meta().Unit]++
+	} else {
+		f.tcu[op.Meta().Unit]++
+	}
+}
+func (f *unitFilter) Mem(uint32, isa.Op, int, bool) {}
+func (f *unitFilter) Report(io.Writer)              {}
+
+// TestStopMidWindow pins what a run that a TCU stops leaves counted. A
+// stop inside a window keeps the issues committed before the stopping
+// record and drops the ones after it: later in the same cluster-cycle, in
+// later clusters of that cycle, or in later cycles of the window. Every
+// engine variant and worker count must count the same, with and without a
+// filter plug-in attached, and a filter must be fed exactly what counted.
+// The pinned values (units ALU SFT BR MDU FPU MEM PS CTL) were recorded
+// before counting moved to issue time.
+func TestStopMidWindow(t *testing.T) {
+	const divErr = `runtime error at instruction 25 (asm line 30, "div $t8, $t3, $zero"): integer division by zero`
+	for _, tc := range []struct {
+		stop, config, want string
+	}{
+		{"div $t8, $t3, $zero", "fpga64",
+			"cycles=497 instrs=7289 halted=false master=7 tcu=[3227 1095 1243 935 169 168 224 221] err=" + divErr},
+		{"div $t8, $t3, $zero", "chip1024",
+			"cycles=158 instrs=29176 halted=false master=7 tcu=[12972 4240 4255 3745 648 604 1369 1336] err=" + divErr},
+		{"sys 0", "fpga64",
+			"cycles=486 instrs=7127 halted=true master=7 tcu=[3154 1070 1215 914 166 163 221 217] err=<nil>"},
+		{"sys 0", "chip1024",
+			"cycles=156 instrs=28697 halted=true master=7 tcu=[12776 4164 4161 3688 632 580 1360 1329] err=<nil>"},
+	} {
+		prog, err := xmtgo.Assemble("stop.s", strings.Replace(stopProgram, "STOP", tc.stop, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, la := range []int{1, 3, 0} {
+			for _, w := range []int{1, 2} {
+				for _, mode := range []string{xmtgo.EngineWindowed, xmtgo.EngineOptimistic} {
+					for _, filtered := range []bool{false, true} {
+						id := fmt.Sprintf("%s/%s/lookahead=%d/workers=%d/%s/filtered=%v",
+							tc.stop, tc.config, la, w, mode, filtered)
+						cfg, err := xmtgo.PresetConfig(tc.config)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.Lookahead, cfg.HostWorkers, cfg.EngineMode = la, w, mode
+						sys, err := xmtgo.NewSimulator(prog, cfg, io.Discard)
+						if err != nil {
+							t.Fatal(err)
+						}
+						f := &unitFilter{}
+						if filtered {
+							sys.Stats.AddFilter(f)
+						}
+						res, err := sys.Run(1_000_000)
+						var tcu [isa.NumUnits]uint64
+						for i := range sys.Stats.Cluster {
+							for u, n := range sys.Stats.Cluster[i].ByUnit {
+								tcu[u] += n
+							}
+						}
+						got := fmt.Sprintf("cycles=%d instrs=%d halted=%v master=%d tcu=%v err=%v",
+							res.Cycles, res.Instrs, res.Halted, sys.Stats.MasterInstrs, tcu, err)
+						if got != tc.want {
+							t.Errorf("%s:\n got %s\nwant %s", id, got, tc.want)
+						}
+						if filtered && (f.tcu != tcu || f.master != sys.Stats.MasterByUnit) {
+							t.Errorf("%s: filter saw tcu %v master %v, counters tcu %v master %v",
+								id, f.tcu, f.master, tcu, sys.Stats.MasterByUnit)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -55,9 +55,11 @@ echo "== go test (benchmark/: the nested xmtbench module)"
 echo "== conformance (three-way: interp vs funcvm vs cycle) + observability goldens"
 go test -count=1 -run 'TestFuncCycleConformance|TestFuncVMCheckpointResume|TestObservabilityGolden' .
 
-echo "== go test -race (simulator core + host-parallel determinism + unobserved issue path)"
+echo "== go test -race (simulator core + host-parallel determinism + unobserved issue path + mid-window stop)"
 go test -race ./internal/sim/engine ./internal/sim/cycle ./internal/sim/funcmodel
-go test -race -run 'TestHostParallelDeterminism|TestObserverDoesNotPerturb' .
+# TestStopMidWindow runs two workers: helper goroutines count issues in
+# their clusters' rows, and the serial commit takes them back past a stop.
+go test -race -run 'TestHostParallelDeterminism|TestObserverDoesNotPerturb|TestStopMidWindow' .
 
 echo "== go test -race (job execution: runner, batch, daemon stop/recovery paths)"
 # The runner's hooks are where other goroutines reach into a running job:
@@ -72,8 +74,9 @@ echo "== lookahead gate (window determinism matrix + rollback sanity + worker co
 # identical artifacts across host_workers {1,2,4} x lookahead {1, 3,
 # derived} x {windowed, optimistic}, checkpoint/resume mid-window, and the
 # optimistic run must actually exercise the rollback path (nonzero
-# System.Rollbacks) while matching the lockstep result.
-go test -count=1 -run 'TestLookaheadDeterminism|TestLookaheadCheckpointResume|TestOptimisticRollbackOccurs' .
+# System.Rollbacks) while matching the lockstep result; a TCU that stops
+# the run mid-window leaves the pinned counts in every variant.
+go test -count=1 -run 'TestLookaheadDeterminism|TestLookaheadCheckpointResume|TestOptimisticRollbackOccurs|TestStopMidWindow' .
 # What explicit workers promise: no shard runs ahead of the lockstep, commits
 # come in (cycle, shard) order, and a panicking shard comes out of the run
 # instead of hanging it.
