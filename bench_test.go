@@ -93,8 +93,8 @@ func BenchmarkTableI_SerialCompute(b *testing.B) { tableIBench(b, workloads.Seri
 // TCU.run/TCU.issue, which counts each instruction as it issues, are nearly
 // all of the host time, so host_ns/sim_instr is the go-bench anchor for the
 // "cluster compute" layer next to the end-to-end sim-par-compute number
-// (docs/PERF.md §Lowered issue stream). bench.sh records it and xmtperf
-// gates it lower-is-better.
+// (docs/PERF.md §Lowered issue stream). `sh scripts/ab.sh REV
+// BenchmarkTCUIssue` compares it between two commits in pinned pairs.
 func BenchmarkTCUIssue(b *testing.B) {
 	cfg := xmtgo.ConfigChip1024()
 	cfg.HostWorkers = 1
@@ -118,8 +118,8 @@ func BenchmarkTCUIssue(b *testing.B) {
 // time, so they bound what sharding the clusters across goroutines can buy.
 // Results are bit-identical at every worker count (TestHostParallelDeterminism);
 // only wall-clock changes. workers-auto is the config default
-// (host_workers=0): beside workers-1 it shows in BENCH_HISTORY.jsonl what the
-// default costs against the serial path, and the explicit arms show what
+// (host_workers=0): beside workers-1 it shows what the default costs
+// against the serial path, and the explicit arms show what
 // opting in to N workers buys on the recording host (docs/PERF.md
 // §Host-parallel cluster simulation).
 func BenchmarkHostParallelScaling(b *testing.B) {
@@ -224,9 +224,7 @@ func BenchmarkFunctionalVsCycle(b *testing.B) {
 // Both backends produce bit-identical architectural results (the three-way
 // conformance matrix and FuzzBackendDifferential enforce it); this
 // benchmark measures what the lowered direct-threaded dispatch buys on
-// each workload shape (docs/SIMULATOR.md §Functional backends). bench.sh
-// records sim_instr/sec per (workload, backend) in BENCH_HISTORY.jsonl and
-// check.sh gates it direction-up through xmtperf.
+// each workload shape (docs/SIMULATOR.md §Functional backends).
 func BenchmarkFuncBackend(b *testing.B) {
 	type wl struct {
 		name string
@@ -342,7 +340,6 @@ func BenchmarkMacroActorThreshold(b *testing.B) {
 // macro-actors on one period plus 40 packages in flight at staggered
 // latencies, where events wait behind each other and the queue does its
 // work. Both run on the presets' geometry: period 8 on 8-tick buckets.
-// bench.sh records host_ns/event and xmtperf gates it lower-is-better.
 func BenchmarkSchedulerEdge(b *testing.B) {
 	const period, cycles = 8, 100_000
 	busy := engine.CyclerFunc(func(int64, engine.Time) bool { return true })

@@ -176,6 +176,16 @@ int main() {
 	if data, err := os.ReadFile(countersJSON); err != nil || !strings.Contains(string(data), `"schema": "xmt-counters/v1"`) {
 		t.Fatalf("counters JSON: err=%v\n%s", err, data)
 	}
+	// Through the CLI, the observability fixture's snapshot is byte for byte
+	// the golden TestObservabilityGolden pins in-process.
+	run("xmtrun", "-config", "fpga64", "-counters-json", countersJSON, filepath.Join("testdata", "observability", "fixture.c"))
+	got, err := os.ReadFile(countersJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := os.ReadFile(filepath.Join("testdata", "observability", "counters.json.golden")); err != nil || string(got) != string(want) {
+		t.Fatalf("xmtrun -counters-json on fixture.c differs from counters.json.golden (err=%v):\n%s", err, got)
+	}
 	samplesCSV := filepath.Join(dir, "samples.csv")
 	run("xmtrun", "-mem", mapFile, "-sample-cycles", "100", "-samples", samplesCSV, cFile)
 	if data, err := os.ReadFile(samplesCSV); err != nil || !strings.HasPrefix(string(data), "cycle,ticks,window_cycles") {

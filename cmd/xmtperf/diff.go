@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -14,9 +13,8 @@ import (
 type direction int
 
 const (
-	lowerBetter  direction = iota // e.g. ns/op, cycles
-	higherBetter                  // e.g. sim_cycle/sec
-	infoOnly                      // reported, never gated (e.g. instruction counts)
+	lowerBetter direction = iota // e.g. cycles, stall cycles
+	infoOnly                     // reported, never gated (e.g. instruction counts)
 )
 
 type metric struct {
@@ -24,9 +22,7 @@ type metric struct {
 	Dir   direction
 }
 
-// artifact is one loaded performance file flattened to named metrics. Keys
-// are "benchmark:metric" for benchjson files and plain counter names for
-// counter snapshots.
+// artifact is one loaded counter snapshot flattened to named metrics.
 type artifact struct {
 	Label   string
 	Metrics map[string]metric
@@ -48,17 +44,6 @@ type row struct {
 	DeltaPct     float64 // signed relative change, percent (NaN when Old==0)
 	ThresholdPct float64
 	Verdict      verdict
-}
-
-// benchFile mirrors cmd/benchjson's output (and one line of
-// BENCH_HISTORY.jsonl).
-type benchFile struct {
-	Date    string `json:"date"`
-	Results []struct {
-		Name       string             `json:"name"`
-		Iterations int64              `json:"iterations"`
-		Metrics    map[string]float64 `json:"metrics"`
-	} `json:"results"`
 }
 
 // countersFile is the subset of the xmt-counters/v1 snapshot the differ
@@ -88,103 +73,22 @@ type countersFile struct {
 	} `json:"prefix_sum"`
 }
 
-// loadArtifact reads a performance artifact, detecting its kind: a
-// counters snapshot (by schema), a benchjson file (by "results"), or a
-// .jsonl history whose last line is a benchjson entry.
+// loadArtifact reads an xmt-counters/v1 snapshot.
 func loadArtifact(path string) (*artifact, error) {
-	if strings.HasSuffix(path, ".jsonl") {
-		lines, err := readJSONLines(path)
-		if err != nil {
-			return nil, err
-		}
-		if len(lines) == 0 {
-			return nil, fmt.Errorf("%s: empty history", path)
-		}
-		return parseArtifact(path+"#last", lines[len(lines)-1])
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return parseArtifact(path, data)
-}
-
-// loadHistoryPair reads a .jsonl history and returns its last two entries
-// as (old, new).
-func loadHistoryPair(path string) (*artifact, *artifact, error) {
-	lines, err := readJSONLines(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(lines) < 2 {
-		return nil, nil, fmt.Errorf("%s: need at least 2 history entries, have %d", path, len(lines))
-	}
-	oldArt, err := parseArtifact(fmt.Sprintf("%s#%d", path, len(lines)-1), lines[len(lines)-2])
-	if err != nil {
-		return nil, nil, err
-	}
-	newArt, err := parseArtifact(fmt.Sprintf("%s#%d", path, len(lines)), lines[len(lines)-1])
-	if err != nil {
-		return nil, nil, err
-	}
-	return oldArt, newArt, nil
-}
-
-func readJSONLines(path string) ([][]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var lines [][]byte
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		lines = append(lines, []byte(line))
-	}
-	return lines, sc.Err()
-}
-
-func parseArtifact(label string, data []byte) (*artifact, error) {
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("%s: %v", label, err)
-	}
-	if schema, ok := probe["schema"]; ok && strings.Contains(string(schema), "xmt-counters/") {
-		return parseCounters(label, data)
-	}
-	if _, ok := probe["results"]; ok {
-		return parseBench(label, data)
-	}
-	return nil, fmt.Errorf("%s: unrecognized artifact (want benchjson or xmt-counters/v1)", label)
-}
-
-func parseBench(label string, data []byte) (*artifact, error) {
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("%s: %v", label, err)
-	}
-	if bf.Date != "" {
-		label = bf.Date
-	}
-	art := &artifact{Label: label, Metrics: map[string]metric{}}
-	for _, r := range bf.Results {
-		name := strings.TrimPrefix(r.Name, "Benchmark")
-		for m, v := range r.Metrics {
-			art.Metrics[name+":"+m] = metric{Value: v, Dir: metricDirection(m)}
-		}
-	}
-	return art, nil
+	return parseCounters(path, data)
 }
 
 func parseCounters(label string, data []byte) (*artifact, error) {
 	var cf countersFile
 	if err := json.Unmarshal(data, &cf); err != nil {
 		return nil, fmt.Errorf("%s: %v", label, err)
+	}
+	if !strings.HasPrefix(cf.Schema, "xmt-counters/") {
+		return nil, fmt.Errorf("%s: not a counter snapshot (want schema xmt-counters/v1, got %q)", label, cf.Schema)
 	}
 	var stalls float64
 	for _, v := range cf.Stalls {
@@ -211,32 +115,6 @@ func ratio(num, den float64) float64 {
 	return num / den
 }
 
-// metricDirection classifies a benchmark metric name.
-func metricDirection(m string) direction {
-	switch {
-	case strings.HasSuffix(m, "/sec"), strings.Contains(m, "rate"), strings.Contains(m, "ipc"):
-		return higherBetter
-	case m == "iterations":
-		return infoOnly
-	default: // ns/op, B/op, allocs/op, cycles, ...
-		return lowerBetter
-	}
-}
-
-// thresholdFor resolves the threshold for a metric key: exact key first,
-// then the basename after the "bench:" prefix, then the default.
-func thresholdFor(key string, defPct float64, overrides map[string]float64) float64 {
-	if pct, ok := overrides[key]; ok {
-		return pct
-	}
-	if _, base, ok := strings.Cut(key, ":"); ok {
-		if pct, okO := overrides[base]; okO {
-			return pct
-		}
-	}
-	return defPct
-}
-
 // compare produces one row per metric present in either artifact, sorted by
 // name. A metric regresses when it moves beyond its threshold in the bad
 // direction; info-only metrics and zero-baseline metrics never regress.
@@ -258,8 +136,10 @@ func compare(oldArt, newArt *artifact, defPct float64, overrides map[string]floa
 	for _, name := range names {
 		o, hasOld := oldArt.Metrics[name]
 		n, hasNew := newArt.Metrics[name]
-		r := row{Name: name, Old: o.Value, New: n.Value,
-			ThresholdPct: thresholdFor(name, defPct, overrides)}
+		r := row{Name: name, Old: o.Value, New: n.Value, ThresholdPct: defPct}
+		if pct, ok := overrides[name]; ok {
+			r.ThresholdPct = pct
+		}
 		switch {
 		case !hasOld:
 			r.Verdict, r.DeltaPct = verdictNew, math.NaN()
@@ -272,13 +152,9 @@ func compare(oldArt, newArt *artifact, defPct float64, overrides map[string]floa
 				break
 			}
 			r.DeltaPct = (n.Value - o.Value) / o.Value * 100
-			dir := o.Dir
 			bad := r.DeltaPct // lower-better: an increase is bad
-			if dir == higherBetter {
-				bad = -r.DeltaPct
-			}
 			switch {
-			case dir == infoOnly:
+			case o.Dir == infoOnly:
 				r.Verdict = verdictOK
 			case bad > r.ThresholdPct:
 				r.Verdict = verdictRegressed

@@ -1,37 +1,31 @@
-// Command xmtperf compares two performance artifacts and fails on
-// regression — the cross-run gate behind scripts/bench.sh and
-// scripts/check.sh (docs/PERF.md, docs/OBSERVABILITY.md).
+// Command xmtperf compares two counter snapshots of the simulated machine
+// and fails on regression (docs/OBSERVABILITY.md §xmtperf).
 //
-// It understands three artifact kinds, auto-detected from content:
-//
-//   - benchjson files (BENCH_*.json, schema of cmd/benchjson): every
-//     benchmark metric is compared;
-//   - counter snapshots (xmt-counters/v1, from -counters-json): a curated
-//     set of performance-relevant counters is compared;
-//   - .jsonl history files (BENCH_HISTORY.jsonl): the last line is used,
-//     or the last two lines when only one file is given.
+// Both files are xmt-counters/v1 snapshots, as written by -counters-json;
+// a curated set of performance-relevant counters is compared.
 //
 // Usage:
 //
 //	xmtperf [flags] old.json new.json
-//	xmtperf [flags] BENCH_HISTORY.jsonl       # previous entry vs latest
 //
-// Each metric has a direction (lower-better for ns/op, B/op, cycles, …;
-// higher-better for */sec rates) and a relative threshold: a change beyond
-// the threshold in the bad direction is a regression. The verdict table is
-// markdown; the exit status is 1 when any metric regressed.
+// Each metric has a direction (lower-better for cycles, stalls, miss rate,
+// latencies; instrs is informational) and a relative threshold: a change
+// beyond the threshold in the bad direction is a regression. The verdict
+// table is markdown; the exit status is 1 when any metric regressed and 2
+// on a usage error, including a -t that names no metric.
 //
 // Examples:
 //
-//	xmtperf BENCH_2026-08-05.json BENCH_2026-08-06.json
-//	xmtperf -threshold 5 old_counters.json new_counters.json
-//	xmtperf -t ns/op=25 -t sim_cycle/sec=15 old.json new.json
+//	xmtperf old_counters.json new_counters.json
+//	xmtperf -threshold 5 -t load_latency_p99=20 old.json new.json
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -52,40 +46,60 @@ func (t thresholdFlag) Set(v string) error {
 	return nil
 }
 
-func main() {
-	thresholds := thresholdFlag{}
-	defPct := flag.Float64("threshold", 10, "default allowed change in the bad direction, percent")
-	mdOut := flag.String("md", "", "also write the verdict table to this file")
-	flag.Var(thresholds, "t", "per-metric threshold override, metric=percent (repeatable; full key or metric basename)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var oldArt, newArt *artifact
-	var err error
-	switch flag.NArg() {
-	case 1:
-		oldArt, newArt, err = loadHistoryPair(flag.Arg(0))
-	case 2:
-		if oldArt, err = loadArtifact(flag.Arg(0)); err == nil {
-			newArt, err = loadArtifact(flag.Arg(1))
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "usage: xmtperf [flags] old new   |   xmtperf [flags] history.jsonl")
-		flag.Usage()
-		os.Exit(2)
+// run is the command; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xmtperf", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	thresholds := thresholdFlag{}
+	defPct := fs.Float64("threshold", 10, "default allowed change in the bad direction, percent")
+	mdOut := fs.String("md", "", "also write the verdict table to this file")
+	fs.Var(thresholds, "t", "per-metric threshold override, metric=percent (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: xmtperf [flags] old.json new.json")
+		fs.PrintDefaults()
+		return 2
+	}
+	oldArt, err := loadArtifact(fs.Arg(0))
+	var newArt *artifact
+	if err == nil {
+		newArt, err = loadArtifact(fs.Arg(1))
 	}
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "xmtperf:", err)
+		return 1
 	}
 
 	rows := compare(oldArt, newArt, *defPct, thresholds)
-	table := renderMarkdown(oldArt.Label, newArt.Label, rows)
-	fmt.Print(table)
-	if *mdOut != "" {
-		if err := os.WriteFile(*mdOut, []byte(table), 0o644); err != nil {
-			fatal(err)
+	names := make([]string, len(rows))
+	for i, r := range rows {
+		names[i] = r.Name
+	}
+	var unknown []string
+	for name := range thresholds {
+		if !slices.Contains(names, name) {
+			unknown = append(unknown, name)
 		}
 	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		fmt.Fprintf(stderr, "xmtperf: -t names no metric: %s\nmetrics: %s\n",
+			strings.Join(unknown, ", "), strings.Join(names, ", "))
+		return 2
+	}
 
+	table := renderMarkdown(oldArt.Label, newArt.Label, rows)
+	fmt.Fprint(stdout, table)
+	if *mdOut != "" {
+		if err := os.WriteFile(*mdOut, []byte(table), 0o644); err != nil {
+			fmt.Fprintln(stderr, "xmtperf:", err)
+			return 1
+		}
+	}
 	regressed := 0
 	for _, r := range rows {
 		if r.Verdict == verdictRegressed {
@@ -93,13 +107,9 @@ func main() {
 		}
 	}
 	if regressed > 0 {
-		fmt.Fprintf(os.Stderr, "xmtperf: %d metric(s) regressed beyond threshold\n", regressed)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "xmtperf: %d metric(s) regressed beyond threshold\n", regressed)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "xmtperf: no regressions (%d metrics compared)\n", len(rows))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xmtperf:", err)
-	os.Exit(1)
+	fmt.Fprintf(stderr, "xmtperf: no regressions (%d metrics compared)\n", len(rows))
+	return 0
 }

@@ -1,12 +1,12 @@
 // Package engine implements the discrete-event simulation core of XMTSim
 // (paper §III-C): an event list ordered by time and priority, actors that
-// are notified via callbacks when their events come due, ports that pass
-// instruction/data packages between cycle-accurate components in the second
-// phase of a clock cycle, macro-actors that iterate many components per
-// event (the optimization that beats per-component scheduling past the
-// ~800-events-per-cycle threshold the paper measured), and independently
-// clocked domains whose frequencies can be changed — or gated off — at
-// runtime by activity plug-ins.
+// are notified via callbacks when their events come due, priorities that
+// split a clock cycle into a negotiate and a transfer phase (packages move
+// between cycle-accurate components in the second), macro-actors that
+// iterate many components per event (the optimization that beats
+// per-component scheduling past the ~800-events-per-cycle threshold the
+// paper measured), and independently clocked domains whose frequencies can
+// be changed — or gated off — at runtime by activity plug-ins.
 //
 // The event list is a bucketed calendar queue behind a one-event front
 // register: an event that sorts before everything pending — a macro-actor

@@ -262,29 +262,6 @@ func TestRunDTMatchesDE(t *testing.T) {
 	}
 }
 
-func TestPortDelivery(t *testing.T) {
-	s := New()
-	var got []any
-	var at []Time
-	dst := InputFunc(func(pkg any, now Time) {
-		got = append(got, pkg)
-		at = append(at, now)
-	})
-	p := NewPort("p", s, dst, 12)
-	p.Send("a", 0)
-	p.SendAt("b", 30)
-	s.Run()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("got %v", got)
-	}
-	if at[0] != 12 || at[1] != 30 {
-		t.Fatalf("times %v", at)
-	}
-	if p.Dst() == nil {
-		t.Fatal("dst accessor")
-	}
-}
-
 // The front register holds an event only while it sorts strictly before
 // everything else pending, and every operation sees through it.
 func TestFrontRegister(t *testing.T) {

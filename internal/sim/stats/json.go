@@ -32,7 +32,7 @@ type Snapshot struct {
 	Faults       FaultSnapshot  `json:"faults"`
 
 	// Race is the xmtsan section, present only when race checking ran (so
-	// race-off snapshots — including xmtperf baselines — are byte-unchanged).
+	// race-off snapshots — including counters.json.golden — are byte-unchanged).
 	Race *RaceSnapshot `json:"race,omitempty"`
 }
 
