@@ -16,10 +16,11 @@
 //     Cfg.TCUs() of them, and every TCU performs one final failing grab, so
 //     the counter's final value legitimately differs between the models.
 //   - For programs whose result placement depends on the thread
-//     interleaving (marked skipMem below) only the printed invariants and
-//     registers are compared, not raw memory. Programs that deliberately
-//     exhibit relaxed-memory outcomes (the litmus tests of paper Figs. 6-7)
-//     live in examples/xmtc and are not run here at all.
+//     interleaving (marked skipMem in the corpus, matrix_test.go) only the
+//     printed invariants and registers are compared, not raw memory.
+//     Programs that deliberately exhibit relaxed-memory outcomes (the
+//     litmus tests of paper Figs. 6-7) live in examples/xmtc and are not
+//     run here at all.
 package xmtgo_test
 
 import (
@@ -28,80 +29,12 @@ import (
 
 	"xmtgo"
 	"xmtgo/internal/isa"
-	"xmtgo/internal/workloads"
 )
 
-type confCase struct {
-	name    string
-	src     string
-	memmaps []string
-	// skipMem: the program is correct under any thread interleaving but
-	// places results at interleaving-dependent positions (a ps-grabbed
-	// compaction index, a psm-claimed BFS parent), so the two models'
-	// memories legitimately differ byte-wise. The printed invariants and
-	// registers must still match exactly.
-	skipMem bool
-}
-
-// conformanceCorpus lists every program generator in internal/workloads,
-// both the parallel and the serial-reference variants.
-func conformanceCorpus() []confCase {
-	var cases []confCase
-	add := func(name, src string, memmaps ...string) {
-		cases = append(cases, confCase{name: name, src: src, memmaps: memmaps})
-	}
-	addNondet := func(name, src string, memmaps ...string) {
-		cases = append(cases, confCase{name: name, src: src, memmaps: memmaps, skipMem: true})
-	}
-
-	for _, g := range []workloads.TableIGroup{
-		workloads.ParallelMemory, workloads.ParallelCompute,
-		workloads.SerialMemory, workloads.SerialCompute,
-	} {
-		add("tableI-"+g.Name(), workloads.TableI(g, 64, 8))
-	}
-
-	comp, _ := workloads.Compaction(256, 0.3, 7)
-	addNondet("compaction", comp) // B[] order depends on ps grab order
-
-	redPar, redSer, _ := workloads.Reduction(512)
-	add("reduction-par", redPar)
-	add("reduction-ser", redSer)
-
-	vecPar, vecSer, _ := workloads.VecAdd(512)
-	add("vecadd-par", vecPar)
-	add("vecadd-ser", vecSer)
-
-	mmPar, mmSer := workloads.MatMul(10)
-	add("matmul-par", mmPar)
-	add("matmul-ser", mmSer)
-
-	psPar, psSer, _, _ := workloads.PrefixSum(256)
-	add("prefixsum-par", psPar)
-	add("prefixsum-ser", psSer)
-
-	g := workloads.RandomGraph(96, 5, 3)
-	bfsPar, bfsSer := workloads.BFS(256, 2048)
-	addNondet("bfs-par", bfsPar, g.MemMap()) // frontier order depends on psm claim order
-	add("bfs-ser", bfsSer, g.MemMap())
-
-	fftPar, fftSer := workloads.FFT(64)
-	add("fft-par", fftPar)
-	add("fft-ser", fftSer)
-
-	cg, _ := workloads.ComponentsGraph(96, 4, 3, 11)
-	conPar, conSer := workloads.Connectivity(256, 4096)
-	add("connectivity-par", conPar, cg)
-	add("connectivity-ser", conSer, cg)
-
-	return cases
-}
-
 func TestFuncCycleConformance(t *testing.T) {
-	cfg := xmtgo.ConfigFPGA64()
 	for _, tc := range conformanceCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
-			runConformanceCase(t, tc, cfg)
+			runConformanceCase(t, tc, preset(""))
 		})
 	}
 }
@@ -111,7 +44,7 @@ func TestFuncCycleConformance(t *testing.T) {
 // degradation must preserve full architectural conformance with the
 // functional model — same memory, registers and output, only more cycles.
 func TestDegradedConformance(t *testing.T) {
-	cfg := xmtgo.ConfigFPGA64()
+	cfg := preset("")
 	cfg.FaultPlan = "tcufail:2@40-200"
 	cfg.FaultSeed = 13
 	for _, tc := range conformanceCorpus() {
@@ -127,12 +60,9 @@ func TestDegradedConformance(t *testing.T) {
 // runConformanceCase runs one corpus program under all three models with
 // cfg and fails the test on any architectural divergence. It returns the
 // cycle simulator for extra assertions.
-func runConformanceCase(t *testing.T, tc confCase, cfg xmtgo.Config) *xmtgo.Simulator {
+func runConformanceCase(t *testing.T, tc corpusProg, cfg xmtgo.Config) *xmtgo.Simulator {
 	t.Helper()
-	prog, _, err := xmtgo.Build(tc.name+".c", tc.src, xmtgo.DefaultCompileOptions(), tc.memmaps...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, prog := program(t, tc.name)
 
 	var funcOut bytes.Buffer
 	fm, err := xmtgo.NewMachine(prog, cfg, &funcOut)

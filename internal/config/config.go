@@ -211,6 +211,7 @@ func (c *Config) Validate() error {
 		{c.CacheQueue > 0, "CacheQueue must be positive"},
 		{c.DRAMPorts > 0, "DRAMPorts must be positive"},
 		{c.DRAMLatency >= 0, "DRAMLatency must be non-negative"},
+		{c.CacheHitLatency >= 0 && c.MasterCacheLatency >= 0 && c.ROCacheLatency >= 0, "cache latencies must be non-negative"},
 		{c.DRAMGapCycles >= 1, "DRAMGapCycles must be >= 1"},
 		{c.ICNBaseLatency >= 1, "ICNBaseLatency must be >= 1"},
 		{!c.ICNAsync || (c.ICNAsyncHopTicks >= 1 && c.ICNAsyncGapTicks >= 1), "async ICN timings must be positive"},

@@ -89,6 +89,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.PSPerCycle = 0 },
 		func(c *Config) { c.MasterIssueWidth = 0 },
 		func(c *Config) { c.HostWorkers = -1 },
+		func(c *Config) { c.CacheHitLatency = -100 },
+		func(c *Config) { c.MasterCacheLatency = -1 },
+		func(c *Config) { c.ROCacheLatency = -1 },
 	}
 	for i, mut := range mutations {
 		cfg := FPGA64()

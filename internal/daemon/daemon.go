@@ -346,6 +346,9 @@ func (d *Daemon) Submit(spec *JobSpec) (*JobStatus, *APIError) {
 			return nil, apiErrorf(ErrBadRequest, "%v", err)
 		}
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, apiErrorf(ErrBadRequest, "%v", err)
+	}
 	tenant := tenantOf(spec)
 	compileStart := d.obs.tracer.Now()
 	prog, aerr := d.compile(spec)

@@ -199,6 +199,14 @@ helper: jr $ra
 	if got := codeOf(d.Submit(&JobSpec{Source: loopSrc(10), Kind: "fortran", BudgetCycles: 1000})); got != ErrBadRequest {
 		t.Errorf("bad kind: %s, want %s", got, ErrBadRequest)
 	}
+	// A config Validate rejects is refused at submit, before the journal:
+	// a negative cache latency would schedule into the past and crash a
+	// worker, zero clusters would fail the job only once it ran.
+	for _, set := range []string{"cache_hit_latency=-100", "clusters=0"} {
+		if got := codeOf(d.Submit(&JobSpec{Source: loopSrc(10), Sets: []string{set}, BudgetCycles: 1000})); got != ErrBadRequest {
+			t.Errorf("sets %s: %s, want %s", set, got, ErrBadRequest)
+		}
+	}
 	if got := codeOf(d.Submit(&JobSpec{Source: loopSrc(10)})); got != ErrQuotaExceeded {
 		t.Errorf("unlimited budget under budget quota: %s, want %s", got, ErrQuotaExceeded)
 	}

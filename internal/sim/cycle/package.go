@@ -60,11 +60,6 @@ type Package struct {
 	Shadow bool
 }
 
-// respKind tells the TCU how to commit an expiring package.
-func (p *Package) isLoadLike() bool {
-	return p.Kind == PkgLoad || p.Kind == PkgPsm
-}
-
 // pkgPool is a freelist of Packages owned by one sender (a cluster or the
 // master). System.route is the single free point of a package that was sent.
 type pkgPool []*Package

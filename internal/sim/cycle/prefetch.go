@@ -86,14 +86,3 @@ func (b *prefetchBuffer) invalidateAll() {
 		b.entries[i].data = nil
 	}
 }
-
-// readyCount reports how many entries hold usable lines (for tests).
-func (b *prefetchBuffer) readyCount() int {
-	n := 0
-	for i := range b.entries {
-		if b.entries[i].valid && b.entries[i].ready {
-			n++
-		}
-	}
-	return n
-}

@@ -92,8 +92,3 @@ func (t *tagArray) InvalidateAll() {
 		t.valid[i] = false
 	}
 }
-
-// LineAddr returns the line-aligned base of addr.
-func (t *tagArray) LineAddr(addr uint32) uint32 {
-	return addr >> t.lineShift << t.lineShift
-}

@@ -55,14 +55,6 @@ func (t *Type) FieldByName(name string) *Field {
 	return nil
 }
 
-// NewStruct builds a struct type, laying out the fields with natural
-// alignment.
-func NewStruct(name string, fields []*Field) *Type {
-	t := &Type{Kind: KStruct, StructName: name}
-	t.LayoutStruct(fields)
-	return t
-}
-
 // LayoutStruct installs and lays out the members of a (possibly
 // forward-declared) struct type. Self-referential members are only legal
 // through pointers; the parser checks that before calling.

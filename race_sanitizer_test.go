@@ -10,9 +10,10 @@
 //     (connectivity-par) is flagged by both, with static findings
 //     classified confirmed/unconfirmed against the dynamic reports;
 //   - the xmtsan report for a fixed racy fixture is byte-identical across
-//     host worker counts and matches a checked-in golden;
-//   - a run chopped at checkpoints reproduces the full-run report as the
-//     exact concatenation of its per-segment reports.
+//     host worker counts and matches a checked-in golden.
+//
+// TestXmtsanCheckpointResume (matrix_test.go) holds a run chopped at
+// checkpoints to the full-run report.
 package xmtgo_test
 
 import (
@@ -258,117 +259,5 @@ func TestXmtsanGolden(t *testing.T) {
 		if len(sys.RaceDetector().Reports()) == 0 {
 			t.Error("race fixture produced no reports; the fixture no longer races")
 		}
-	}
-}
-
-// xmtsanCheckpointSrc runs several spawn epochs, each exposing the same
-// unsynchronized write/read pair, so the full-run report has one line per
-// epoch and a chopped run must reproduce it segment by segment.
-const xmtsanCheckpointSrc = `
-int x = 0;
-int sink = 0;
-int main() {
-    int i;
-    for (i = 0; i < 8; i++) {
-        spawn(0, 1) {
-            if ($ == 0) {
-                x = x + 1;
-            } else {
-                sink = sink + x;
-            }
-        }
-    }
-    print_int(sink);
-    return 0;
-}
-`
-
-// TestXmtsanCheckpointResume chops a racy multi-epoch run at periodic
-// checkpoints (always between epochs: the master only checkpoints at
-// quiescent serial points) and asserts that the concatenation of the
-// per-segment xmtsan reports equals the uninterrupted run's report, and
-// that the shadow-check counts add up — the sanitizer's state is strictly
-// epoch-local, so chopping loses nothing.
-func TestXmtsanCheckpointResume(t *testing.T) {
-	prog, _, err := xmtgo.Build("ckptrace.c", xmtsanCheckpointSrc, xmtgo.DefaultCompileOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := xmtgo.ConfigFPGA64()
-	cfg.RaceCheck = true
-
-	reportLines := func(det *race.Detector) []string {
-		var out []string
-		for _, r := range det.Reports() {
-			out = append(out, r.String())
-		}
-		return out
-	}
-
-	// Reference: uninterrupted run.
-	var refOut bytes.Buffer
-	ref, err := xmtgo.NewSimulator(prog, cfg, &refOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRes, err := ref.Run(10_000_000)
-	if err != nil || !refRes.Halted {
-		t.Fatalf("reference run: halted=%v err=%v", refRes != nil && refRes.Halted, err)
-	}
-	refLines := reportLines(ref.RaceDetector())
-	refChecks := ref.RaceDetector().Checks()
-	if len(refLines) == 0 {
-		t.Fatal("checkpoint fixture produced no races; the contract is untested")
-	}
-
-	// Chopped run: checkpoint every ~quarter of the reference run,
-	// resuming each segment in a brand-new system with a fresh detector.
-	var out bytes.Buffer
-	var segLines []string
-	var segChecks uint64
-	segments := 0
-	var st *xmtgo.Checkpoint
-	for {
-		sys, err := xmtgo.NewSimulator(prog, cfg, &out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != nil {
-			if err := sys.RestoreState(st); err != nil {
-				t.Fatalf("segment %d: restore: %v", segments, err)
-			}
-		}
-		sys.CheckpointEvery(refRes.Cycles / 4)
-		res, err := sys.Run(10_000_000)
-		if err != nil {
-			t.Fatalf("segment %d: %v", segments, err)
-		}
-		segments++
-		segLines = append(segLines, reportLines(sys.RaceDetector())...)
-		segChecks += sys.RaceDetector().Checks()
-		if res.Checkpoint {
-			var buf bytes.Buffer
-			if err := xmtgo.SaveCheckpoint(&buf, sys.Capture()); err != nil {
-				t.Fatal(err)
-			}
-			if st, err = xmtgo.LoadCheckpoint(&buf); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		if !res.Halted {
-			t.Fatalf("segment %d stopped without halting: %+v", segments, res)
-		}
-		break
-	}
-	if segments < 2 {
-		t.Fatalf("run never hit a periodic checkpoint (%d segments); contract untested", segments)
-	}
-	if strings.Join(segLines, "\n") != strings.Join(refLines, "\n") {
-		t.Errorf("concatenated per-segment reports diverged from the full run:\nsegments (%d):\n%s\nfull run:\n%s",
-			segments, strings.Join(segLines, "\n"), strings.Join(refLines, "\n"))
-	}
-	if segChecks != refChecks {
-		t.Errorf("per-segment check counts sum to %d, full run performed %d", segChecks, refChecks)
 	}
 }

@@ -1,15 +1,27 @@
 #!/bin/sh
-# ab.sh — time a commit against the working tree in alternating pairs:
+# ab.sh — compare a commit against the working tree:
 #
-#     sh scripts/ab.sh REV                        every workload of BENCHMARK.json
-#     sh scripts/ab.sh REV sim-par-mem func-run   the named workloads
-#     sh scripts/ab.sh REV BenchmarkTCUIssue      a go benchmark of bench_test.go
+#     sh scripts/ab.sh REV                        time every workload of BENCHMARK.json
+#     sh scripts/ab.sh REV sim-par-mem func-run   time the named workloads
+#     sh scripts/ab.sh REV BenchmarkTCUIssue      time a go benchmark of bench_test.go
+#     sh scripts/ab.sh REV TestChaosSoak ...      diff the cases of matrix_test.go gates
 #
 # REV is any commit (HEAD~1 for a committed change, HEAD for an uncommitted
 # one). Its files are exported into a temporary directory, removed on exit;
-# the other side is the working tree as it stands. Both sides must carry the
-# same benchmark/ and BENCHMARK.json, or the pairs would not measure the same
-# thing.
+# the other side is the working tree as it stands. For timing, both sides
+# must carry the same benchmark/ and BENCHMARK.json, or the pairs would not
+# measure the same thing.
+#
+# Test names select gates of matrix_test.go, the case matrix of the
+# determinism gates. The working tree's copy of that file replaces REV's,
+# is compiled alone on each side (`go test -c ./matrix_test.go`; exit 2
+# with the compile error when it does not build at REV), and the named
+# gates run once per side under -v, each case logging a manifest line of
+# artifact hashes. It prints "K of N cases differ" and, per differing case,
+# the differing artifacts with the change in final cycle and in
+# Sched.Executed. A gate that fails on one side (a golden REV predates, a
+# pinned count a timing change moves) is reported, and its cases are
+# diffed all the same.
 #
 # A workload gets ten pairs of `bash benchmark/run.sh --workload W --seed S
 # --trace 0`, pair i at seed i, the REV side first in odd pairs and second
@@ -31,7 +43,7 @@ set -eu
 
 pairs=10
 if [ $# -lt 1 ]; then
-    echo "usage: sh scripts/ab.sh REV [WORKLOAD | BenchmarkNAME ...]" >&2
+    echo "usage: sh scripts/ab.sh REV [WORKLOAD | BenchmarkNAME | TestNAME ...]" >&2
     exit 2
 fi
 rev=$1
@@ -41,10 +53,6 @@ new=$(pwd)
 
 if ! sha=$(git rev-parse --verify --quiet "$rev^{commit}"); then
     echo "ab.sh: $rev is not a commit" >&2
-    exit 2
-fi
-if ! git diff --quiet "$sha" -- benchmark BENCHMARK.json; then
-    echo "ab.sh: benchmark/ or BENCHMARK.json differ between $rev and the working tree; refusing" >&2
     exit 2
 fi
 
@@ -62,17 +70,25 @@ manifest() {
 }
 workloads=$(manifest | awk '$1 == "workload" { print $2 }')
 [ $# -gt 0 ] || set -- $workloads
+tests=
+timed=
 for name in "$@"; do
     case $name in
-    Benchmark*) ;;
+    Test*) tests="$tests${tests:+|}$name" ;;
+    Benchmark*) timed="$timed $name" ;;
     *)
         if ! printf '%s\n' $workloads | grep -qx "$name"; then
-            echo "ab.sh: $name is neither a workload of BENCHMARK.json nor a Benchmark name" >&2
+            echo "ab.sh: $name is neither a workload of BENCHMARK.json nor a Benchmark or Test name" >&2
             exit 2
         fi
+        timed="$timed $name"
         ;;
     esac
 done
+if [ -n "$timed" ] && ! git diff --quiet "$sha" -- benchmark BENCHMARK.json; then
+    echo "ab.sh: benchmark/ or BENCHMARK.json differ between $rev and the working tree; refusing" >&2
+    exit 2
+fi
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -195,7 +211,59 @@ summary() {
     ' "$tmp/directions" "$tmp/data"
 }
 
-for name in "$@"; do
+# matrix DIR builds DIR's matrix_test.go alone, runs the named gates and
+# keeps their manifest lines, "ID cycles=C sched.executed=E time=T
+# ARTIFACT=SHA ...", in $tmp/SIDE.manifest.
+matrix() {
+    sd=$(side "$1")
+    if ! (cd "$1" && go test -c -o "$tmp/$sd.matrix" ./matrix_test.go) >"$tmp/$sd.build" 2>&1; then
+        cat "$tmp/$sd.build" >&2
+        echo "ab.sh: matrix_test.go does not build on the $sd side" >&2
+        exit 2
+    fi
+    if ! (cd "$1" && "$tmp/$sd.matrix" -test.run "^($tests)\$" -test.count=1 -test.v) >"$tmp/$sd.out" 2>&1; then
+        echo "note: gates failed on the $sd side:"
+        grep -E '^\s*--- FAIL' "$tmp/$sd.out" || tail -n 5 "$tmp/$sd.out"
+    fi
+    sed -n 's/^.*: manifest //p' "$tmp/$sd.out" >"$tmp/$sd.manifest"
+}
+
+if [ -n "$tests" ]; then
+    cp matrix_test.go "$old/"
+    echo
+    echo "## $tests: the case matrix, $rev vs the working tree"
+    matrix "$old"
+    matrix "$new"
+    awk -v oldname="$rev" '
+        function fields(line, f,    n, i, kv) {
+            delete f
+            n = split(line, kv, " ")
+            for (i = 2; i <= n; i++) { split(kv[i], x, "="); f[x[1]] = x[2]; key[i] = x[1] }
+            return n
+        }
+        FILENAME == ARGV[1] { old[$1] = $0; next }
+        { new[$1] = $0; order[++n] = $1 }
+        END {
+            for (id in old) if (!(id in new)) order[++n] = id
+            for (i = 1; i <= n; i++) {
+                id = order[i]
+                if (old[id] == new[id]) continue
+                k++
+                if (!(id in old)) { out = out sprintf("%s: only in the working tree\n", id); continue }
+                if (!(id in new)) { out = out sprintf("%s: only at %s\n", id, oldname); continue }
+                fields(old[id], o)
+                m = fields(new[id], w)
+                arts = ""
+                for (j = 5; j <= m; j++) if (o[key[j]] != w[key[j]]) arts = arts " " key[j]
+                out = out sprintf("%s:%s; Δcycles %+.0f, ΔSched.Executed %+.0f\n",
+                    id, arts, w["cycles"] - o["cycles"], w["sched.executed"] - o["sched.executed"])
+            }
+            printf "%d of %d cases differ\n%s", k, n, out
+        }
+    ' "$tmp/old.manifest" "$tmp/new.manifest"
+fi
+
+for name in $timed; do
     : >"$tmp/data"
     echo
     p=1
