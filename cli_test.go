@@ -403,6 +403,38 @@ helper: jr $ra
 	}
 }
 
+// TestCLICompileFlagRange: xmtcc refuses an optimization level other than
+// 0 or 1 and a prefetch budget below one with a usage error, where it used
+// to compile them silently as -O1 and as the default budget of 4.
+func TestCLICompileFlagRange(t *testing.T) {
+	bins := cliTools(t)
+	cFile := filepath.Join(t.TempDir(), "loads.c")
+	src := "int A[64]; int B[64]; int C[64]; int D[64];\n" +
+		"int main() { spawn(0, 63) { D[$] = A[$] + B[$] + C[$]; } return 0; }\n"
+	if err := os.WriteFile(cFile, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		flags    []string
+		exit     int
+		inStderr string
+	}{
+		{[]string{"-prefetch-slots", "0"}, 2, "-no-prefetch"},
+		{[]string{"-prefetch-slots", "-1"}, 2, "-no-prefetch"},
+		{[]string{"-O", "7"}, 2, "-O must be 0 or 1"},
+		{[]string{"-O", "-1"}, 2, "-O must be 0 or 1"},
+		{[]string{"-prefetch-slots", "1"}, 0, "prefetches inserted: 1"},
+		{[]string{"-no-prefetch"}, 0, "prefetches inserted: 0"},
+		{[]string{"-O", "0"}, 0, "prefetches inserted: 3"},
+	} {
+		args := append(append([]string{"-v", "-o", os.DevNull}, c.flags...), cFile)
+		_, stderr, exit := runCLI(t, "", bins["xmtcc"], args...)
+		if exit != c.exit || !strings.Contains(stderr, c.inStderr) {
+			t.Errorf("xmtcc %v: exit %d, want %d with %q in stderr:\n%s", c.flags, exit, c.exit, c.inStderr, stderr)
+		}
+	}
+}
+
 // ckptProgram traps into a checkpoint between two prints and two stores, so a
 // run resumed from that checkpoint has a visible remainder.
 const ckptProgram = `int A[4];

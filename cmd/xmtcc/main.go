@@ -47,6 +47,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// codegen reads PrefetchSlots 0 as the default of 4 and any OptLevel
+	// above 1 as 1, so out-of-range values would compile silently as
+	// something else.
+	if *optLevel != 0 && *optLevel != 1 {
+		usage("-O must be 0 or 1")
+	}
+	if *prefSlots < 1 {
+		usage("-prefetch-slots must be at least 1; -no-prefetch inserts no prefetches")
+	}
 	file := flag.Arg(0)
 	src, err := os.ReadFile(file)
 	if err != nil {
@@ -124,6 +133,11 @@ func printUnit(res *codegen.Result) string {
 		s += "\n"
 	}
 	return s
+}
+
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "xmtcc:", msg)
+	os.Exit(2)
 }
 
 func fatal(err error) {

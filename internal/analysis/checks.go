@@ -211,7 +211,7 @@ func spinBarrierDiags(g *dataflow.Graph) []diag.Diagnostic {
 func spunGlobal(cond xmtc.Expr) (*xmtc.Symbol, bool) {
 	var sym *xmtc.Symbol
 	count := 0
-	eachExpr(cond, func(e xmtc.Expr) {
+	xmtc.EachExpr(cond, func(e xmtc.Expr) {
 		id, ok := e.(*xmtc.Ident)
 		if !ok || id.Sym == nil || id.Sym.Kind != xmtc.SymGlobal {
 			return

@@ -65,7 +65,7 @@ func escapeDiag(esc dataflow.Escape) diag.Diagnostic {
 func captureDiags(reg *dataflow.Region) []diag.Diagnostic {
 	sp := reg.Spawn
 	single := reg.SingleThread()
-	private := declaredIn(sp.Body)
+	private := xmtc.DeclaredIn(sp.Body)
 	reported := make(map[*xmtc.Symbol]bool)
 	var ds []diag.Diagnostic
 	serialLocal := func(sym *xmtc.Symbol) bool {
@@ -87,37 +87,33 @@ func captureDiags(reg *dataflow.Region) []diag.Diagnostic {
 				sym.Name, how),
 		})
 	}
-	eachStmt(sp.Body, func(s xmtc.Stmt) {
-		stmtExprs(s, func(root xmtc.Expr) {
-			eachExpr(root, func(e xmtc.Expr) {
-				switch n := e.(type) {
-				case *xmtc.Assign:
-					if id, ok := n.LHS.(*xmtc.Ident); ok && serialLocal(id.Sym) {
-						flag(id.Sym, n.Pos, "assigned")
-					}
-				case *xmtc.IncDec:
-					if id, ok := n.X.(*xmtc.Ident); ok && serialLocal(id.Sym) {
-						flag(id.Sym, n.Pos, "modified")
-					}
-				case *xmtc.Call:
-					// ps/psm store the old base value into their increment,
-					// so a serial-scope increment is also a by-reference
-					// capture — and one the pre-pass will reject outright.
-					if _, ok := isSyncCall(n); ok && len(n.Args) > 0 {
-						if id, ok := n.Args[0].(*xmtc.Ident); ok && serialLocal(id.Sym) {
-							reported[id.Sym] = true
-							ds = append(ds, diag.Diagnostic{
-								Check:    "spawn-dataflow",
-								Severity: diag.Error,
-								Pos:      n.Pos.Diag(),
-								Msg: fmt.Sprintf("%s increment %q must be declared inside the spawn block: a by-reference capture would break the primitive's register contract",
-									n.Name, id.Sym.Name),
-							})
-						}
-					}
+	xmtc.EachExpr(sp.Body, func(e xmtc.Expr) {
+		switch n := e.(type) {
+		case *xmtc.Assign:
+			if id, ok := n.LHS.(*xmtc.Ident); ok && serialLocal(id.Sym) {
+				flag(id.Sym, n.Pos, "assigned")
+			}
+		case *xmtc.IncDec:
+			if id, ok := n.X.(*xmtc.Ident); ok && serialLocal(id.Sym) {
+				flag(id.Sym, n.Pos, "modified")
+			}
+		case *xmtc.Call:
+			// ps/psm store the old base value into their increment,
+			// so a serial-scope increment is also a by-reference
+			// capture — and one the pre-pass will reject outright.
+			if n.IsPrefixSum() && len(n.Args) > 0 {
+				if id, ok := n.Args[0].(*xmtc.Ident); ok && serialLocal(id.Sym) {
+					reported[id.Sym] = true
+					ds = append(ds, diag.Diagnostic{
+						Check:    "spawn-dataflow",
+						Severity: diag.Error,
+						Pos:      n.Pos.Diag(),
+						Msg: fmt.Sprintf("%s increment %q must be declared inside the spawn block: a by-reference capture would break the primitive's register contract",
+							n.Name, id.Sym.Name),
+					})
 				}
-			})
-		})
+			}
+		}
 	})
 	return ds
 }

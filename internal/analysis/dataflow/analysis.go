@@ -291,25 +291,17 @@ func (r *Reach) tidData(blk *Block, refIdx int, e xmtc.Expr, depth int) bool {
 	if e == nil || depth == 0 {
 		return false
 	}
-	dep := false
-	eachExpr(e, func(x xmtc.Expr) {
-		if dep {
-			return
-		}
+	return xmtc.Contains(e, func(x xmtc.Expr) bool {
 		switch n := x.(type) {
 		case *xmtc.Index:
-			sym := rootSym(n.X)
-			if sym != nil && sym.Kind == xmtc.SymGlobal && r.tidAny(blk, refIdx, n.I, depth-1) {
-				dep = true
-			}
+			sym := xmtc.RootSym(n.X)
+			return sym != nil && sym.Kind == xmtc.SymGlobal && r.tidAny(blk, refIdx, n.I, depth-1)
 		case *xmtc.Ident:
-			if def, dblk, didx, ok := r.uniqueDef(blk, refIdx, n.Sym); ok &&
-				r.tidData(dblk, didx, def, depth-1) {
-				dep = true
-			}
+			def, dblk, didx, ok := r.uniqueDef(blk, refIdx, n.Sym)
+			return ok && r.tidData(dblk, didx, def, depth-1)
 		}
+		return false
 	})
-	return dep
 }
 
 // tidAny reports plain $-dependence of e in any form (arithmetic included),
@@ -318,22 +310,17 @@ func (r *Reach) tidAny(blk *Block, refIdx int, e xmtc.Expr, depth int) bool {
 	if e == nil || depth == 0 {
 		return false
 	}
-	if containsTid(e) {
+	if xmtc.ContainsTid(e) {
 		return true
 	}
-	dep := false
-	eachExpr(e, func(x xmtc.Expr) {
-		if dep {
-			return
+	return xmtc.Contains(e, func(x xmtc.Expr) bool {
+		id, ok := x.(*xmtc.Ident)
+		if !ok {
+			return false
 		}
-		if id, ok := x.(*xmtc.Ident); ok {
-			if def, dblk, didx, okd := r.uniqueDef(blk, refIdx, id.Sym); okd &&
-				r.tidAny(dblk, didx, def, depth-1) {
-				dep = true
-			}
-		}
+		def, dblk, didx, ok := r.uniqueDef(blk, refIdx, id.Sym)
+		return ok && r.tidAny(dblk, didx, def, depth-1)
 	})
-	return dep
 }
 
 // uniqueDef resolves a region-private local to the right-hand side of its

@@ -228,7 +228,7 @@ func (b *builder) ref(r Ref) {
 
 // guarded runs body with cond's $-dependence pushed on the guard stack.
 func (b *builder) guarded(cond xmtc.Expr, body func()) {
-	tid := cond != nil && containsTid(cond)
+	tid := cond != nil && xmtc.ContainsTid(cond)
 	if tid {
 		b.guardTid++
 	}
@@ -331,7 +331,7 @@ func (b *builder) declStmt(n *xmtc.DeclStmt) {
 	if d.Sym != nil {
 		b.ref(Ref{Kind: RefDef, Sym: d.Sym, RHS: d.Init, Pos: n.Pos,
 			Decl: true, HasInit: hasInit,
-			ValueTid: d.Init != nil && containsTid(d.Init),
+			ValueTid: d.Init != nil && xmtc.ContainsTid(d.Init),
 			RHSCall:  containsCall(d.Init)})
 	}
 }
@@ -340,7 +340,7 @@ func (b *builder) ifStmt(n *xmtc.IfStmt) {
 	b.expr(n.Cond, false)
 	condBlk := b.cur
 	join := b.newBlock(n.Pos)
-	tid := n.Cond != nil && containsTid(n.Cond)
+	tid := n.Cond != nil && xmtc.ContainsTid(n.Cond)
 	if tid {
 		b.guardTid++
 	}
@@ -534,7 +534,7 @@ func (b *builder) spawnStmt(n *xmtc.SpawnStmt) {
 		b.stmt(n.Body)
 		return
 	}
-	r := &Region{Spawn: n, SyncStart: b.syncs, Private: declaredIn(n.Body)}
+	r := &Region{Spawn: n, SyncStart: b.syncs, Private: xmtc.DeclaredIn(n.Body)}
 	if lo, ok := xmtc.FoldConst(n.Low); ok {
 		if hi, ok := xmtc.FoldConst(n.High); ok {
 			r.LowConst, r.HighConst, r.BoundsKnown = lo, hi, true
@@ -575,19 +575,19 @@ func (b *builder) expr(e xmtc.Expr, write bool) {
 			b.indexReads(n.LHS)
 			b.expr(n.RHS, false)
 			b.access(n.LHS, RefDef, Ref{Compound: true,
-				ValueTid: containsTid(n.RHS), RHSCall: containsCall(n.RHS)})
+				ValueTid: xmtc.ContainsTid(n.RHS), RHSCall: containsCall(n.RHS)})
 			return
 		}
 		b.expr(n.RHS, false)
 		b.indexReads(n.LHS)
 		b.access(n.LHS, RefDef, Ref{RHS: n.RHS,
-			ValueTid: containsTid(n.RHS), RHSCall: containsCall(n.RHS)})
+			ValueTid: xmtc.ContainsTid(n.RHS), RHSCall: containsCall(n.RHS)})
 	case *xmtc.IncDec:
 		b.access(n.X, RefUse, Ref{Compound: true})
 		b.indexReads(n.X)
 		b.access(n.X, RefDef, Ref{Compound: true})
 	case *xmtc.Call:
-		if isSyncCall(n) && len(n.Args) >= 2 {
+		if n.IsPrefixSum() && len(n.Args) >= 2 {
 			// The prefix-sum is the ordering operation itself: its base is
 			// updated atomically at the ps unit / cache module, so it is not
 			// a plain access. Index sub-expressions of the base are ordinary
@@ -613,7 +613,7 @@ func (b *builder) expr(e xmtc.Expr, write bool) {
 		if n.Op == xmtc.AND {
 			// Address taken: the path escapes reference tracking; remember
 			// the root so definition analyses stay conservative about it.
-			if sym := rootSym(n.X); sym != nil {
+			if sym := xmtc.RootSym(n.X); sym != nil {
 				b.g.AddressTaken[sym] = true
 			}
 			return
@@ -645,7 +645,7 @@ func (b *builder) expr(e xmtc.Expr, write bool) {
 // access records a use or definition of an lvalue path, for any resolved
 // symbol (the race check filters to globals itself).
 func (b *builder) access(e xmtc.Expr, kind RefKind, tmpl Ref) {
-	sym := rootSym(e)
+	sym := xmtc.RootSym(e)
 	if sym == nil {
 		return
 	}
@@ -678,83 +678,16 @@ func (b *builder) indexReads(e xmtc.Expr) {
 	}
 }
 
-// --- small AST helpers (duplicated from package analysis to avoid an
-// import cycle; the analyzer's copies remain the public ones) ---
-
-func containsTid(e xmtc.Expr) bool {
-	found := false
-	eachExpr(e, func(x xmtc.Expr) {
-		if _, ok := x.(*xmtc.TidExpr); ok {
-			found = true
-		}
-	})
-	return found
-}
-
+// containsCall reports whether e calls a function or builtin.
 func containsCall(e xmtc.Expr) bool {
-	found := false
-	eachExpr(e, func(x xmtc.Expr) {
-		if _, ok := x.(*xmtc.Call); ok {
-			found = true
-		}
+	return xmtc.Contains(e, func(x xmtc.Expr) bool {
+		_, ok := x.(*xmtc.Call)
+		return ok
 	})
-	return found
 }
 
-func eachExpr(e xmtc.Expr, fn func(xmtc.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch n := e.(type) {
-	case *xmtc.Binary:
-		eachExpr(n.X, fn)
-		eachExpr(n.Y, fn)
-	case *xmtc.Unary:
-		eachExpr(n.X, fn)
-	case *xmtc.Assign:
-		eachExpr(n.LHS, fn)
-		eachExpr(n.RHS, fn)
-	case *xmtc.IncDec:
-		eachExpr(n.X, fn)
-	case *xmtc.Cond:
-		eachExpr(n.C, fn)
-		eachExpr(n.T, fn)
-		eachExpr(n.F, fn)
-	case *xmtc.Call:
-		for _, a := range n.Args {
-			eachExpr(a, fn)
-		}
-	case *xmtc.Index:
-		eachExpr(n.X, fn)
-		eachExpr(n.I, fn)
-	case *xmtc.Member:
-		eachExpr(n.X, fn)
-	case *xmtc.Cast:
-		eachExpr(n.X, fn)
-	case *xmtc.SizeofExpr:
-		eachExpr(n.OfExpr, fn)
-	}
-}
-
-func rootSym(e xmtc.Expr) *xmtc.Symbol {
-	for {
-		switch n := e.(type) {
-		case *xmtc.Ident:
-			return n.Sym
-		case *xmtc.Index:
-			e = n.X
-		case *xmtc.Member:
-			if n.Arrow {
-				return nil
-			}
-			e = n.X
-		default:
-			return nil
-		}
-	}
-}
-
+// innerIndex returns the index of the innermost element access of an
+// access path (the i of a[i].f).
 func innerIndex(e xmtc.Expr) (xmtc.Expr, bool) {
 	switch n := e.(type) {
 	case *xmtc.Index:
@@ -763,47 +696,4 @@ func innerIndex(e xmtc.Expr) (xmtc.Expr, bool) {
 		return innerIndex(n.X)
 	}
 	return nil, false
-}
-
-func isSyncCall(c *xmtc.Call) bool {
-	return c.Builtin == xmtc.BuiltinPs || c.Builtin == xmtc.BuiltinPsm
-}
-
-func declaredIn(s xmtc.Stmt) map[*xmtc.Symbol]bool {
-	out := make(map[*xmtc.Symbol]bool)
-	var walk func(xmtc.Stmt)
-	walk = func(st xmtc.Stmt) {
-		if st == nil {
-			return
-		}
-		if d, ok := st.(*xmtc.DeclStmt); ok && d.Decl.Sym != nil {
-			out[d.Decl.Sym] = true
-		}
-		switch n := st.(type) {
-		case *xmtc.BlockStmt:
-			for _, c := range n.List {
-				walk(c)
-			}
-		case *xmtc.IfStmt:
-			walk(n.Then)
-			walk(n.Else)
-		case *xmtc.WhileStmt:
-			walk(n.Body)
-		case *xmtc.DoStmt:
-			walk(n.Body)
-		case *xmtc.ForStmt:
-			walk(n.Init)
-			walk(n.Body)
-		case *xmtc.SwitchStmt:
-			for _, cl := range n.Cases {
-				for _, c := range cl.Body {
-					walk(c)
-				}
-			}
-		case *xmtc.SpawnStmt:
-			walk(n.Body)
-		}
-	}
-	walk(s)
-	return out
 }

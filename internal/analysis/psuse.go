@@ -126,7 +126,7 @@ func (w *psWalker) stmt(s xmtc.Stmt) {
 		w.expr(n.High)
 		outer := w.private
 		if outer == nil { // outermost spawn of this function
-			w.private = declaredIn(n.Body)
+			w.private = xmtc.DeclaredIn(n.Body)
 		}
 		w.stmt(n.Body)
 		w.private = outer
@@ -162,7 +162,7 @@ func (w *psWalker) expr(e xmtc.Expr) {
 		w.syncCall(n)
 		// The builtin writes the old base value into its increment:
 		// afterwards the increment is no longer a known constant.
-		if _, ok := isSyncCall(n); ok && len(n.Args) > 0 {
+		if n.IsPrefixSum() && len(n.Args) > 0 {
 			if id, ok := n.Args[0].(*xmtc.Ident); ok && id.Sym != nil {
 				w.consts[id.Sym] = constVal{}
 			}
@@ -187,12 +187,11 @@ func (w *psWalker) expr(e xmtc.Expr) {
 }
 
 func (w *psWalker) syncCall(n *xmtc.Call) {
-	c, ok := isSyncCall(n)
-	if !ok || len(c.Args) != 2 {
+	if !n.IsPrefixSum() || len(n.Args) != 2 {
 		return
 	}
-	if c.Builtin == xmtc.BuiltinPs {
-		if id, ok := c.Args[0].(*xmtc.Ident); ok && id.Sym != nil {
+	if n.Builtin == xmtc.BuiltinPs {
+		if id, ok := n.Args[0].(*xmtc.Ident); ok && id.Sym != nil {
 			if cv := w.consts[id.Sym]; cv.known && cv.val != 0 && cv.val != 1 {
 				w.report(diag.Warning, n.Pos,
 					"ps increment %q is %d here: the hardware prefix-sum unit combines only 0/1 increments (paper §II-A); use psm for arbitrary values", id.Sym.Name, cv.val)
@@ -201,7 +200,7 @@ func (w *psWalker) syncCall(n *xmtc.Call) {
 		return
 	}
 	// psm: a spawn-private base synchronizes nothing.
-	if id, ok := c.Args[1].(*xmtc.Ident); ok && id.Sym != nil && w.private != nil && w.private[id.Sym] {
+	if id, ok := n.Args[1].(*xmtc.Ident); ok && id.Sym != nil && w.private != nil && w.private[id.Sym] {
 		w.report(diag.Warning, n.Pos,
 			"psm to thread-private %q: each virtual thread updates its own copy, so the prefix-sum provides no cross-thread ordering; a plain assignment is cheaper", id.Sym.Name)
 	}

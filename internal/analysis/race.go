@@ -108,7 +108,7 @@ func raceScanRegion(reach *dataflow.Reach, reg *dataflow.Region) []diag.Diagnost
 				// label[u] = ...) varies per thread and can collide across
 				// threads for ordinary inputs.
 				tidDep: ref.ValueTid || ref.GuardTid ||
-					(ref.Index != nil && (containsTid(ref.Index) ||
+					(ref.Index != nil && (xmtc.ContainsTid(ref.Index) ||
 						reach.TidDependent(blk, i, ref.Index))),
 				pinned: ref.Pinned,
 				pinVal: ref.PinVal,
@@ -190,7 +190,7 @@ func racePair(a, b raceAccess, totalSyncs int) bool {
 		if aok && bok && ai != bi {
 			return false // provably distinct elements
 		}
-		if containsTid(a.index) && containsTid(b.index) &&
+		if xmtc.ContainsTid(a.index) && xmtc.ContainsTid(b.index) &&
 			xmtc.RenderExpr(a.index) == xmtc.RenderExpr(b.index) {
 			return false // same $-dependent element: private to each thread
 		}

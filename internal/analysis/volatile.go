@@ -28,11 +28,19 @@ import (
 // scalar globals are tracked — array elements are left to spawn-race.
 func checkVolatile(u *Unit) []diag.Diagnostic {
 	var ds []diag.Diagnostic
-	for _, site := range spawnSites(u.File) {
-		w := &volWalker{written: writtenGlobals(site.sp.Body)}
-		w.stmts(site.sp.Body.List)
+	// Outermost spawns only: nested spawns are serialized, so their bodies
+	// are checked as part of the enclosing one.
+	xmtc.Inspect(u.File, func(n xmtc.Node) bool {
+		sp, ok := n.(*xmtc.SpawnStmt)
+		if !ok {
+			_, isExpr := n.(xmtc.Expr)
+			return !isExpr
+		}
+		w := &volWalker{written: writtenGlobals(sp.Body)}
+		w.stmts(sp.Body.List)
 		ds = append(ds, w.ds...)
-	}
+		return false
+	})
 	return ds
 }
 
@@ -48,25 +56,21 @@ type volWalker struct {
 func writtenGlobals(body xmtc.Stmt) map[*xmtc.Symbol]bool {
 	out := make(map[*xmtc.Symbol]bool)
 	record := func(e xmtc.Expr) {
-		if sym := rootSym(e); sym != nil && sym.Kind == xmtc.SymGlobal {
+		if sym := xmtc.RootSym(e); sym != nil && sym.Kind == xmtc.SymGlobal {
 			out[sym] = true
 		}
 	}
-	eachStmt(body, func(s xmtc.Stmt) {
-		stmtExprs(s, func(root xmtc.Expr) {
-			eachExpr(root, func(e xmtc.Expr) {
-				switch n := e.(type) {
-				case *xmtc.Assign:
-					record(n.LHS)
-				case *xmtc.IncDec:
-					record(n.X)
-				case *xmtc.Call:
-					if c, ok := isSyncCall(n); ok && len(c.Args) == 2 {
-						record(c.Args[1])
-					}
-				}
-			})
-		})
+	xmtc.EachExpr(body, func(e xmtc.Expr) {
+		switch n := e.(type) {
+		case *xmtc.Assign:
+			record(n.LHS)
+		case *xmtc.IncDec:
+			record(n.X)
+		case *xmtc.Call:
+			if n.IsPrefixSum() && len(n.Args) == 2 {
+				record(n.Args[1])
+			}
+		}
 	})
 	return out
 }
@@ -148,7 +152,7 @@ func (w *volWalker) branch(s xmtc.Stmt) {
 // scanReads records every read of a shared scalar in e and reports
 // duplicates within the current sequence.
 func (w *volWalker) scanReads(e xmtc.Expr, first map[*xmtc.Symbol]xmtc.Pos) {
-	eachExpr(e, func(x xmtc.Expr) {
+	xmtc.EachExpr(e, func(x xmtc.Expr) {
 		id, ok := x.(*xmtc.Ident)
 		if !ok || !sharedScalar(id.Sym) || !w.written[id.Sym] {
 			return
@@ -170,7 +174,7 @@ func (w *volWalker) scanReads(e xmtc.Expr, first map[*xmtc.Symbol]xmtc.Pos) {
 // in e: a write makes the next read legitimately fresh, and a prefix-sum
 // flushes the reader's buffers.
 func (w *volWalker) scanEffects(e xmtc.Expr, first map[*xmtc.Symbol]xmtc.Pos, reset func()) {
-	eachExpr(e, func(x xmtc.Expr) {
+	xmtc.EachExpr(e, func(x xmtc.Expr) {
 		switch n := x.(type) {
 		case *xmtc.Assign:
 			if id, ok := n.LHS.(*xmtc.Ident); ok && id.Sym != nil {
@@ -181,7 +185,7 @@ func (w *volWalker) scanEffects(e xmtc.Expr, first map[*xmtc.Symbol]xmtc.Pos, re
 				delete(first, id.Sym)
 			}
 		case *xmtc.Call:
-			if _, ok := isSyncCall(n); ok {
+			if n.IsPrefixSum() {
 				reset()
 			}
 		}
@@ -208,7 +212,7 @@ func (w *volWalker) spin(cond xmtc.Expr, body xmtc.Stmt, pos xmtc.Pos) {
 		return
 	}
 	var watched []*xmtc.Ident
-	eachExpr(cond, func(x xmtc.Expr) {
+	xmtc.EachExpr(cond, func(x xmtc.Expr) {
 		if id, ok := x.(*xmtc.Ident); ok && sharedScalar(id.Sym) {
 			watched = append(watched, id)
 		}
@@ -218,25 +222,21 @@ func (w *volWalker) spin(cond xmtc.Expr, body xmtc.Stmt, pos xmtc.Pos) {
 	}
 	writes := make(map[*xmtc.Symbol]bool)
 	syncs := false
-	eachStmt(body, func(s xmtc.Stmt) {
-		stmtExprs(s, func(root xmtc.Expr) {
-			eachExpr(root, func(x xmtc.Expr) {
-				switch n := x.(type) {
-				case *xmtc.Assign:
-					if id, ok := n.LHS.(*xmtc.Ident); ok && id.Sym != nil {
-						writes[id.Sym] = true
-					}
-				case *xmtc.IncDec:
-					if id, ok := n.X.(*xmtc.Ident); ok && id.Sym != nil {
-						writes[id.Sym] = true
-					}
-				case *xmtc.Call:
-					if _, ok := isSyncCall(n); ok {
-						syncs = true
-					}
-				}
-			})
-		})
+	xmtc.EachExpr(body, func(x xmtc.Expr) {
+		switch n := x.(type) {
+		case *xmtc.Assign:
+			if id, ok := n.LHS.(*xmtc.Ident); ok && id.Sym != nil {
+				writes[id.Sym] = true
+			}
+		case *xmtc.IncDec:
+			if id, ok := n.X.(*xmtc.Ident); ok && id.Sym != nil {
+				writes[id.Sym] = true
+			}
+		case *xmtc.Call:
+			if n.IsPrefixSum() {
+				syncs = true
+			}
+		}
 	})
 	if syncs {
 		return

@@ -111,9 +111,10 @@ func (cg *Compiler) lowerFunc(fd *xmtc.FuncDecl) (*ir.Func, error) {
 
 // collectSlotLocals finds locals that must live in memory.
 func collectSlotLocals(s xmtc.Stmt, out map[*xmtc.Symbol]bool) {
-	var walkE func(e xmtc.Expr)
-	walkE = func(e xmtc.Expr) {
-		switch n := e.(type) {
+	xmtc.Inspect(s, func(n xmtc.Node) bool {
+		switch n := n.(type) {
+		case *xmtc.SizeofExpr:
+			return false // the operand is never evaluated
 		case *xmtc.Unary:
 			if n.Op == xmtc.AND {
 				if id, ok := n.X.(*xmtc.Ident); ok && id.Sym != nil &&
@@ -122,92 +123,13 @@ func collectSlotLocals(s xmtc.Stmt, out map[*xmtc.Symbol]bool) {
 					out[id.Sym] = true
 				}
 			}
-			walkE(n.X)
-		case *xmtc.Binary:
-			walkE(n.X)
-			walkE(n.Y)
-		case *xmtc.Assign:
-			walkE(n.LHS)
-			walkE(n.RHS)
-		case *xmtc.IncDec:
-			walkE(n.X)
-		case *xmtc.Cond:
-			walkE(n.C)
-			walkE(n.T)
-			walkE(n.F)
-		case *xmtc.Call:
-			for _, a := range n.Args {
-				walkE(a)
-			}
-		case *xmtc.Index:
-			walkE(n.X)
-			walkE(n.I)
-		case *xmtc.Member:
-			walkE(n.X)
-		case *xmtc.Cast:
-			walkE(n.X)
-		}
-	}
-	var walkS func(s xmtc.Stmt)
-	walkS = func(s xmtc.Stmt) {
-		switch n := s.(type) {
-		case *xmtc.BlockStmt:
-			for _, st := range n.List {
-				walkS(st)
-			}
 		case *xmtc.DeclStmt:
 			if n.Decl.Type.Kind == xmtc.KArray || n.Decl.Type.Kind == xmtc.KStruct || n.Decl.Type.Volatile {
 				out[n.Decl.Sym] = true
 			}
-			if n.Decl.Init != nil {
-				walkE(n.Decl.Init)
-			}
-			for _, e := range n.Decl.InitList {
-				walkE(e)
-			}
-		case *xmtc.ExprStmt:
-			walkE(n.X)
-		case *xmtc.IfStmt:
-			walkE(n.Cond)
-			walkS(n.Then)
-			if n.Else != nil {
-				walkS(n.Else)
-			}
-		case *xmtc.WhileStmt:
-			walkE(n.Cond)
-			walkS(n.Body)
-		case *xmtc.DoStmt:
-			walkS(n.Body)
-			walkE(n.Cond)
-		case *xmtc.ForStmt:
-			if n.Init != nil {
-				walkS(n.Init)
-			}
-			if n.Cond != nil {
-				walkE(n.Cond)
-			}
-			if n.Post != nil {
-				walkE(n.Post)
-			}
-			walkS(n.Body)
-		case *xmtc.ReturnStmt:
-			if n.X != nil {
-				walkE(n.X)
-			}
-		case *xmtc.SwitchStmt:
-			walkE(n.Tag)
-			for _, cl := range n.Cases {
-				for _, st := range cl.Body {
-					walkS(st)
-				}
-			}
-		case *xmtc.SpawnStmt:
-			walkE(n.Low)
-			walkE(n.High)
-			walkS(n.Body)
 		}
-	}
-	walkS(s)
+		return true
+	})
 }
 
 func (lo *lowerer) addSlot(sym *xmtc.Symbol) int32 {

@@ -6,12 +6,16 @@ import (
 	"testing"
 
 	"xmtgo/internal/xmtc"
+	"xmtgo/internal/xmtc/prepass"
 )
 
-// FuzzParseXMTC drives the XMTC parser (and, when parsing succeeds, the
-// semantic checker) with arbitrary inputs: both must return errors, never
-// panic or hang, whatever the input. Seeds are the bundled example
-// programs. Run at length with
+// FuzzParseXMTC drives the XMTC parser, the semantic checker when parsing
+// succeeds, and the pre-pass — with default options and with clustering by
+// 3 — on every file the checker accepts, with arbitrary inputs: each must
+// return an error or succeed, never panic or hang, whatever the input. The
+// pre-pass is where the tree rewriters (outlining, serialization,
+// clustering) run. Seeds are the bundled example programs. Run at length
+// with
 //
 //	go test -fuzz FuzzParseXMTC ./internal/xmtc
 //
@@ -30,10 +34,15 @@ func FuzzParseXMTC(f *testing.F) {
 	f.Add("int x; int main() { int inc = 1; spawn(0,3) { ps(inc, x); } return x; }")
 
 	f.Fuzz(func(t *testing.T, src string) {
-		file, err := xmtc.Parse("fuzz.c", src)
-		if err != nil {
-			return
+		for _, opts := range []prepass.Options{{}, {ClusterFactor: 3}} {
+			file, err := xmtc.Parse("fuzz.c", src)
+			if err != nil {
+				return
+			}
+			if _, err := xmtc.Check(file); err != nil {
+				return
+			}
+			_ = prepass.Run(file, opts)
 		}
-		_, _ = xmtc.Check(file)
 	})
 }

@@ -12,77 +12,15 @@ import (
 // may write them, and the spawn statement is replaced by a call.
 func (p *pass) outlineFunc(fd *xmtc.FuncDecl) ([]xmtc.Decl, error) {
 	var out []xmtc.Decl
-	count := 0
-	var visit func(s xmtc.Stmt) error
-	replaceIn := func(list []xmtc.Stmt, i int, sp *xmtc.SpawnStmt) error {
-		call, nfd, err := p.outlineOne(fd, sp, count)
+	err := xmtc.ReplaceSpawns(fd.Body, func(sp *xmtc.SpawnStmt) (xmtc.Stmt, error) {
+		call, nfd, err := p.outlineOne(fd, sp, len(out))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		count++
-		list[i] = call
 		out = append(out, nfd)
-		return nil
-	}
-	var visitSlot func(slot *xmtc.Stmt) error
-	visit = func(s xmtc.Stmt) error {
-		switch n := s.(type) {
-		case *xmtc.BlockStmt:
-			for i, st := range n.List {
-				if sp, ok := st.(*xmtc.SpawnStmt); ok {
-					if err := replaceIn(n.List, i, sp); err != nil {
-						return err
-					}
-					continue
-				}
-				if err := visit(st); err != nil {
-					return err
-				}
-			}
-		case *xmtc.IfStmt:
-			if err := visitSlot(&n.Then); err != nil {
-				return err
-			}
-			if n.Else != nil {
-				return visitSlot(&n.Else)
-			}
-		case *xmtc.WhileStmt:
-			return visitSlot(&n.Body)
-		case *xmtc.DoStmt:
-			return visitSlot(&n.Body)
-		case *xmtc.ForStmt:
-			return visitSlot(&n.Body)
-		case *xmtc.SwitchStmt:
-			for _, cl := range n.Cases {
-				for i, st := range cl.Body {
-					if sp, ok := st.(*xmtc.SpawnStmt); ok {
-						if err := replaceIn(cl.Body, i, sp); err != nil {
-							return err
-						}
-						continue
-					}
-					if err := visit(st); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-	visitSlot = func(slot *xmtc.Stmt) error {
-		if sp, ok := (*slot).(*xmtc.SpawnStmt); ok {
-			call, nfd, err := p.outlineOne(fd, sp, count)
-			if err != nil {
-				return err
-			}
-			count++
-			*slot = call
-			out = append(out, nfd)
-			return nil
-		}
-		return visit(*slot)
-	}
-	if err := visit(fd.Body); err != nil {
+		return call, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -101,8 +39,7 @@ func (p *pass) outlineOne(fd *xmtc.FuncDecl, sp *xmtc.SpawnStmt, idx int) (xmtc.
 	name := fmt.Sprintf("__outl_%s_%d", fd.Name, idx)
 
 	// Private (spawn-local) declarations are not captures.
-	private := make(map[*xmtc.Symbol]bool)
-	declaredSyms(sp.Body, private)
+	private := xmtc.DeclaredIn(sp.Body)
 
 	// Collect referenced serial-scope locals/params, in first-use order,
 	// and which of them the spawn may write.
@@ -128,8 +65,8 @@ func (p *pass) outlineOne(fd *xmtc.FuncDecl, sp *xmtc.SpawnStmt, idx int) (xmtc.
 		}
 		return nil
 	}
-	collect := func(e xmtc.Expr) xmtc.Expr {
-		switch n := e.(type) {
+	collect := func(n xmtc.Node) bool {
+		switch n := n.(type) {
 		case *xmtc.Ident:
 			note(n.Sym)
 		case *xmtc.Assign:
@@ -148,17 +85,17 @@ func (p *pass) outlineOne(fd *xmtc.FuncDecl, sp *xmtc.SpawnStmt, idx int) (xmtc.
 			}
 		case *xmtc.Call:
 			// ps/psm write their increment argument.
-			if n.Builtin == xmtc.BuiltinPs || n.Builtin == xmtc.BuiltinPsm {
+			if n.IsPrefixSum() {
 				if s := rootIdent(n.Args[0]); s != nil {
 					written[s] = true
 				}
 			}
 		}
-		return e
+		return true
 	}
-	walkStmtExprs(sp.Body, collect, true)
-	sp.Low = walkExpr(sp.Low, collect)
-	sp.High = walkExpr(sp.High, collect)
+	xmtc.Inspect(sp.Body, collect)
+	xmtc.Inspect(sp.Low, collect)
+	xmtc.Inspect(sp.High, collect)
 
 	// Classify captures and build parameters.
 	nfd := &xmtc.FuncDecl{Name: name, Ret: xmtc.TypeVoid, IsOutlinedSpawn: true}
@@ -212,9 +149,9 @@ func (p *pass) outlineOne(fd *xmtc.FuncDecl, sp *xmtc.SpawnStmt, idx int) (xmtc.
 		}
 		return mkIdent(c.param)
 	}
-	walkStmtExprs(sp.Body, rewrite, true)
-	sp.Low = walkExpr(sp.Low, rewrite)
-	sp.High = walkExpr(sp.High, rewrite)
+	xmtc.RewriteExprs(sp.Body, rewrite, true)
+	sp.Low = xmtc.RewriteExpr(sp.Low, rewrite)
+	sp.High = xmtc.RewriteExpr(sp.High, rewrite)
 
 	body := &xmtc.BlockStmt{List: []xmtc.Stmt{sp}}
 	body.Pos = sp.Pos
@@ -246,14 +183,13 @@ func (p *pass) outlineOne(fd *xmtc.FuncDecl, sp *xmtc.SpawnStmt, idx int) (xmtc.
 // the spawn.
 func isPsIncrement(sp *xmtc.SpawnStmt, sym *xmtc.Symbol) bool {
 	found := false
-	walkStmtExprs(sp.Body, func(e xmtc.Expr) xmtc.Expr {
-		if n, ok := e.(*xmtc.Call); ok &&
-			(n.Builtin == xmtc.BuiltinPs || n.Builtin == xmtc.BuiltinPsm) {
-			if id, ok := n.Args[0].(*xmtc.Ident); ok && id.Sym == sym {
+	xmtc.Inspect(sp.Body, func(n xmtc.Node) bool {
+		if c, ok := n.(*xmtc.Call); ok && c.IsPrefixSum() {
+			if id, ok := c.Args[0].(*xmtc.Ident); ok && id.Sym == sym {
 				found = true
 			}
 		}
-		return e
-	}, true)
+		return !found
+	})
 	return found
 }

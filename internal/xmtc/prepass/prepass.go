@@ -27,11 +27,10 @@ type Options struct {
 
 // Run rewrites the checked AST in place.
 func Run(f *xmtc.File, opts Options) error {
-	p := &pass{file: f, opts: opts}
+	p := &pass{opts: opts}
 	for _, d := range f.Decls {
 		if fd, ok := d.(*xmtc.FuncDecl); ok && fd.Body != nil {
-			p.fn = fd
-			if err := p.rewriteStmts(fd.Body); err != nil {
+			if err := xmtc.ReplaceSpawns(fd.Body, p.rewriteSpawn); err != nil {
 				return err
 			}
 		}
@@ -56,8 +55,6 @@ func Run(f *xmtc.File, opts Options) error {
 }
 
 type pass struct {
-	file *xmtc.File
-	fn   *xmtc.FuncDecl
 	opts Options
 	n    int // fresh-name counter
 }
@@ -112,77 +109,12 @@ func mkLocal(name string, t *xmtc.Type, init xmtc.Expr) (*xmtc.DeclStmt, *xmtc.S
 	return &xmtc.DeclStmt{Decl: vd}, sym
 }
 
-// rewriteStmts walks statements, transforming serialized nested spawns and
-// applying clustering to parallel spawns.
-func (p *pass) rewriteStmts(s xmtc.Stmt) error {
-	switch n := s.(type) {
-	case *xmtc.BlockStmt:
-		for i, st := range n.List {
-			if sp, ok := st.(*xmtc.SpawnStmt); ok {
-				repl, err := p.rewriteSpawn(sp)
-				if err != nil {
-					return err
-				}
-				n.List[i] = repl
-				continue
-			}
-			if err := p.rewriteStmts(st); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *xmtc.IfStmt:
-		if err := p.rewriteChild(&n.Then); err != nil {
-			return err
-		}
-		if n.Else != nil {
-			return p.rewriteChild(&n.Else)
-		}
-		return nil
-	case *xmtc.WhileStmt:
-		return p.rewriteChild(&n.Body)
-	case *xmtc.DoStmt:
-		return p.rewriteChild(&n.Body)
-	case *xmtc.ForStmt:
-		return p.rewriteChild(&n.Body)
-	case *xmtc.SwitchStmt:
-		for _, cl := range n.Cases {
-			for i, st := range cl.Body {
-				if sp, ok := st.(*xmtc.SpawnStmt); ok {
-					repl, err := p.rewriteSpawn(sp)
-					if err != nil {
-						return err
-					}
-					cl.Body[i] = repl
-					continue
-				}
-				if err := p.rewriteStmts(st); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func (p *pass) rewriteChild(slot *xmtc.Stmt) error {
-	if sp, ok := (*slot).(*xmtc.SpawnStmt); ok {
-		repl, err := p.rewriteSpawn(sp)
-		if err != nil {
-			return err
-		}
-		*slot = repl
-		return nil
-	}
-	return p.rewriteStmts(*slot)
-}
-
 // rewriteSpawn handles one spawn statement: serialization of nested
 // spawns first (bottom-up), then optional clustering.
 func (p *pass) rewriteSpawn(sp *xmtc.SpawnStmt) (xmtc.Stmt, error) {
 	// First rewrite spawns nested inside this one (they are marked
 	// Serialize by sema).
-	if err := p.rewriteStmts(sp.Body); err != nil {
+	if err := xmtc.ReplaceSpawns(sp.Body, p.rewriteSpawn); err != nil {
 		return nil, err
 	}
 	if sp.Serialize {
@@ -268,7 +200,7 @@ func (p *pass) clusterSpawn(sp *xmtc.SpawnStmt, factor int) (xmtc.Stmt, error) {
 // rewriteTid replaces $ with a reference to sym throughout a subtree
 // (without descending into nested spawn statements, whose $ is their own).
 func rewriteTid(s xmtc.Stmt, sym *xmtc.Symbol) {
-	walkStmtExprs(s, func(e xmtc.Expr) xmtc.Expr {
+	xmtc.RewriteExprs(s, func(e xmtc.Expr) xmtc.Expr {
 		if _, ok := e.(*xmtc.TidExpr); ok {
 			return mkIdent(sym)
 		}

@@ -121,6 +121,28 @@ int main() {
 	}
 }
 
+// TestOutliningCaptureOrder pins the outlined function's parameter order:
+// captures in first-use order through the body, then through the bounds.
+// The order reaches the emitted assembly (argument registers).
+func TestOutliningCaptureOrder(t *testing.T) {
+	f := run(t, `
+int B[64];
+int main() {
+    int lo = 0;
+    int hi = 63;
+    int k = 2;
+    int m = 3;
+    spawn(lo, hi) {
+        B[$] = m + k + lo;
+    }
+    return 0;
+}`, Options{})
+	text := xmtc.Render(f)
+	if !strings.Contains(text, "__outl_main_0(m, k, lo, hi)") {
+		t.Fatalf("want the body's captures, then the bounds':\n%s", text)
+	}
+}
+
 func TestSerializedNestedSpawnBecomesLoop(t *testing.T) {
 	f := run(t, `
 int M[16];

@@ -936,3 +936,136 @@ func TestObservabilityGolden(t *testing.T) {
 		}
 	}
 }
+
+// compileToggles are the compiler switches TestCompileToggles holds to the
+// default compile, named as xmtcc spells them.
+var compileToggles = []struct {
+	name string
+	set  func(*xmtgo.CompileOptions)
+}{
+	{"default", func(*xmtgo.CompileOptions) {}},
+	{"O0", func(o *xmtgo.CompileOptions) { o.OptLevel = 0 }},
+	{"no-nbstore", func(o *xmtgo.CompileOptions) { o.NoNBStore = true }},
+	{"no-prefetch", func(o *xmtgo.CompileOptions) { o.NoPrefetch = true }},
+	{"prefetch-slots=1", func(o *xmtgo.CompileOptions) { o.PrefetchSlots = 1 }},
+	{"cluster=2", func(o *xmtgo.CompileOptions) { o.ClusterFactor = 2 }},
+	{"cluster=5", func(o *xmtgo.CompileOptions) { o.ClusterFactor = 5 }},
+	{"scramble-layout", func(o *xmtgo.CompileOptions) { o.ScrambleLayout = true }},
+}
+
+// TestCompileToggles is the compiler's metamorphic gate: every toggle of
+// compileToggles must leave each program's functional output, and every
+// named global in memory, as the default compile leaves them (output only
+// for skipMem programs). The programs are the conformance corpus, the
+// examples/xmtc fixtures and the observability fixture; a program the
+// default compile rejects must be rejected alike, and one whose default
+// run does not halt within the budget (a spin-wait catalog) must not halt
+// either. Under -v each (program, toggle) logs a manifest line: cycles= is
+// the functional instruction count, and the artifacts hash the assembly,
+// the pre-pass source and the diagnostics of a compile with the analyzer
+// on (the error, when the compile fails), so `sh scripts/ab.sh REV
+// TestCompileToggles` diffs the compiler itself across commits.
+func TestCompileToggles(t *testing.T) {
+	progs := conformanceCorpus()
+	examples, _ := filepath.Glob(filepath.Join("examples", "xmtc", "*.c"))
+	for _, path := range append(examples, filepath.Join("testdata", "observability", "fixture.c")) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, corpusProg{name: strings.TrimSuffix(filepath.Base(path), ".c"), src: string(src)})
+	}
+	for _, p := range progs {
+		t.Run(p.name, func(t *testing.T) {
+			var ref compiled
+			for _, tg := range compileToggles {
+				id := t.Name() + "/" + tg.name
+				opts := xmtgo.DefaultCompileOptions()
+				opts.Analyze = true
+				tg.set(&opts)
+				c := compileAndRun(t, p, opts)
+				if testing.Verbose() {
+					t.Logf("manifest %s cycles=%d sched.executed=0 time=0 asm=%x prepass=%x diagnostics=%x",
+						id, c.instrs, sha256.Sum256([]byte(c.asm)), sha256.Sum256([]byte(c.prepass)), sha256.Sum256([]byte(c.diags)))
+				}
+				switch {
+				case tg.name == "default":
+					ref = c
+				case (c.err == "") != (ref.err == "") || c.halted != ref.halted:
+					t.Errorf("%s: error %q halted %v, default: error %q halted %v", id, c.err, c.halted, ref.err, ref.halted)
+				case c.err != "" || !c.halted: // rejected or still running, like the default
+				case c.out != ref.out:
+					t.Errorf("%s: output %q, default %q", id, c.out, ref.out)
+				case !p.skipMem && c.globals != ref.globals:
+					t.Errorf("%s: globals differ from the default's:\n%s\nvs\n%s", id, c.globals, ref.globals)
+				}
+			}
+		})
+	}
+}
+
+// compiled is one compile of a program and its functional run.
+type compiled struct {
+	asm, prepass, diags string // the compile's artifacts
+	err                 string // the compile error, if any
+	instrs              uint64
+	halted              bool
+	out, globals        string
+}
+
+// compileAndRun compiles p with opts and runs it in functional mode under
+// a 5M-instruction budget (the longest halting program takes 130 K).
+func compileAndRun(t *testing.T, p corpusProg, opts xmtgo.CompileOptions) compiled {
+	t.Helper()
+	var c compiled
+	prog, res, err := xmtgo.Build(p.name+".c", p.src, opts, p.memmaps...)
+	if err != nil {
+		c.err, c.diags = err.Error(), err.Error()
+		return c
+	}
+	c.asm, c.prepass = xmtgo.PrintUnit(res.Unit), res.PrepassSource
+	var diags strings.Builder
+	for _, d := range append(res.Warnings, res.Diagnostics...) {
+		fmt.Fprintln(&diags, d)
+	}
+	c.diags = diags.String()
+	var out bytes.Buffer
+	m, err := xmtgo.NewMachine(prog, preset(""), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.ReleaseMemory()
+	vm, err := xmtgo.NewFuncVM(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = vm.Run(5_000_000) // a runtime error or the budget leaves it not halted, which is compared
+	c.instrs, c.halted, c.out = m.InstrCount, m.Halted, out.String()
+	c.globals = namedGlobals(prog, m.Mem)
+	return c
+}
+
+// namedGlobals renders the final value of every data symbol of prog, by
+// name; a symbol spans the bytes up to the next one.
+func namedGlobals(prog *xmtgo.Program, mem []byte) string {
+	type global struct {
+		name string
+		addr uint32
+	}
+	var gs []global
+	for name := range prog.Syms {
+		if addr, ok := prog.SymAddr(name); ok {
+			gs = append(gs, global{name, addr})
+		}
+	}
+	slices.SortFunc(gs, func(a, b global) int { return cmp.Or(cmp.Compare(a.addr, b.addr), strings.Compare(a.name, b.name)) })
+	var s strings.Builder
+	for i, g := range gs {
+		end := prog.DataEnd
+		if i+1 < len(gs) {
+			end = gs[i+1].addr
+		}
+		fmt.Fprintf(&s, "%s=%x\n", g.name, mem[g.addr:end])
+	}
+	return s.String()
+}

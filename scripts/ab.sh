@@ -5,6 +5,8 @@
 #     sh scripts/ab.sh REV sim-par-mem func-run   time the named workloads
 #     sh scripts/ab.sh REV BenchmarkTCUIssue      time a go benchmark of bench_test.go
 #     sh scripts/ab.sh REV TestChaosSoak ...      diff the cases of matrix_test.go gates
+#     sh scripts/ab.sh REV TestCompileToggles     diff the compiler's output (assembly, pre-pass
+#                                                 source, diagnostics) program by program
 #
 # REV is any commit (HEAD~1 for a committed change, HEAD for an uncommitted
 # one). Its files are exported into a temporary directory, removed on exit;

@@ -52,8 +52,8 @@ echo "== go test (benchmark/: the nested xmtbench module)"
 # workload.
 (cd benchmark && go test ./...)
 
-echo "== conformance (three-way: interp vs funcvm vs cycle) + observability goldens"
-go test -count=1 -run 'TestFuncCycleConformance|TestFuncVMCheckpointResume|TestObservabilityGolden' .
+echo "== conformance (three-way: interp vs funcvm vs cycle) + observability goldens + compile toggles"
+go test -count=1 -run 'TestFuncCycleConformance|TestFuncVMCheckpointResume|TestObservabilityGolden|TestCompileToggles' .
 
 echo "== go test -race (simulator core + host-parallel determinism + unobserved issue path + mid-window stop)"
 go test -race ./internal/sim/engine ./internal/sim/cycle ./internal/sim/funcmodel
@@ -88,7 +88,7 @@ echo "== chaos soak (seeded fault-injection matrix, docs/ROBUSTNESS.md)"
 # (workload, seed) across worker counts even while faults corrupt state.
 go test -race -count=1 -timeout 300s -run 'TestChaosSoak|TestDegradedConformance' .
 
-echo "== fuzz smoke (parser + assembler + config + config run + analyzer + backend differential + scheduler order)"
+echo "== fuzz smoke (parser + pre-pass + assembler + config + config run + analyzer + backend differential + scheduler order)"
 go test -fuzz FuzzParseXMTC -fuzztime 5s -run '^$' ./internal/xmtc
 go test -fuzz FuzzAssemble -fuzztime 5s -run '^$' ./internal/asm
 go test -fuzz FuzzConfig -fuzztime 5s -run '^$' ./internal/config
