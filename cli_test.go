@@ -405,7 +405,8 @@ helper: jr $ra
 
 // TestCLICompileFlagRange: xmtcc refuses an optimization level other than
 // 0 or 1 and a prefetch budget below one with a usage error, where it used
-// to compile them silently as -O1 and as the default budget of 4.
+// to compile them silently as -O1 and as the default budget of 4; xmtrun
+// refuses the same levels with the same message.
 func TestCLICompileFlagRange(t *testing.T) {
 	bins := cliTools(t)
 	cFile := filepath.Join(t.TempDir(), "loads.c")
@@ -431,6 +432,22 @@ func TestCLICompileFlagRange(t *testing.T) {
 		_, stderr, exit := runCLI(t, "", bins["xmtcc"], args...)
 		if exit != c.exit || !strings.Contains(stderr, c.inStderr) {
 			t.Errorf("xmtcc %v: exit %d, want %d with %q in stderr:\n%s", c.flags, exit, c.exit, c.inStderr, stderr)
+		}
+	}
+	// xmtrun compiles by the same rule: its -O is xmtcc's.
+	for _, c := range []struct {
+		flags    []string
+		exit     int
+		inStderr string
+	}{
+		{[]string{"-O", "7"}, 2, "xmtrun: -O must be 0 or 1"},
+		{[]string{"-O", "-1"}, 2, "xmtrun: -O must be 0 or 1"},
+		{[]string{"-O", "0"}, 0, ""},
+	} {
+		args := append(append([]string{"-mode", "func"}, c.flags...), cFile)
+		_, stderr, exit := runCLI(t, "", bins["xmtrun"], args...)
+		if exit != c.exit || !strings.Contains(stderr, c.inStderr) {
+			t.Errorf("xmtrun %v: exit %d, want %d with %q in stderr:\n%s", c.flags, exit, c.exit, c.inStderr, stderr)
 		}
 	}
 }
@@ -589,5 +606,86 @@ func TestCLIRunCheckpointResume(t *testing.T) {
 			t.Errorf("xmtrun %v -resume: exit %d, stdout %q (want the rest of %q), stderr:\n%swant memory %s",
 				c.mode, exit, out, wantOut, msg, memory(wantErr))
 		}
+	}
+}
+
+// batchLoopAsm prints once, runs a serial loop of about nine million cycles
+// and prints the loop's sum: a job long enough to be stopped between
+// checkpoints, whose output has a part before and a part after any of them.
+const batchLoopAsm = `
+        .text
+main:
+        li    $v0, 1
+        sys   1
+        li    $t0, 3000000
+        li    $t1, 0
+L:      addu  $t1, $t1, $t0
+        addiu $t0, $t0, -1
+        bgtz  $t0, L
+        move  $v0, $t1
+        sys   1
+        sys   0
+`
+
+// TestCLIBatchResumeAfterInterrupt: a batch stopped by SIGINT after its
+// first checkpoint exits 0 with an INTR line; re-running the same command
+// finishes the job with the instruction count and output of an
+// uninterrupted run, not just of the part after the checkpoint; and a third
+// run reports the same line from the journal without starting an attempt.
+func TestCLIBatchResumeAfterInterrupt(t *testing.T) {
+	bin := cliTools(t)["xmtbatch"]
+	dir := t.TempDir()
+	sFile := filepath.Join(dir, "loop.s")
+	jobs := filepath.Join(dir, "jobs.txt")
+	if err := os.WriteFile(sFile, []byte(batchLoopAsm), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jobs, []byte("loop "+sFile+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, msg, exit := runCLI(t, "", bin, "-q", jobs)
+	if exit != 0 || !strings.HasPrefix(want, "ok   loop ") {
+		t.Fatalf("uninterrupted run: exit %d, stdout %q\n%s", exit, want, msg)
+	}
+	totals := func(line string) string { // "instrs=... output=..."
+		_, rest, _ := strings.Cut(line, " instrs=")
+		return rest
+	}
+	args := []string{"-checkpoint-every", "500000", "-out", filepath.Join(dir, "out"), jobs}
+
+	cmd := exec.Command(bin, args...)
+	var stdout strings.Builder
+	cmd.Stdout = &stdout
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	timer := time.AfterFunc(60*time.Second, func() { cmd.Process.Kill() })
+	defer timer.Stop()
+	var log strings.Builder
+	sc := bufio.NewScanner(stderr)
+	signaled := false
+	for sc.Scan() {
+		log.WriteString(sc.Text() + "\n")
+		if !signaled && strings.Contains(sc.Text(), `"msg":"checkpoint"`) {
+			cmd.Process.Signal(os.Interrupt)
+			signaled = true
+		}
+	}
+	err = cmd.Wait()
+	if !signaled || err != nil || !strings.HasPrefix(stdout.String(), "INTR loop ") {
+		t.Fatalf("interrupted run: signaled=%v, exit %v, stdout %q\n%s", signaled, err, stdout.String(), log.String())
+	}
+
+	resumed, msg, exit := runCLI(t, "", bin, args...)
+	if exit != 0 || !strings.HasPrefix(resumed, "ok   loop ") || totals(resumed) != totals(want) {
+		t.Fatalf("resumed run: exit %d, stdout %q, want the totals of %q\n%s", exit, resumed, want, msg)
+	}
+	again, msg, exit := runCLI(t, "", bin, args...)
+	if exit != 0 || again != resumed || strings.Contains(msg, `"msg":"attempt started"`) {
+		t.Fatalf("third run: exit %d, stdout %q, want %q from the journal with no new attempt\n%s", exit, again, resumed, msg)
 	}
 }

@@ -4,6 +4,12 @@
 // hardened so a single wedged or slow job never sinks the batch
 // (docs/ROBUSTNESS.md).
 //
+// It is a jobs-file front end to the xmtd core (internal/daemon) run
+// in-process with one worker: the jobs go through the daemon's queue in
+// file order, and -out is its data directory (journal and checkpoint
+// envelopes), so re-running the same command reports finished jobs from the
+// journal and resumes interrupted ones where they stopped.
+//
 // Usage:
 //
 //	xmtbatch [flags] jobs.txt
@@ -24,16 +30,18 @@ package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
-	"xmtgo/internal/asm"
-	"xmtgo/internal/batch"
 	"xmtgo/internal/config"
+	"xmtgo/internal/daemon"
 	"xmtgo/internal/jobrun"
 	"xmtgo/internal/sigctl"
 	"xmtgo/internal/sim/metrics"
@@ -44,28 +52,59 @@ type listFlag []string
 func (l *listFlag) String() string     { return strings.Join(*l, ",") }
 func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
 
-func main() {
+// exitCode carries run's exit status out of fatal; run recovers it so tests
+// can drive the batch in-process.
+type exitCode int
+
+// newServer makes the -serve metrics server. Tests replace it to read what
+// the batch published after run returns.
+var newServer = metrics.NewServer
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	defer func() {
+		if r := recover(); r != nil {
+			c, ok := r.(exitCode)
+			if !ok {
+				panic(r)
+			}
+			code = int(c)
+		}
+	}()
+	fatal := func(err error) {
+		fmt.Fprintln(stderr, "xmtbatch:", err)
+		panic(exitCode(1))
+	}
+
+	fs := flag.NewFlagSet("xmtbatch", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var sets listFlag
 	var (
-		cfgName   = flag.String("config", "fpga64", "machine preset: fpga64 or chip1024")
-		timeout   = flag.Int64("timeout", 0, "first-attempt cycle budget per job (0 = unlimited, disables retries)")
-		ckptEvery = flag.Int64("checkpoint-every", 0, "checkpoint each job every N cluster cycles (0 = only program-requested checkpoints)")
-		retries   = flag.Int("retries", 2, "retry attempts per failed or timed-out job")
-		backoff   = flag.Float64("backoff", 2, "cycle-budget multiplier between attempts")
-		outDir    = flag.String("out", "", "directory for per-job checkpoint files (empty = retries restart from scratch)")
-		workers   = flag.Int("workers", 0, config.HostWorkersUsage)
-		quiet     = flag.Bool("q", false, "suppress per-attempt progress lines")
+		cfgName   = fs.String("config", "fpga64", "machine preset: fpga64 or chip1024")
+		timeout   = fs.Int64("timeout", 0, "first-attempt cycle budget per job (0 = unlimited: only failed attempts retry)")
+		ckptEvery = fs.Int64("checkpoint-every", 0, "checkpoint each job every N cluster cycles (0 = only program-requested checkpoints)")
+		retries   = fs.Int("retries", 2, "retry attempts per failed or timed-out job")
+		backoff   = fs.Float64("backoff", 2, "cycle-budget and watchdog multiplier between attempts")
+		outDir    = fs.String("out", "", "data directory (job journal + checkpoint envelopes) a re-run resumes from (empty = a temporary one removed at exit)")
+		workers   = fs.Int("workers", 0, config.HostWorkersUsage)
+		quiet     = fs.Bool("q", false, "suppress per-attempt progress lines")
 
-		serveAddr    = flag.String("serve", "", "serve live metrics on this address while the batch runs (/metrics, /status, /stream)")
-		sampleCycles = flag.Int64("sample-cycles", -1, "interval-sampler period for -serve in cluster cycles (-1 = keep the preset's sample_cycles)")
-		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -serve address")
+		serveAddr    = fs.String("serve", "", "serve live metrics on this address while the batch runs (/metrics, /status, /stream, /logs)")
+		sampleCycles = fs.Int64("sample-cycles", -1, "interval-sampler period for -serve in cluster cycles (-1 = keep the preset's sample_cycles)")
+		pprofFlag    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -serve address")
 	)
-	flag.Var(&sets, "set", "override one configuration key=value for every job (repeatable)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: xmtbatch [flags] jobs.txt")
-		flag.Usage()
-		os.Exit(2)
+	fs.Var(&sets, "set", "override one configuration key=value for every job (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: xmtbatch [flags] jobs.txt")
+		fs.Usage()
+		return 2
 	}
 
 	cfg, err := config.Preset(*cfgName)
@@ -80,38 +119,44 @@ func main() {
 	if *workers != 0 {
 		cfg.HostWorkers = *workers
 	}
-
-	jobs, err := loadJobs(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	if len(jobs) == 0 {
-		fatal(fmt.Errorf("%s: no jobs", flag.Arg(0)))
-	}
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
-
 	if *sampleCycles >= 0 {
 		cfg.SampleCycles = *sampleCycles
 	}
 
-	opts := batch.Options{
+	jobs, err := loadJobs(fs.Arg(0), stderr)
+	if err != nil {
+		fatal(err)
+	}
+	if len(jobs) == 0 {
+		fatal(fmt.Errorf("%s: no jobs", fs.Arg(0)))
+	}
+	dataDir := *outDir
+	if dataDir == "" {
+		if dataDir, err = os.MkdirTemp("", "xmtbatch"); err != nil {
+			fatal(err)
+		}
+		defer os.RemoveAll(dataDir)
+	}
+
+	opts := daemon.Options{
 		Config:          cfg,
-		TimeoutCycles:   *timeout,
+		DataDir:         dataDir,
+		Workers:         1, // one job at a time, in submission order
+		BudgetCycles:    *timeout,
 		CheckpointEvery: *ckptEvery,
 		Retries:         *retries,
 		Backoff:         *backoff,
-		OutDir:          *outDir,
-		SampleCycles:    cfg.SampleCycles,
+		// The jobs file is the only client: every job in it is queued at
+		// once, so the admission bound must not turn jobs away.
+		MaxQueued:    math.MaxInt,
+		SampleCycles: cfg.SampleCycles,
+		LogLevel:     slog.LevelDebug, // a line per checkpoint, as xmtd -log-level debug
 	}
 	if !*quiet {
-		opts.Log = os.Stderr
+		opts.Log = stderr
 	}
 	if *serveAddr != "" {
-		msrv := metrics.NewServer()
+		msrv := newServer()
 		if *pprofFlag {
 			msrv.EnablePprof()
 		}
@@ -119,58 +164,162 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s (/metrics /status /stream)\n", addr)
+		fmt.Fprintf(stderr, "serving metrics on http://%s (/metrics /status /stream)\n", addr)
 		opts.Monitor = msrv
 		defer msrv.Close()
 	} else if *pprofFlag {
 		fatal(fmt.Errorf("-pprof requires -serve"))
 	}
-	// First SIGINT/SIGTERM checkpoints the running job at its next quiescent
-	// point (persisted under -out as usual), skips the jobs not yet started,
-	// and exits cleanly; a second signal forces exit.
-	intr := &batch.Interrupt{}
-	opts.Interrupt = intr
-	stopSig := sigctl.Notify("xmtbatch", intr.Trigger)
-	defer stopSig()
-	results := batch.Run(jobs, opts)
 
-	failed := 0
-	interrupted := 0
-	for _, r := range results {
-		if errors.Is(r.Err, batch.ErrInterrupted) {
-			interrupted++
-			fmt.Printf("INTR %-20s attempts=%d resumes=%d cycles=%d (checkpoint saved; re-run to resume)\n",
-				r.Name, r.Attempts, r.Resumes, r.Cycles)
-			continue
-		}
-		if r.Err != nil {
-			failed++
-			fmt.Printf("FAIL %-20s attempts=%d resumes=%d: %v\n", r.Name, r.Attempts, r.Resumes, r.Err)
-			continue
-		}
-		fmt.Printf("ok   %-20s attempts=%d resumes=%d cycles=%d instrs=%d output=%q\n",
-			r.Name, r.Attempts, r.Resumes, r.Cycles, r.Instrs, r.Output)
+	// First SIGINT/SIGTERM drains: the running job checkpoints at its next
+	// quiescent point, and it and the jobs not yet run stay journaled as
+	// queued for the next run on this -out. A second signal forces exit.
+	interrupted := make(chan struct{})
+	stopSig := sigctl.Notify("xmtbatch", func() { close(interrupted) })
+	defer stopSig()
+
+	// The journal's history before this run: how many attempts of each job
+	// id resumed from a checkpoint (the daemon counts only its own).
+	prior, err := journalResumes(filepath.Join(dataDir, "jobs.journal"))
+	if err != nil {
+		fatal(err)
 	}
-	if interrupted > 0 {
-		fmt.Fprintf(os.Stderr, "xmtbatch: interrupted; %d of %d jobs not finished\n",
-			interrupted+len(jobs)-len(results), len(jobs))
+	d, err := daemon.New(opts)
+	if err != nil {
+		fatal(err)
+	}
+	// A name the journal holds as done is reported from it; one it holds
+	// as queued was resumed by daemon.New. Failed, canceled and new names
+	// are submitted afresh. Unfinished jobs of names the file no longer
+	// lists are canceled rather than run unseen.
+	latest := map[string]daemon.JobStatus{}
+	for _, st := range d.List("") {
+		latest[st.Name] = st
+	}
+	listed := map[string]bool{}
+	for _, j := range jobs {
+		listed[j.name] = true
+	}
+	for name, st := range latest {
+		if !listed[name] && (st.State == daemon.StateQueued || st.State == daemon.StateRunning) {
+			d.Cancel(st.ID)
+		}
+	}
+	for i := range jobs {
+		j := &jobs[i]
+		if st, ok := latest[j.name]; ok && st.State != daemon.StateFailed && st.State != daemon.StateCanceled {
+			j.id = st.ID
+		} else if st, aerr := d.Submit(&daemon.JobSpec{Name: j.name, Kind: j.kind, Source: j.src, Sets: j.sets}); aerr != nil {
+			j.submitErr = aerr
+		} else {
+			j.id = st.ID
+		}
+	}
+
+	// Wait for every job, in short slices so that an interrupt is seen
+	// within one: a job Drain is about to suspend would never finish here.
+wait:
+	for _, j := range jobs {
+		for j.id != "" {
+			if _, aerr := d.Wait(j.id, 100*time.Millisecond); aerr == nil {
+				break
+			}
+			select {
+			case <-interrupted:
+				break wait
+			default:
+			}
+		}
+	}
+	if err := d.Drain(); err != nil {
+		fatal(err)
+	}
+
+	failed, unfinished := 0, 0
+	for _, j := range jobs {
+		if j.submitErr != nil {
+			failed++
+			fmt.Fprintf(stdout, "FAIL %-20s attempts=0 resumes=0: %v\n", j.name, j.submitErr)
+			continue
+		}
+		st, _ := d.Status(j.id)
+		resumes := prior[st.ID] + st.Resumes
+		switch st.State {
+		case daemon.StateDone:
+			r := st.Result
+			fmt.Fprintf(stdout, "ok   %-20s attempts=%d resumes=%d cycles=%d instrs=%d output=%q\n",
+				j.name, st.Attempt, resumes, r.Cycles, r.Instrs, r.Output)
+		case daemon.StateFailed, daemon.StateCanceled:
+			failed++
+			fmt.Fprintf(stdout, "FAIL %-20s attempts=%d resumes=%d: %s\n", j.name, st.Attempt, resumes, st.Result.Err)
+		default:
+			unfinished++
+			saved := "checkpoint saved; re-run to resume"
+			if *outDir == "" {
+				saved = "no -out: nothing kept"
+			}
+			fmt.Fprintf(stdout, "INTR %-20s attempts=%d resumes=%d cycles=%d (%s)\n",
+				j.name, st.Attempt, resumes, st.Cycles, saved)
+		}
+	}
+	if unfinished > 0 {
+		fmt.Fprintf(stderr, "xmtbatch: interrupted; %d of %d jobs not finished\n", unfinished, len(jobs))
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "xmtbatch: %d of %d jobs failed\n", failed, len(results))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "xmtbatch: %d of %d jobs failed\n", failed, len(jobs))
+		return 1
 	}
+	return 0
+}
+
+// journalResumes counts, per job id, the attempts in the journal at path
+// that started after a checkpoint of that job had been committed: the
+// attempts that resumed rather than started over.
+func journalResumes(path string) (map[string]int, error) {
+	jl, recs, err := daemon.OpenJournal(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := jl.Close(); err != nil {
+		return nil, err
+	}
+	resumes := map[string]int{}
+	checkpointed := map[string]bool{}
+	for _, rec := range recs {
+		switch rec.Kind {
+		case daemon.RecCkpt:
+			checkpointed[rec.ID] = true
+		case daemon.RecStart:
+			if checkpointed[rec.ID] {
+				resumes[rec.ID]++
+			}
+		}
+	}
+	return resumes, nil
+}
+
+// job is one line of the jobs file, its program already checked to load,
+// and the daemon job it became (or why Submit refused it).
+type job struct {
+	name, kind, src string
+	sets            []string
+
+	id        string
+	submitErr error
 }
 
 // loadJobs parses the jobs file: one "name program [key=value ...]" per
-// line, assembling .s sources directly and compiling anything else as XMTC.
-func loadJobs(path string) ([]batch.Job, error) {
+// line. Each program is built once here (.s files as post-pass-verified
+// assembly, anything else as XMTC), so a bad one fails the batch before any
+// job runs, naming its file:line.
+func loadJobs(path string, stderr io.Writer) ([]job, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 
-	var jobs []batch.Job
+	var jobs []job
 	seen := map[string]bool{}
 	sc := bufio.NewScanner(f)
 	for lineNo := 1; sc.Scan(); lineNo++ {
@@ -192,37 +341,25 @@ func loadJobs(path string) ([]batch.Job, error) {
 				return nil, fmt.Errorf("%s:%d: override %q is not key=value", path, lineNo, kv)
 			}
 		}
-		prog, err := loadProgram(progPath)
+		src, err := os.ReadFile(progPath)
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", path, lineNo, err)
 		}
-		jobs = append(jobs, batch.Job{Name: name, Prog: prog, Sets: fields[2:]})
+		kind := "xmtc"
+		if filepath.Ext(progPath) == ".s" {
+			kind = "asm"
+		}
+		_, warnings, err := jobrun.Load(kind, progPath, string(src))
+		for _, w := range warnings {
+			fmt.Fprintln(stderr, w)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: %v", path, lineNo, err)
+		}
+		jobs = append(jobs, job{name: name, kind: kind, src: string(src), sets: fields[2:]})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return jobs, nil
-}
-
-// loadProgram reads one job's source and builds it: .s files as handwritten
-// assembly (post-pass verified), anything else as XMTC.
-func loadProgram(path string) (*asm.Program, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	kind := "xmtc"
-	if filepath.Ext(path) == ".s" {
-		kind = "asm"
-	}
-	prog, warnings, err := jobrun.Load(kind, path, string(src))
-	for _, w := range warnings {
-		fmt.Fprintln(os.Stderr, w)
-	}
-	return prog, err
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xmtbatch:", err)
-	os.Exit(1)
 }

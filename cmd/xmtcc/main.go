@@ -47,11 +47,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// codegen reads PrefetchSlots 0 as the default of 4 and any OptLevel
-	// above 1 as 1, so out-of-range values would compile silently as
-	// something else.
-	if *optLevel != 0 && *optLevel != 1 {
-		usage("-O must be 0 or 1")
+	// codegen reads PrefetchSlots 0 as the default of 4, so out-of-range
+	// values would compile silently as something else.
+	if err := codegen.CheckOptLevel(*optLevel); err != nil {
+		usage(err.Error())
 	}
 	if *prefSlots < 1 {
 		usage("-prefetch-slots must be at least 1; -no-prefetch inserts no prefetches")

@@ -43,6 +43,7 @@ func main() {
 			fs.BoolVar(&opts.NoPrefetch, "no-prefetch", false, "disable compiler prefetching")
 			fs.BoolVar(&opts.NoNBStore, "no-nbstore", false, "disable non-blocking stores")
 		},
+		Check: func() error { return codegen.CheckOptLevel(opts.OptLevel) },
 		Load: func(file, src string) (*asm.Program, []diag.Diagnostic, error) {
 			res, err := codegen.Compile(file, src, opts)
 			if err != nil {

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -47,6 +48,16 @@ type Options struct {
 // DefaultOptions is the standard -O1 pipeline.
 func DefaultOptions() Options {
 	return Options{OptLevel: 1, PrefetchSlots: 4}
+}
+
+// CheckOptLevel is the compiling CLIs' rule for -O: Compile reads any level
+// above 1 as 1, so a level other than 0 or 1 must be refused rather than
+// compiled silently as something else.
+func CheckOptLevel(level int) error {
+	if level != 0 && level != 1 {
+		return errors.New("-O must be 0 or 1")
+	}
+	return nil
 }
 
 // Stats reports what the XMT-specific passes did.

@@ -1,5 +1,5 @@
 // Package obs is the service-layer observability toolkit behind xmtd and
-// the batch runner (docs/OBSERVABILITY.md "Service-layer observability"):
+// xmtbatch (docs/OBSERVABILITY.md "Service-layer observability"):
 //
 //   - a job lifecycle Tracer: bounded ring of host-time spans (queued,
 //     compile, run attempts, checkpoint writes, journal fsyncs, preempt,

@@ -537,8 +537,9 @@ func (s *System) result(maxCycles int64) (*Result, error) {
 // CheckpointEvery enables periodic checkpointing: the master stops the run
 // at its next quiescent point (serial mode, write buffer drained) once n
 // cluster cycles have elapsed since the last checkpoint, and Run returns
-// with Result.Checkpoint set. Used by the xmtbatch runner to bound how much
-// work a retry can lose. n <= 0 disables.
+// with Result.Checkpoint set. The job runner (internal/jobrun, under xmtd
+// and xmtbatch) uses it to bound how much work a retry can lose. n <= 0
+// disables.
 func (s *System) CheckpointEvery(n int64) { s.ckptEvery = n }
 
 // RequestCheckpoint asks the running simulation to stop at its next

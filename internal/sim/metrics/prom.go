@@ -100,13 +100,6 @@ func RenderProm(w io.Writer, p *Published) {
 		}
 	}
 
-	if bt := st.Batch; bt != nil {
-		g("xmt_batch_jobs_total", "Jobs in the batch campaign.", bt.JobsTotal)
-		g("xmt_batch_jobs_done", "Jobs completed successfully.", bt.JobsDone)
-		g("xmt_batch_jobs_failed", "Jobs that exhausted their retry budget.", bt.JobsFailed)
-		g("xmt_batch_resumes_total", "Checkpoint resumes performed across the campaign.", bt.Resumes)
-	}
-
 	if dm := st.Daemon; dm != nil {
 		g("xmt_daemon_queue_depth", "Jobs in the daemon's ready queue.", dm.QueueDepth)
 		g("xmt_daemon_running", "Jobs currently simulating.", dm.Running)

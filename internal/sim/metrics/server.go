@@ -34,21 +34,9 @@ type Status struct {
 	TraceDropped uint64 `json:"trace_dropped,omitempty"`
 	Done         bool   `json:"done"`
 
-	// Batch is present when an xmtbatch run is being monitored.
-	Batch *BatchStatus `json:"batch,omitempty"`
-	// Daemon is present when an xmtd daemon is being monitored.
+	// Daemon is present when the xmtd core is being monitored (xmtd, and
+	// xmtbatch, which runs its jobs on it).
 	Daemon *DaemonStatus `json:"daemon,omitempty"`
-}
-
-// BatchStatus is the per-job progress of an xmtbatch campaign.
-type BatchStatus struct {
-	JobsTotal    int    `json:"jobs_total"`
-	JobsDone     int    `json:"jobs_done"`
-	JobsFailed   int    `json:"jobs_failed"`
-	Current      string `json:"current,omitempty"`
-	Attempt      int    `json:"attempt,omitempty"`
-	Resumes      int    `json:"resumes,omitempty"`
-	BudgetCycles int64  `json:"budget_cycles,omitempty"`
 }
 
 // DaemonStatus is the xmtd daemon's health block on /status: queue depth,
@@ -107,7 +95,6 @@ type Published struct {
 // concurrent scrapes cannot perturb the simulation.
 type Server struct {
 	latest atomic.Pointer[Published]
-	batch  atomic.Pointer[BatchStatus]
 	daemon atomic.Pointer[DaemonStatus]
 
 	mu     sync.Mutex
@@ -136,9 +123,6 @@ func NewServer() *Server {
 // publishers (the daemon runs one per active job) and after Close (a
 // no-op fan-out then).
 func (s *Server) Publish(p *Published) {
-	if b := s.batch.Load(); b != nil && p.Status.Batch == nil {
-		p.Status.Batch = b
-	}
 	if d := s.daemon.Load(); d != nil && p.Status.Daemon == nil {
 		p.Status.Daemon = d
 	}
@@ -165,20 +149,6 @@ func (s *Server) Publish(p *Published) {
 		}
 	}
 	s.mu.Unlock()
-}
-
-// PublishBatch updates the batch-progress block merged into /status.
-func (s *Server) PublishBatch(b BatchStatus) {
-	s.batch.Store(&b)
-	// Refresh the served status immediately so /status reflects job
-	// transitions even between sampling boundaries.
-	if cur := s.latest.Load(); cur != nil {
-		next := *cur
-		next.Status.Batch = &b
-		s.latest.Store(&next)
-	} else {
-		s.latest.Store(&Published{Status: Status{Batch: &b}})
-	}
 }
 
 // PublishDaemon updates the daemon block merged into /status.

@@ -111,29 +111,47 @@ func TestServerEndpoints(t *testing.T) {
 	if st.Cycle != 500 || st.AliveTCUs != 64 || st.WatchdogSlack != 4000 {
 		t.Errorf("/status = %+v", st)
 	}
-	if st.Batch != nil {
-		t.Errorf("unexpected batch block: %+v", st.Batch)
+	if st.Daemon != nil {
+		t.Errorf("unexpected daemon block: %+v", st.Daemon)
 	}
 }
 
-func TestServerBatchStatus(t *testing.T) {
+// TestServerDaemonStatus: the daemon block reaches /status as soon as it is
+// published, before any sample, and a later sample publish keeps it merged
+// into /status and its families on /metrics.
+func TestServerDaemonStatus(t *testing.T) {
 	srv, addr := startServer(t)
-	srv.PublishBatch(metrics.BatchStatus{JobsTotal: 3, JobsDone: 1, Current: "job-b", Attempt: 2})
+	srv.PublishDaemon(metrics.DaemonStatus{QueueDepth: 2, Running: 1, Workers: 1, Completed: 3,
+		Tenants: map[string]metrics.TenantOccupancy{"default": {Queued: 2, Running: 1}}})
 
 	body, _ := get(t, "http://"+addr+"/status")
 	var st metrics.Status
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Batch == nil || st.Batch.JobsTotal != 3 || st.Batch.Current != "job-b" {
-		t.Fatalf("/status batch = %+v", st.Batch)
+	if st.Daemon == nil || st.Daemon.QueueDepth != 2 || st.Daemon.Completed != 3 {
+		t.Fatalf("/status daemon = %+v", st.Daemon)
 	}
 
-	// A later sample publish keeps the batch block merged in.
 	srv.Publish(testBundle(900))
+	body, _ = get(t, "http://"+addr+"/status")
+	st = metrics.Status{}
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cycle != 900 || st.Daemon == nil || st.Daemon.Completed != 3 {
+		t.Fatalf("/status after a sample publish = %+v (daemon %+v)", st, st.Daemon)
+	}
 	body, _ = get(t, "http://"+addr+"/metrics")
-	if !strings.Contains(body, "xmt_batch_jobs_total 3") {
-		t.Errorf("/metrics missing batch families:\n%s", body)
+	for _, want := range []string{
+		"xmt_cycle 900",
+		"xmt_daemon_queue_depth 2",
+		"xmt_daemon_completed_total 3",
+		`xmt_daemon_tenant_jobs{tenant="default",state="queued"} 2`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
 	}
 }
 

@@ -38,6 +38,9 @@ type Tool struct {
 	Arg  string // the positional argument in the usage line, e.g. "program.s"
 	// Flags registers the tool's own flags beside the simulator's (nil: none).
 	Flags func(*flag.FlagSet)
+	// Check, when set, validates the tool's own flags once they are parsed;
+	// an error is a usage error (exit 2).
+	Check func() error
 	// Load turns the argument file into a linked program; it runs after the
 	// flags are parsed. Warnings are printed, an error ends the run.
 	Load func(file, src string) (*asm.Program, []diag.Diagnostic, error)
@@ -132,6 +135,12 @@ func Main(t Tool, args []string, stdout, stderr io.Writer) (code int) {
 			return 0
 		}
 		return 2
+	}
+	if t.Check != nil {
+		if err := t.Check(); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", t.Name, err)
+			return 2
+		}
 	}
 	cfg := d.config()
 	if d.describe {

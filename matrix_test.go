@@ -884,10 +884,11 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestWatchdogTripResumeFromCheckpoint is the recovery loop xmtbatch and
-// xmtd rely on: the no-retire watchdog turns a wedge into a diagnostic, and
-// the last periodic checkpoint turns the diagnostic into a retry, under a
-// roomier window, that ends in the state of an uninterrupted run.
+// TestWatchdogTripResumeFromCheckpoint is the recovery loop of the xmtd
+// core, which xmtbatch runs its jobs on: the no-retire watchdog turns a
+// wedge into a diagnostic, and the last periodic checkpoint turns the
+// diagnostic into a retry, under a roomier window (the core widens it by
+// the backoff), that ends in the state of an uninterrupted run.
 func TestWatchdogTripResumeFromCheckpoint(t *testing.T) {
 	c := mcase{prog: "watchdog", cfg: preset(""), budget: 10_000_000}
 	c.cfg.DRAMLatency = 8000 // every DRAM access out-stalls the tight window

@@ -61,12 +61,12 @@ go test -race ./internal/sim/engine ./internal/sim/cycle ./internal/sim/funcmode
 # their clusters' rows, and the serial commit takes them back past a stop.
 go test -race -run 'TestHostParallelDeterminism|TestObserverDoesNotPerturb|TestStopMidWindow' .
 
-echo "== go test -race (job execution: runner, batch, daemon stop/recovery paths)"
+echo "== go test -race (job execution: runner, xmtbatch, daemon stop/recovery paths)"
 # The runner's hooks are where other goroutines reach into a running job:
-# signal handlers (batch.Interrupt), and the daemon's preempt, cancel, drain
-# and crash paths, which request a checkpoint on a simulator a worker is
-# ticking. The rest of the daemon suite adds time, not shared state.
-go test -race ./internal/jobrun ./internal/batch
+# the daemon's preempt, cancel, drain and crash paths request a checkpoint on
+# a simulator a worker is ticking; xmtbatch's interrupt path is that Drain.
+# The rest of the daemon suite adds time, not shared state.
+go test -race ./internal/jobrun ./cmd/xmtbatch
 go test -race -timeout 300s -run 'TestDaemonPreemptResumeBitIdentical|TestDaemonCancelPaths|TestDaemonDrainAndResume|TestDaemonCrashRecovery' ./internal/daemon
 
 echo "== lookahead gate (window determinism matrix + rollback sanity + worker contract under -race)"
@@ -104,12 +104,15 @@ echo "== telemetry endpoint smoke (xmtsim -serve)"
 # /status, and assert the advertised metric families.
 go test -count=1 -run TestCLIServeEndpoints .
 
-echo "== xmtd gate (daemon: submit, preempt, kill -9, journal replay, drain)"
+echo "== xmtd gate (daemon: submit, preempt, kill -9, journal replay, drain; xmtbatch restart)"
 # A real xmtd process over a unix socket: a high-priority job preempts a
 # running one at a checkpoint boundary, kill -9 lands mid-job, a restart on
 # the same data directory replays the journal and finishes the job with the
-# right output, and a drain exits 0 leaving the clean-shutdown marker.
-go test -count=1 -timeout 300s -run TestCLIDaemonCrashRecovery .
+# right output, and a drain exits 0 leaving the clean-shutdown marker. A
+# real xmtbatch stopped by SIGINT after its first checkpoint resumes on
+# re-run with an uninterrupted run's totals, and a third run reports the
+# job from the journal.
+go test -count=1 -timeout 300s -run 'TestCLIDaemonCrashRecovery|TestCLIBatchResumeAfterInterrupt' .
 
 echo "== xmtd observability gate (lifecycle trace, latency histograms, structured logs, pprof)"
 # A real xmtd with -serve/-pprof/-trace: a submit → preempt → resume → done
