@@ -2,9 +2,10 @@
 // a chain of cycle-accurate segments separated by checkpoint stops, run
 // under an absolute cycle budget, resumable from any checkpoint it reached
 // (paper §III-E: checkpoints exist so long campaigns run in restartable
-// pieces). The batch runner and the xmtd daemon both drive a Runner; what
-// differs between them — where a checkpoint is persisted, who may ask a
-// running job to stop, what is logged — arrives through the two hooks.
+// pieces). The xmtd daemon drives a Runner, and xmtbatch reaches it through
+// the daemon's core run in-process. What the caller decides — where a
+// checkpoint is persisted, who may ask a running job to stop, what is
+// logged — arrives through the two hooks.
 package jobrun
 
 import (

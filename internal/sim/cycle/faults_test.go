@@ -73,8 +73,8 @@ func TestDegradedRunCompletes(t *testing.T) {
 	if got := sys.Stats.TCUFailFaults; got != 8 {
 		t.Fatalf("TCUFailFaults = %d, want 8", got)
 	}
-	if sys.Stats.FaultsInjected() != 8 {
-		t.Fatalf("FaultsInjected = %d, want 8", sys.Stats.FaultsInjected())
+	if got := sys.Stats.Snapshot(0, 0).Faults.Injected; got != 8 {
+		t.Fatalf("faults injected = %d, want 8", got)
 	}
 	// At least one failure lands mid-thread, so the orphaned virtual thread
 	// must have been re-dispatched to a survivor (the run is deterministic,
@@ -120,8 +120,8 @@ func TestBenignFaultsPreserveResult(t *testing.T) {
 	if out != sumSquares {
 		t.Fatalf("printed %q, want %s", out, sumSquares)
 	}
-	if got := sys.Stats.FaultsInjected(); got != 16 {
-		t.Fatalf("FaultsInjected = %d, want 16", got)
+	if got := sys.Stats.Snapshot(0, 0).Faults.Injected; got != 16 {
+		t.Fatalf("faults injected = %d, want 16", got)
 	}
 }
 

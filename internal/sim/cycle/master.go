@@ -414,8 +414,6 @@ func (mt *Master) deliver(p *Package, now engine.Time) {
 	case PkgLoad:
 		mt.ctx.SetReg(p.In.Rd, p.Data)
 		mt.cache.Fill(p.Addr, mt.sys.masterClock.Cycle(now))
-		mt.sys.Stats.LoadLatencySum += uint64(now - p.Issued)
-		mt.sys.Stats.LoadLatencyCount++
 		mt.sys.Stats.LoadLatency.Observe(uint64(now - p.Issued))
 		mt.memUnblocked(now)
 		mt.state = masterRunning

@@ -654,8 +654,6 @@ func (t *TCU) deliver(p *Package, now engine.Time) {
 }
 
 func (t *TCU) recordLoadLatency(p *Package, now engine.Time) {
-	t.sys.Stats.LoadLatencySum += uint64(now - p.Issued)
-	t.sys.Stats.LoadLatencyCount++
 	t.sys.Stats.LoadLatency.Observe(uint64(now - p.Issued))
 }
 

@@ -14,19 +14,21 @@ import (
 const DefaultSampleCycles = 10000
 
 // Sampler is the deterministic interval sampler: an activity plug-in
-// (paper §III-B / Fig. 3) that reads the counters every Interval cluster
+// (paper §III-B / Fig. 3) that snapshots the counters every Interval cluster
 // cycles — at a point where every outbox of the sample tick has committed,
 // so the collector is exactly the serial simulator's state — and appends one
-// windowed-delta Sample per interval. It never writes simulator state, so
-// attaching it cannot perturb results.
+// Sample per interval: the difference of this boundary's snapshot and the
+// previous one's. It never writes simulator state, so attaching it cannot
+// perturb results.
 type Sampler struct {
 	cfg      *config.Config
 	interval int64
 
 	samples []Sample
 
-	// prev holds the cumulative counter values at the previous boundary.
-	prev prevState
+	// prev is the counter snapshot of the previous boundary; nil before the
+	// first, when the segment's collector started empty.
+	prev *stats.Snapshot
 
 	lastCycle int64 // cycle of the last emitted boundary
 	lastTicks int64
@@ -37,7 +39,6 @@ type Sampler struct {
 	lastProgressCycle int64
 
 	tm *power.ThermalManager // non-nil when the thermal plug-in is attached
-	pm *power.Model          // sampler-private power model (own delta state)
 
 	srv *Server // non-nil when publishing to a live metrics server
 	job string  // daemon job id stamped on published bundles (may be empty)
@@ -52,17 +53,6 @@ type Sampler struct {
 	// through the cycles, so they go to /metrics only — never into samples,
 	// snapshots or the counters report.
 	windows func() engine.WindowStats
-}
-
-type prevState struct {
-	masterInstrs, tcuInstrs                uint64
-	stallMem, stallFPU, stallPS, stallSend uint64
-	cacheHits, cacheMisses, queueFull      uint64
-	qDepthCount, qDepthSum                 uint64
-	icnTraversals, icnHops, dram           uint64
-	psOps, psLatCount, psLatSum            uint64
-	loadLatCount, loadLatSum               uint64
-	spawns, vthreads, faults, redispatches uint64
 }
 
 // NewSampler creates a sampler for one run. startCycle is the cycle the
@@ -93,12 +83,9 @@ func Attach(sys *cycle.System, interval int64) *Sampler {
 
 // AttachThermal connects the power/thermal plug-in: subsequent samples
 // carry per-interval energy and the thermal grid's peak/mean temperature.
-// The sampler uses its own power.Model instance, so its energy accounting
-// never interferes with the manager's DVFS decisions.
-func (sp *Sampler) AttachThermal(tm *power.ThermalManager) {
-	sp.tm = tm
-	sp.pm = power.New(sp.cfg)
-}
+// The energy is the stateless power model over the sampler's own window, so
+// it never interferes with the manager's DVFS decisions.
+func (sp *Sampler) AttachThermal(tm *power.ThermalManager) { sp.tm = tm }
 
 // SetServer publishes every interval boundary to a live metrics server.
 func (sp *Sampler) SetServer(srv *Server) { sp.srv = srv }
@@ -142,78 +129,22 @@ func (sp *Sampler) Finalize(cyc, ticks int64, st *stats.Collector, aliveTCUs int
 }
 
 func (sp *Sampler) boundary(cyc, ticks int64, st *stats.Collector, aliveTCUs int, final bool) {
+	cur := st.Snapshot(cyc, ticks)
 	if final && cyc <= sp.lastCycle && len(sp.samples) > 0 {
 		// The run ended on the last boundary; nothing new to record. (The
 		// publish below still runs so /status shows the final state.)
 		if sp.srv != nil {
-			sp.publish(&sp.samples[len(sp.samples)-1], cyc, ticks, st, aliveTCUs, final)
+			sp.publish(&sp.samples[len(sp.samples)-1], cur, aliveTCUs, final)
 		}
 		return
 	}
 
-	var cur prevState
-	cur.masterInstrs, cur.tcuInstrs = st.MasterInstrs, st.TCUInstrs()
-	for i := range st.Cluster {
-		cs := &st.Cluster[i]
-		cur.stallMem += cs.MemWaitCycles
-		cur.stallFPU += cs.FPUWaitCycles
-		cur.stallPS += cs.PSWaitCycles
-		cur.stallSend += cs.SendStallCycles
-	}
-	cur.cacheHits, cur.cacheMisses = st.TotalCacheHits()
-	for _, n := range st.CacheQueueFull {
-		cur.queueFull += n
-	}
-	cur.qDepthCount, cur.qDepthSum = st.CacheQueueDepth.Count, st.CacheQueueDepth.Sum
-	cur.icnTraversals, cur.icnHops = st.ICNTraversals, st.ICNHops
-	for _, d := range st.DRAMAccesses {
-		cur.dram += d
-	}
-	cur.psOps = st.PsOps
-	cur.psLatCount, cur.psLatSum = st.PSLatency.Count, st.PSLatency.Sum
-	cur.loadLatCount, cur.loadLatSum = st.LoadLatency.Count, st.LoadLatency.Sum
-	cur.spawns, cur.vthreads = st.SpawnCount, st.VirtualThreads
-	cur.faults, cur.redispatches = st.FaultsInjected(), st.Redispatches
-
-	p := &sp.prev
-	window := cyc - sp.lastCycle
-	s := Sample{
-		Cycle: cyc, Ticks: ticks, WindowCycles: window,
-		Instrs:       (cur.masterInstrs - p.masterInstrs) + (cur.tcuInstrs - p.tcuInstrs),
-		MasterInstrs: cur.masterInstrs - p.masterInstrs,
-		TCUInstrs:    cur.tcuInstrs - p.tcuInstrs,
-
-		StallMem:     cur.stallMem - p.stallMem,
-		StallFPUMDU:  cur.stallFPU - p.stallFPU,
-		StallPS:      cur.stallPS - p.stallPS,
-		StallICNSend: cur.stallSend - p.stallSend,
-
-		CacheHits:      cur.cacheHits - p.cacheHits,
-		CacheMisses:    cur.cacheMisses - p.cacheMisses,
-		CacheQueueFull: cur.queueFull - p.queueFull,
-
-		ICNTraversals: cur.icnTraversals - p.icnTraversals,
-		ICNHops:       cur.icnHops - p.icnHops,
-		DRAMAccesses:  cur.dram - p.dram,
-
-		PsOps: cur.psOps - p.psOps,
-
-		Spawns:         cur.spawns - p.spawns,
-		VirtualThreads: cur.vthreads - p.vthreads,
-
-		AliveTCUs:          aliveTCUs,
-		DecommissionedTCUs: st.TCUsDecommissioned,
-		FaultsInjected:     cur.faults - p.faults,
-		Redispatches:       cur.redispatches - p.redispatches,
-	}
-	s.IPC = ratioI(s.Instrs, window)
-	s.CacheHitRate = ratio(s.CacheHits, s.CacheHits+s.CacheMisses)
-	s.QueueDepthMean = ratio(cur.qDepthSum-p.qDepthSum, cur.qDepthCount-p.qDepthCount)
-	s.PsLatencyMean = ratio(cur.psLatSum-p.psLatSum, cur.psLatCount-p.psLatCount)
-	s.LoadLatencyMean = ratio(cur.loadLatSum-p.loadLatSum, cur.loadLatCount-p.loadLatCount)
-
+	s := diff(sp.prev, cur)
+	s.WindowCycles = cyc - sp.lastCycle
+	s.IPC = ratioI(s.Instrs, s.WindowCycles)
+	s.AliveTCUs = aliveTCUs
 	if sp.tm != nil {
-		ps := sp.pm.Sample(st, ticks-sp.lastTicks)
+		ps := power.New(sp.cfg).Sample(sp.prev, cur, ticks-sp.lastTicks)
 		grid := sp.tm.Grid()
 		s.Power = &PowerSample{
 			EnergyJ:   ps.Total * ps.WindowSeconds,
@@ -232,28 +163,81 @@ func (sp *Sampler) boundary(cyc, ticks int64, st *stats.Collector, aliveTCUs int
 	sp.samples = append(sp.samples, s)
 
 	if sp.srv != nil {
-		sp.publish(&sp.samples[len(sp.samples)-1], cyc, ticks, st, aliveTCUs, final)
+		sp.publish(&sp.samples[len(sp.samples)-1], cur, aliveTCUs, final)
 	}
 }
 
+// diff is the Sample of the window between two counter snapshots of one
+// run, nil prev standing for the all-zero counters of the run's start: the
+// field-wise difference of the additive counters and the window means of
+// the histograms. Cycle, Ticks and DecommissionedTCUs are cur's; the window
+// length, IPC, live TCUs and power are the caller's to fill in.
+func diff(prev, cur *stats.Snapshot) Sample {
+	if prev == nil {
+		prev = &stats.Snapshot{}
+	}
+	pi, ci := &prev.Instructions, &cur.Instructions
+	ps, cs := &prev.Stalls, &cur.Stalls
+	pm, cm := &prev.Memory, &cur.Memory
+	s := Sample{
+		Cycle: cur.Cycle, Ticks: cur.Ticks,
+		Instrs:       ci.Total - pi.Total,
+		MasterInstrs: ci.Master - pi.Master,
+		TCUInstrs:    ci.TCU - pi.TCU,
+
+		StallMem:     cs.Mem - ps.Mem,
+		StallFPUMDU:  cs.FPUMDU - ps.FPUMDU,
+		StallPS:      cs.PS - ps.PS,
+		StallICNSend: cs.ICNSend - ps.ICNSend,
+
+		CacheHits:      cm.CacheHits - pm.CacheHits,
+		CacheMisses:    cm.CacheMisses - pm.CacheMisses,
+		CacheQueueFull: cm.QueueFull - pm.QueueFull,
+		QueueDepthMean: histMean(&pm.QueueDepth, &cm.QueueDepth),
+
+		ICNTraversals: cm.ICNTraversals - pm.ICNTraversals,
+		ICNHops:       cm.ICNHops - pm.ICNHops,
+		DRAMAccesses:  cm.DRAMTotal - pm.DRAMTotal,
+
+		PsOps:           cur.PrefixSum.Ops - prev.PrefixSum.Ops,
+		PsLatencyMean:   histMean(&prev.PrefixSum.Latency, &cur.PrefixSum.Latency),
+		LoadLatencyMean: histMean(&pm.LoadLatency, &cm.LoadLatency),
+
+		Spawns:         cur.SpawnJoin.Spawns - prev.SpawnJoin.Spawns,
+		VirtualThreads: cur.SpawnJoin.VirtualThreads - prev.SpawnJoin.VirtualThreads,
+
+		DecommissionedTCUs: cur.Faults.Decommissioned,
+		FaultsInjected:     cur.Faults.Injected - prev.Faults.Injected,
+		Redispatches:       cur.Faults.Redispatches - prev.Faults.Redispatches,
+	}
+	s.CacheHitRate = ratio(s.CacheHits, s.CacheHits+s.CacheMisses)
+	return s
+}
+
+// histMean is the mean of the observations a histogram took between two
+// snapshots.
+func histMean(prev, cur *stats.HistSnapshot) float64 {
+	return ratio(cur.Sum-prev.Sum, cur.Count-prev.Count)
+}
+
 // publish hands the server an immutable bundle: the interval sample (by
-// value), a freshly built counter snapshot, and the status block. The
-// server only ever reads these, so the HTTP goroutines never touch live
-// simulator state.
-func (sp *Sampler) publish(s *Sample, cyc, ticks int64, st *stats.Collector, aliveTCUs int, done bool) {
+// value), the boundary's counter snapshot, and the status block read from
+// it. The server only ever reads these, so the HTTP goroutines never touch
+// live simulator state.
+func (sp *Sampler) publish(s *Sample, cur *stats.Snapshot, aliveTCUs int, done bool) {
 	smp := *s
 	status := Status{
-		Cycle:              cyc,
-		Ticks:              ticks,
-		Instrs:             st.TotalInstrs(),
+		Cycle:              cur.Cycle,
+		Ticks:              cur.Ticks,
+		Instrs:             cur.Instructions.Total,
 		AliveTCUs:          aliveTCUs,
-		DecommissionedTCUs: st.TCUsDecommissioned,
-		FaultsInjected:     st.FaultsInjected(),
+		DecommissionedTCUs: cur.Faults.Decommissioned,
+		FaultsInjected:     cur.Faults.Injected,
 		WatchdogCycles:     sp.cfg.WatchdogCycles,
 		Done:               done,
 	}
 	if sp.cfg.WatchdogCycles > 0 {
-		status.WatchdogSlack = sp.cfg.WatchdogCycles - (cyc - sp.lastProgressCycle)
+		status.WatchdogSlack = sp.cfg.WatchdogCycles - (cur.Cycle - sp.lastProgressCycle)
 	}
 	if sp.evlog != nil {
 		if l := sp.evlog(); l != nil {
@@ -262,7 +246,7 @@ func (sp *Sampler) publish(s *Sample, cyc, ticks int64, st *stats.Collector, ali
 	}
 	p := &Published{
 		Status:   status,
-		Counters: st.Snapshot(cyc, ticks),
+		Counters: cur,
 		Sample:   &smp,
 		Job:      sp.job,
 	}

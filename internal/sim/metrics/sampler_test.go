@@ -7,10 +7,13 @@ import (
 	"testing"
 
 	"xmtgo/internal/asm"
+	"xmtgo/internal/codegen"
 	"xmtgo/internal/config"
 	"xmtgo/internal/sim/cycle"
 	"xmtgo/internal/sim/metrics"
 	"xmtgo/internal/sim/power"
+	"xmtgo/internal/sim/stats"
+	"xmtgo/internal/workloads"
 )
 
 // loopAsm is a serial load-modify-store loop long enough for several
@@ -44,12 +47,37 @@ func mustProgram(t testing.TB, src string) *asm.Program {
 	return p
 }
 
+// faultyProgram is the Table I parallel-memory kernel on fpga64 under a
+// plan that fails TCUs mid-spawn, so the run injects faults and
+// re-dispatches orphaned virtual threads.
+func faultyProgram(t *testing.T) (*asm.Program, config.Config) {
+	t.Helper()
+	cfg := config.FPGA64()
+	cfg.FaultPlan, cfg.FaultSeed = "tcufail:4@50-400;memflip:2@50-400", 7
+	res, err := codegen.Compile("parmem.c", workloads.TableI(workloads.ParallelMemory, cfg.TCUs(), 20), codegen.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := asm.Assemble(res.Unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, cfg
+}
+
 func runSampled(t *testing.T, interval int64, workers int, thermal bool) (*metrics.Sampler, *cycle.System, *cycle.Result) {
 	t.Helper()
 	cfg := config.FPGA64()
 	cfg.HostWorkers = workers
+	return runProgram(t, mustProgram(t, loopAsm), cfg, interval, thermal)
+}
+
+// runProgram runs prog to its halt with an interval sampler attached, and
+// the thermal manager too when thermal is set.
+func runProgram(t *testing.T, prog *asm.Program, cfg config.Config, interval int64, thermal bool) (*metrics.Sampler, *cycle.System, *cycle.Result) {
+	t.Helper()
 	var out bytes.Buffer
-	sys, err := cycle.New(mustProgram(t, loopAsm), cfg, &out)
+	sys, err := cycle.New(prog, cfg, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +96,7 @@ func runSampled(t *testing.T, interval int64, workers int, thermal bool) (*metri
 	if thermal {
 		smp.AttachThermal(tm)
 	}
-	res, err := sys.Run(100_000)
+	res, err := sys.Run(2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,28 +107,48 @@ func runSampled(t *testing.T, interval int64, workers int, thermal bool) (*metri
 	return smp, sys, res
 }
 
+// TestSamplerWindows holds the samples to the interval grid and every
+// additive sample field to the end-of-run counter snapshot, on a serial loop
+// and on a parallel run that injects faults and re-dispatches orphaned
+// virtual threads.
 func TestSamplerWindows(t *testing.T) {
-	smp, sys, res := runSampled(t, 200, 1, false)
-	samples := smp.Samples()
+	t.Run("serial", func(t *testing.T) {
+		smp, sys, res := runSampled(t, 200, 1, false)
+		checkWindows(t, smp.Samples(), sys, res, 200)
+	})
+	t.Run("faulty", func(t *testing.T) {
+		prog, cfg := faultyProgram(t)
+		smp, sys, res := runProgram(t, prog, cfg, 300, false)
+		snap := checkWindows(t, smp.Samples(), sys, res, 300)
+		if snap.Faults.Injected == 0 || snap.Faults.Redispatches == 0 {
+			t.Fatalf("fault plan injected %d faults and %d re-dispatches; want both nonzero",
+				snap.Faults.Injected, snap.Faults.Redispatches)
+		}
+	})
+}
+
+// checkWindows checks that samples tile the run on the interval grid and
+// that every additive field sums back to the end-of-run counter snapshot,
+// which it returns.
+func checkWindows(t *testing.T, samples []metrics.Sample, sys *cycle.System, res *cycle.Result, interval int64) *stats.Snapshot {
+	t.Helper()
 	if len(samples) < 3 {
-		t.Fatalf("want >= 3 samples for a %d-cycle run at interval 200, got %d", res.Cycles, len(samples))
+		t.Fatalf("want >= 3 samples for a %d-cycle run at interval %d, got %d", res.Cycles, interval, len(samples))
 	}
 
 	// Boundaries land on the interval grid; the final sample may be partial.
-	var instrs uint64
 	prevCycle := int64(0)
 	for i, s := range samples {
 		if s.WindowCycles != s.Cycle-prevCycle {
 			t.Errorf("sample %d: window %d != cycle delta %d", i, s.WindowCycles, s.Cycle-prevCycle)
 		}
-		if i < len(samples)-1 && s.Cycle%200 != 0 {
+		if i < len(samples)-1 && s.Cycle%interval != 0 {
 			t.Errorf("sample %d: boundary cycle %d not on the interval grid", i, s.Cycle)
 		}
 		if s.Instrs != s.MasterInstrs+s.TCUInstrs {
 			t.Errorf("sample %d: instrs %d != master %d + tcu %d", i, s.Instrs, s.MasterInstrs, s.TCUInstrs)
 		}
 		prevCycle = s.Cycle
-		instrs += s.Instrs
 	}
 	last := samples[len(samples)-1]
 	if last.Cycle != res.Cycles {
@@ -108,18 +156,43 @@ func TestSamplerWindows(t *testing.T) {
 	}
 
 	// Windowed deltas must sum back to the cumulative counters.
-	if instrs != sys.Stats.TotalInstrs() {
-		t.Errorf("sample instr sum %d != cumulative %d", instrs, sys.Stats.TotalInstrs())
+	snap := sys.Stats.Snapshot(res.Cycles, int64(res.Ticks))
+	if last.DecommissionedTCUs != snap.Faults.Decommissioned {
+		t.Errorf("final sample has %d decommissioned TCUs, snapshot %d", last.DecommissionedTCUs, snap.Faults.Decommissioned)
 	}
-	var hits, misses uint64
-	for _, s := range samples {
-		hits += s.CacheHits
-		misses += s.CacheMisses
+	for _, f := range []struct {
+		name  string
+		field func(*metrics.Sample) uint64
+		total uint64
+	}{
+		{"instrs", func(s *metrics.Sample) uint64 { return s.Instrs }, snap.Instructions.Total},
+		{"master_instrs", func(s *metrics.Sample) uint64 { return s.MasterInstrs }, snap.Instructions.Master},
+		{"tcu_instrs", func(s *metrics.Sample) uint64 { return s.TCUInstrs }, snap.Instructions.TCU},
+		{"stall_mem", func(s *metrics.Sample) uint64 { return s.StallMem }, snap.Stalls.Mem},
+		{"stall_fpu_mdu", func(s *metrics.Sample) uint64 { return s.StallFPUMDU }, snap.Stalls.FPUMDU},
+		{"stall_ps", func(s *metrics.Sample) uint64 { return s.StallPS }, snap.Stalls.PS},
+		{"stall_icn_send", func(s *metrics.Sample) uint64 { return s.StallICNSend }, snap.Stalls.ICNSend},
+		{"cache_hits", func(s *metrics.Sample) uint64 { return s.CacheHits }, snap.Memory.CacheHits},
+		{"cache_misses", func(s *metrics.Sample) uint64 { return s.CacheMisses }, snap.Memory.CacheMisses},
+		{"cache_queue_full", func(s *metrics.Sample) uint64 { return s.CacheQueueFull }, snap.Memory.QueueFull},
+		{"icn_traversals", func(s *metrics.Sample) uint64 { return s.ICNTraversals }, snap.Memory.ICNTraversals},
+		{"icn_hops", func(s *metrics.Sample) uint64 { return s.ICNHops }, snap.Memory.ICNHops},
+		{"dram_accesses", func(s *metrics.Sample) uint64 { return s.DRAMAccesses }, snap.Memory.DRAMTotal},
+		{"ps_ops", func(s *metrics.Sample) uint64 { return s.PsOps }, snap.PrefixSum.Ops},
+		{"spawns", func(s *metrics.Sample) uint64 { return s.Spawns }, snap.SpawnJoin.Spawns},
+		{"virtual_threads", func(s *metrics.Sample) uint64 { return s.VirtualThreads }, snap.SpawnJoin.VirtualThreads},
+		{"faults_injected", func(s *metrics.Sample) uint64 { return s.FaultsInjected }, snap.Faults.Injected},
+		{"redispatches", func(s *metrics.Sample) uint64 { return s.Redispatches }, snap.Faults.Redispatches},
+	} {
+		var sum uint64
+		for i := range samples {
+			sum += f.field(&samples[i])
+		}
+		if sum != f.total {
+			t.Errorf("%s: samples sum to %d, snapshot has %d", f.name, sum, f.total)
+		}
 	}
-	ch, cm := sys.Stats.TotalCacheHits()
-	if hits != ch || misses != cm {
-		t.Errorf("sample cache sums %d/%d != cumulative %d/%d", hits, misses, ch, cm)
-	}
+	return snap
 }
 
 func TestSamplerFinalizeOnBoundaryAddsNothing(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"xmtgo/internal/config"
 	"xmtgo/internal/sim/cycle"
 	"xmtgo/internal/sim/engine"
+	"xmtgo/internal/sim/stats"
 	"xmtgo/internal/sim/thermal"
 )
 
@@ -27,6 +28,7 @@ type ThermalManager struct {
 	NominalPeriod int64
 
 	gridW, gridH int
+	prev         *stats.Snapshot // counters at the previous sample; nil before the first
 	lastNow      engine.Time
 	throttled    bool
 
@@ -79,9 +81,9 @@ func (tm *ThermalManager) IntervalCycles() int64 { return tm.Interval }
 
 // Sample implements cycle.ActivityPlugin.
 func (tm *ThermalManager) Sample(snap *cycle.Snapshot, ctl *cycle.Control) {
-	window := snap.Now - tm.lastNow
-	tm.lastNow = snap.Now
-	ps := tm.model.Sample(snap.Stats, window)
+	cur := snap.Stats.Snapshot(snap.Cycle, snap.Now)
+	ps := tm.model.Sample(tm.prev, cur, snap.Now-tm.lastNow)
+	tm.prev, tm.lastNow = cur, snap.Now
 
 	// Spread per-cluster power over the grid; uncore power is distributed
 	// uniformly (the ICN and caches interleave across the die).

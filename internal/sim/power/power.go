@@ -17,20 +17,16 @@ import (
 // period a 1 GHz clock.
 const NominalTickSeconds = 0.125e-9
 
-// Model converts activity-counter deltas into watts.
+// Model converts activity-counter deltas into watts. It holds only the
+// machine configuration: the counters it differences come in as snapshots,
+// so every caller keeps its own previous snapshot and window.
 type Model struct {
 	cfg *config.Config
-
-	// prev holds the counter values at the previous sample.
-	prevCluster []stats.ClusterStats
-	prevICNHops uint64
-	prevCacheHM uint64
-	prevDRAM    uint64
 }
 
 // New creates a power model for the machine configuration.
 func New(cfg *config.Config) *Model {
-	return &Model{cfg: cfg, prevCluster: make([]stats.ClusterStats, cfg.Clusters)}
+	return &Model{cfg: cfg}
 }
 
 // Sample is one power report.
@@ -45,40 +41,33 @@ type Sample struct {
 	Total float64
 }
 
-// Sample computes power over the window since the previous call.
+// Sample computes power over the window between two counter snapshots of
+// one run; a nil prev stands for the all-zero counters of a run's start.
 // windowTicks is the elapsed simulated time in engine ticks.
-func (m *Model) Sample(c *stats.Collector, windowTicks int64) Sample {
+func (m *Model) Sample(prev, cur *stats.Snapshot, windowTicks int64) Sample {
+	if prev == nil {
+		prev = &stats.Snapshot{Clusters: make([]stats.ClusterRow, len(cur.Clusters))}
+	}
 	sec := float64(windowTicks) * NominalTickSeconds
 	if sec <= 0 {
 		sec = NominalTickSeconds
 	}
-	out := Sample{WindowSeconds: sec, PerCluster: make([]float64, len(m.prevCluster))}
+	out := Sample{WindowSeconds: sec, PerCluster: make([]float64, len(cur.Clusters))}
 
-	for i := range m.prevCluster {
-		cur := c.Cluster[i]
-		prev := m.prevCluster[i]
-		nJ := float64(cur.ALUOps()-prev.ALUOps())*m.cfg.EnergyALU +
-			float64(cur.FPUOps()-prev.FPUOps())*m.cfg.EnergyFPU +
-			float64(cur.MDUOps()-prev.MDUOps())*m.cfg.EnergyMDU +
-			float64(cur.MemOps()-prev.MemOps())*m.cfg.EnergyMem
-		m.prevCluster[i] = cur
+	for i, c := range cur.Clusters {
+		p := prev.Clusters[i]
+		nJ := float64(c.ALUOps-p.ALUOps)*m.cfg.EnergyALU +
+			float64(c.FPUOps-p.FPUOps)*m.cfg.EnergyFPU +
+			float64(c.MDUOps-p.MDUOps)*m.cfg.EnergyMDU +
+			float64(c.MemOps-p.MemOps)*m.cfg.EnergyMem
 		out.PerCluster[i] = nJ*1e-9/sec + m.cfg.StaticWattsPerCluster
 		out.Total += out.PerCluster[i]
 	}
 
-	hops := c.ICNHops
-	var hits, misses uint64
-	hits, misses = c.TotalCacheHits()
-	cacheAcc := hits + misses
-	var dram uint64
-	for _, d := range c.DRAMAccesses {
-		dram += d
-	}
-	uncoreNJ := float64(hops-m.prevICNHops)*m.cfg.EnergyICNHop +
-		float64(cacheAcc-m.prevCacheHM)*m.cfg.EnergyCache +
-		float64(dram-m.prevDRAM)*m.cfg.EnergyDRAM
-	m.prevICNHops, m.prevCacheHM, m.prevDRAM = hops, cacheAcc, dram
-
+	cm, pm := &cur.Memory, &prev.Memory
+	uncoreNJ := float64(cm.ICNHops-pm.ICNHops)*m.cfg.EnergyICNHop +
+		float64((cm.CacheHits+cm.CacheMisses)-(pm.CacheHits+pm.CacheMisses))*m.cfg.EnergyCache +
+		float64(cm.DRAMTotal-pm.DRAMTotal)*m.cfg.EnergyDRAM
 	out.Uncore = uncoreNJ*1e-9/sec + m.cfg.StaticWattsOther
 	out.Total += out.Uncore
 	return out

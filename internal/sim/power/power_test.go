@@ -16,7 +16,8 @@ func TestPowerSampleMath(t *testing.T) {
 
 	// Idle window: static power only.
 	ticks := int64(8000) // 1000 cycles * 8 ticks = 1 µs at the nominal clock
-	s := m.Sample(c, ticks)
+	idle := c.Snapshot(0, 0)
+	s := m.Sample(nil, idle, ticks)
 	wantStatic := float64(cfg.Clusters)*cfg.StaticWattsPerCluster + cfg.StaticWattsOther
 	if math.Abs(s.Total-wantStatic) > 1e-9 {
 		t.Fatalf("idle power %.3f, want static %.3f", s.Total, wantStatic)
@@ -24,7 +25,8 @@ func TestPowerSampleMath(t *testing.T) {
 
 	// Busy window: cluster 0 does 1000 ALU ops.
 	c.Cluster[0].ByUnit[isa.UnitALU] = 1000
-	s = m.Sample(c, ticks)
+	busy := c.Snapshot(1000, ticks)
+	s = m.Sample(idle, busy, ticks)
 	sec := float64(ticks) * NominalTickSeconds
 	wantDyn := 1000 * cfg.EnergyALU * 1e-9 / sec
 	got := s.PerCluster[0] - cfg.StaticWattsPerCluster
@@ -33,7 +35,7 @@ func TestPowerSampleMath(t *testing.T) {
 	}
 
 	// Deltas: a third sample with no new activity is static again.
-	s = m.Sample(c, ticks)
+	s = m.Sample(busy, c.Snapshot(2000, 2*ticks), ticks)
 	if math.Abs(s.Total-wantStatic) > 1e-9 {
 		t.Fatalf("delta accounting broken: %.3f", s.Total)
 	}
@@ -46,7 +48,7 @@ func TestUncorePower(t *testing.T) {
 	c.ICNHops = 1000
 	c.CacheHits[0] = 500
 	c.DRAMAccesses[0] = 100
-	s := m.Sample(c, 8000)
+	s := m.Sample(nil, c.Snapshot(1000, 8000), 8000)
 	sec := 8000 * NominalTickSeconds
 	wantDyn := (1000*cfg.EnergyICNHop + 500*cfg.EnergyCache + 100*cfg.EnergyDRAM) * 1e-9 / sec
 	got := s.Uncore - cfg.StaticWattsOther

@@ -59,19 +59,16 @@ func (h *Histogram) Percentile(p float64) uint64 {
 	return h.Max
 }
 
-// Report writes the non-empty buckets on one line each, preceded by a
-// summary line. Output is stable and byte-deterministic.
-func (h *Histogram) Report(w io.Writer, label string) {
+// Report writes the summary line, then the non-empty buckets on one line
+// each. Output is stable and byte-deterministic.
+func (h *HistSnapshot) Report(w io.Writer, label string) {
+	mean := 0.0
+	if h.Count > 0 {
+		mean = float64(h.Sum) / float64(h.Count)
+	}
 	fmt.Fprintf(w, "%s: count=%d mean=%.1f p50<=%d p99<=%d max=%d\n",
-		label, h.Count, h.Mean(), h.Percentile(50), h.Percentile(99), h.Max)
-	for i, n := range h.Buckets {
-		if n == 0 {
-			continue
-		}
-		lo, hi := uint64(0), uint64(0)
-		if i > 0 {
-			lo, hi = uint64(1)<<uint(i-1), uint64(1)<<uint(i)-1
-		}
-		fmt.Fprintf(w, "  [%d..%d]: %d\n", lo, hi, n)
+		label, h.Count, mean, h.P50, h.P99, h.Max)
+	for _, b := range h.Buckets {
+		fmt.Fprintf(w, "  [%d..%d]: %d\n", b[0], b[1], b[2])
 	}
 }

@@ -15,6 +15,9 @@ const SnapshotSchema = "xmt-counters/v1"
 // Snapshot is the stable machine-readable form of ReportCounters: the full
 // hardware-counter state of one run (or of one point in a run), designed to
 // be diffed across runs by cmd/xmtperf and embedded in interval telemetry.
+// It is the one reduction of the collector to machine-wide totals: the
+// reports render a snapshot, and the interval sampler and the power model
+// difference two.
 // Field order is fixed by the struct, map keys are sorted by encoding/json,
 // and every value derives from deterministic counters, so the marshaled
 // bytes are identical for any host worker count.
@@ -45,8 +48,9 @@ type InstrSnapshot struct {
 }
 
 // ClusterRow is one cluster's counters as the counter report prints them:
-// the instruction counts derived from ClusterStats.ByUnit, then its activity
-// counters. The JSON tags are part of the stable counter schema.
+// the instruction counts derived from ClusterStats.ByUnit (ALU counts the
+// integer ALU, shift and branch units), then its activity counters. The JSON
+// tags are part of the stable counter schema.
 type ClusterRow struct {
 	TCUInstrs       uint64 `json:"instrs"`
 	ALUOps          uint64 `json:"alu"`
@@ -58,17 +62,6 @@ type ClusterRow struct {
 	FPUWaitCycles   uint64 `json:"fpu_wait_cycles"`
 	PSWaitCycles    uint64 `json:"ps_wait_cycles"`
 	SendStallCycles uint64 `json:"send_stall_cycles"`
-}
-
-// Row returns the cluster's report row.
-func (cs *ClusterStats) Row() ClusterRow {
-	return ClusterRow{
-		TCUInstrs: cs.TCUInstrs(), ALUOps: cs.ALUOps(), FPUOps: cs.FPUOps(),
-		MDUOps: cs.MDUOps(), MemOps: cs.MemOps(),
-		BusyCycles: cs.BusyCycles, MemWaitCycles: cs.MemWaitCycles,
-		FPUWaitCycles: cs.FPUWaitCycles, PSWaitCycles: cs.PSWaitCycles,
-		SendStallCycles: cs.SendStallCycles,
-	}
 }
 
 // StallSnapshot is the machine-wide stall-cycle breakdown by cause.
@@ -175,55 +168,61 @@ func SnapshotHist(h *Histogram) HistSnapshot {
 func (c *Collector) Snapshot(cycle, ticks int64) *Snapshot {
 	s := &Snapshot{Schema: SnapshotSchema, Cycle: cycle, Ticks: ticks}
 
+	byUnit, tcu := c.MasterByUnit, uint64(0)
+	s.Clusters = make([]ClusterRow, len(c.Cluster))
+	for i := range c.Cluster {
+		cs := &c.Cluster[i]
+		for u, n := range cs.ByUnit {
+			byUnit[u] += n
+		}
+		s.Clusters[i] = ClusterRow{
+			TCUInstrs: cs.TCUInstrs(),
+			ALUOps:    cs.ByUnit[isa.UnitALU] + cs.ByUnit[isa.UnitSFT] + cs.ByUnit[isa.UnitBR],
+			FPUOps:    cs.ByUnit[isa.UnitFPU], MDUOps: cs.ByUnit[isa.UnitMDU], MemOps: cs.ByUnit[isa.UnitMEM],
+			BusyCycles: cs.BusyCycles, MemWaitCycles: cs.MemWaitCycles,
+			FPUWaitCycles: cs.FPUWaitCycles, PSWaitCycles: cs.PSWaitCycles,
+			SendStallCycles: cs.SendStallCycles,
+		}
+		tcu += s.Clusters[i].TCUInstrs
+		s.Stalls.Mem += cs.MemWaitCycles
+		s.Stalls.FPUMDU += cs.FPUWaitCycles
+		s.Stalls.PS += cs.PSWaitCycles
+		s.Stalls.ICNSend += cs.SendStallCycles
+	}
+	s.Stalls.MasterMem, s.Stalls.MasterSend = c.MasterMemWaitCycles, c.MasterSendStalls
+
 	s.Instructions = InstrSnapshot{
-		Total: c.TotalInstrs(), Master: c.MasterInstrs, TCU: c.TCUInstrs(),
+		Total: c.MasterInstrs + tcu, Master: c.MasterInstrs, TCU: tcu,
 		ByUnit: map[string]uint64{},
 	}
-	for u, n := range c.InstrByUnit() {
+	for u, n := range byUnit {
 		if n > 0 {
 			s.Instructions.ByUnit[isa.Unit(u).String()] = n
 		}
 	}
 
-	s.Clusters = make([]ClusterRow, len(c.Cluster))
-	var tot ClusterStats
-	for i := range c.Cluster {
-		cs := &c.Cluster[i]
-		s.Clusters[i] = cs.Row()
-		tot.MemWaitCycles += cs.MemWaitCycles
-		tot.FPUWaitCycles += cs.FPUWaitCycles
-		tot.PSWaitCycles += cs.PSWaitCycles
-		tot.SendStallCycles += cs.SendStallCycles
-	}
-	s.Stalls = StallSnapshot{
-		Mem: tot.MemWaitCycles, FPUMDU: tot.FPUWaitCycles, PS: tot.PSWaitCycles,
-		ICNSend: tot.SendStallCycles, MasterMem: c.MasterMemWaitCycles,
-		MasterSend: c.MasterSendStalls,
-	}
-
-	hits, misses := c.TotalCacheHits()
-	var qfull uint64
-	for _, n := range c.CacheQueueFull {
-		qfull += n
-	}
-	var dram uint64
-	for _, d := range c.DRAMAccesses {
-		dram += d
-	}
 	s.Memory = MemorySnapshot{
-		CacheHits: hits, CacheMisses: misses, CachePsm: c.PsmOps,
+		CachePsm:        c.PsmOps,
 		PerModuleHits:   append([]uint64(nil), c.CacheHits...),
 		PerModuleMisses: append([]uint64(nil), c.CacheMisses...),
-		QueueFull:       qfull,
 		QueueDepth:      SnapshotHist(&c.CacheQueueDepth),
 		DRAMAccesses:    append([]uint64(nil), c.DRAMAccesses...),
-		DRAMTotal:       dram,
 		ICNTraversals:   c.ICNTraversals, ICNHops: c.ICNHops,
 		PrefetchFills: c.PrefetchFills, PrefetchHits: c.PrefetchHits,
 		PrefetchEvicts: c.PrefetchEvicts,
 		ROHits:         c.ROHits, ROMisses: c.ROMisses,
 		MasterCacheHits: c.MasterCacheHits, MasterCacheMiss: c.MasterCacheMisses,
 		LoadLatency: SnapshotHist(&c.LoadLatency),
+	}
+	for i := range c.CacheHits {
+		s.Memory.CacheHits += c.CacheHits[i]
+		s.Memory.CacheMisses += c.CacheMisses[i]
+	}
+	for _, n := range c.CacheQueueFull {
+		s.Memory.QueueFull += n
+	}
+	for _, d := range c.DRAMAccesses {
+		s.Memory.DRAMTotal += d
 	}
 
 	s.PrefixSum = PSSnapshot{Ops: c.PsOps, PsmOps: c.PsmOps, Latency: SnapshotHist(&c.PSLatency)}
@@ -232,7 +231,9 @@ func (c *Collector) Snapshot(cycle, ticks int64) *Snapshot {
 		SpawnOverhead: c.SpawnOverheadCycles, JoinOverhead: c.JoinOverheadCycles,
 	}
 	s.Faults = FaultSnapshot{
-		Injected: c.FaultsInjected(), Mem: c.MemFaults, Reg: c.RegFaults,
+		Injected: c.MemFaults + c.RegFaults + c.ICNDelayFaults + c.ICNDupFaults +
+			c.ICNDropFaults + c.CacheStallFaults + c.TCUFailFaults + c.ClusterFailFaults,
+		Mem: c.MemFaults, Reg: c.RegFaults,
 		ICNDelay: c.ICNDelayFaults, ICNDup: c.ICNDupFaults, ICNDrop: c.ICNDropFaults,
 		CacheStall: c.CacheStallFaults, TCUFail: c.TCUFailFaults,
 		ClusterFail: c.ClusterFailFaults, Decommissioned: c.TCUsDecommissioned,

@@ -145,7 +145,8 @@ func TestHistogramPercentile(t *testing.T) {
 	}
 
 	var b strings.Builder
-	h.Report(&b, "lat")
+	hs := SnapshotHist(&h)
+	hs.Report(&b, "lat")
 	if !strings.Contains(b.String(), "count=5") {
 		t.Errorf("report = %q", b.String())
 	}

@@ -43,28 +43,17 @@ func (cs *ClusterStats) TCUInstrs() uint64 {
 	return n
 }
 
-// ALUOps returns the committed integer ALU, shift and branch operations.
-func (cs *ClusterStats) ALUOps() uint64 {
-	return cs.ByUnit[isa.UnitALU] + cs.ByUnit[isa.UnitSFT] + cs.ByUnit[isa.UnitBR]
-}
-
-// FPUOps returns the committed floating-point operations.
-func (cs *ClusterStats) FPUOps() uint64 { return cs.ByUnit[isa.UnitFPU] }
-
-// MDUOps returns the committed multiply/divide operations.
-func (cs *ClusterStats) MDUOps() uint64 { return cs.ByUnit[isa.UnitMDU] }
-
-// MemOps returns the committed load/store operations.
-func (cs *ClusterStats) MemOps() uint64 { return cs.ByUnit[isa.UnitMEM] }
-
 // Collector accumulates all counters of one simulation run. Each cluster's
 // entry of Cluster is written only by that cluster's compute phase, which
 // may run on a host worker concurrently with other clusters', or by serial
 // contexts. Every other field is written by serial contexts only: the
 // scheduler goroutine, outside any compute phase. So plain integers suffice.
+// Readers go through Snapshot, the one place the per-cluster, per-module and
+// per-port counters are summed into machine-wide totals. Only TotalInstrs,
+// which the engine reads for its watchdog and Run result, sums on its own.
 type Collector struct {
 	// Instruction counters: the master's here, the TCUs' in their cluster's
-	// row (TCUInstrs, InstrByUnit).
+	// row (TCUInstrs; Snapshot sums them by unit).
 	MasterInstrs uint64
 	MasterByUnit [isa.NumUnits]uint64
 
@@ -73,7 +62,6 @@ type Collector struct {
 
 	CacheHits      []uint64 // per cache module
 	CacheMisses    []uint64
-	CachePsm       []uint64
 	CacheQueueFull []uint64 // accept stalls due to a full service queue
 
 	DRAMAccesses []uint64 // per port
@@ -96,9 +84,6 @@ type Collector struct {
 
 	MasterCacheHits   uint64
 	MasterCacheMisses uint64
-
-	LoadLatencySum   uint64 // ticks, issue -> commit
-	LoadLatencyCount uint64
 
 	// Hardware performance counters (docs/OBSERVABILITY.md). All are
 	// updated either on the scheduler goroutine or cluster-locally, so
@@ -141,19 +126,12 @@ type Collector struct {
 	filters []Filter
 }
 
-// FaultsInjected sums every applied fault across kinds.
-func (c *Collector) FaultsInjected() uint64 {
-	return c.MemFaults + c.RegFaults + c.ICNDelayFaults + c.ICNDupFaults +
-		c.ICNDropFaults + c.CacheStallFaults + c.TCUFailFaults + c.ClusterFailFaults
-}
-
 // NewCollector sizes a collector for the given machine shape.
 func NewCollector(clusters, cacheModules, dramPorts int) *Collector {
 	return &Collector{
 		Cluster:        make([]ClusterStats, clusters),
 		CacheHits:      make([]uint64, cacheModules),
 		CacheMisses:    make([]uint64, cacheModules),
-		CachePsm:       make([]uint64, cacheModules),
 		CacheQueueFull: make([]uint64, cacheModules),
 		DRAMAccesses:   make([]uint64, dramPorts),
 	}
@@ -175,18 +153,6 @@ func (c *Collector) CountInstr(op isa.Op, cluster int, master bool) {
 	}
 }
 
-// InstrByUnit returns the committed instructions by functional unit, the
-// master's and every cluster's.
-func (c *Collector) InstrByUnit() [isa.NumUnits]uint64 {
-	n := c.MasterByUnit
-	for i := range c.Cluster {
-		for u, v := range c.Cluster[i].ByUnit {
-			n[u] += v
-		}
-	}
-	return n
-}
-
 // TCUInstrs returns the instructions committed by all TCUs.
 func (c *Collector) TCUInstrs() uint64 {
 	var n uint64
@@ -204,9 +170,6 @@ func (c *Collector) CountMem(addr uint32, op isa.Op, module int, hit bool) {
 		} else {
 			c.CacheMisses[module]++
 		}
-		if op == isa.OpPsm {
-			c.CachePsm[module]++
-		}
 	}
 	for _, f := range c.filters {
 		f.Mem(addr, op, module, hit)
@@ -215,15 +178,6 @@ func (c *Collector) CountMem(addr uint32, op isa.Op, module int, hit bool) {
 
 // TotalInstrs returns all committed instructions.
 func (c *Collector) TotalInstrs() uint64 { return c.MasterInstrs + c.TCUInstrs() }
-
-// TotalCacheHits sums over modules.
-func (c *Collector) TotalCacheHits() (hits, misses uint64) {
-	for i := range c.CacheHits {
-		hits += c.CacheHits[i]
-		misses += c.CacheMisses[i]
-	}
-	return
-}
 
 // AddFilter registers an instruction-statistics filter plug-in.
 func (c *Collector) AddFilter(f Filter) { c.filters = append(c.filters, f) }
@@ -248,25 +202,23 @@ type Filter interface {
 	Report(w io.Writer)
 }
 
-// Report writes the standard end-of-run statistics, then each filter's.
+// Report writes the standard end-of-run statistics, rendered from the
+// collector's Snapshot, then each filter's.
 func (c *Collector) Report(w io.Writer) {
-	fmt.Fprintf(w, "instructions: total=%d master=%d tcu=%d\n", c.TotalInstrs(), c.MasterInstrs, c.TCUInstrs())
-	c.reportByUnit(w)
-	hits, misses := c.TotalCacheHits()
-	fmt.Fprintf(w, "shared cache: hits=%d misses=%d psm=%d\n", hits, misses, c.PsmOps)
-	fmt.Fprintf(w, "icn: traversals=%d hops=%d\n", c.ICNTraversals, c.ICNHops)
-	var dram uint64
-	for _, d := range c.DRAMAccesses {
-		dram += d
-	}
-	fmt.Fprintf(w, "dram: accesses=%d across %d ports\n", dram, len(c.DRAMAccesses))
-	fmt.Fprintf(w, "spawns=%d virtual_threads=%d ps=%d\n", c.SpawnCount, c.VirtualThreads, c.PsOps)
-	fmt.Fprintf(w, "prefetch: fills=%d hits=%d evicts=%d\n", c.PrefetchFills, c.PrefetchHits, c.PrefetchEvicts)
-	fmt.Fprintf(w, "rocache: hits=%d misses=%d\n", c.ROHits, c.ROMisses)
-	fmt.Fprintf(w, "master cache: hits=%d misses=%d\n", c.MasterCacheHits, c.MasterCacheMisses)
-	if c.LoadLatencyCount > 0 {
+	s := c.Snapshot(0, 0)
+	m := &s.Memory
+	fmt.Fprintf(w, "instructions: total=%d master=%d tcu=%d\n", s.Instructions.Total, s.Instructions.Master, s.Instructions.TCU)
+	s.reportByUnit(w)
+	fmt.Fprintf(w, "shared cache: hits=%d misses=%d psm=%d\n", m.CacheHits, m.CacheMisses, m.CachePsm)
+	fmt.Fprintf(w, "icn: traversals=%d hops=%d\n", m.ICNTraversals, m.ICNHops)
+	fmt.Fprintf(w, "dram: accesses=%d across %d ports\n", m.DRAMTotal, len(m.DRAMAccesses))
+	fmt.Fprintf(w, "spawns=%d virtual_threads=%d ps=%d\n", s.SpawnJoin.Spawns, s.SpawnJoin.VirtualThreads, s.PrefixSum.Ops)
+	fmt.Fprintf(w, "prefetch: fills=%d hits=%d evicts=%d\n", m.PrefetchFills, m.PrefetchHits, m.PrefetchEvicts)
+	fmt.Fprintf(w, "rocache: hits=%d misses=%d\n", m.ROHits, m.ROMisses)
+	fmt.Fprintf(w, "master cache: hits=%d misses=%d\n", m.MasterCacheHits, m.MasterCacheMiss)
+	if ll := &m.LoadLatency; ll.Count > 0 {
 		fmt.Fprintf(w, "avg load latency: %.1f ticks over %d loads\n",
-			float64(c.LoadLatencySum)/float64(c.LoadLatencyCount), c.LoadLatencyCount)
+			float64(ll.Sum)/float64(ll.Count), ll.Count)
 	}
 	for _, f := range c.filters {
 		fmt.Fprintf(w, "--- filter %s ---\n", f.Name())

@@ -19,11 +19,11 @@ func TestInstrCounting(t *testing.T) {
 	if c.TotalInstrs() != 6 || c.MasterInstrs != 1 || c.TCUInstrs() != 5 {
 		t.Fatalf("totals wrong: %d/%d/%d", c.TotalInstrs(), c.MasterInstrs, c.TCUInstrs())
 	}
-	if u := c.InstrByUnit(); u[isa.UnitALU] != 2 || u[isa.UnitMDU] != 1 || u[isa.UnitBR] != 1 {
-		t.Fatal("per-unit count wrong")
+	s := c.Snapshot(0, 0)
+	if u := s.Instructions.ByUnit; u[isa.UnitALU.String()] != 2 || u[isa.UnitMDU.String()] != 1 || u[isa.UnitBR.String()] != 1 {
+		t.Fatalf("per-unit count wrong: %v", u)
 	}
-	if c.Cluster[0].ALUOps() != 2 || c.Cluster[1].MDUOps() != 1 ||
-		c.Cluster[2].MemOps() != 1 || c.Cluster[3].FPUOps() != 1 {
+	if r := s.Clusters; r[0].ALUOps != 2 || r[1].MDUOps != 1 || r[2].MemOps != 1 || r[3].FPUOps != 1 {
 		t.Fatal("per-cluster counts wrong")
 	}
 }
@@ -33,12 +33,9 @@ func TestMemCounting(t *testing.T) {
 	c.CountMem(0x100, isa.OpLw, 2, true)
 	c.CountMem(0x104, isa.OpLw, 2, false)
 	c.CountMem(0x108, isa.OpPsm, 3, true)
-	hits, misses := c.TotalCacheHits()
-	if hits != 2 || misses != 1 {
+	m := c.Snapshot(0, 0).Memory
+	if hits, misses := m.CacheHits, m.CacheMisses; hits != 2 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
-	}
-	if c.CachePsm[3] != 1 {
-		t.Fatal("psm count wrong")
 	}
 }
 
@@ -94,8 +91,9 @@ func TestReport(t *testing.T) {
 	c.SpawnCount = 3
 	c.VirtualThreads = 100
 	c.PrefetchHits = 5
-	c.LoadLatencySum = 640
-	c.LoadLatencyCount = 8
+	for i := 0; i < 8; i++ {
+		c.LoadLatency.Observe(80)
+	}
 	var buf bytes.Buffer
 	c.Report(&buf)
 	out := buf.String()

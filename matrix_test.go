@@ -7,8 +7,9 @@
 //   - A case (mcase) is a corpus program, a config — preset, host workers,
 //     lookahead, engine mode, fault plan, xmtsan, watchdog — and an observer
 //     set: event log, interval sampler, line profile, filter plug-in, an
-//     activity plug-in on the Control API. It runs under a cycle budget,
-//     optionally chopped into checkpoint segments.
+//     activity plug-in on the Control API, the power/thermal manager. It
+//     runs under a cycle budget, optionally chopped into checkpoint
+//     segments.
 //   - runCase is the one runner. Every run yields one artifact bundle and,
 //     under -v, logs one manifest line: the case id, the final cycle,
 //     Sched.Executed, the final time and a SHA-256 of each artifact.
@@ -282,7 +283,12 @@ const (
 	obsProfile                       // line profile: the cycle profile
 	obsFilter                        // unitFilter, a filter plug-in
 	obsDVFS                          // dvfs, an activity plug-in
+	obsThermal                       // the power/thermal DVFS manager, also feeding the sampler
 )
+
+// thermalC is the obsThermal manager's throttle threshold: low enough that
+// the telemetry gate's program crosses it.
+const thermalC = 45.1
 
 // unitFilter is a filter plug-in counting its Instr callbacks by unit.
 type unitFilter struct{ master, tcu [isa.NumUnits]uint64 }
@@ -380,7 +386,7 @@ func engines() []enginePoint {
 var artifacts = []string{
 	"result", "error", "output", "memory", "gregs", "master", "stats",
 	"counters", "counters.json", "samples.jsonl", "samples.csv", "metrics.prom",
-	"trace.json", "profile", "filter", "race", "windows", "executed",
+	"thermal", "trace.json", "profile", "filter", "race", "windows", "executed",
 }
 
 // archState is the architectural state a resumed run must reach.
@@ -446,7 +452,17 @@ func runCase(t *testing.T, c mcase) *bundle {
 		if c.obs&obsDVFS != 0 {
 			sys.AddActivityPlugin(&dvfs{})
 		}
+		var tm *xmtgo.ThermalManager
+		if c.obs&obsThermal != 0 {
+			if tm, err = xmtgo.NewThermalManager(&c.cfg, c.every, thermalC); err != nil {
+				t.Fatal(err)
+			}
+			sys.AddActivityPlugin(tm)
+		}
 		smp := metrics.Attach(sys, c.every)
+		if smp != nil && tm != nil {
+			smp.AttachThermal(tm)
+		}
 		res, err := sys.Run(c.budget)
 		b.sys, b.res, b.err = sys, *res, err
 		b.segments++
@@ -479,7 +495,7 @@ func runCase(t *testing.T, c mcase) *bundle {
 				Status: metrics.Status{
 					Cycle: res.Cycles, Ticks: int64(res.Ticks), Instrs: res.Instrs,
 					AliveTCUs: sys.AliveTCUs(), DecommissionedTCUs: sys.Stats.TCUsDecommissioned,
-					FaultsInjected: sys.Stats.FaultsInjected(), Done: true,
+					FaultsInjected: snap.Faults.Injected, Done: true,
 				},
 				Counters: snap,
 				Sample:   &samples[len(samples)-1],
@@ -502,6 +518,11 @@ func runCase(t *testing.T, c mcase) *bundle {
 		}
 		if c.obs&obsFilter != 0 {
 			add("filter", unitCounts(f.master, f.tcu))
+		}
+		if tm != nil {
+			for _, h := range tm.History {
+				add("thermal", fmt.Sprintf("%+v\n", h))
+			}
 		}
 		if c.cfg.RaceCheck {
 			for _, r := range sys.RaceDetector().Reports() {
@@ -828,14 +849,20 @@ func TestXmtsanCheckpointResume(t *testing.T) {
 
 // TestTelemetryDeterminism: the interval-sample JSONL/CSV streams, the
 // counter snapshot and the Prometheus text are byte-identical for any host
-// worker count, also while TCU failures decommission units mid-run.
+// worker count, also while TCU failures decommission units mid-run, and
+// while the thermal manager throttles the cluster clock and the samples
+// carry its power block.
 func TestTelemetryDeterminism(t *testing.T) {
-	for _, v := range []struct{ name, plan, want string }{
-		{"clean", "", ""},
-		{"faulty", "tcufail:4@50-400;memflip:2@50-400", `"decommissioned_tcus":4`},
+	for _, v := range []struct {
+		name, plan, want string
+		obs              observers
+	}{
+		{"clean", "", "", 0},
+		{"faulty", "tcufail:4@50-400;memflip:2@50-400", `"decommissioned_tcus":4`, 0},
+		{"thermal", "", `"throttled":true`, obsThermal},
 	} {
 		t.Run(v.name, func(t *testing.T) {
-			c := mcase{prog: "tableI-Parallel, memory intensive", cfg: preset(""), every: 300, budget: 2_000_000}
+			c := mcase{prog: "tableI-Parallel, memory intensive", cfg: preset(""), obs: v.obs, every: 300, budget: 2_000_000}
 			c.cfg.FaultPlan, c.cfg.FaultSeed = v.plan, 7
 			ref := halted(t, runCase(t, c.workers(1)))
 			jsonl := ref.art["samples.jsonl"]

@@ -52,8 +52,11 @@ echo "== go test (benchmark/: the nested xmtbench module)"
 # workload.
 (cd benchmark && go test ./...)
 
-echo "== conformance (three-way: interp vs funcvm vs cycle) + observability goldens + compile toggles"
-go test -count=1 -run 'TestFuncCycleConformance|TestFuncVMCheckpointResume|TestObservabilityGolden|TestCompileToggles' .
+echo "== conformance (three-way: interp vs funcvm vs cycle) + observability goldens and telemetry + compile toggles"
+go test -count=1 -run 'TestFuncCycleConformance|TestFuncVMCheckpointResume|TestObservabilityGolden|TestTelemetryDeterminism|TestTelemetryCheckpointResume|TestCompileToggles' .
+# The interval sampler and the power model difference counter snapshots:
+# every sample field must sum back to the end-of-run snapshot.
+go test -count=1 ./internal/sim/metrics ./internal/sim/power
 
 echo "== go test -race (simulator core + host-parallel determinism + unobserved issue path + mid-window stop)"
 go test -race ./internal/sim/engine ./internal/sim/cycle ./internal/sim/funcmodel

@@ -73,7 +73,8 @@ type (
 	Tracer = trace.Tracer
 	// Checkpoint is a serializable simulation state.
 	Checkpoint = checkpoint.State
-	// PowerModel converts activity counters to watts.
+	// PowerModel converts the activity between two counter snapshots to
+	// watts; it keeps no state of its own.
 	PowerModel = power.Model
 	// ThermalGrid is the lumped RC die model.
 	ThermalGrid = thermal.Grid
