@@ -19,10 +19,12 @@ package xmtgo_test
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"xmtgo"
-	"xmtgo/internal/codegen"
 	"xmtgo/internal/sim/engine"
 	"xmtgo/internal/workloads"
 )
@@ -570,15 +572,76 @@ func BenchmarkThermalPipeline(b *testing.B) {
 	}
 }
 
-// --- compile-speed benchmark for the toolchain itself ---
+// --- compile speed of the toolchain itself ---
 
-func BenchmarkCompileBFS(b *testing.B) {
-	par, _ := workloads.BFS(512, 8192)
-	for i := 0; i < b.N; i++ {
-		if _, err := codegen.Compile("bfs.c", par, codegen.DefaultOptions()); err != nil {
+// BenchmarkCompile times xmtgo.Build (compile, assemble, memory map) over
+// the examples/xmtc fixtures the compiler accepts and the workload kernels,
+// the graph and Table I memory kernels with their memory-map inputs.
+// lines/sec counts XMTC source lines. Compare two commits with
+// `sh scripts/ab.sh REV BenchmarkCompile`.
+func BenchmarkCompile(b *testing.B) {
+	type input struct {
+		name, src string
+		memmaps   []string
+	}
+	var ins []input
+	paths, _ := filepath.Glob(filepath.Join("examples", "xmtc", "*.c"))
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
 			b.Fatal(err)
 		}
+		// misuse.c is rejected on purpose: it is the analyzer's fixture.
+		if _, _, err := xmtgo.Build(path, string(src), xmtgo.DefaultCompileOptions()); err == nil {
+			ins = append(ins, input{name: filepath.Base(path), src: string(src)})
+		}
 	}
+	g := workloads.RandomGraph(400, 8, 1)
+	connMap, _ := workloads.ComponentsGraph(300, 6, 8, 2)
+	bfsPar, bfsSer := workloads.BFS(512, 8192)
+	connPar, _ := workloads.Connectivity(512, 4096)
+	fftPar, _ := workloads.FFT(256)
+	mmPar, _ := workloads.MatMul(24)
+	psPar, _, _, _ := workloads.PrefixSum(1024)
+	redPar, _, _ := workloads.Reduction(2048)
+	vaPar, _, _ := workloads.VecAdd(2048)
+	compSrc, _ := workloads.Compaction(512, 0.5, 3)
+	array := func(n int) string { // the Table I memory kernels' input A
+		var b strings.Builder
+		b.WriteString("A =")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, " %d", i*7919%1000)
+		}
+		return b.String()
+	}
+	ins = append(ins,
+		input{"bfs.c", bfsPar, []string{g.MemMap()}},
+		input{"bfs-serial.c", bfsSer, []string{g.MemMap()}},
+		input{"connectivity.c", connPar, []string{connMap}},
+		input{"fft.c", fftPar, nil},
+		input{"matmul.c", mmPar, nil},
+		input{"prefix-sum.c", psPar, nil},
+		input{"reduction.c", redPar, nil},
+		input{"vecadd.c", vaPar, nil},
+		input{"compaction.c", compSrc, nil},
+		input{"par-mem.c", workloads.TableI(workloads.ParallelMemory, 1024, 40), []string{array(1024 * 8)}},
+		input{"par-compute.c", workloads.TableI(workloads.ParallelCompute, 1024, 40), nil},
+		input{"serial-mem.c", workloads.TableI(workloads.SerialMemory, 1024, 40000), []string{array(40000)}},
+		input{"serial-compute.c", workloads.TableI(workloads.SerialCompute, 1024, 40000), nil},
+	)
+	lines := 0
+	for _, in := range ins {
+		lines += strings.Count(in.src, "\n") + 1
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range ins {
+			if _, _, err := xmtgo.Build(in.name, in.src, xmtgo.DefaultCompileOptions(), in.memmaps...); err != nil {
+				b.Fatalf("%s: %v", in.name, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(lines)*float64(b.N)/b.Elapsed().Seconds(), "lines/sec")
 }
 
 // --- §III-F: synchronous vs asynchronous interconnect ---

@@ -69,6 +69,7 @@ func main() {
 		DisableOutline: *noOutline,
 		ScrambleLayout: *scramble,
 		DumpIR:         *dumpIR,
+		DumpPrepass:    *dumpPrepass,
 		Analyze:        *analyze,
 	}
 	res, err := codegen.Compile(file, string(src), opts)

@@ -185,12 +185,38 @@ str = "hey"
 		t.Fatal("string patch wrong")
 	}
 
+	for _, c := range []struct {
+		values string
+		want   []int32
+	}{
+		{"0xE5 0XE5 0X1F -0XE -0x10", []int32{0xE5, 0xE5, 0x1F, -0xE, -0x10}},
+		{"017 +5 1_000 0b1 0B11 0o17 -0", []int32{017, 5, 1000, 1, 3, 017, 0}},
+		{"4294967295 -2147483648 2147483647", []int32{-1, math.MinInt32, math.MaxInt32}},
+		{"2.5 1E2 -1e-3", []int32{
+			int32(math.Float32bits(2.5)), int32(math.Float32bits(100)), int32(math.Float32bits(-0.001))}},
+	} {
+		if err := ApplyMemMap(p, "m", "arr = "+c.values); err != nil {
+			t.Errorf("arr = %s: %v", c.values, err)
+			continue
+		}
+		for i, w := range c.want {
+			if got := get("arr", uint32(i)); got != w {
+				t.Errorf("arr = %s: word %d is %#x, want %#x", c.values, i, got, w)
+			}
+		}
+	}
+
 	for name, m := range map[string]string{
 		"unknown symbol": "zzz = 1",
 		"bad syntax":     "n 7",
 		"bad value":      "n = abc",
 		"out of range":   "f[4000] = 1",
 		"bad subscript":  "arr[x] = 1",
+		"above uint32":   "n = 4294967296",
+		"below int32":    "n = -2147483649",
+		"bare prefix":    "n = 0X",
+		"hex float":      "n = 0x1.8p1",
+		"bad exponent":   "n = 1e",
 	} {
 		if err := ApplyMemMap(p, "m", m); err == nil {
 			t.Errorf("%s: expected error", name)

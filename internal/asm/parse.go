@@ -75,7 +75,12 @@ func Parse(file, src string) (*Unit, error) {
 	return u, nil
 }
 
+// stripComment drops a '#' or '//' comment outside a string literal; a
+// line with neither character comes back as it is, unscanned.
 func stripComment(s string) string {
+	if strings.IndexByte(s, '#') < 0 && strings.IndexByte(s, '/') < 0 {
+		return s
+	}
 	inStr := false
 	for i := 0; i < len(s); i++ {
 		switch {

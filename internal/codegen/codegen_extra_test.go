@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -148,12 +149,22 @@ func TestRegisterSpillErrorInParallelCode(t *testing.T) {
 	}
 	b.WriteString("        A[$] = acc;\n    }\n    return 0;\n}\n")
 
-	_, err := codegen.Compile("spill.c", b.String(), codegen.DefaultOptions())
-	if err == nil {
-		t.Fatal("expected a register spill error in parallel code")
-	}
-	if !strings.Contains(err.Error(), "register spill in parallel code") {
-		t.Fatalf("wrong error: %v", err)
+	// The error names the same vreg on every compile.
+	var first *codegen.SpillError
+	for i := 0; i < 20; i++ {
+		_, err := codegen.Compile("spill.c", b.String(), codegen.DefaultOptions())
+		var se *codegen.SpillError
+		if !errors.As(err, &se) {
+			t.Fatalf("expected a register spill error in parallel code, got %v", err)
+		}
+		if !strings.Contains(err.Error(), "register spill in parallel code") {
+			t.Fatalf("wrong error: %v", err)
+		}
+		if first == nil {
+			first = se
+		} else if *se != *first {
+			t.Fatalf("compile %d: spill error %+v, first compile %+v", i, *se, *first)
+		}
 	}
 }
 

@@ -256,6 +256,8 @@ int main() {
 }
 
 func TestOutliningHappened(t *testing.T) {
+	opts := codegen.DefaultOptions()
+	opts.DumpPrepass = true
 	res, _ := compile(t, `
 int A[8];
 int found = 0;
@@ -266,7 +268,7 @@ int main() {
     }
     print_int(localFound);
     return 0;
-}`, codegen.DefaultOptions())
+}`, opts)
 	if res.Stats.OutlinedSpawns != 1 {
 		t.Fatalf("outlined %d spawns, want 1", res.Stats.OutlinedSpawns)
 	}

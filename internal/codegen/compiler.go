@@ -39,6 +39,8 @@ type Options struct {
 	SkipPostpass bool
 	// DumpIR collects the optimized IR of every function.
 	DumpIR bool
+	// DumpPrepass renders Result.PrepassSource.
+	DumpPrepass bool
 	// Analyze runs the static analyzer (package analysis) over the
 	// checked AST before the pre-pass rewrites it, and collects IR- and
 	// assembly-level findings; everything lands in Result.Diagnostics.
@@ -82,7 +84,7 @@ type Result struct {
 	Stats       Stats
 	IRDumps     map[string]string
 	// PrepassSource is the outlined XMTC rendered back to source-like
-	// form (the -dump-prepass view of Fig. 8c).
+	// form (the -dump-prepass view of Fig. 8c), with Options.DumpPrepass.
 	PrepassSource string
 }
 
@@ -121,11 +123,13 @@ func Compile(file, src string, opts Options) (*Result, error) {
 	}
 
 	res := &Result{
-		Unit:          &asm.Unit{File: file, Globals: map[string]bool{"main": true}},
-		Warnings:      info.Warnings,
-		Diagnostics:   analysisDiags,
-		IRDumps:       make(map[string]string),
-		PrepassSource: xmtc.Render(f),
+		Unit:        &asm.Unit{File: file, Globals: map[string]bool{"main": true}},
+		Warnings:    info.Warnings,
+		Diagnostics: analysisDiags,
+		IRDumps:     make(map[string]string),
+	}
+	if opts.DumpPrepass {
+		res.PrepassSource = xmtc.Render(f)
 	}
 	u := res.Unit
 

@@ -72,88 +72,62 @@ func linearize(f *ir.Func) (blockStart []int, total int) {
 	return blockStart, pos
 }
 
-// buildIntervals computes live intervals, call-crossing and spawn-overlap
-// flags.
-func buildIntervals(f *ir.Func) ([]*interval, map[int][2]int) {
+// buildIntervals computes live intervals and their call-crossing and
+// spawn-overlap flags, in order of start and then vreg.
+func buildIntervals(f *ir.Func) []*interval {
 	f.Liveness()
 	blockStart, _ := linearize(f)
 
-	iv := make(map[ir.VReg]*interval)
-	touch := func(v ir.VReg, p int) {
-		it, ok := iv[v]
-		if !ok {
-			it = &interval{v: v, start: p, end: p}
-			iv[v] = it
-			return
+	iv := make([]interval, f.NumVRegs)
+	seen := ir.NewVRegSet(f.NumVRegs)
+	touch := func(v ir.VReg, p int, inSpawn bool) {
+		it := &iv[v]
+		if !seen.Has(v) {
+			seen.Add(v)
+			*it = interval{v: v, start: p, end: p}
 		}
-		if p < it.start {
-			it.start = p
-		}
-		if p > it.end {
-			it.end = p
-		}
+		it.start = min(it.start, p)
+		it.end = max(it.end, p)
+		it.inSpawn = it.inSpawn || inSpawn
 	}
 
 	var callPos []int
-	inSpawnSet := make(map[ir.VReg]bool)
-	spawnSpan := make(map[int][2]int) // spawn id -> [spawnPos, joinPos] (informational)
-
 	var buf []ir.VReg
 	for bi, b := range f.Blocks {
 		bStart := blockStart[bi]
 		bEnd := bStart + len(b.Instrs)
-		for v := range b.LiveIn() {
-			touch(v, bStart)
-			if b.SpawnID > 0 {
-				inSpawnSet[v] = true
-			}
+		inSpawn := b.SpawnID > 0
+		for v := b.LiveIn().Next(0); v != ir.NoReg; v = b.LiveIn().Next(v + 1) {
+			touch(v, bStart, inSpawn)
 		}
-		for v := range b.LiveOut() {
-			touch(v, bEnd)
-			if b.SpawnID > 0 {
-				inSpawnSet[v] = true
-			}
+		for v := b.LiveOut().Next(0); v != ir.NoReg; v = b.LiveOut().Next(v + 1) {
+			touch(v, bEnd, inSpawn)
 		}
 		for ii := range b.Instrs {
 			in := &b.Instrs[ii]
 			p := bStart + ii
 			buf = in.Uses(buf)
 			for _, u := range buf {
-				touch(u, p)
-				if b.SpawnID > 0 {
-					inSpawnSet[u] = true
-				}
+				touch(u, p, inSpawn)
 			}
 			if d := in.Def(); d != ir.NoReg {
-				touch(d, p)
-				if b.SpawnID > 0 {
-					inSpawnSet[d] = true
-				}
+				touch(d, p, inSpawn)
 			}
-			switch in.Op {
-			case ir.Call:
+			if in.Op == ir.Call {
 				callPos = append(callPos, p)
-			case ir.Spawn:
-				span := spawnSpan[int(in.Imm)]
-				span[0] = p
-				spawnSpan[int(in.Imm)] = span
-			case ir.Join:
-				span := spawnSpan[int(in.Imm)]
-				span[1] = p
-				spawnSpan[int(in.Imm)] = span
 			}
 		}
 	}
 
-	out := make([]*interval, 0, len(iv))
-	for _, it := range iv {
+	var out []*interval
+	for v := seen.Next(0); v != ir.NoReg; v = seen.Next(v + 1) {
+		it := &iv[v]
 		for _, cp := range callPos {
 			if it.start < cp && cp < it.end {
 				it.crossCall = true
 				break
 			}
 		}
-		it.inSpawn = inSpawnSet[it.v]
 		out = append(out, it)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -162,12 +136,12 @@ func buildIntervals(f *ir.Func) ([]*interval, map[int][2]int) {
 		}
 		return out[i].v < out[j].v
 	})
-	return out, spawnSpan
+	return out
 }
 
 // allocate runs the linear scan.
 func allocate(f *ir.Func) (*allocation, error) {
-	intervals, _ := buildIntervals(f)
+	intervals := buildIntervals(f)
 
 	type activeReg struct {
 		it *interval
@@ -297,7 +271,7 @@ func allocate(f *ir.Func) (*allocation, error) {
 		}
 		var regs []isa.Reg
 		seen := make(map[isa.Reg]bool)
-		for v := range b.LiveIn() {
+		for v := b.LiveIn().Next(0); v != ir.NoReg; v = b.LiveIn().Next(v + 1) {
 			if r, ok := alloc.regOf[v]; ok && !seen[r] {
 				seen[r] = true
 				regs = append(regs, r)

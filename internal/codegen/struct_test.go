@@ -111,6 +111,8 @@ int main() {
 }
 
 func TestStructCapturedByReference(t *testing.T) {
+	opts := codegen.DefaultOptions()
+	opts.DumpPrepass = true
 	res, p := compile(t, `
 struct Acc { int lo; int hi; };
 int A[32];
@@ -128,7 +130,7 @@ int main() {
     print_char(' ');
     print_int(acc.hi);
     return 0;
-}`, codegen.DefaultOptions())
+}`, opts)
 	if !strings.Contains(res.PrepassSource, "__cap_acc") {
 		t.Fatalf("struct not captured:\n%s", res.PrepassSource)
 	}

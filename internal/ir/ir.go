@@ -145,7 +145,7 @@ type Block struct {
 	SpawnID int
 
 	// liveIn/liveOut are filled by Liveness.
-	liveIn, liveOut map[VReg]bool
+	liveIn, liveOut VRegSet
 }
 
 // Func is an IR function.
@@ -155,7 +155,7 @@ type Func struct {
 	ArgRegs  []VReg // vregs holding incoming arguments
 	RetVoid  bool
 	Blocks   []*Block
-	NumVRegs int
+	NumVRegs int // every vreg of the function is below it (see NewVReg)
 
 	// HasCall is set when the function calls others (so $ra is saved).
 	HasCall bool

@@ -13,9 +13,10 @@ func (f *Func) Optimize(level int) {
 	if level <= 0 {
 		return
 	}
+	var t lvnTables
 	for round := 0; round < 3; round++ {
 		for _, b := range f.Blocks {
-			f.lvnBlock(b)
+			f.lvnBlock(b, &t)
 		}
 		f.foldBranches()
 		f.removeUnreachable()
@@ -38,12 +39,49 @@ type loadKey struct {
 	ro   bool
 }
 
+// lvnTables are local value numbering's tables. Optimize keeps one set
+// for every block of every round; lvnBlock clears it for each block.
+type lvnTables struct {
+	consts map[VReg]int32
+	copies map[VReg]VReg
+	exprs  map[exprKey]VReg
+	loads  map[loadKey]VReg
+	// held has every vreg that a copies value, an exprs or loads key
+	// operand or value holds, so redefining any other vreg scans nothing.
+	held VRegSet
+}
+
 // lvnBlock performs local value numbering on one block.
-func (f *Func) lvnBlock(b *Block) {
-	consts := make(map[VReg]int32)
-	copies := make(map[VReg]VReg)
-	exprs := make(map[exprKey]VReg)
-	loads := make(map[loadKey]VReg)
+func (f *Func) lvnBlock(b *Block, t *lvnTables) {
+	if t.consts == nil {
+		*t = lvnTables{make(map[VReg]int32), make(map[VReg]VReg), make(map[exprKey]VReg), make(map[loadKey]VReg),
+			NewVRegSet(f.NumVRegs)}
+	}
+	consts, copies, exprs, loads, held := t.consts, t.copies, t.exprs, t.loads, t.held
+	clear(consts)
+	clear(copies)
+	clear(exprs)
+	clear(loads)
+	clear(held)
+	hold := func(vs ...VReg) {
+		for _, v := range vs {
+			if v != NoReg {
+				held.Add(v)
+			}
+		}
+	}
+	setCopy := func(dst, src VReg) {
+		copies[dst] = src
+		hold(src)
+	}
+	setExpr := func(k exprKey, v VReg) {
+		exprs[k] = v
+		hold(k.a, k.b, v)
+	}
+	setLoad := func(k loadKey, v VReg) {
+		loads[k] = v
+		hold(k.base, v)
+	}
 
 	canon := func(v VReg) VReg {
 		for {
@@ -58,6 +96,9 @@ func (f *Func) lvnBlock(b *Block) {
 		// v is redefined: drop every table entry mentioning it.
 		delete(consts, v)
 		delete(copies, v)
+		if !held.Has(v) {
+			return
+		}
 		for k, val := range exprs {
 			if k.a == v || k.b == v || val == v {
 				delete(exprs, k)
@@ -75,7 +116,7 @@ func (f *Func) lvnBlock(b *Block) {
 		}
 	}
 	clobberMemory := func() {
-		loads = make(map[loadKey]VReg)
+		clear(loads)
 	}
 
 	out := b.Instrs[:0]
@@ -127,7 +168,7 @@ func (f *Func) lvnBlock(b *Block) {
 		if cseable {
 			if prev, ok := exprs[key]; ok && prev != in.Dst {
 				invalidate(in.Dst)
-				copies[in.Dst] = prev
+				setCopy(in.Dst, prev)
 				if c, ok := consts[prev]; ok {
 					consts[in.Dst] = c
 				}
@@ -142,34 +183,34 @@ func (f *Func) lvnBlock(b *Block) {
 				continue // self-move
 			}
 			invalidate(in.Dst)
-			copies[in.Dst] = in.A
+			setCopy(in.Dst, in.A)
 			if c, ok := consts[in.A]; ok {
 				consts[in.Dst] = c
 			}
 		case LdImm:
 			invalidate(in.Dst)
 			consts[in.Dst] = in.Imm
-			exprs[exprKey{op: LdImm, imm: in.Imm}] = in.Dst
+			setExpr(exprKey{op: LdImm, imm: in.Imm}, in.Dst)
 		case Load, LoadRO:
 			lk := loadKey{base: in.A, off: in.Imm, size: in.Size, ro: in.Op == LoadRO}
 			if !in.Volatile {
 				if prev, ok := loads[lk]; ok && prev != in.Dst {
 					invalidate(in.Dst)
-					copies[in.Dst] = prev
+					setCopy(in.Dst, prev)
 					out = append(out, Instr{Op: Mov, Dst: in.Dst, A: prev, Line: in.Line})
 					continue
 				}
 			}
 			invalidate(in.Dst)
 			if !in.Volatile {
-				loads[lk] = in.Dst
+				setLoad(lk, in.Dst)
 			}
 		case Store:
 			// A store invalidates all remembered loads (no alias analysis)
 			// but makes its own value forwardable.
 			clobberMemory()
 			if !in.Volatile && in.Size == 4 {
-				loads[loadKey{base: in.A, off: in.Imm, size: 4}] = in.B
+				setLoad(loadKey{base: in.A, off: in.Imm, size: 4}, in.B)
 			}
 		default:
 			if in.IsBarrier() {
@@ -181,7 +222,7 @@ func (f *Func) lvnBlock(b *Block) {
 		}
 		if cseable {
 			if d := in.Def(); d != NoReg {
-				exprs[key] = d
+				setExpr(key, d)
 			}
 		}
 		out = append(out, in)
@@ -506,7 +547,7 @@ func (f *Func) removeUnreachable() {
 // dce removes pure instructions whose results are never used, using a
 // fixed-point over the non-SSA def/use relation.
 func (f *Func) dce() {
-	needed := make(map[VReg]bool)
+	needed := NewVRegSet(f.NumVRegs)
 	changed := true
 	var buf []VReg
 	for changed {
@@ -515,7 +556,7 @@ func (f *Func) dce() {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				live := in.HasSideEffects() || in.Op == Jmp || in.Op == Br || in.Op == Ret
-				if d := in.Def(); d != NoReg && needed[d] {
+				if d := in.Def(); d != NoReg && needed.Has(d) {
 					live = true
 				}
 				if !live {
@@ -523,8 +564,8 @@ func (f *Func) dce() {
 				}
 				buf = in.Uses(buf)
 				for _, u := range buf {
-					if !needed[u] {
-						needed[u] = true
+					if !needed.Has(u) {
+						needed.Add(u)
 						changed = true
 					}
 				}
@@ -536,7 +577,7 @@ func (f *Func) dce() {
 		for _, in := range b.Instrs {
 			d := in.Def()
 			if !in.HasSideEffects() && in.Op != Jmp && in.Op != Br && in.Op != Ret &&
-				(d == NoReg || !needed[d]) && in.Op != Nop {
+				(d == NoReg || !needed.Has(d)) && in.Op != Nop {
 				continue
 			}
 			if in.Op == Nop {

@@ -153,28 +153,34 @@ func (l *Lexer) Next() (Token, error) {
 	if l.off+2 <= len(l.src) {
 		two = l.src[l.off : l.off+2]
 	}
-	twoTok := map[string]Tok{
-		"->": ARROW, "+=": ADDA, "-=": SUBA, "*=": MULA, "/=": DIVA, "%=": REMA,
-		"&=": ANDA, "|=": ORA, "^=": XORA, "||": OROR, "&&": ANDAND,
-		"==": EQ, "!=": NE, "<=": LE, ">=": GE, "<<": SHL, ">>": SHR,
-		"++": INC, "--": DEC,
-	}
 	if t, ok := twoTok[two]; ok {
 		l.advanceN(2)
 		return Token{Kind: t, Pos: pos}, nil
 	}
-	oneTok := map[byte]Tok{
-		'(': LPAREN, ')': RPAREN, '{': LBRACE, '}': RBRACE, '[': LBRACK, ']': RBRACK,
-		';': SEMI, ',': COMMA, '?': QUESTION, ':': COLON, '=': ASSIGN,
-		'|': OR, '^': XOR, '&': AND, '<': LT, '>': GT, '+': ADD, '-': SUB,
-		'*': MUL, '/': DIV, '%': REM, '!': NOT, '~': TILDE, '.': DOT,
-	}
-	if t, ok := oneTok[c]; ok {
+	if t := oneTok[c]; t != EOF {
 		l.advance()
 		return Token{Kind: t, Pos: pos}, nil
 	}
 	return Token{}, errf(pos, "unexpected character %q", string(c))
 }
+
+// The two- and one-character operators (the three-character ones are the
+// shift assignments Next matches itself). EOF marks a byte that is no
+// operator.
+var (
+	twoTok = map[string]Tok{
+		"->": ARROW, "+=": ADDA, "-=": SUBA, "*=": MULA, "/=": DIVA, "%=": REMA,
+		"&=": ANDA, "|=": ORA, "^=": XORA, "||": OROR, "&&": ANDAND,
+		"==": EQ, "!=": NE, "<=": LE, ">=": GE, "<<": SHL, ">>": SHR,
+		"++": INC, "--": DEC,
+	}
+	oneTok = [256]Tok{
+		'(': LPAREN, ')': RPAREN, '{': LBRACE, '}': RBRACE, '[': LBRACK, ']': RBRACK,
+		';': SEMI, ',': COMMA, '?': QUESTION, ':': COLON, '=': ASSIGN,
+		'|': OR, '^': XOR, '&': AND, '<': LT, '>': GT, '+': ADD, '-': SUB,
+		'*': MUL, '/': DIV, '%': REM, '!': NOT, '~': TILDE, '.': DOT,
+	}
+)
 
 func (l *Lexer) advanceN(n int) {
 	for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package xmtc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -53,6 +54,74 @@ comment */ $ "str\n" <<= >>= && ||`)
 	}
 	if toks[10].Text != "str\n" {
 		t.Fatalf("string = %q", toks[10].Text)
+	}
+}
+
+// TestLexerOperators lexes every operator spelling of tokNames alone, then
+// runs of operators that share a prefix, which must lex longest match first.
+func TestLexerOperators(t *testing.T) {
+	lexKinds := func(src string) []Tok {
+		toks, err := LexAll("t.c", src)
+		if err != nil {
+			t.Fatalf("LexAll(%q): %v", src, err)
+		}
+		var kinds []Tok
+		for _, tk := range toks[:len(toks)-1] {
+			kinds = append(kinds, tk.Kind)
+		}
+		return kinds
+	}
+	for tok := LPAREN; tok <= ARROW; tok++ {
+		if got := lexKinds(tokNames[tok]); !slices.Equal(got, []Tok{tok}) {
+			t.Errorf("%q lexes to %v, want [%v]", tokNames[tok], got, tok)
+		}
+	}
+	for _, c := range []struct {
+		src  string
+		want []Tok
+	}{
+		{"<<<=", []Tok{SHL, LE}},
+		{"<<==", []Tok{SHLA, ASSIGN}},
+		{">>>=", []Tok{SHR, GE}},
+		{">>>>=", []Tok{SHR, SHRA}},
+		{"+++", []Tok{INC, ADD}},
+		{"+++=", []Tok{INC, ADDA}},
+		{"--->", []Tok{DEC, ARROW}},
+		{"->>", []Tok{ARROW, GT}},
+		{"&&&", []Tok{ANDAND, AND}},
+		{"|||=", []Tok{OROR, ORA}},
+		{"===", []Tok{EQ, ASSIGN}},
+		{"!==", []Tok{NE, ASSIGN}},
+		{"<=>", []Tok{LE, GT}},
+		{"a<<=b", []Tok{IDENT, SHLA, IDENT}},
+		{"x-->y", []Tok{IDENT, DEC, GT, IDENT}},
+		{"*p/=q%=r^=s&=t", []Tok{MUL, IDENT, DIVA, IDENT, REMA, IDENT, XORA, IDENT, ANDA, IDENT}},
+		{"s.f->g", []Tok{IDENT, DOT, IDENT, ARROW, IDENT}},
+	} {
+		if got := lexKinds(c.src); !slices.Equal(got, c.want) {
+			t.Errorf("%q lexes to %v, want %v", c.src, got, c.want)
+		}
+	}
+}
+
+// TestLexAllAllocs bounds the lexer's allocations on operator-dense input:
+// growing the token slice is all it may allocate, so eight times the tokens
+// may cost only a few more allocations, never a few per token.
+func TestLexAllAllocs(t *testing.T) {
+	unit := "a[i]<<=b->c+=d&&e||!f;(g++)--,h>>=~k%l^m|n?o:p.q<=r>=s!=t==u*v/w-x;\n"
+	small, big := strings.Repeat(unit, 64), strings.Repeat(unit, 512)
+	allocs := func(src string) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := LexAll("t.c", src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	toks, _ := LexAll("t.c", small)
+	a, b := allocs(small), allocs(big)
+	t.Logf("%d tokens: %.0f allocs; 8x the tokens: %.0f allocs", len(toks), a, b)
+	if a > float64(len(toks))/100 || b > a+16 {
+		t.Errorf("LexAll allocates %.0f times for %d tokens and %.0f for 8x as many", a, len(toks), b)
 	}
 }
 

@@ -91,9 +91,11 @@ echo "== chaos soak (seeded fault-injection matrix, docs/ROBUSTNESS.md)"
 # (workload, seed) across worker counts even while faults corrupt state.
 go test -race -count=1 -timeout 300s -run 'TestChaosSoak|TestDegradedConformance' .
 
-echo "== fuzz smoke (parser + pre-pass + assembler + config + config run + analyzer + backend differential + scheduler order)"
+echo "== fuzz smoke (parser + pre-pass + assembler + memory map + config + config run + analyzer + backend differential + scheduler order)"
 go test -fuzz FuzzParseXMTC -fuzztime 5s -run '^$' ./internal/xmtc
 go test -fuzz FuzzAssemble -fuzztime 5s -run '^$' ./internal/asm
+# The in-place memory-map scanner against strings.Fields + strconv.
+go test -fuzz FuzzMemMap -fuzztime 5s -run '^$' ./internal/asm
 go test -fuzz FuzzConfig -fuzztime 5s -run '^$' ./internal/config
 # Any config Validate accepts must build and run a short program without
 # panicking (a negative cache latency once scheduled into the past).
