@@ -15,6 +15,7 @@ import (
 
 	"xmtgo"
 	"xmtgo/internal/asm"
+	"xmtgo/internal/isa"
 	"xmtgo/internal/sim/checkpoint"
 	"xmtgo/internal/sim/funcmodel"
 	"xmtgo/internal/sim/funcvm"
@@ -68,6 +69,18 @@ func FuzzBackendDifferential(f *testing.F) {
 	f.Add("\t.text\nmain:\tgrw $t0, g12\n\tgrr $t1, g12\n\tsys 4\n\tsys 5\n\tsys 0\n")
 	f.Add("\t.data\nS:\t.asciiz \"x\"\nF:\t.float 1.5\n\t.text\nmain:\tla $v0, S\n\tsys 3\n\tla $t0, F\n\tlw $v0, 0($t0)\n\tsys 6\n\tli $v0, 10\n\tsys 2\n\tsys 0\n")
 	f.Add("\t.text\nmain:\tli $t0, 7\n\tli $t1, 0\n\tdiv $t2, $t0, $t1\n\tsys 0\n")
+	// The idioms the VM fuses into superinstructions (funcvm's fuse): a
+	// loop over every one of them, a fault in a fused word's last member,
+	// and a jump into a fused word's middle.
+	f.Add("\t.data\nA:\t.word 1, 2, 3, 4, 5, 6, 7, 8\n\t.text\nmain:\tli $t1, 0\nL:\tslti $t4, $t1, 6\n\tbgtz $t4, B\n\tj E\n" +
+		"B:\tla $t0, A\n\tsll $t2, $t1, 2\n\taddu $t2, $t0, $t2\n\tlw $t3, 0($t2)\n" +
+		"\tla $t0, A\n\tsll $t2, $t1, 2\n\taddu $t2, $t2, $t0\n\tsw $t3, 4($t2)\n" +
+		"\tla $t0, A\n\tsll $t2, $t1, 2\n\taddu $t2, $t0, $t2\n\tsw.nb $t1, 0($t2)\n" +
+		"\tla $t0, A\n\tsll $t5, $t1, 2\n\taddu $t6, $t0, $t5\n\tpref $zero, 0($t6)\n" +
+		"\tsll $t5, $t1, 2\n\taddu $t6, $t0, $t5\n\tlw $t7, 0($t6)\n\tslt $t4, $t1, $t3\n\tbgtz $t4, C\n" +
+		"C:\taddiu $t0, $t1, 1\n\taddu $t1, $t0, $zero\n\tj L\nE:\taddu $v0, $t7, $t3\n\tsys 1\n\tsys 0\n")
+	f.Add("\t.data\nA:\t.word 1, 2\n\t.text\nmain:\tli $t1, 1\n\tla $t0, A\n\tsll $t2, $t1, 1\n\taddu $t2, $t0, $t2\n\tlw $t3, 0($t2)\n\tsys 0\n")
+	f.Add("\t.data\nA:\t.word 1, 2\n\t.text\nmain:\tla $t0, A\n\tli $t1, 1\n\tj M\n\tsll $t2, $t1, 2\nM:\taddu $t2, $t0, $t2\n\tlw $v0, 0($t2)\n\tsys 1\n\tsys 0\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		u, err := asm.Parse("fuzz.s", src)
@@ -134,19 +147,41 @@ func TestFuncVMCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Find a second stop inside a fused word: after the first member of a
+	// lui+ori, addiu+addu or sll+addu pair (the VM always fuses those) that
+	// the master executes after its first thousand instructions. The master
+	// is quiescent there, so RunTo stops at exactly that instruction.
+	var steps, insideFused uint64
+	var prev isa.Instr
+	ref.Trace = func(ctx *funcmodel.Context, in isa.Instr) {
+		if insideFused == 0 && ctx.IsMaster && steps > 1000 && fusedPair(prev, in) {
+			insideFused = steps
+		}
+		prev = in
+		steps++
+	}
 	if err := ref.Run(50_000_000); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	if !ref.Halted {
 		t.Fatal("reference run did not halt")
 	}
-	// Stop roughly mid-run so the checkpoint captures real progress.
-	stopAt := ref.InstrCount / 2
+	if insideFused == 0 {
+		t.Fatal("the master never executes a fused pair")
+	}
 
-	for _, dir := range []struct{ name, first, second string }{
-		{"vm-to-interp", "vm", "interp"},
-		{"interp-to-vm", "interp", "vm"},
+	for _, dir := range []struct {
+		name, first, second string
+		stopAt              uint64
+		exact               bool // RunTo must stop at stopAt itself
+	}{
+		// Stop roughly mid-run so the checkpoint captures real progress.
+		{"vm-to-interp", "vm", "interp", ref.InstrCount / 2, false},
+		{"interp-to-vm", "interp", "vm", ref.InstrCount / 2, false},
+		{"vm-to-interp-inside-fused", "vm", "interp", insideFused, true},
+		{"interp-to-vm-inside-fused", "interp", "vm", insideFused, true},
 	} {
+		stopAt := dir.stopAt
 		t.Run(dir.name, func(t *testing.T) {
 			var out1 bytes.Buffer
 			m1, err := xmtgo.NewMachine(prog, cfg, &out1)
@@ -169,6 +204,9 @@ func TestFuncVMCheckpointResume(t *testing.T) {
 			}
 			if !m1.Quiescent() {
 				t.Fatal("RunTo stopped at a non-quiescent point")
+			}
+			if dir.exact && m1.InstrCount != stopAt {
+				t.Fatalf("RunTo(%d) stopped after %d instructions", stopAt, m1.InstrCount)
 			}
 
 			var ckpt bytes.Buffer
@@ -205,4 +243,21 @@ func TestFuncVMCheckpointResume(t *testing.T) {
 			compareFuncBackends(t, ref, m2, refOut.String(), out1.String()+out2.String())
 		})
 	}
+}
+
+// fusedPair reports whether b, run right after a, is the second member of
+// an idiom whose first two members the VM always fuses: lui+ori, or
+// sll|addiu + an addu that reads the first's destination (not $zero) as
+// exactly one operand.
+func fusedPair(a, b isa.Instr) bool {
+	if a.Rd == isa.RegZero {
+		return false
+	}
+	switch {
+	case a.Op == isa.OpLui && b.Op == isa.OpOri:
+		return b.Rs == a.Rd
+	case (a.Op == isa.OpSll || a.Op == isa.OpAddiu) && b.Op == isa.OpAddu:
+		return (b.Rs == a.Rd) != (b.Rt == a.Rd)
+	}
+	return false
 }

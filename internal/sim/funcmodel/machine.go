@@ -109,6 +109,7 @@ type Machine struct {
 	memHalf    uint32
 	dirtyLoMax uint32
 	dirtyHiMin uint32
+	memFresh   bool // Mem was made for this machine, not taken from the pool
 }
 
 // memPool recycles shared-memory buffers between runs, bucketed by size.
@@ -122,7 +123,8 @@ var memPool struct {
 
 const memPoolPerSize = 4
 
-func acquireMem(size uint32) []byte {
+// acquireMem returns a zeroed buffer from the pool, or a fresh one.
+func acquireMem(size uint32) (b []byte, fresh bool) {
 	memPool.mu.Lock()
 	defer memPool.mu.Unlock()
 	q := memPool.bufs[size]
@@ -130,14 +132,16 @@ func acquireMem(size uint32) []byte {
 		b := q[n-1]
 		q[n-1] = nil
 		memPool.bufs[size] = q[:n-1]
-		return b
+		return b, false
 	}
-	return make([]byte, size)
+	return make([]byte, size), true
 }
 
 // ReleaseMemory re-zeroes the machine's dirty memory ranges and returns the
-// buffer to the recycling pool. The machine must not be used afterwards.
-// Optional: callers that run one simulation and exit gain nothing from it.
+// buffer to the recycling pool; on a buffer's first release it also hands
+// the pages between the ranges back to the kernel. The machine must not be
+// used afterwards. Optional: callers that run one simulation and exit gain
+// nothing from it.
 func (m *Machine) ReleaseMemory() {
 	b := m.Mem
 	if b == nil {
@@ -156,6 +160,9 @@ func (m *Machine) ReleaseMemory() {
 	}
 	for i := range b[hi:] {
 		b[hi+uint32(i)] = 0
+	}
+	if m.memFresh {
+		dropPages(b, lo, hi)
 	}
 	size := uint32(len(b))
 	memPool.mu.Lock()
@@ -196,7 +203,8 @@ func New(prog *asm.Program, memBytes uint32, out io.Writer) (*Machine, error) {
 	if out == nil {
 		out = io.Discard
 	}
-	m := &Machine{Prog: prog, Mem: acquireMem(memBytes), Out: out}
+	mem, fresh := acquireMem(memBytes)
+	m := &Machine{Prog: prog, Mem: mem, Out: out, memFresh: fresh}
 	m.memHalf = memBytes / 2
 	m.dirtyHiMin = memBytes
 	copy(m.Mem[asm.DataBase:], prog.Data)

@@ -1,9 +1,11 @@
 // Package funcvm is the direct-threaded bytecode backend for the
-// functional model (ROADMAP open item 3). The assembled program is lowered
-// once (lower.go) into a flat stream of words whose operands — register
-// file slots, folded immediates, absolute branch targets, spawn join
-// points, sys trap codes — are fully pre-resolved, and a dispatch loop of
-// func-valued handlers executes that stream with no per-step ISA decode.
+// functional model. The assembled program is lowered once (lower.go) into
+// a flat stream of words whose operands — register file slots, folded
+// immediates, absolute branch targets, spawn join points, sys trap codes —
+// are fully pre-resolved, and a dispatch loop of func-valued handlers
+// executes that stream with no per-step ISA decode. Words that start one of
+// the compiler's address or loop idioms also carry a superinstruction that
+// runs the whole idiom in one dispatch.
 //
 // The VM is a drop-in alternative to funcmodel's Step interpreter: it
 // attaches to an existing funcmodel.Machine, executes against the
@@ -213,6 +215,11 @@ func (v *VM) fail(w *word, err error) *word {
 // directly (nil to stop), so the loop performs no bounds-checked indexing
 // and no pc arithmetic — the stopping handler or the budget path below
 // are the only places the numeric pc is materialized.
+//
+// While at least maxSpan instructions remain, each dispatch calls the
+// word's run handler, which may execute a whole fused idiom and counts its
+// span. The last few instructions of the budget run plain words, so a
+// budget stops at exactly the instruction it names.
 func (v *VM) run(limit uint64) int {
 	pc := v.pc
 	if pc < 0 || pc > v.textLen {
@@ -235,27 +242,37 @@ func (v *VM) run(limit uint64) int {
 		rem = limit - v.icount
 	}
 	n := rem
-	for {
-		n--
+	for n >= maxSpan {
+		n -= uint64(w.span)
 		if w = w.run(v, w); w == nil {
-			v.icount += rem - n
-			if v.reason == rOutside {
-				v.icount-- // the sentinel is a fetch error, not an instruction
-				v.reason = rErr
-			}
-			return v.reason
-		}
-		if n == 0 {
-			v.icount += rem
-			v.pc = w.next - 1 // every word's next is its own index + 1
-			return rBudget
+			return v.stopped(rem - n)
 		}
 	}
+	for n > 0 {
+		n--
+		if w = w.plain(v, w); w == nil {
+			return v.stopped(rem - n)
+		}
+	}
+	v.icount += rem
+	v.pc = w.next - 1 // every word's next is its own index + 1
+	return rBudget
+}
+
+// stopped settles the count of a burst that a handler stopped after
+// executed instructions and returns the stop reason.
+func (v *VM) stopped(executed uint64) int {
+	v.icount += executed
+	if v.reason == rOutside {
+		v.icount-- // the sentinel is a fetch error, not an instruction
+		v.reason = rErr
+	}
+	return v.reason
 }
 
 // runTraced is the dispatch loop with the machine's Trace hook active: the
 // hook sees the same context snapshot (PC already advanced, registers
-// pre-execution) as the interpreter's.
+// pre-execution) as the interpreter's, so it runs plain words only.
 func (v *VM) runTraced(limit uint64) int {
 	pc := v.pc
 	if pc < 0 || pc > v.textLen {
@@ -283,13 +300,8 @@ func (v *VM) runTraced(limit uint64) int {
 			v.m.Trace(&v.scratch, v.text[idx])
 		}
 		n--
-		if w = w.run(v, w); w == nil {
-			v.icount += rem - n
-			if v.reason == rOutside {
-				v.icount--
-				v.reason = rErr
-			}
-			return v.reason
+		if w = w.plain(v, w); w == nil {
+			return v.stopped(rem - n)
 		}
 		if n == 0 {
 			v.icount += rem

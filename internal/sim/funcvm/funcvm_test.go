@@ -72,8 +72,9 @@ func normalize(err error) string {
 }
 
 // runBoth executes src under the interpreter and the VM with the given
-// budget and requires bit-identical architectural outcomes.
-func runBoth(t *testing.T, src string, budget uint64) (*funcmodel.Machine, *funcmodel.Machine) {
+// budget and requires bit-identical architectural outcomes, the error
+// (returned as the VM's) included.
+func runBoth(t *testing.T, src string, budget uint64) (*funcmodel.Machine, *funcmodel.Machine, error) {
 	t.Helper()
 	p := mustProgram(t, src)
 
@@ -121,11 +122,11 @@ func runBoth(t *testing.T, src string, budget uint64) (*funcmodel.Machine, *func
 			}
 		}
 	}
-	return mi, mv
+	return mi, mv, errV
 }
 
 func TestVMMatchesInterpreterCompaction(t *testing.T) {
-	mi, _ := runBoth(t, compactionAsm, 1_000_000)
+	mi, _, _ := runBoth(t, compactionAsm, 1_000_000)
 	if !mi.Halted {
 		t.Fatal("program did not halt")
 	}
@@ -165,7 +166,7 @@ main:
         sys   0
 sub1:   jr    $ra
 `
-	mi, _ := runBoth(t, src, 1_000_000)
+	mi, _, _ := runBoth(t, src, 1_000_000)
 	if !mi.Halted {
 		t.Fatal("program did not halt")
 	}
@@ -235,6 +236,19 @@ func TestVMBudgetParity(t *testing.T) {
 	}
 	if mi.InstrCount != 100 || mv.InstrCount != 100 {
 		t.Fatalf("instruction counts: interp=%d vm=%d, want 100", mi.InstrCount, mv.InstrCount)
+	}
+
+	// A budget that ends at every offset of every fused word of
+	// fusedLoopAsm, and everywhere else in it: the burst runs its last
+	// instructions as plain words, so it stops at exactly the budget.
+	full, _, err := runBoth(t, fusedLoopAsm, 0)
+	if err != nil || !full.Halted {
+		t.Fatalf("fusedLoopAsm: halted=%v err=%v", full.Halted, err)
+	}
+	for b := uint64(1); b < full.InstrCount; b++ {
+		if mi, _, err := runBoth(t, fusedLoopAsm, b); err == nil || mi.InstrCount != b {
+			t.Fatalf("budget %d: stopped after %d instructions, err %v", b, mi.InstrCount, err)
+		}
 	}
 }
 

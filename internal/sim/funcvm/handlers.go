@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"xmtgo/internal/isa"
 
@@ -116,19 +117,22 @@ func hLui(v *VM, w *word) *word {
 }
 
 // --- Shifts ---
+//
+// Shift amounts are masked at lowering; masking again costs nothing and
+// lets the compiler drop its check for amounts of 32 and more.
 
 func hSll(v *VM, w *word) *word {
-	v.regs[w.d] = v.regs[w.s] << uint(w.imm)
+	v.regs[w.d] = v.regs[w.s] << uint(w.imm&31)
 	return w.nextw
 }
 
 func hSrl(v *VM, w *word) *word {
-	v.regs[w.d] = int32(uint32(v.regs[w.s]) >> uint(w.imm))
+	v.regs[w.d] = int32(uint32(v.regs[w.s]) >> uint(w.imm&31))
 	return w.nextw
 }
 
 func hSra(v *VM, w *word) *word {
-	v.regs[w.d] = v.regs[w.s] >> uint(w.imm)
+	v.regs[w.d] = v.regs[w.s] >> uint(w.imm&31)
 	return w.nextw
 }
 
@@ -361,14 +365,24 @@ func hBranchBad(v *VM, w *word) *word {
 
 func hLw(v *VM, w *word) *word {
 	addr := uint32(v.regs[w.s] + w.imm)
-	if addr%4 != 0 {
-		return v.fail(w, &funcmodel.MemFault{Addr: addr, Op: "unaligned load"})
-	}
-	if uint64(addr)+4 > uint64(len(v.mem)) {
-		return v.fail(w, &funcmodel.MemFault{Addr: addr, Op: "load"})
+	if addr%4 != 0 || uint64(addr)+4 > uint64(len(v.mem)) {
+		return v.memFault(w, addr, "load")
 	}
 	v.regs[w.d] = int32(binary.LittleEndian.Uint32(v.mem[addr:]))
 	return w.nextw
+}
+
+// memFault fails the word-sized access op ("load" or "store") of w at
+// addr, naming misalignment first like the interpreter. The plain and
+// fused load and store handlers all fail through it, and it stays out of
+// line so their hot path stays short.
+//
+//go:noinline
+func (v *VM) memFault(w *word, addr uint32, op string) *word {
+	if addr%4 != 0 {
+		op = "unaligned " + op
+	}
+	return v.fail(w, &funcmodel.MemFault{Addr: addr, Op: op})
 }
 
 func hLb(v *VM, w *word) *word {
@@ -391,11 +405,8 @@ func hLbu(v *VM, w *word) *word {
 
 func hSw(v *VM, w *word) *word {
 	addr := uint32(v.regs[w.s] + w.imm)
-	if addr%4 != 0 {
-		return v.fail(w, &funcmodel.MemFault{Addr: addr, Op: "unaligned store"})
-	}
-	if uint64(addr)+4 > uint64(len(v.mem)) {
-		return v.fail(w, &funcmodel.MemFault{Addr: addr, Op: "store"})
+	if addr%4 != 0 || uint64(addr)+4 > uint64(len(v.mem)) {
+		return v.memFault(w, addr, "store")
 	}
 	binary.LittleEndian.PutUint32(v.mem[addr:], uint32(v.regs[w.t]))
 	v.dirty(addr, 4)
@@ -524,7 +535,7 @@ func hChkid(v *VM, w *word) *word {
 	return w.nextw
 }
 
-// --- Sys traps (one superinstruction per trap code) ---
+// --- Sys traps (one handler per trap code) ---
 
 func hSysHalt(v *VM, w *word) *word {
 	v.m.Halted = true
@@ -598,4 +609,119 @@ func hOutside(v *VM, w *word) *word {
 	v.err = fmt.Errorf("funcvm: PC %d outside program (context %d)", v.textLen, id)
 	v.reason = rOutside
 	return nil
+}
+
+// --- Superinstructions (fuse in lower.go) ---
+//
+// Each runs the members of one idiom, starting with its own word w, and
+// reads every member's operands from the member's own word. The value a
+// member passes to the next stays in a local; every member's register write
+// still happens, in program order, and only the last member branches or
+// faults.
+
+// at returns the word k places after w. A superinstruction's members and
+// the word after them (the sentinel at worst) lie in the same word slice,
+// so at reaches them by offset instead of following nextw: a chain of
+// dependent loads through nextw was what a burst of dispatches waited on.
+func at(w *word, k uintptr) *word {
+	return (*word)(unsafe.Add(unsafe.Pointer(w), k*unsafe.Sizeof(word{})))
+}
+
+func hLuiOri(v *VM, w *word) *word {
+	v.regs[w.d] = w.imm
+	v.regs[at(w, 1).d] = w.k
+	return at(w, 2)
+}
+
+func hSllAddu(v *VM, w *word) *word {
+	x := v.regs[w.s] << uint(w.imm&31)
+	v.regs[w.d] = x
+	v.regs[at(w, 1).d] = x + v.regs[w.x]
+	return at(w, 2)
+}
+
+func hSllAdduLw(v *VM, w *word) *word {
+	x := v.regs[w.s] << uint(w.imm&31)
+	v.regs[w.d] = x
+	x += v.regs[w.x]
+	v.regs[at(w, 1).d] = x
+	l := at(w, 2)
+	addr := uint32(x + l.imm)
+	if addr%4 != 0 || uint64(addr)+4 > uint64(len(v.mem)) {
+		return v.memFault(l, addr, "load")
+	}
+	v.regs[l.d] = int32(binary.LittleEndian.Uint32(v.mem[addr:]))
+	return at(w, 3)
+}
+
+// address runs the lui, ori, sll and addu of a global-array access and
+// returns the address.
+func (v *VM) address(w *word) int32 {
+	s := at(w, 2)
+	v.regs[w.d] = w.imm
+	v.regs[at(w, 1).d] = w.k
+	x := v.regs[s.s] << uint(s.imm&31)
+	v.regs[s.d] = x
+	x += v.regs[w.x]
+	v.regs[at(w, 3).d] = x
+	return x
+}
+
+func hAddrLw(v *VM, w *word) *word {
+	x := v.address(w)
+	m := at(w, 4)
+	addr := uint32(x + m.imm)
+	if addr%4 != 0 || uint64(addr)+4 > uint64(len(v.mem)) {
+		return v.memFault(m, addr, "load")
+	}
+	v.regs[m.d] = int32(binary.LittleEndian.Uint32(v.mem[addr:]))
+	return at(w, 5)
+}
+
+func hAddrSw(v *VM, w *word) *word {
+	x := v.address(w)
+	m := at(w, 4)
+	addr := uint32(x + m.imm)
+	if addr%4 != 0 || uint64(addr)+4 > uint64(len(v.mem)) {
+		return v.memFault(m, addr, "store")
+	}
+	binary.LittleEndian.PutUint32(v.mem[addr:], uint32(v.regs[m.t]))
+	v.dirty(addr, 4)
+	return at(w, 5)
+}
+
+func hAddrPref(v *VM, w *word) *word {
+	x := v.address(w)
+	m := at(w, 4)
+	if addr := uint32(x+m.imm) &^ 3; uint64(addr)+4 > uint64(len(v.mem)) {
+		return v.fail(m, &funcmodel.MemFault{Addr: addr, Op: "load"})
+	}
+	return at(w, 5)
+}
+
+func hAddiuAddu(v *VM, w *word) *word {
+	x := v.regs[w.s] + w.imm
+	v.regs[w.d] = x
+	v.regs[at(w, 1).d] = x + v.regs[w.x]
+	return at(w, 2)
+}
+
+func hAddiuAdduJ(v *VM, w *word) *word { return hAddiuAddu(v, w).tgtw }
+
+func hSltBgtz(v *VM, w *word) *word {
+	if v.regs[w.s] < v.regs[w.t] {
+		v.regs[w.d] = 1
+		return at(w, 1).tgtw
+	}
+	v.regs[w.d] = 0
+	return at(w, 2)
+}
+
+func hSltiBgtz(v *VM, w *word) *word {
+	if v.regs[w.s] < w.imm {
+		v.regs[w.d] = 1
+		return at(w, 1).tgtw
+	}
+	v.regs[w.d] = 0
+	return at(w, 2)
 }

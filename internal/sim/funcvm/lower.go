@@ -20,26 +20,37 @@ const zeroSink = 32
 // out of range, eliminating bounds checks on every register access.
 const regSlots = 256
 
-// word is one lowered instruction: a handler plus fully pre-resolved
-// operands. The dispatch loop calls run and continues at the returned
-// word; a nil return stops dispatch (halt, error, checkpoint pause).
-// Control flow is threaded as direct pointers — nextw and tgtw point at
-// the successor words — so the hot loop never indexes the word stream
-// (only jr/jalr, whose targets are dynamic, pay an indexed lookup).
+// word is one lowered instruction: handlers plus fully pre-resolved
+// operands. The dispatch loop calls a handler and continues at the
+// returned word; a nil return stops dispatch (halt, error, checkpoint
+// pause). Control flow is threaded as direct pointers — nextw and tgtw
+// point at the successor words — so the hot loop never indexes the word
+// stream (only jr/jalr, whose targets are dynamic, pay an indexed lookup).
+//
+// plain executes this one instruction. run is what the untraced dispatch
+// loop calls: plain again, or — when the word starts one of the compiler's
+// idioms — a superinstruction that executes all span members of the idiom
+// (this word and the span-1 words after it) in one dispatch. Every member
+// keeps its own plain handler, so a jump into the middle of an idiom, a
+// resume at any pc and a budget that ends inside one stay exact.
 type word struct {
-	run func(*VM, *word) *word
+	run   func(*VM, *word) *word
+	plain func(*VM, *word) *word
 
 	nextw *word // fallthrough successor (sentinel: nil)
 	tgtw  *word // resolved branch target / post-join word for spawn
 
-	d uint8 // write slot (zeroSink when the op writes $zero or nothing)
-	s uint8 // read slot of Rs
-	t uint8 // read slot of Rt, or of Rd for ops that read Rd
-	g uint8 // global register index, pre-masked to 0..63
+	d    uint8 // write slot (zeroSink when the op writes $zero or nothing)
+	s    uint8 // read slot of Rs
+	t    uint8 // read slot of Rt, or of Rd for ops that read Rd
+	g    uint8 // global register index, pre-masked to 0..63
+	span uint8 // instructions run executes: 1, or the fused idiom's length
+	x    uint8 // fused: read slot of the addu member's other operand
 
 	imm  int32 // folded immediate (masked/shifted at lowering)
 	tgt  int32 // resolved branch target / post-join pc for spawn
 	next int32 // own index + 1: fallthrough pc, jal link value
+	k    int32 // fused lui+ori: the folded 32-bit constant
 }
 
 // Code is the immutable lowered form of one program: a flat word stream
@@ -86,10 +97,12 @@ func wslot(r isa.Reg) uint8 {
 }
 
 // lower compiles the assembled program into the flat word stream and the
-// cycle model's issue records (issue.go). All decode decisions move here: register numbers become file slots,
-// immediates are folded (andi/ori/xori masked, lui pre-shifted, shift
-// amounts clamped), branch targets become absolute pc values, and
-// spawn/ps/psm/sys become dedicated superinstruction handlers.
+// cycle model's issue records (issue.go). All decode decisions move here:
+// register numbers become file slots, immediates are folded (andi/ori/xori
+// masked, lui pre-shifted, shift amounts clamped), branch targets become
+// absolute pc values, and spawn/ps/psm get dedicated handlers, sys one per
+// trap code. A peephole pass (fuse) then gives the words that start the
+// compiler's address and loop idioms a superinstruction.
 func lower(p *asm.Program) *Code {
 	n := len(p.Text)
 	words := make([]word, n+1)
@@ -115,193 +128,193 @@ func lower(p *asm.Program) *Code {
 		case isa.OpNop, isa.OpFence:
 			// fence is a functional no-op: this backend, like the
 			// interpreter, has no pending memory operations.
-			w.run = hNop
+			w.plain = hNop
 
 		// Integer ALU.
 		case isa.OpAdd, isa.OpAddu:
-			w.run = hAdd
+			w.plain = hAdd
 		case isa.OpSub, isa.OpSubu:
-			w.run = hSub
+			w.plain = hSub
 		case isa.OpAnd:
-			w.run = hAnd
+			w.plain = hAnd
 		case isa.OpOr:
-			w.run = hOr
+			w.plain = hOr
 		case isa.OpXor:
-			w.run = hXor
+			w.plain = hXor
 		case isa.OpNor:
-			w.run = hNor
+			w.plain = hNor
 		case isa.OpSlt:
-			w.run = hSlt
+			w.plain = hSlt
 		case isa.OpSltu:
-			w.run = hSltu
+			w.plain = hSltu
 		case isa.OpAddi, isa.OpAddiu:
-			w.run = hAddi
+			w.plain = hAddi
 		case isa.OpAndi:
-			w.run = hAndi
+			w.plain = hAndi
 			w.imm = in.Imm & 0xffff
 		case isa.OpOri:
-			w.run = hOri
+			w.plain = hOri
 			w.imm = in.Imm & 0xffff
 		case isa.OpXori:
-			w.run = hXori
+			w.plain = hXori
 			w.imm = in.Imm & 0xffff
 		case isa.OpSlti:
-			w.run = hSlti
+			w.plain = hSlti
 		case isa.OpSltiu:
-			w.run = hSltiu
+			w.plain = hSltiu
 		case isa.OpLui:
-			w.run = hLui
+			w.plain = hLui
 			w.imm = in.Imm << 16
 
 		// Shifts.
 		case isa.OpSll:
-			w.run = hSll
+			w.plain = hSll
 			w.imm = in.Imm & 31
 		case isa.OpSrl:
-			w.run = hSrl
+			w.plain = hSrl
 			w.imm = in.Imm & 31
 		case isa.OpSra:
-			w.run = hSra
+			w.plain = hSra
 			w.imm = in.Imm & 31
 		case isa.OpSllv:
-			w.run = hSllv
+			w.plain = hSllv
 		case isa.OpSrlv:
-			w.run = hSrlv
+			w.plain = hSrlv
 		case isa.OpSrav:
-			w.run = hSrav
+			w.plain = hSrav
 
 		// Multiply/divide.
 		case isa.OpMul:
-			w.run = hMul
+			w.plain = hMul
 		case isa.OpMulu:
-			w.run = hMulu
+			w.plain = hMulu
 		case isa.OpDiv:
-			w.run = hDiv
+			w.plain = hDiv
 		case isa.OpDivu:
-			w.run = hDivu
+			w.plain = hDivu
 		case isa.OpRem:
-			w.run = hRem
+			w.plain = hRem
 		case isa.OpRemu:
-			w.run = hRemu
+			w.plain = hRemu
 
 		// Floating point.
 		case isa.OpAddS:
-			w.run = hAddS
+			w.plain = hAddS
 		case isa.OpSubS:
-			w.run = hSubS
+			w.plain = hSubS
 		case isa.OpMulS:
-			w.run = hMulS
+			w.plain = hMulS
 		case isa.OpDivS:
-			w.run = hDivS
+			w.plain = hDivS
 		case isa.OpAbsS:
-			w.run = hAbsS
+			w.plain = hAbsS
 		case isa.OpNegS:
-			w.run = hNegS
+			w.plain = hNegS
 		case isa.OpSqrtS:
-			w.run = hSqrtS
+			w.plain = hSqrtS
 		case isa.OpCvtSW:
-			w.run = hCvtSW
+			w.plain = hCvtSW
 		case isa.OpCvtWS:
-			w.run = hCvtWS
+			w.plain = hCvtWS
 		case isa.OpCeqS:
-			w.run = hCeqS
+			w.plain = hCeqS
 		case isa.OpCltS:
-			w.run = hCltS
+			w.plain = hCltS
 		case isa.OpCleS:
-			w.run = hCleS
+			w.plain = hCleS
 
 		// Branches and jumps. Static targets are resolved below.
 		case isa.OpBeq:
-			w.run = hBeq
+			w.plain = hBeq
 		case isa.OpBne:
-			w.run = hBne
+			w.plain = hBne
 		case isa.OpBlez:
-			w.run = hBlez
+			w.plain = hBlez
 		case isa.OpBgtz:
-			w.run = hBgtz
+			w.plain = hBgtz
 		case isa.OpBltz:
-			w.run = hBltz
+			w.plain = hBltz
 		case isa.OpBgez:
-			w.run = hBgez
+			w.plain = hBgez
 		case isa.OpJ:
-			w.run = hJ
+			w.plain = hJ
 		case isa.OpJal:
-			w.run = hJal
+			w.plain = hJal
 			w.d = uint8(isa.RegRA)
 		case isa.OpJr:
-			w.run = hJr
+			w.plain = hJr
 		case isa.OpJalr:
-			w.run = hJalr
+			w.plain = hJalr
 			w.d = uint8(isa.RegRA)
 
 		// Memory.
 		case isa.OpLw, isa.OpLwRO:
-			w.run = hLw
+			w.plain = hLw
 		case isa.OpLb:
-			w.run = hLb
+			w.plain = hLb
 		case isa.OpLbu:
-			w.run = hLbu
+			w.plain = hLbu
 		case isa.OpSw, isa.OpSwNB:
-			w.run = hSw
+			w.plain = hSw
 			w.t = uint8(in.Rd) // store data register
 		case isa.OpSb:
-			w.run = hSb
+			w.plain = hSb
 			w.t = uint8(in.Rd)
 		case isa.OpPref:
-			w.run = hPref
+			w.plain = hPref
 
 		// XMT extensions.
 		case isa.OpSpawn:
 			region := p.RegionOf(i + 1)
 			if region == nil || region.Spawn != i {
-				w.run = hSpawnBad
+				w.plain = hSpawnBad
 				w.imm = int32(i)
 			} else {
-				w.run = hSpawn
+				w.plain = hSpawn
 				w.tgt = int32(region.Join) + 1
 			}
 		case isa.OpJoin:
-			w.run = hJoin
+			w.plain = hJoin
 		case isa.OpChkid:
-			w.run = hChkid
+			w.plain = hChkid
 			w.t = uint8(in.Rd)
 		case isa.OpPs:
-			w.run = hPs
+			w.plain = hPs
 			w.t = uint8(in.Rd) // ps reads Rd as the increment
 		case isa.OpPsm:
-			w.run = hPsm
+			w.plain = hPsm
 			w.t = uint8(in.Rd)
 		case isa.OpGrr:
-			w.run = hGrr
+			w.plain = hGrr
 		case isa.OpGrw:
-			w.run = hGrw
+			w.plain = hGrw
 			w.t = uint8(in.Rd)
 		case isa.OpBcast:
-			w.run = hBcast
+			w.plain = hBcast
 			w.t = uint8(in.Rd)
 
 		case isa.OpSys:
 			switch in.Imm {
 			case isa.SysHalt:
-				w.run = hSysHalt
+				w.plain = hSysHalt
 			case isa.SysPrintInt:
-				w.run = hSysPrintInt
+				w.plain = hSysPrintInt
 			case isa.SysPrintChar:
-				w.run = hSysPrintChar
+				w.plain = hSysPrintChar
 			case isa.SysPrintStr:
-				w.run = hSysPrintStr
+				w.plain = hSysPrintStr
 			case isa.SysCycle:
-				w.run = hSysCycle
+				w.plain = hSysCycle
 			case isa.SysCheckpoint:
-				w.run = hSysCheckpoint
+				w.plain = hSysCheckpoint
 			case isa.SysPrintFloat:
-				w.run = hSysPrintFloat
+				w.plain = hSysPrintFloat
 			default:
-				w.run = hSysBad
+				w.plain = hSysBad
 			}
 
 		default:
-			w.run = hBadOp
+			w.plain = hBadOp
 		}
 
 		// A static branch whose linked target is outside the program must
@@ -309,7 +322,7 @@ func lower(p *asm.Program) *Code {
 		// original target for the error message.
 		if in.Op.IsBranch() && in.Op != isa.OpJr && in.Op != isa.OpJalr {
 			if in.Target < 0 || in.Target >= n {
-				w.run = hBranchBad
+				w.plain = hBranchBad
 				w.imm = int32(in.Target)
 				w.tgt = 0
 			} else {
@@ -319,14 +332,129 @@ func lower(p *asm.Program) *Code {
 	}
 	// Fall-off sentinel: reached only by sequential flow past the last
 	// instruction (all taken branch targets are validated).
-	words[n] = word{run: hOutside, next: int32(n) + 1}
+	words[n] = word{run: hOutside, plain: hOutside, span: 1, next: int32(n) + 1}
 	// Thread the control flow as direct pointers. Every tgt is a validated
 	// index in [0, n] by this point (branch targets < n, spawn's join+1
 	// <= n), so tgtw is always in-slice; words whose handlers never jump
 	// just carry a harmless pointer to words[0].
 	for i := 0; i < n; i++ {
-		words[i].nextw = &words[i+1]
-		words[i].tgtw = &words[words[i].tgt]
+		w := &words[i]
+		w.nextw = &words[i+1]
+		w.tgtw = &words[w.tgt]
+		w.run, w.span = w.plain, 1
 	}
+	fuse(p.Text, words)
 	return c
+}
+
+// maxSpan is the longest idiom fuse matches. The dispatch loop runs fused
+// words only while at least maxSpan instructions remain in the budget, so
+// a budget never ends inside one.
+const maxSpan = 5
+
+// fuse is the peephole pass: it gives word i a superinstruction when
+// text[i:i+k] is one of these idioms of the compiler's output, matched by
+// opcode and by register dependency:
+//
+//	lui a, hi; ori b, a, lo                     constant (folded into k)
+//	sll a, r, sh; addu b, a, x                  scaled index
+//	sll a, r, sh; addu b, a, x; lw d, o(b)      indexed load
+//	lui; ori; sll a; addu b, a, x; lw|sw|sw.nb|pref o(b)
+//	                                            global-array access
+//	addiu a, r, i; addu b, a, x [; j L]         increment, move, back edge
+//	slt|slti a, ...; bgtz a, L                  loop test
+//
+// The dependency — each member reads the previous member's destination,
+// which is not $zero, and addu's other operand x is not that register —
+// lets a handler keep the intermediate value in a local. Every member's
+// register write still happens, in order, and only the last member can
+// branch or fault, so a fault reports that member's pc with an exact
+// instruction count. A static branch lowered to hBranchBad is never a
+// member.
+func fuse(text []isa.Instr, words []word) {
+	n := len(text)
+	// feeds reports whether text[j] is op and reads text[i]'s destination
+	// (not $zero) as its base (Rs).
+	feeds := func(i, j int, ops ...isa.Op) bool {
+		if j >= n || text[i].Rd == isa.RegZero || text[j].Rs != text[i].Rd {
+			return false
+		}
+		for _, op := range ops {
+			if text[j].Op == op {
+				return true
+			}
+		}
+		return false
+	}
+	// adds reports whether text[i] is op and text[i+1] an addu that reads
+	// text[i]'s destination (not $zero) as exactly one operand, and
+	// returns the other operand.
+	adds := func(i int, op isa.Op) (isa.Reg, bool) {
+		if i+1 >= n || text[i].Op != op || text[i+1].Op != isa.OpAddu || text[i].Rd == isa.RegZero {
+			return 0, false
+		}
+		a, d := &text[i+1], text[i].Rd
+		switch {
+		case a.Rs == d && a.Rt != d:
+			return a.Rt, true
+		case a.Rt == d && a.Rs != d:
+			return a.Rs, true
+		}
+		return 0, false
+	}
+	// branch reports whether text[j] is op with a target inside the
+	// program (hBranchBad is never fused).
+	branch := func(j int, op isa.Op) bool {
+		return j < n && text[j].Op == op && text[j].Target >= 0 && text[j].Target < n
+	}
+	for i := range text {
+		w := &words[i]
+		var h func(*VM, *word) *word
+		span := 2
+		switch op := text[i].Op; op {
+		case isa.OpLui:
+			if !feeds(i, i+1, isa.OpOri) {
+				break
+			}
+			w.k = w.imm | words[i+1].imm
+			h = hLuiOri
+			if x, ok := adds(i+2, isa.OpSll); ok {
+				switch {
+				case feeds(i+3, i+4, isa.OpLw, isa.OpLwRO):
+					h, span, w.x = hAddrLw, 5, uint8(x)
+				case feeds(i+3, i+4, isa.OpSw, isa.OpSwNB):
+					h, span, w.x = hAddrSw, 5, uint8(x)
+				case feeds(i+3, i+4, isa.OpPref):
+					h, span, w.x = hAddrPref, 5, uint8(x)
+				}
+			}
+		case isa.OpSll, isa.OpAddiu:
+			x, ok := adds(i, op)
+			if !ok {
+				break
+			}
+			w.x = uint8(x)
+			switch {
+			case op == isa.OpSll && feeds(i+1, i+2, isa.OpLw, isa.OpLwRO):
+				h, span = hSllAdduLw, 3
+			case op == isa.OpSll:
+				h = hSllAddu
+			case branch(i+2, isa.OpJ):
+				h, span = hAddiuAdduJ, 3
+			default:
+				h = hAddiuAddu
+			}
+		case isa.OpSlt, isa.OpSlti:
+			if !feeds(i, i+1, isa.OpBgtz) || !branch(i+1, isa.OpBgtz) {
+				break
+			}
+			h = hSltBgtz
+			if op == isa.OpSlti {
+				h = hSltiBgtz
+			}
+		}
+		if h != nil {
+			w.run, w.span = h, uint8(span)
+		}
+	}
 }

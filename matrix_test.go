@@ -33,7 +33,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -1011,7 +1010,7 @@ func TestCompileToggles(t *testing.T) {
 				id := t.Name() + "/" + tg.name
 				opts := xmtgo.DefaultCompileOptions()
 				opts.Analyze = true
-				requestPrepass(&opts)
+				opts.DumpPrepass = true
 				tg.set(&opts)
 				c := compileAndRun(t, p, opts)
 				if testing.Verbose() {
@@ -1031,15 +1030,6 @@ func TestCompileToggles(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// requestPrepass asks a compile for its pre-pass source. It sets the option
-// by name because scripts/ab.sh builds this file at older commits too, which
-// have no such option and render the source on every compile.
-func requestPrepass(opts *xmtgo.CompileOptions) {
-	if f := reflect.ValueOf(opts).Elem().FieldByName("DumpPrepass"); f.IsValid() {
-		f.SetBool(true)
 	}
 }
 

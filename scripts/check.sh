@@ -52,8 +52,12 @@ echo "== go test (benchmark/: the nested xmtbench module)"
 # workload.
 (cd benchmark && go test ./...)
 
-echo "== conformance (three-way: interp vs funcvm vs cycle) + observability goldens and telemetry + compile toggles"
+echo "== conformance (three-way: interp vs funcvm vs cycle, the VM's superinstructions) + observability goldens and telemetry + compile toggles"
 go test -count=1 -run 'TestFuncCycleConformance|TestFuncVMCheckpointResume|TestObservabilityGolden|TestTelemetryDeterminism|TestTelemetryCheckpointResume|TestCompileToggles' .
+# The VM's fused words against the interpreter (each idiom, its near misses,
+# faults, jumps into a fused word, a budget ending at every offset) and the
+# share of the Table I memory kernels they cover.
+go test -count=1 -run 'TestFusedWords|TestVMBudgetParity|TestFusedCoverage' ./internal/sim/funcvm
 # The interval sampler and the power model difference counter snapshots:
 # every sample field must sum back to the end-of-run snapshot.
 go test -count=1 ./internal/sim/metrics ./internal/sim/power
