@@ -42,6 +42,14 @@ func buildB(b *testing.B, src string, opts xmtgo.CompileOptions, memmaps ...stri
 // cycleRun simulates one program to completion and returns the result.
 func cycleRun(b *testing.B, prog *xmtgo.Program, cfg xmtgo.Config) *xmtgo.SimResult {
 	b.Helper()
+	res, _ := cycleRunEvents(b, prog, cfg)
+	return res
+}
+
+// cycleRunEvents is cycleRun that also returns the run's scheduler event
+// count (Sched.Executed).
+func cycleRunEvents(b *testing.B, prog *xmtgo.Program, cfg xmtgo.Config) (*xmtgo.SimResult, uint64) {
+	b.Helper()
 	sys, err := xmtgo.NewSimulator(prog, cfg, io.Discard)
 	if err != nil {
 		b.Fatal(err)
@@ -53,8 +61,9 @@ func cycleRun(b *testing.B, prog *xmtgo.Program, cfg xmtgo.Config) *xmtgo.SimRes
 	if !res.Halted {
 		b.Fatal("benchmark program did not halt")
 	}
+	events := sys.Sched.Executed
 	sys.Release()
-	return res
+	return res, events
 }
 
 // --- Table I: simulated throughput of XMTSim on the 1024-TCU machine ---
@@ -68,9 +77,11 @@ func tableIBench(b *testing.B, g workloads.TableIGroup) {
 	}
 	prog := buildB(b, workloads.TableI(g, threads, work), xmtgo.DefaultCompileOptions())
 	var instrs, cycles int64
+	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := cycleRun(b, prog, cfg)
+		res, n := cycleRunEvents(b, prog, cfg)
+		events += n
 		instrs += int64(res.Instrs)
 		cycles += res.Cycles
 	}
@@ -80,6 +91,9 @@ func tableIBench(b *testing.B, g workloads.TableIGroup) {
 		b.ReportMetric(float64(instrs)/sec, "sim_instr/sec")
 		b.ReportMetric(float64(cycles)/sec, "sim_cycle/sec")
 	}
+	// The scheduler's share of the work: a change that skips events shows
+	// here as a count, whatever the host's speed.
+	b.ReportMetric(float64(events)/float64(b.N), "sched_events/op")
 }
 
 func BenchmarkTableI_ParallelMemory(b *testing.B) { tableIBench(b, workloads.ParallelMemory) }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"xmtgo/internal/asm"
-	"xmtgo/internal/codegen"
 	"xmtgo/internal/config"
 	"xmtgo/internal/sim/checkpoint"
 	"xmtgo/internal/sim/funcmodel"
@@ -55,14 +54,7 @@ int main() {
 
 func compileKernel(t *testing.T, threads int) (*asm.Program, string) {
 	t.Helper()
-	res, err := codegen.Compile("memkernel.c", memKernelSrc(threads), codegen.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := asm.Assemble(res.Unit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := compileC(t, memKernelSrc(threads))
 	var out bytes.Buffer
 	m, err := funcmodel.New(prog, 1<<20, &out)
 	if err != nil {
@@ -146,8 +138,14 @@ func checkCalendar(t *testing.T, c *Cluster) {
 // stepRun is System.Run with the invariant asserted after every event.
 func stepRun(t *testing.T, s *System, after func()) {
 	t.Helper()
+	stepRunFor(t, s, 10_000_000, after)
+}
+
+// stepRunFor is stepRun for System.Run(maxCycles).
+func stepRunFor(t *testing.T, s *System, maxCycles int64, after func()) {
+	t.Helper()
 	defer s.pool.Close()
-	s.start(10_000_000)
+	s.start(maxCycles)
 	for s.Sched.Step() {
 		checkActiveSets(t, s)
 		if after != nil {

@@ -29,6 +29,11 @@ const (
 // its side, and the spawn instruction that hands control to the parallel
 // TCUs (paper Fig. 1).
 //
+// It does not poll while it waits. A latency stall (cache hit, MDU/FPU
+// result) sleeps to the edge the stall ends on, and is woken sooner only
+// when another event comes due first; every other wait is ended by the
+// event that ends it (a delivery, the join).
+//
 // Model note: in serial mode the master is the only agent mutating memory
 // (join completion waits for all TCU stores), so the master performs its
 // memory operations architecturally at issue and sends "shadow" packages
@@ -96,7 +101,8 @@ func (mt *Master) Tick(cycle int64, now engine.Time) bool {
 		return false
 	case masterStalled:
 		if cycle < mt.stallUntil {
-			return true
+			mt.sleep(now) // woken early: another event came due first
+			return false
 		}
 		mt.state = masterRunning
 	}
@@ -123,7 +129,20 @@ func (mt *Master) Tick(cycle int64, now engine.Time) bool {
 			break
 		}
 	}
-	return mt.state == masterRunning || mt.state == masterStalled
+	if mt.state == masterStalled {
+		mt.sleep(now)
+		return false
+	}
+	return mt.state == masterRunning
+}
+
+// sleep arms the master's wake for the edge its latency stall ends on,
+// clamped to the next pending event (MacroActor.SleepUntil), instead of
+// re-arming every edge only to compare cycle < stallUntil. A stalled master
+// schedules nothing, so the clamped wake keeps every event's order and the
+// simulated result is the per-edge poll's; only Sched.Executed is lower.
+func (mt *Master) sleep(now engine.Time) {
+	mt.sys.masterMA.SleepUntil(now, mt.sys.masterClock.EdgeAt(mt.stallUntil))
 }
 
 // issue dispatches one instruction on its lowered issue record (the same

@@ -5,7 +5,10 @@ package engine
 // discrete-time comparison loop (paper Fig. 5): Tick performs the
 // component's work for the given domain-local cycle and reports whether the
 // component still has work pending (so an idle macro-actor can stop
-// scheduling itself).
+// scheduling itself). Busy means "re-arm me at the next edge". A component
+// whose next work lies further out may instead arm its own later wake —
+// MacroActor.WakeAt, or SleepUntil to skip edges without reordering
+// anything — and report idle.
 type Cycler interface {
 	Tick(cycle int64, now Time) (busy bool)
 }
@@ -61,7 +64,9 @@ func (m *MacroActor) Wake(now Time) {
 // whose queued work all lies in the future (e.g. in-flight ICN packages):
 // the skipped edges cost no scheduler events at all, and the component
 // ticks again exactly when the earliest item can make progress. A later
-// Wake for an earlier edge supersedes it.
+// Wake for an earlier edge supersedes it. The wake keeps the sequence number
+// it takes now, so on its edge it runs before the other PrioClock events
+// scheduled after it; SleepUntil is the variant that cannot reorder them.
 func (m *MacroActor) WakeAt(now, at Time) {
 	if at <= now {
 		m.Wake(now)
@@ -70,6 +75,42 @@ func (m *MacroActor) WakeAt(now, at Time) {
 	edge := m.armed.after(m.clock, at-1) // first edge at or after `at`
 	if edge == MaxTime {
 		return
+	}
+	m.wakeEdge(edge)
+}
+
+// SleepUntil is WakeAt(now, min(at, NextTime())): wake at the first edge at
+// or after `at`, but never past the first edge at or after the earliest
+// other pending event. A component that would otherwise report busy only to
+// compare its cycle with a deadline (the master in a latency stall) calls it
+// from Tick and reports idle; on waking early it checks and sleeps again.
+//
+// The sleep skips events but reorders none. The skipped edges are exactly the
+// edges at which no other event can run: every one lies before the earliest
+// pending event, and the sleeper schedules nothing while it sleeps, so no
+// event is created between the sleep and the last skipped edge. The wake
+// therefore takes its sequence number among the same events as the per-edge
+// poll it replaces, which the last skipped edge would have scheduled, and
+// keeps that poll's place in (time, priority, sequence) relative to every
+// other event. Anything that could move the sleeper's clock or end the run —
+// a package delivery, a plug-in sample that calls SetPeriod or Disable, a
+// ScheduleStop budget — is a pending event, and so bounds the sleep. Only
+// Executed differs: by the polls skipped. The argument needs every event to
+// be scheduled by an event (or before the run starts): a caller that
+// schedules from outside between RunUntil slices is not covered. A sleep
+// that ends on the next edge does not look at the event list.
+func (m *MacroActor) SleepUntil(now, at Time) {
+	edge := m.armed.next(m.clock, now) // no wake comes before the next edge
+	if edge == MaxTime {
+		return // domain gated off; the DVFS controller re-wakes on Enable
+	}
+	if at > edge {
+		if next := m.sched.NextTime(); next < at {
+			at = next
+		}
+		if at > edge {
+			edge = m.armed.after(m.clock, at-1) // first edge at or after `at`
+		}
 	}
 	m.wakeEdge(edge)
 }

@@ -126,16 +126,16 @@ func (s *Server) Publish(p *Published) {
 	if d := s.daemon.Load(); d != nil && p.Status.Daemon == nil {
 		p.Status.Daemon = d
 	}
-	s.latest.Store(p)
-	if p.Sample == nil {
-		return
+	var data []byte
+	if p.Sample != nil {
+		data, _ = json.Marshal(p.Sample)
 	}
-	data, err := json.Marshal(p.Sample)
-	if err != nil {
-		return
-	}
+	// Store under the lock a new subscriber takes to register and read its
+	// replay: each sample then reaches it either as the replay or through
+	// its channel, once, in publish order.
 	s.mu.Lock()
-	if s.closed {
+	s.latest.Store(p)
+	if s.closed || data == nil {
 		s.mu.Unlock()
 		return
 	}
@@ -287,6 +287,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.subs[ch] = jobFilter
+	replay := s.latest.Load()
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
@@ -307,7 +308,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	// Replay the latest sample immediately so a subscriber sees data even
 	// between boundaries.
-	if p := s.latest.Load(); p != nil && p.Sample != nil &&
+	if p := replay; p != nil && p.Sample != nil &&
 		(jobFilter == "" || jobFilter == p.Job) {
 		if data, err := json.Marshal(p.Sample); err == nil {
 			fmt.Fprintf(w, "data: %s\n\n", data)

@@ -165,7 +165,10 @@ summary() {
             return a[lo] + (q * (m + 1) - lo) * (a[lo + 1] - a[lo])
         }
         function num(x) { return x >= 1000 || x <= -1000 ? sprintf("%.0f", x) : sprintf("%.4g", x) }
+        # side3 is "—" for a side that does not report the metric (a
+        # benchmark metric newer than REV).
         function side3(k, sd) {
+            if (!cnt[k, sd]) return "—"
             return num(quart(k, sd, 0.25)) " / " num(quart(k, sd, 0.5)) " / " num(quart(k, sd, 0.75))
         }
         FILENAME == ARGV[1] { better[$1] = $2; bound[$1] = $3; seen[$1] = 1; order[++nk] = $1; next }
@@ -189,7 +192,7 @@ summary() {
                         won++
                 mo = quart(k, "old", 0.5); mn = quart(k, "new", 0.5)
                 change = spread = "—"
-                if (mo != 0) {
+                if (mo != 0 && cnt[k, "new"]) {
                     # The spread is the wider interquartile range of the two
                     # sides over the REV median: past the bound, the pairs
                     # cannot tell a change of that size from noise.

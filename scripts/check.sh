@@ -95,7 +95,7 @@ echo "== chaos soak (seeded fault-injection matrix, docs/ROBUSTNESS.md)"
 # (workload, seed) across worker counts even while faults corrupt state.
 go test -race -count=1 -timeout 300s -run 'TestChaosSoak|TestDegradedConformance' .
 
-echo "== fuzz smoke (parser + pre-pass + assembler + memory map + config + config run + analyzer + backend differential + scheduler order)"
+echo "== fuzz smoke (parser + pre-pass + assembler + memory map + config + config run + analyzer + backend differential + scheduler order + stall sleep)"
 go test -fuzz FuzzParseXMTC -fuzztime 5s -run '^$' ./internal/xmtc
 go test -fuzz FuzzAssemble -fuzztime 5s -run '^$' ./internal/asm
 # The in-place memory-map scanner against strings.Fields + strconv.
@@ -107,6 +107,9 @@ go test -fuzz FuzzConfigRun -fuzztime 5s -run '^$' ./internal/sim/cycle
 go test -fuzz FuzzAnalyze -fuzztime 5s -run '^$' ./internal/analysis
 go test -fuzz FuzzBackendDifferential -fuzztime 5s -run '^$' .
 go test -fuzz FuzzSchedulerOrder -fuzztime 5s -run '^$' ./internal/sim/engine
+# A clamped SleepUntil against a per-edge poller: same non-poll firings,
+# same Now(), Executed lower by exactly the skipped polls.
+go test -fuzz FuzzSleepUntil -fuzztime 5s -run '^$' ./internal/sim/engine
 
 echo "== telemetry endpoint smoke (xmtsim -serve)"
 # Start xmtsim with a live metrics server mid-run, scrape /metrics and
