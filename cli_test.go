@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -605,6 +606,59 @@ func TestCLIRunCheckpointResume(t *testing.T) {
 		if exit != 0 || "1"+out != wantOut || memory(msg) != memory(wantErr) {
 			t.Errorf("xmtrun %v -resume: exit %d, stdout %q (want the rest of %q), stderr:\n%swant memory %s",
 				c.mode, exit, out, wantOut, msg, memory(wantErr))
+		}
+	}
+}
+
+// twoLoops accumulates in two loops with a checkpoint() call between them,
+// so the instructions of a run stopped there and resumed are split about
+// evenly between the two legs.
+const twoLoops = `int main() {
+    int s = 0;
+    for (int i = 0; i < 2000; i++) s += i;
+    checkpoint();
+    for (int i = 0; i < 2000; i++) s += i;
+    print_int(s);
+    return 0;
+}
+`
+
+// TestCLIResumeReportsProgramTotals: a resumed run reports the program's
+// totals, not its last leg's. The cycle-mode run that stops at the
+// checkpoint and the one resumed from it print the instruction count of the
+// functional run, which never stops; so does a functional resume, from
+// either mode's checkpoint.
+func TestCLIResumeReportsProgramTotals(t *testing.T) {
+	bin := cliTools(t)["xmtrun"]
+	dir := t.TempDir()
+	cFile := filepath.Join(dir, "p.c")
+	if err := os.WriteFile(cFile, []byte(twoLoops), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	banner := regexp.MustCompile(`=== (?:\d+ cycles, )?(\d+) instructions \(([^)]*)\) ===`)
+	run := func(args ...string) (instrs, end string) {
+		t.Helper()
+		out, msg, exit := runCLI(t, "", bin, append(args, cFile)...)
+		m := banner.FindStringSubmatch(msg)
+		if exit != 0 || m == nil || (m[2] != "checkpoint" && out != "3998000") {
+			t.Fatalf("xmtrun %v: exit %d, stdout %q, stderr:\n%s", args, exit, out, msg)
+		}
+		return m[1], m[2]
+	}
+	want, _ := run("-mode", "func")
+	cycleCkpt, funcCkpt := filepath.Join(dir, "cycle.ckpt"), filepath.Join(dir, "func.ckpt")
+	if n, end := run("-checkpoint", cycleCkpt); end != "checkpoint" || n == want {
+		t.Fatalf("cycle run: %s instructions (%s), want a stop at the checkpoint short of %s", n, end, want)
+	}
+	run("-mode", "func", "-checkpoint", funcCkpt)
+	for _, args := range [][]string{
+		{"-resume", cycleCkpt},
+		{"-mode", "func", "-resume", cycleCkpt},
+		{"-mode", "func", "-resume", funcCkpt},
+		{"-mode", "func", "-backend", "interp", "-resume", funcCkpt},
+	} {
+		if n, end := run(args...); n != want || end == "checkpoint" {
+			t.Errorf("xmtrun %v: %s instructions (%s), want the uninterrupted %s", args, n, end, want)
 		}
 	}
 }

@@ -7,7 +7,7 @@
 // It is a jobs-file front end to the xmtd core (internal/daemon) run
 // in-process with one worker: the jobs go through the daemon's queue in
 // file order, and -out is its data directory (journal and checkpoint
-// envelopes), so re-running the same command reports finished jobs from the
+// files), so re-running the same command reports finished jobs from the
 // journal and resumes interrupted ones where they stopped.
 //
 // Usage:
@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		ckptEvery = fs.Int64("checkpoint-every", 0, "checkpoint each job every N cluster cycles (0 = only program-requested checkpoints)")
 		retries   = fs.Int("retries", 2, "retry attempts per failed or timed-out job")
 		backoff   = fs.Float64("backoff", 2, "cycle-budget and watchdog multiplier between attempts")
-		outDir    = fs.String("out", "", "data directory (job journal + checkpoint envelopes) a re-run resumes from (empty = a temporary one removed at exit)")
+		outDir    = fs.String("out", "", "data directory (job journal + checkpoint files) a re-run resumes from (empty = a temporary one removed at exit)")
 		workers   = fs.Int("workers", 0, config.HostWorkersUsage)
 		quiet     = fs.Bool("q", false, "suppress per-attempt progress lines")
 

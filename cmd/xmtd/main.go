@@ -68,7 +68,7 @@ func run(args []string) (code int) {
 	var sets listFlag
 	var (
 		listenAddr = fs.String("listen", "unix:/tmp/xmtd.sock", "job API address: unix:/path or [tcp:]host:port")
-		dataDir    = fs.String("data", "xmtd-data", "durable state directory (journal + checkpoint envelopes)")
+		dataDir    = fs.String("data", "xmtd-data", "durable state directory (journal + checkpoint files)")
 		cfgName    = fs.String("config", "fpga64", "machine preset: fpga64 or chip1024")
 		workers    = fs.Int("workers", 1, "concurrent simulation workers")
 		ckptEvery  = fs.Int64("checkpoint-every", 100000, "checkpoint running jobs every N cluster cycles (also bounds preemption latency)")

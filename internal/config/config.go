@@ -9,6 +9,7 @@ package config
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -363,40 +364,40 @@ func Preset(name string) (Config, error) {
 	return Config{}, fmt.Errorf("config: unknown preset %q (have fpga64, chip1024)", name)
 }
 
-// fields maps config-file keys to setters; built once.
-var fieldSetters = map[string]func(*Config, string) error{
-	"name":                 func(c *Config, v string) error { c.Name = v; return nil },
-	"clusters":             intField(func(c *Config) *int { return &c.Clusters }),
-	"tcus_per_cluster":     intField(func(c *Config) *int { return &c.TCUsPerCluster }),
-	"fpus_per_cluster":     intField(func(c *Config) *int { return &c.FPUsPerCluster }),
-	"mdus_per_cluster":     intField(func(c *Config) *int { return &c.MDUsPerCluster }),
-	"prefetch_buf_entries": intField(func(c *Config) *int { return &c.PrefetchBufEntries }),
-	"rocache_lines":        intField(func(c *Config) *int { return &c.ROCacheLines }),
-	"rocache_line_size":    intField(func(c *Config) *int { return &c.ROCacheLineSize }),
-	"rocache_latency":      int64Field(func(c *Config) *int64 { return &c.ROCacheLatency }),
-	"cache_modules":        intField(func(c *Config) *int { return &c.CacheModules }),
-	"cache_lines_per_mod":  intField(func(c *Config) *int { return &c.CacheLinesPerMod }),
-	"cache_line_size":      intField(func(c *Config) *int { return &c.CacheLineSize }),
-	"cache_assoc":          intField(func(c *Config) *int { return &c.CacheAssoc }),
-	"cache_hit_latency":    int64Field(func(c *Config) *int64 { return &c.CacheHitLatency }),
-	"cache_queue":          intField(func(c *Config) *int { return &c.CacheQueue }),
-	"dram_ports":           intField(func(c *Config) *int { return &c.DRAMPorts }),
-	"dram_latency":         int64Field(func(c *Config) *int64 { return &c.DRAMLatency }),
-	"dram_gap_cycles":      int64Field(func(c *Config) *int64 { return &c.DRAMGapCycles }),
-	"icn_base_latency":     int64Field(func(c *Config) *int64 { return &c.ICNBaseLatency }),
-	"icn_inject_per_cyc":   intField(func(c *Config) *int { return &c.ICNInjectPerCyc }),
-	"icn_accept_per_cyc":   intField(func(c *Config) *int { return &c.ICNAcceptPerCyc }),
-	"icn_async": func(c *Config, v string) error {
-		switch strings.ToLower(v) {
-		case "1", "true", "on", "yes":
-			c.ICNAsync = true
-		case "0", "false", "off", "no":
-			c.ICNAsync = false
-		default:
-			return fmt.Errorf("want a boolean, got %q", v)
-		}
-		return nil
+// field reads and writes one config-file key: get renders the value in a
+// form set parses back to the same value.
+type field struct {
+	get func(*Config) string
+	set func(*Config, string) error
+}
+
+// fields maps config-file keys to their fields; built once.
+var fields = map[string]field{
+	"name": {
+		func(c *Config) string { return c.Name },
+		func(c *Config, v string) error { c.Name = v; return nil },
 	},
+	"clusters":               intField(func(c *Config) *int { return &c.Clusters }),
+	"tcus_per_cluster":       intField(func(c *Config) *int { return &c.TCUsPerCluster }),
+	"fpus_per_cluster":       intField(func(c *Config) *int { return &c.FPUsPerCluster }),
+	"mdus_per_cluster":       intField(func(c *Config) *int { return &c.MDUsPerCluster }),
+	"prefetch_buf_entries":   intField(func(c *Config) *int { return &c.PrefetchBufEntries }),
+	"rocache_lines":          intField(func(c *Config) *int { return &c.ROCacheLines }),
+	"rocache_line_size":      intField(func(c *Config) *int { return &c.ROCacheLineSize }),
+	"rocache_latency":        int64Field(func(c *Config) *int64 { return &c.ROCacheLatency }),
+	"cache_modules":          intField(func(c *Config) *int { return &c.CacheModules }),
+	"cache_lines_per_mod":    intField(func(c *Config) *int { return &c.CacheLinesPerMod }),
+	"cache_line_size":        intField(func(c *Config) *int { return &c.CacheLineSize }),
+	"cache_assoc":            intField(func(c *Config) *int { return &c.CacheAssoc }),
+	"cache_hit_latency":      int64Field(func(c *Config) *int64 { return &c.CacheHitLatency }),
+	"cache_queue":            intField(func(c *Config) *int { return &c.CacheQueue }),
+	"dram_ports":             intField(func(c *Config) *int { return &c.DRAMPorts }),
+	"dram_latency":           int64Field(func(c *Config) *int64 { return &c.DRAMLatency }),
+	"dram_gap_cycles":        int64Field(func(c *Config) *int64 { return &c.DRAMGapCycles }),
+	"icn_base_latency":       int64Field(func(c *Config) *int64 { return &c.ICNBaseLatency }),
+	"icn_inject_per_cyc":     intField(func(c *Config) *int { return &c.ICNInjectPerCyc }),
+	"icn_accept_per_cyc":     intField(func(c *Config) *int { return &c.ICNAcceptPerCyc }),
+	"icn_async":              boolField(func(c *Config) *bool { return &c.ICNAsync }),
 	"icn_async_hop_ticks":    int64Field(func(c *Config) *int64 { return &c.ICNAsyncHopTicks }),
 	"icn_async_gap_ticks":    int64Field(func(c *Config) *int64 { return &c.ICNAsyncGapTicks }),
 	"master_cache_lines":     intField(func(c *Config) *int { return &c.MasterCacheLines }),
@@ -412,93 +413,112 @@ var fieldSetters = map[string]func(*Config, string) error{
 	"cache_period":           int64Field(func(c *Config) *int64 { return &c.CachePeriod }),
 	"dram_period":            int64Field(func(c *Config) *int64 { return &c.DRAMPeriod }),
 	"master_period":          int64Field(func(c *Config) *int64 { return &c.MasterPeriod }),
-	"mem_bytes": func(c *Config, v string) error {
-		n, err := strconv.ParseUint(v, 0, 32)
-		if err != nil {
-			return err
-		}
-		c.MemBytes = uint32(n)
-		return nil
+	"mem_bytes": {
+		func(c *Config) string { return strconv.FormatUint(uint64(c.MemBytes), 10) },
+		func(c *Config, v string) error {
+			n, err := strconv.ParseUint(v, 0, 32)
+			if err != nil {
+				return err
+			}
+			c.MemBytes = uint32(n)
+			return nil
+		},
 	},
 	"host_workers": intField(func(c *Config) *int { return &c.HostWorkers }),
 	"lookahead":    intField(func(c *Config) *int { return &c.Lookahead }),
-	"engine_mode": func(c *Config, v string) error {
-		switch strings.ToLower(v) {
-		case "", EngineWindowed, EngineOptimistic:
-			c.EngineMode = strings.ToLower(v)
-		default:
-			return fmt.Errorf("want windowed or optimistic, got %q", v)
-		}
-		return nil
-	},
-	"seed": func(c *Config, v string) error {
-		n, err := strconv.ParseUint(v, 0, 64)
-		if err != nil {
-			return err
-		}
-		c.Seed = n
-		return nil
-	},
-	"fault_seed": func(c *Config, v string) error {
-		n, err := strconv.ParseUint(v, 0, 64)
-		if err != nil {
-			return err
-		}
-		c.FaultSeed = n
-		return nil
-	},
-	"fault_plan": func(c *Config, v string) error {
-		if v != "" {
-			if _, err := fault.ParseSpec(v); err != nil {
-				return err
+	"engine_mode":  choiceField(func(c *Config) *string { return &c.EngineMode }, "windowed or optimistic", EngineWindowed, EngineOptimistic),
+	"seed":         uint64Field(func(c *Config) *uint64 { return &c.Seed }),
+	"fault_seed":   uint64Field(func(c *Config) *uint64 { return &c.FaultSeed }),
+	"fault_plan": {
+		func(c *Config) string { return c.FaultPlan },
+		func(c *Config, v string) error {
+			if v != "" {
+				if _, err := fault.ParseSpec(v); err != nil {
+					return err
+				}
 			}
-		}
-		c.FaultPlan = v
-		return nil
+			c.FaultPlan = v
+			return nil
+		},
 	},
-	"func_backend": func(c *Config, v string) error {
-		switch strings.ToLower(v) {
-		case "", FuncBackendInterp, FuncBackendVM:
-			c.FuncBackend = strings.ToLower(v)
-		default:
-			return fmt.Errorf("want interp or vm, got %q", v)
-		}
-		return nil
-	},
+	"func_backend":    choiceField(func(c *Config) *string { return &c.FuncBackend }, "interp or vm", FuncBackendInterp, FuncBackendVM),
 	"watchdog_cycles": int64Field(func(c *Config) *int64 { return &c.WatchdogCycles }),
 	"sample_cycles":   int64Field(func(c *Config) *int64 { return &c.SampleCycles }),
-	"race_check": func(c *Config, v string) error {
-		switch strings.ToLower(v) {
-		case "1", "true", "on", "yes":
-			c.RaceCheck = true
-		case "0", "false", "off", "no":
-			c.RaceCheck = false
-		default:
-			return fmt.Errorf("want a boolean, got %q", v)
-		}
-		return nil
-	},
+	"race_check":      boolField(func(c *Config) *bool { return &c.RaceCheck }),
 }
 
-func intField(get func(*Config) *int) func(*Config, string) error {
-	return func(c *Config, v string) error {
-		n, err := strconv.ParseInt(v, 0, 64)
-		if err != nil {
-			return err
-		}
-		*get(c) = int(n)
-		return nil
+func intField(get func(*Config) *int) field {
+	return field{
+		func(c *Config) string { return strconv.Itoa(*get(c)) },
+		func(c *Config, v string) error {
+			n, err := strconv.ParseInt(v, 0, 64)
+			if err != nil {
+				return err
+			}
+			*get(c) = int(n)
+			return nil
+		},
 	}
 }
 
-func int64Field(get func(*Config) *int64) func(*Config, string) error {
-	return func(c *Config, v string) error {
-		n, err := strconv.ParseInt(v, 0, 64)
-		if err != nil {
-			return err
-		}
-		*get(c) = n
-		return nil
+func int64Field(get func(*Config) *int64) field {
+	return field{
+		func(c *Config) string { return strconv.FormatInt(*get(c), 10) },
+		func(c *Config, v string) error {
+			n, err := strconv.ParseInt(v, 0, 64)
+			if err != nil {
+				return err
+			}
+			*get(c) = n
+			return nil
+		},
+	}
+}
+
+func uint64Field(get func(*Config) *uint64) field {
+	return field{
+		func(c *Config) string { return strconv.FormatUint(*get(c), 10) },
+		func(c *Config, v string) error {
+			n, err := strconv.ParseUint(v, 0, 64)
+			if err != nil {
+				return err
+			}
+			*get(c) = n
+			return nil
+		},
+	}
+}
+
+func boolField(get func(*Config) *bool) field {
+	return field{
+		func(c *Config) string { return strconv.FormatBool(*get(c)) },
+		func(c *Config, v string) error {
+			switch strings.ToLower(v) {
+			case "1", "true", "on", "yes":
+				*get(c) = true
+			case "0", "false", "off", "no":
+				*get(c) = false
+			default:
+				return fmt.Errorf("want a boolean, got %q", v)
+			}
+			return nil
+		},
+	}
+}
+
+// choiceField is a string key that takes one of choices, or "" for the
+// default; values are case-insensitive.
+func choiceField(get func(*Config) *string, want string, choices ...string) field {
+	return field{
+		func(c *Config) string { return *get(c) },
+		func(c *Config, v string) error {
+			v = strings.ToLower(v)
+			if v != "" && !slices.Contains(choices, v) {
+				return fmt.Errorf("want %s, got %q", want, v)
+			}
+			*get(c) = v
+			return nil
+		},
 	}
 }
 
@@ -510,11 +530,11 @@ func (c *Config) Set(kv string) error {
 	}
 	key = strings.ToLower(strings.TrimSpace(key))
 	val = strings.TrimSpace(val)
-	setter, ok := fieldSetters[key]
+	f, ok := fields[key]
 	if !ok {
 		return fmt.Errorf("config: unknown key %q (known: %s)", key, strings.Join(Keys(), ", "))
 	}
-	if err := setter(c, val); err != nil {
+	if err := f.set(c, val); err != nil {
 		return fmt.Errorf("config: %s: %v", key, err)
 	}
 	return nil
@@ -540,44 +560,34 @@ func (c *Config) Load(src string) error {
 
 // Keys lists the recognized configuration keys, sorted.
 func Keys() []string {
-	out := make([]string, 0, len(fieldSetters))
-	for k := range fieldSetters {
+	out := make([]string, 0, len(fields))
+	for k := range fields {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Describe renders the configuration as a key=value listing.
+// Describe renders the configuration as a configuration file: one
+// key=value line per key of Keys, with notes behind '#'. Loading it onto any
+// configuration reproduces every field that has a key.
 func (c *Config) Describe() string {
+	notes := map[string]string{
+		"tcus_per_cluster": fmt.Sprintf("total TCUs: %d", c.TCUs()),
+		"host_workers":     hostWorkersNote,
+		"lookahead":        "0 = derive window from min cross-cluster latency",
+		"engine_mode":      "windowed or optimistic; empty = windowed",
+		"sample_cycles":    "0 = interval sampling off",
+		"func_backend":     "functional-mode backend: vm or interp, empty = vm; results identical",
+		"race_check":       "xmtsan dynamic race sanitizer",
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "name=%s\n", c.Name)
-	fmt.Fprintf(&b, "clusters=%d\ntcus_per_cluster=%d (total TCUs: %d)\n", c.Clusters, c.TCUsPerCluster, c.TCUs())
-	fmt.Fprintf(&b, "fpus_per_cluster=%d\nmdus_per_cluster=%d\n", c.FPUsPerCluster, c.MDUsPerCluster)
-	fmt.Fprintf(&b, "prefetch_buf_entries=%d\n", c.PrefetchBufEntries)
-	fmt.Fprintf(&b, "rocache: lines=%d line=%dB lat=%d\n", c.ROCacheLines, c.ROCacheLineSize, c.ROCacheLatency)
-	fmt.Fprintf(&b, "cache: modules=%d lines/mod=%d line=%dB assoc=%d hit=%d queue=%d\n",
-		c.CacheModules, c.CacheLinesPerMod, c.CacheLineSize, c.CacheAssoc, c.CacheHitLatency, c.CacheQueue)
-	fmt.Fprintf(&b, "dram: ports=%d latency=%d gap=%d\n", c.DRAMPorts, c.DRAMLatency, c.DRAMGapCycles)
-	fmt.Fprintf(&b, "icn: base=%d inject/cyc=%d accept/cyc=%d async=%v\n", c.ICNBaseLatency, c.ICNInjectPerCyc, c.ICNAcceptPerCyc, c.ICNAsync)
-	fmt.Fprintf(&b, "master: cache_lines=%d issue=%d\n", c.MasterCacheLines, c.MasterIssueWidth)
-	fmt.Fprintf(&b, "spawn_overhead=%d join_overhead=%d ps_latency=%d ps_per_cycle=%d\n", c.SpawnOverhead, c.JoinOverhead, c.PSLatency, c.PSPerCycle)
-	fmt.Fprintf(&b, "periods: cluster=%d icn=%d cache=%d dram=%d master=%d\n",
-		c.ClusterPeriod, c.ICNPeriod, c.CachePeriod, c.DRAMPeriod, c.MasterPeriod)
-	fmt.Fprintf(&b, "mem_bytes=%d seed=%d\n", c.MemBytes, c.Seed)
-	fmt.Fprintf(&b, "host_workers=%d (%s)\n", c.HostWorkers, hostWorkersNote)
-	mode := c.EngineMode
-	if mode == "" {
-		mode = EngineWindowed
+	for _, k := range Keys() {
+		fmt.Fprintf(&b, "%s=%s", k, fields[k].get(c))
+		if n := notes[k]; n != "" {
+			fmt.Fprintf(&b, " # %s", n)
+		}
+		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "lookahead=%d engine_mode=%s (0 = derive window from min cross-cluster latency)\n", c.Lookahead, mode)
-	fmt.Fprintf(&b, "fault_seed=%d fault_plan=%q watchdog_cycles=%d\n", c.FaultSeed, c.FaultPlan, c.WatchdogCycles)
-	fmt.Fprintf(&b, "sample_cycles=%d (0 = interval sampling off)\n", c.SampleCycles)
-	backend := FuncBackendInterp
-	if c.UseFuncVM() {
-		backend = FuncBackendVM
-	}
-	fmt.Fprintf(&b, "func_backend=%s (functional-mode backend: vm or interp; results identical)\n", backend)
-	fmt.Fprintf(&b, "race_check=%v (xmtsan dynamic race sanitizer)\n", c.RaceCheck)
 	return b.String()
 }

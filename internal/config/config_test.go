@@ -134,6 +134,49 @@ func TestDescribeMentionsEverything(t *testing.T) {
 	}
 }
 
+// roundTrip loads c.Describe() onto base and fails t unless the result
+// matches c in every field that has a key. The power-model fields have none
+// and keep base's values.
+func roundTrip(t *testing.T, c, base Config) {
+	t.Helper()
+	got := base
+	if err := got.Load(c.Describe()); err != nil {
+		t.Fatalf("loading Describe() of %q onto %q: %v\n%s", c.Name, base.Name, err, c.Describe())
+	}
+	want := c
+	want.EnergyALU, want.EnergyMDU, want.EnergyFPU = base.EnergyALU, base.EnergyMDU, base.EnergyFPU
+	want.EnergyMem, want.EnergyICNHop, want.EnergyCache, want.EnergyDRAM = base.EnergyMem, base.EnergyICNHop, base.EnergyCache, base.EnergyDRAM
+	want.StaticWattsPerCluster, want.StaticWattsOther = base.StaticWattsPerCluster, base.StaticWattsOther
+	if got != want {
+		t.Fatalf("Describe() of %q loaded onto %q:\n got %+v\nwant %+v", c.Name, base.Name, got, want)
+	}
+}
+
+// TestDescribeRoundTrip: the -describe output is a configuration file.
+// Loaded onto the other preset it reproduces the described configuration,
+// for both presets and for one changed key by key.
+func TestDescribeRoundTrip(t *testing.T) {
+	fpga, chip := FPGA64(), Chip1024()
+	roundTrip(t, fpga, chip)
+	roundTrip(t, chip, fpga)
+	custom := FPGA64()
+	for _, kv := range []string{
+		"name=my machine", "clusters=4", "tcus_per_cluster=32", "icn_async=on",
+		"engine_mode=Optimistic", "func_backend=interp", "race_check=yes",
+		"fault_plan=memflip:10;tcufail:2@5000-90000", "fault_seed=0x10",
+		"seed=18446744073709551615", "mem_bytes=0x200000", "lookahead=3",
+		"host_workers=2", "sample_cycles=500", "watchdog_cycles=0",
+	} {
+		if err := custom.Set(kv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := custom.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(t, custom, chip)
+}
+
 func TestSampleCyclesKey(t *testing.T) {
 	cfg := FPGA64()
 	if err := cfg.Set("sample_cycles=5000"); err != nil {

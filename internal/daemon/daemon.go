@@ -25,7 +25,7 @@ type Options struct {
 	// Config is the base machine configuration; per-job Sets layer on top.
 	Config config.Config
 	// DataDir holds the journal (jobs.journal) and per-job checkpoint
-	// envelopes (<id>.ckpt). Created if absent.
+	// files (<id>.ckpt). Created if absent.
 	DataDir string
 	// Workers is the number of concurrent simulation workers (min 1).
 	Workers int
@@ -140,7 +140,7 @@ type Daemon struct {
 
 // New opens (or creates) the daemon state under opts.DataDir, replays the
 // journal, re-queues every non-terminal job — jobs that were mid-run when
-// the previous process died resume from their last checkpoint envelope —
+// the previous process died resume from their last checkpoint file —
 // and starts the worker pool.
 func New(opts Options) (*Daemon, error) {
 	if opts.Workers < 1 {

@@ -1,12 +1,20 @@
 package daemon
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"xmtgo/internal/jobrun"
+	"xmtgo/internal/sim/checkpoint"
 	"xmtgo/internal/sim/metrics"
 )
 
@@ -169,5 +177,98 @@ func TestDaemonRecoverDamagedHistory(t *testing.T) {
 	// The tampered job must never reach a worker.
 	if st, _ := d.Status("j1"); st.Result == nil || st.Result.Err == "" {
 		t.Errorf("recovered j1 result = %+v, want a compile diagnostic", st.Result)
+	}
+}
+
+// lockedBuffer is a log sink that the test may read while workers write.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestDaemonOldEnvelopeRestarts: a data directory written by a daemon that
+// kept its checkpoints in the former envelope format (a gob of the
+// gob-encoded version-2 state plus the output and instruction totals) is
+// recovered without resuming from that file: the interrupted job restarts
+// from cycle 0, ends in the result of an uninterrupted run, and a warning
+// names the file.
+func TestDaemonOldEnvelopeRestarts(t *testing.T) {
+	spec := JobSpec{Name: "legacy", Kind: "asm", Source: loopSrc(100_000)}
+	want := refResult(t, spec)
+
+	// A real mid-run state, saved the way the former daemon saved it.
+	prog, _, err := jobrun.Load(spec.Kind, spec.Name, spec.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errStop := errors.New("stop")
+	var first *checkpoint.State
+	run := jobrun.Runner{Prog: prog, Config: testConfig(t), CheckpointEvery: 50000,
+		Checkpointed: func(next *checkpoint.State) error { first = next; return errStop }}
+	if _, err := run.Attempt(nil, 0); !errors.Is(err, errStop) || first == nil {
+		t.Fatalf("no checkpoint to wrap: %v", err)
+	}
+	first.Version = 2
+	var inner bytes.Buffer
+	if err := checkpoint.Save(&inner, first); err != nil {
+		t.Fatal(err)
+	}
+	type envelope struct {
+		Ckpt   []byte
+		Output string
+		Instrs uint64
+	}
+	dir := t.TempDir()
+	var env bytes.Buffer
+	if err := gob.NewEncoder(&env).Encode(&envelope{Ckpt: inner.Bytes(), Output: first.Output, Instrs: first.InstrCount}); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "j1.ckpt")
+	if err := os.WriteFile(ckpt, env.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jl, _, err := OpenJournal(filepath.Join(dir, "jobs.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Record{
+		{Kind: RecSubmit, ID: "j1", Spec: &spec},
+		{Kind: RecStart, ID: "j1", Attempt: 1},
+		{Kind: RecCkpt, ID: "j1", Cycle: first.CycleOffset},
+	} {
+		if _, err := jl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var log lockedBuffer
+	d := newDaemon(t, dir, func(o *Options) { o.Log = &log })
+	defer d.Close()
+	res := mustDone(t, d, "j1")
+	sameResult(t, res, want, "job recovered past an old envelope")
+	if st, _ := d.Status("j1"); st.Resumes != 0 {
+		t.Errorf("resumes = %d, want 0: an old envelope must not be resumed", st.Resumes)
+	}
+	var warned bool
+	for _, line := range strings.Split(log.String(), "\n") {
+		warned = warned || strings.Contains(line, `"level":"WARN"`) && strings.Contains(line, "restarting from cycle 0") && strings.Contains(line, ckpt)
+	}
+	if !warned {
+		t.Errorf("no warning naming %s; log:\n%s", ckpt, log.String())
 	}
 }

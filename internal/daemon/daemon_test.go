@@ -42,7 +42,9 @@ const (
 	shortIters = 2000      // ~6k cycles: finishes almost immediately
 )
 
-func newDaemon(t *testing.T, dir string, mod func(*Options)) *Daemon {
+// testConfig is the machine the test daemons run: fpga64 with 1 MB of
+// memory.
+func testConfig(t *testing.T) config.Config {
 	t.Helper()
 	cfg, err := config.Preset("fpga64")
 	if err != nil {
@@ -51,8 +53,13 @@ func newDaemon(t *testing.T, dir string, mod func(*Options)) *Daemon {
 	if err := cfg.Set("mem_bytes=1048576"); err != nil {
 		t.Fatal(err)
 	}
+	return cfg
+}
+
+func newDaemon(t *testing.T, dir string, mod func(*Options)) *Daemon {
+	t.Helper()
 	opts := Options{
-		Config:          cfg,
+		Config:          testConfig(t),
 		DataDir:         dir,
 		Workers:         1,
 		CheckpointEvery: 50000,

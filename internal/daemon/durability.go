@@ -1,61 +1,34 @@
 package daemon
 
 import (
-	"bytes"
-	"fmt"
-	"io"
-	"os"
+	"errors"
+	"io/fs"
 	"path/filepath"
 
-	"xmtgo/internal/atomicfile"
-	"xmtgo/internal/jobrun"
 	"xmtgo/internal/sim/checkpoint"
 )
 
-// envelope is the per-job checkpoint sidecar (<id>.ckpt): the simulator
-// checkpoint plus the output and the instruction count accumulated up to
-// it — a jobrun.Point on disk — so a resumed job's final output and Instrs
-// are identical to an uninterrupted run's. (Envelopes written before Instrs
-// existed decode with 0: such a job under-reports, as every resumed job
-// used to.)
-type envelope struct {
-	Ckpt   []byte // checkpoint.Save bytes (self-versioned)
-	Output string
-	Instrs uint64
-}
-
-func (d *Daemon) envPath(j *job) string {
+// ckptPath is the job's checkpoint file (<id>.ckpt): a plain checkpoint,
+// which carries the output and instruction total of the run up to it.
+func (d *Daemon) ckptPath(j *job) string {
 	return filepath.Join(d.opts.DataDir, j.id+".ckpt")
 }
 
-func (d *Daemon) saveEnvelope(j *job, rp jobrun.Point) error {
-	var buf bytes.Buffer
-	if err := checkpoint.Save(&buf, rp.State); err != nil {
-		return err
+// loadCheckpoint returns the job's last persisted state, nil ("from the
+// start") when it has none. A file that does not load as a current
+// checkpoint — one of an older format, or damaged — is not resumed: the job
+// restarts from cycle 0, which reaches the same result because runs are
+// deterministic, and a warning names the file and the error.
+func (d *Daemon) loadCheckpoint(j *job) *checkpoint.State {
+	path := d.ckptPath(j)
+	st, err := checkpoint.LoadFile(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil
+	case err != nil:
+		j.log.Warn("checkpoint not resumable; restarting from cycle 0", "op", "run",
+			"file", path, "err", err.Error())
+		return nil
 	}
-	return atomicfile.WriteFunc(d.envPath(j), 0o644, func(w io.Writer) error {
-		return gobEncode(w, &envelope{Ckpt: buf.Bytes(), Output: rp.Output, Instrs: rp.Instrs})
-	})
-}
-
-// loadEnvelope returns the job's last persisted point, the zero Point
-// ("from the start") when it has none.
-func (d *Daemon) loadEnvelope(j *job) (jobrun.Point, error) {
-	f, err := os.Open(d.envPath(j))
-	if os.IsNotExist(err) {
-		return jobrun.Point{}, nil
-	}
-	if err != nil {
-		return jobrun.Point{}, err
-	}
-	defer f.Close()
-	var env envelope
-	if err := gobDecode(f, &env); err != nil {
-		return jobrun.Point{}, fmt.Errorf("daemon: envelope %s: %v", d.envPath(j), err)
-	}
-	st, err := checkpoint.Load(bytes.NewReader(env.Ckpt))
-	if err != nil {
-		return jobrun.Point{}, err
-	}
-	return jobrun.Point{State: st, Output: env.Output, Instrs: env.Instrs}, nil
+	return st
 }

@@ -40,19 +40,12 @@ func (d *Daemon) observeTTFS(a *attempt) {
 
 // runJob drives one job from its current checkpoint (if any) to a terminal
 // state, a preemption/drain yield, or its retry bound. The segment loop is
-// jobrun's; the daemon's part is the durability policy (envelope, then the
-// journal record as the commit point), the stop requests, and the
+// jobrun's; the daemon's part is the durability policy (checkpoint file,
+// then the journal record as the commit point), the stop requests, and the
 // observability around each attempt.
 func (d *Daemon) runJob(j *job) {
 	tenant := tenantOf(&j.spec)
-	rp, err := d.loadEnvelope(j)
-	if err != nil {
-		d.appendT(Record{Kind: RecFail, ID: j.id, Reason: err.Error()}, tenant)
-		d.terminal(j, StateFailed, &JobResult{Err: err.Error()})
-		d.obs.tracer.Instant(j.id, tenant, "fail", j.attempt)
-		j.log.Error("envelope load failed", "op", "run", "err", err.Error())
-		return
-	}
+	from := d.loadCheckpoint(j)
 
 	cfg := d.opts.Config
 	for _, kv := range j.spec.Sets {
@@ -82,7 +75,7 @@ func (d *Daemon) runJob(j *job) {
 			}
 			d.mu.Unlock()
 		},
-		Checkpointed: func(next jobrun.Point) error { return d.checkpointed(j, &att, next) },
+		Checkpointed: func(next *checkpoint.State) error { return d.checkpointed(j, &att, next) },
 	}
 
 	for retries := 0; ; retries++ {
@@ -98,7 +91,7 @@ func (d *Daemon) runJob(j *job) {
 		d.mu.Lock()
 		j.attempt++
 		j.budget = budget
-		resumed := rp.State != nil
+		resumed := from != nil
 		if resumed {
 			j.resumes++
 		}
@@ -120,7 +113,7 @@ func (d *Daemon) runJob(j *job) {
 		j.log.Info("attempt started", "op", "run", "attempt", att.n,
 			"budget", budget, "resumed", resumed)
 
-		out, err := run.Attempt(rp, budget)
+		out, err := run.Attempt(from, budget)
 		if out.Halted {
 			d.observeTTFS(&att)
 		}
@@ -149,9 +142,9 @@ func (d *Daemon) runJob(j *job) {
 		case out.Halted:
 			res := &JobResult{
 				Cycles:  out.Cycles,
-				Instrs:  out.Point.Instrs,
+				Instrs:  out.State.InstrCount,
 				Output:  out.Output,
-				MemHash: memHash(out.Point.State, out.Output),
+				MemHash: memHash(out.State),
 			}
 			d.appendT(Record{Kind: RecDone, ID: j.id, Result: res}, tenant)
 			d.terminal(j, StateDone, res)
@@ -186,7 +179,7 @@ func (d *Daemon) runJob(j *job) {
 		d.retries++
 		d.mu.Unlock()
 		j.log.Warn("attempt failed; retrying", "op", "run", "attempt", att.n, "err", diag)
-		rp = out.Point // the last checkpoint this attempt committed
+		from = out.State // the last checkpoint this attempt committed
 	}
 }
 
@@ -210,18 +203,18 @@ func outcomeOf(halted bool, err error) string {
 	}
 }
 
-// checkpointed is the runner's checkpoint hook: persist the envelope,
+// checkpointed is the runner's checkpoint hook: persist the checkpoint,
 // commit it with the journal record, then honor a pending
 // cancel/drain/preempt request by ending the attempt with its sentinel. A
 // crash may land anywhere in here; every ordering is recoverable because
-// the envelope write is atomic and the journal append is the commit point.
-func (d *Daemon) checkpointed(j *job, att *attempt, next jobrun.Point) error {
+// the checkpoint write is atomic and the journal append is the commit point.
+func (d *Daemon) checkpointed(j *job, att *attempt, next *checkpoint.State) error {
 	tenant := tenantOf(&j.spec)
 	if d.aborted.Load() {
 		return errAborted
 	}
 	ckptStart := d.obs.tracer.Now()
-	if err := d.saveEnvelope(j, next); err != nil {
+	if err := checkpoint.SaveFile(d.ckptPath(j), next); err != nil {
 		return err
 	}
 	ckptDur := d.obs.tracer.Now() - ckptStart
@@ -231,14 +224,14 @@ func (d *Daemon) checkpointed(j *job, att *attempt, next jobrun.Point) error {
 	if d.aborted.Load() {
 		return errAborted
 	}
-	if _, err := d.appendT(Record{Kind: RecCkpt, ID: j.id, Cycle: next.Cycle()}, tenant); err != nil {
+	if _, err := d.appendT(Record{Kind: RecCkpt, ID: j.id, Cycle: next.CycleOffset}, tenant); err != nil {
 		return err
 	}
 	d.observeTTFS(att)
-	j.log.Debug("checkpoint", "op", "ckpt", "attempt", att.n, "cycle", next.Cycle())
+	j.log.Debug("checkpoint", "op", "ckpt", "attempt", att.n, "cycle", next.CycleOffset)
 
 	d.mu.Lock()
-	j.cycles = next.Cycle()
+	j.cycles = next.CycleOffset
 	cancel, drain, preempt := j.cancelReq, j.drainReq, j.preemptReq
 	stopping := d.stopWorkers
 	d.publishLocked()
@@ -257,7 +250,7 @@ func (d *Daemon) checkpointed(j *job, att *attempt, next jobrun.Point) error {
 // memHash fingerprints the final architectural state: FNV-1a over shared
 // memory, the global registers and the program output. Two runs with equal
 // hashes ended bit-identical for every architecturally visible artifact.
-func memHash(st *checkpoint.State, output string) string {
+func memHash(st *checkpoint.State) string {
 	h := fnv.New64a()
 	h.Write(st.Mem)
 	var b [4]byte
@@ -265,6 +258,6 @@ func memHash(st *checkpoint.State, output string) string {
 		b[0], b[1], b[2], b[3] = byte(g), byte(g>>8), byte(g>>16), byte(g>>24)
 		h.Write(b[:])
 	}
-	io.WriteString(h, output)
+	io.WriteString(h, st.Output)
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -11,13 +11,13 @@ import (
 	"xmtgo/internal/atomicfile"
 )
 
-// Journal record kinds. Together with the checkpoint envelopes they make
+// Journal record kinds. Together with the checkpoint files they make
 // every job state reconstructible after a crash: the journal is the intent
-// log, the envelopes are the bulky state.
+// log, the checkpoint files are the bulky state.
 const (
 	RecSubmit  = "submit"  // job accepted into the queue (carries the spec)
 	RecStart   = "start"   // an attempt began on a worker
-	RecCkpt    = "ckpt"    // checkpoint envelope persisted at this cycle
+	RecCkpt    = "ckpt"    // checkpoint file persisted at this cycle
 	RecPreempt = "preempt" // job yielded at a checkpoint (preemption or drain)
 	RecDone    = "done"    // terminal: success (carries the result)
 	RecFail    = "fail"    // terminal: failure (carries the diagnostic)

@@ -2,18 +2,13 @@ package daemon
 
 import (
 	"bufio"
-	"encoding/gob"
 	"encoding/json"
-	"io"
 	"net"
 	"time"
 )
 
 // maxLine bounds one protocol line (program sources travel inline).
 const maxLine = 8 << 20
-
-func gobEncode(w io.Writer, v any) error { return gob.NewEncoder(w).Encode(v) }
-func gobDecode(r io.Reader, v any) error { return gob.NewDecoder(r).Decode(v) }
 
 // handleConn serves one client: newline-delimited JSON requests, one
 // response line each, in order.

@@ -9,7 +9,6 @@
 package jobrun
 
 import (
-	"bytes"
 	"math"
 
 	"xmtgo/internal/asm"
@@ -18,24 +17,6 @@ import (
 	"xmtgo/internal/sim/cycle"
 	"xmtgo/internal/sim/metrics"
 )
-
-// Point is a place a job can resume from: the simulator state at a
-// checkpoint plus what the segments before it produced. Every segment is a
-// fresh simulator whose counters and output start empty, so the totals
-// travel with the state. The zero Point means "from the start".
-type Point struct {
-	State  *checkpoint.State
-	Output string
-	Instrs uint64
-}
-
-// Cycle is the absolute cluster cycle the point was taken at.
-func (p Point) Cycle() int64 {
-	if p.State == nil {
-		return 0
-	}
-	return p.State.CycleOffset
-}
 
 // Runner runs attempts of one job.
 type Runner struct {
@@ -56,46 +37,52 @@ type Runner struct {
 	// that raced with its construction.
 	Started func(*cycle.System)
 	// Checkpointed, when set, is called at every checkpoint stop with the
-	// point just reached. The caller persists it and returns nil to run the
+	// state just reached. The caller persists it and returns nil to run the
 	// next segment, or an error to end the attempt with that error.
-	Checkpointed func(next Point) error
+	Checkpointed func(next *checkpoint.State) error
 }
 
 // Outcome is how one attempt ended.
 type Outcome struct {
-	// Point is the final machine state when Halted. Otherwise it is the
+	// State is the final machine state when Halted. Otherwise it is the
 	// last checkpoint Checkpointed accepted during the attempt (the
-	// attempt's starting point if none): where a retry resumes.
-	Point Point
+	// attempt's starting state if none, nil for the start): where a retry
+	// resumes.
+	State *checkpoint.State
 	// Halted reports that the program ran to its halt. Not halted with a
 	// nil error means the cycle budget ran out.
 	Halted bool
 	// Cycles is the absolute cycle the attempt stopped at.
 	Cycles int64
 	// Output is everything the job has printed so far, including what a
-	// failed or timed-out segment printed after Point.
+	// failed or timed-out segment printed after State.
 	Output string
 }
 
-// Attempt runs segments from the given point until the program halts, the
-// absolute cycle budget (0 = unlimited) runs out, the simulation fails, or
-// Checkpointed ends it. The error is the simulation's or Checkpointed's.
-func (r *Runner) Attempt(from Point, budget int64) (Outcome, error) {
-	at := from
+// Attempt runs segments from the given checkpoint (nil = from the start)
+// until the program halts, the absolute cycle budget (0 = unlimited) runs
+// out, the simulation fails, or Checkpointed ends it. The error is the
+// simulation's or Checkpointed's. Each segment is a fresh simulator resumed
+// from the last state, which carries the run's cycle, instruction and
+// output totals.
+func (r *Runner) Attempt(from *checkpoint.State, budget int64) (Outcome, error) {
+	end := Outcome{State: from}
+	if from != nil {
+		end.Cycles, end.Output = from.CycleOffset, from.Output
+	}
 	for {
 		segBudget := int64(0)
 		if budget > 0 {
-			if segBudget = budget - at.Cycle(); segBudget <= 0 {
-				return Outcome{Point: at, Cycles: at.Cycle(), Output: at.Output}, nil
+			if segBudget = budget - end.Cycles; segBudget <= 0 {
+				return end, nil
 			}
 		}
-		var out bytes.Buffer
-		sys, err := cycle.New(r.Prog, r.Config, &out)
-		if err == nil && at.State != nil {
-			err = sys.RestoreState(at.State)
+		sys, err := cycle.New(r.Prog, r.Config, nil)
+		if err == nil && end.State != nil {
+			err = sys.RestoreState(end.State)
 		}
 		if err != nil {
-			return Outcome{Point: at, Cycles: at.Cycle(), Output: at.Output}, err
+			return end, err
 		}
 		sys.CheckpointEvery(r.CheckpointEvery)
 		if r.Started != nil {
@@ -116,13 +103,13 @@ func (r *Runner) Attempt(from Point, budget int64) (Outcome, error) {
 		if smp != nil {
 			smp.Finalize(res.Cycles, int64(res.Ticks), sys.Stats, sys.AliveTCUs())
 		}
-		end := Outcome{Point: at, Cycles: res.Cycles, Output: at.Output + out.String()}
+		end.Cycles, end.Output = res.Cycles, sys.Machine.Output()
 		if err != nil || res.TimedOut {
 			return end, err
 		}
-		reached := Point{State: sys.Capture(), Output: end.Output, Instrs: at.Instrs + res.Instrs}
+		reached := sys.Capture()
 		if res.Halted {
-			end.Point, end.Halted = reached, true
+			end.State, end.Halted = reached, true
 			return end, nil
 		}
 		if r.Checkpointed != nil {
@@ -130,7 +117,7 @@ func (r *Runner) Attempt(from Point, budget int64) (Outcome, error) {
 				return end, err
 			}
 		}
-		at = reached
+		end.State = reached
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xmtgo/internal/config"
+	"xmtgo/internal/sim/checkpoint"
 	"xmtgo/internal/sim/cycle"
 )
 
@@ -34,16 +35,16 @@ int main() {
 
 var errStop = errors.New("stop")
 
-// recorder is a Checkpointed hook that keeps every point it accepts and
+// recorder is a Checkpointed hook that keeps every state it accepts and
 // fails the n-th call (1-based; 0 = never) with errStop.
 type recorder struct {
 	failAt   int
 	calls    int
-	accepted []Point
-	refused  Point
+	accepted []*checkpoint.State
+	refused  *checkpoint.State
 }
 
-func (rc *recorder) hook(next Point) error {
+func (rc *recorder) hook(next *checkpoint.State) error {
 	rc.calls++
 	if rc.calls == rc.failAt {
 		rc.refused = next
@@ -53,25 +54,29 @@ func (rc *recorder) hook(next Point) error {
 	return nil
 }
 
-// samePoint requires two points to agree on everything architectural and,
-// unless the checkpoint histories differ, on the cycle too.
-func samePoint(t *testing.T, what string, got, want Point, cycles bool) {
+// sameState requires two resume states to agree on everything
+// architectural and on the program totals they carry and, unless the
+// checkpoint histories differ, on the cycle too. Nil is the start.
+func sameState(t *testing.T, what string, got, want *checkpoint.State, cycles bool) {
 	t.Helper()
-	if (got.State == nil) != (want.State == nil) {
-		t.Fatalf("%s: state nil=%v, want nil=%v", what, got.State == nil, want.State == nil)
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: state nil=%v, want nil=%v", what, got == nil, want == nil)
 	}
-	if got.Output != want.Output || got.Instrs != want.Instrs || (cycles && got.Cycle() != want.Cycle()) {
+	if got == nil {
+		return
+	}
+	if got.Output != want.Output || got.InstrCount != want.InstrCount || (cycles && got.CycleOffset != want.CycleOffset) {
 		t.Fatalf("%s: output=%q instrs=%d cycle=%d, want %q / %d / %d",
-			what, got.Output, got.Instrs, got.Cycle(), want.Output, want.Instrs, want.Cycle())
+			what, got.Output, got.InstrCount, got.CycleOffset, want.Output, want.InstrCount, want.CycleOffset)
 	}
-	if got.State != nil && (!bytes.Equal(got.State.Mem, want.State.Mem) || got.State.G != want.State.G) {
+	if !bytes.Equal(got.Mem, want.Mem) || got.G != want.G {
 		t.Fatalf("%s: memory or global registers differ", what)
 	}
 }
 
 // TestAttempt drives the runner through every way an attempt can end and
 // resumes until the program halts: whatever the interruptions, the final
-// point — memory, global registers, output, instruction count, cycle — is
+// state — memory, global registers, output, instruction count, cycle — is
 // that of an uninterrupted run at the same checkpoint cadence, at
 // host_workers 1 and 4. (Every segment is a fresh simulator with cold
 // caches, so stopping at a checkpoint and resuming is the very computation
@@ -91,98 +96,98 @@ func TestAttempt(t *testing.T) {
 		}
 		return r
 	}
-	probe, err := runner(1, 0, nil).Attempt(Point{}, 0)
+	probe, err := runner(1, 0, nil).Attempt(nil, 0)
 	if err != nil || !probe.Halted {
 		t.Fatalf("probe run: %+v, %v", probe, err)
 	}
 	every := probe.Cycles / 8
 	var refRec recorder
-	ref, err := runner(1, every, &refRec).Attempt(Point{}, 0)
-	if err != nil || !ref.Halted || ref.Cycles != ref.Point.Cycle() || ref.Output != ref.Point.Output {
+	ref, err := runner(1, every, &refRec).Attempt(nil, 0)
+	if err != nil || !ref.Halted || ref.Cycles != ref.State.CycleOffset || ref.Output != ref.State.Output {
 		t.Fatalf("reference run: %+v, %v", ref, err)
 	}
-	samePoint(t, "reference vs run without checkpoints", ref.Point, probe.Point, false)
+	sameState(t, "reference vs run without checkpoints", ref.State, probe.State, false)
 	refStops := refRec.accepted
 
 	// Each case interrupts a run in its own way, checks what the
-	// interrupted attempt returned, and hands back the point to resume
+	// interrupted attempt returned, and hands back the state to resume
 	// from; the loop below finishes the job from there.
 	cases := []struct {
 		name      string
 		extraStop bool // stops where the reference run has no checkpoint
-		interrupt func(t *testing.T, workers int) Point
+		interrupt func(t *testing.T, workers int) *checkpoint.State
 	}{
-		{"stop at checkpoint 3", false, func(t *testing.T, workers int) Point {
+		{"stop at checkpoint 3", false, func(t *testing.T, workers int) *checkpoint.State {
 			rc := &recorder{failAt: 3}
-			out, err := runner(workers, every, rc).Attempt(Point{}, 0)
+			out, err := runner(workers, every, rc).Attempt(nil, 0)
 			if !errors.Is(err, errStop) || out.Halted || len(rc.accepted) != 2 {
 				t.Fatalf("out=%+v err=%v accepted=%d", out, err, len(rc.accepted))
 			}
-			samePoint(t, "returned point", out.Point, refStops[1], true)
-			samePoint(t, "refused point", rc.refused, refStops[2], true)
-			if out.Cycles != rc.refused.Cycle() || out.Output != rc.refused.Output {
+			sameState(t, "returned state", out.State, refStops[1], true)
+			sameState(t, "refused state", rc.refused, refStops[2], true)
+			if out.Cycles != rc.refused.CycleOffset || out.Output != rc.refused.Output {
 				t.Fatalf("stopped at cycle %d output %q, want checkpoint 3's %d / %q",
-					out.Cycles, out.Output, rc.refused.Cycle(), rc.refused.Output)
+					out.Cycles, out.Output, rc.refused.CycleOffset, rc.refused.Output)
 			}
 			// A caller that persisted checkpoint 3 before asking for the
 			// stop (preemption, drain, interrupt) resumes from it.
 			return rc.refused
 		}},
-		{"Checkpointed fails", false, func(t *testing.T, workers int) Point {
+		{"Checkpointed fails", false, func(t *testing.T, workers int) *checkpoint.State {
 			rc := &recorder{failAt: 1}
-			out, err := runner(workers, every, rc).Attempt(Point{}, 0)
+			out, err := runner(workers, every, rc).Attempt(nil, 0)
 			if !errors.Is(err, errStop) || out.Halted {
 				t.Fatalf("out=%+v err=%v", out, err)
 			}
 			// Nothing was accepted: a retry starts over.
-			samePoint(t, "returned point", out.Point, Point{}, true)
-			return out.Point
+			sameState(t, "returned state", out.State, nil, true)
+			return out.State
 		}},
-		{"budget exhausted at the resume offset", false, func(t *testing.T, workers int) Point {
+		{"budget exhausted at the resume offset", false, func(t *testing.T, workers int) *checkpoint.State {
 			rc := &recorder{failAt: 3}
 			r := runner(workers, every, rc)
-			if _, err := r.Attempt(Point{}, 0); !errors.Is(err, errStop) {
+			if _, err := r.Attempt(nil, 0); !errors.Is(err, errStop) {
 				t.Fatal(err)
 			}
 			from := rc.accepted[1]
 			rc.failAt = 0
-			out, err := r.Attempt(from, from.Cycle())
-			if err != nil || out.Halted || out.Cycles != from.Cycle() || rc.calls != 3 {
-				t.Fatalf("out=%+v err=%v calls=%d, want an immediate timeout at cycle %d", out, err, rc.calls, from.Cycle())
+			out, err := r.Attempt(from, from.CycleOffset)
+			if err != nil || out.Halted || out.Cycles != from.CycleOffset || rc.calls != 3 {
+				t.Fatalf("out=%+v err=%v calls=%d, want an immediate timeout at cycle %d", out, err, rc.calls, from.CycleOffset)
 			}
-			samePoint(t, "returned point", out.Point, from, true)
-			return out.Point
+			sameState(t, "returned state", out.State, from, true)
+			return out.State
 		}},
-		{"budget exhausted mid-segment", false, func(t *testing.T, workers int) Point {
+		{"budget exhausted mid-segment", false, func(t *testing.T, workers int) *checkpoint.State {
 			rc := &recorder{}
 			budget := ref.Cycles/2 + every/2
-			out, err := runner(workers, every, rc).Attempt(Point{}, budget)
+			out, err := runner(workers, every, rc).Attempt(nil, budget)
 			if err != nil || out.Halted || out.Cycles != budget || len(rc.accepted) == 0 {
 				t.Fatalf("out=%+v err=%v accepted=%d, want a timeout at cycle %d", out, err, len(rc.accepted), budget)
 			}
-			samePoint(t, "returned point", out.Point, refStops[len(rc.accepted)-1], true)
-			return out.Point
+			sameState(t, "returned state", out.State, refStops[len(rc.accepted)-1], true)
+			return out.State
 		}},
-		{"simulation error mid-segment", false, func(t *testing.T, workers int) Point {
+		{"simulation error mid-segment", false, func(t *testing.T, workers int) *checkpoint.State {
 			// The shared cache modules freeze for good right after the
 			// fourth checkpoint (a stall is simulator state, not
 			// architectural: it has to wedge the run before the next stop
 			// or it is gone); the watchdog reports the wedge.
 			rc := &recorder{}
 			r := runner(workers, every, rc)
-			r.Config.FaultPlan = fmt.Sprintf("cachestall:64x100000000@%d-%d", refStops[3].Cycle()+1, refStops[3].Cycle()+10)
+			r.Config.FaultPlan = fmt.Sprintf("cachestall:64x100000000@%d-%d", refStops[3].CycleOffset+1, refStops[3].CycleOffset+10)
 			r.Config.WatchdogCycles = 2000
-			out, err := r.Attempt(Point{}, 0)
+			out, err := r.Attempt(nil, 0)
 			if err == nil || out.Halted || len(rc.accepted) != 4 {
 				t.Fatalf("out=%+v err=%v accepted=%d, want a watchdog error after checkpoint 4", out, err, len(rc.accepted))
 			}
-			samePoint(t, "returned point", out.Point, refStops[3], true)
-			if out.Cycles <= out.Point.Cycle() {
-				t.Fatalf("failed at cycle %d with last checkpoint at %d", out.Cycles, out.Point.Cycle())
+			sameState(t, "returned state", out.State, refStops[3], true)
+			if out.Cycles <= out.State.CycleOffset {
+				t.Fatalf("failed at cycle %d with last checkpoint at %d", out.Cycles, out.State.CycleOffset)
 			}
-			return out.Point
+			return out.State
 		}},
-		{"stop request inside Started", true, func(t *testing.T, workers int) Point {
+		{"stop request inside Started", true, func(t *testing.T, workers int) *checkpoint.State {
 			// No periodic checkpoints: only the request delivered while
 			// the first segment was being set up can stop it.
 			rc := &recorder{failAt: 1}
@@ -193,7 +198,7 @@ func TestAttempt(t *testing.T) {
 					sys.RequestCheckpoint()
 				}
 			}
-			out, err := r.Attempt(Point{}, 0)
+			out, err := r.Attempt(nil, 0)
 			if !errors.Is(err, errStop) || out.Cycles == 0 || out.Cycles >= every {
 				t.Fatalf("out=%+v err=%v, want a stop at the first quiescent point", out, err)
 			}
@@ -209,9 +214,9 @@ func TestAttempt(t *testing.T) {
 				if err != nil || !out.Halted {
 					t.Fatalf("resumed run: %+v, %v", out, err)
 				}
-				samePoint(t, "final point", out.Point, ref.Point, !c.extraStop)
-				if out.Cycles != out.Point.Cycle() || out.Output != ref.Output {
-					t.Fatalf("final cycles=%d output=%q, want %d / %q", out.Cycles, out.Output, out.Point.Cycle(), ref.Output)
+				sameState(t, "final state", out.State, ref.State, !c.extraStop)
+				if out.Cycles != out.State.CycleOffset || out.Output != ref.Output {
+					t.Fatalf("final cycles=%d output=%q, want %d / %q", out.Cycles, out.Output, out.State.CycleOffset, ref.Output)
 				}
 			})
 		}

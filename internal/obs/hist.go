@@ -16,7 +16,7 @@ const (
 	HistQueueWait      = "queue_wait"      // submit accepted -> worker picks the job up
 	HistCompile        = "compile"         // source -> loaded program, every successful submit (program-cache hits included)
 	HistTTFS           = "ttfs"            // worker start -> first checkpoint/sample
-	HistCkptWrite      = "ckpt_write"      // checkpoint envelope serialize+write+rename
+	HistCkptWrite      = "ckpt_write"      // checkpoint serialize+write+rename
 	HistJournalFsync   = "journal_fsync"   // one journal append incl. fsync
 	HistPreemptRequeue = "preempt_requeue" // preempt requested -> victim back in queue
 	HistRetryBackoff   = "retry_backoff"   // retry decided -> next attempt starts

@@ -8,8 +8,10 @@
 // functional mode, and at serial-mode instruction boundaries with a drained
 // write buffer in cycle-accurate mode (the master is then the only active
 // agent). This restriction relative to XMTSim's arbitrary-point checkpoints
-// is documented in DESIGN.md; cycle counters restart from the recorded
-// offset on resume.
+// is documented in DESIGN.md. A checkpoint is also the run's resume point:
+// it carries the output printed and the instructions retired since program
+// start, and the cycle and instruction counters carry on from it, so a
+// resumed run reports the totals of an uninterrupted one.
 package checkpoint
 
 import (
@@ -42,8 +44,11 @@ type State struct {
 	Mem        []byte
 	G          [isa.NumGRegs]int32
 	Master     funcmodel.Context
-	InstrCount uint64
+	InstrCount uint64 // retired since program start, in either mode
 	Halted     bool
+
+	// Output is everything the program printed before the capture.
+	Output string
 
 	// CycleOffset is the cycle count at capture (cycle-accurate mode).
 	CycleOffset int64
@@ -54,7 +59,7 @@ type State struct {
 	DeadTCUs []int
 }
 
-const version = 2
+const version = 3
 
 // Fingerprint hashes the aspects of a linked program that determine
 // execution: instruction semantics (not source lines or symbol names — a
@@ -94,16 +99,25 @@ func Capture(m *funcmodel.Machine, cycleOffset int64) *State {
 		Master:      m.Master,
 		InstrCount:  m.InstrCount,
 		Halted:      m.Halted,
+		Output:      m.Output(),
 		CycleOffset: cycleOffset,
 	}
 	return st
 }
 
-// Restore applies a checkpoint to a freshly created machine for the same
-// program.
-func Restore(m *funcmodel.Machine, st *State) error {
+// checkVersion refuses a state of another gob layout.
+func checkVersion(st *State) error {
 	if st.Version != version {
 		return fmt.Errorf("checkpoint: version %d not supported (want %d)", st.Version, version)
+	}
+	return nil
+}
+
+// Restore applies a checkpoint to a freshly created machine for the same
+// program. The recorded output is put back without being printed again.
+func Restore(m *funcmodel.Machine, st *State) error {
+	if err := checkVersion(st); err != nil {
+		return err
 	}
 	if fp := Fingerprint(m.Prog); st.Fingerprint != fp {
 		return fmt.Errorf("checkpoint: program mismatch (fingerprint %016x, running %016x; text %d/%d, entry %d/%d)",
@@ -118,6 +132,7 @@ func Restore(m *funcmodel.Machine, st *State) error {
 	m.Master = st.Master
 	m.InstrCount = st.InstrCount
 	m.Halted = st.Halted
+	m.SetOutput(st.Output)
 	m.CheckpointRequested = false
 	return nil
 }
@@ -127,11 +142,14 @@ func Save(w io.Writer, st *State) error {
 	return gob.NewEncoder(w).Encode(st)
 }
 
-// Load reads a checkpoint written by Save.
+// Load reads a checkpoint written by Save, refusing one of another version.
 func Load(r io.Reader) (*State, error) {
 	var st State
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("checkpoint: %v", err)
+	}
+	if err := checkVersion(&st); err != nil {
+		return nil, err
 	}
 	return &st, nil
 }

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"xmtgo/internal/asm"
@@ -23,7 +24,12 @@ main:   lw    $t0, v
 
 func machine(t *testing.T) *funcmodel.Machine {
 	t.Helper()
-	u, err := asm.Parse("c.s", prog)
+	return machineFor(t, prog, nil)
+}
+
+func machineFor(t *testing.T, src string, out io.Writer) *funcmodel.Machine {
+	t.Helper()
+	u, err := asm.Parse("c.s", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +37,66 @@ func machine(t *testing.T) *funcmodel.Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := funcmodel.New(p, 1<<20, nil)
+	m, err := funcmodel.New(p, 1<<20, out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestCheckpointCarriesOutput: a checkpoint holds what the program printed
+// before it and the instructions it retired; a machine restored from it
+// reports both as its own without printing the output again, and goes on
+// to the totals of a run that never stopped.
+func TestCheckpointCarriesOutput(t *testing.T) {
+	const src = `
+        .text
+main:   li    $v0, 1
+        sys   1
+        sys   5
+        li    $v0, 2
+        sys   1
+        sys   0
+`
+	var whole bytes.Buffer
+	ref := machineFor(t, src, &whole)
+	if err := ref.Run(0); err != nil {
+		t.Fatal(err)
+	}
+
+	m := machineFor(t, src, nil)
+	for !m.CheckpointRequested {
+		if _, err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, Capture(m, 0)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Output != "1" || st.InstrCount != m.InstrCount {
+		t.Fatalf("checkpoint carries output %q and %d instructions, want \"1\" and %d", st.Output, st.InstrCount, m.InstrCount)
+	}
+
+	var rest bytes.Buffer
+	m2 := machineFor(t, src, &rest)
+	if err := Restore(m2, st); err != nil {
+		t.Fatal(err)
+	}
+	if rest.Len() != 0 || m2.Output() != "1" {
+		t.Fatalf("restore printed %q and recorded %q, want nothing and \"1\"", rest.String(), m2.Output())
+	}
+	if err := m2.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if rest.String() != "2" || m2.Output() != whole.String() || m2.InstrCount != ref.InstrCount {
+		t.Fatalf("resumed run printed %q, recorded %q over %d instructions; want \"2\", %q, %d",
+			rest.String(), m2.Output(), m2.InstrCount, whole.String(), ref.InstrCount)
+	}
 }
 
 func TestCaptureRestoreResume(t *testing.T) {
@@ -67,8 +128,7 @@ func TestCaptureRestoreResume(t *testing.T) {
 
 	// Restore into a fresh machine and finish the program.
 	var out bytes.Buffer
-	m2 := machine(t)
-	m2.Out = &out
+	m2 := machineFor(t, prog, &out)
 	if err := Restore(m2, st2); err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +160,13 @@ main:   nop
 	m3 := machine(t)
 	if err := Restore(m3, st); err == nil {
 		t.Fatal("unknown version must fail")
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil {
+		t.Fatal("loading a checkpoint of another version must fail")
 	}
 }
 

@@ -148,12 +148,11 @@ sum:    lw    $t6, 0($t0)
         sys   0
 `
 	p := mustProgram(t, src)
-	fm, err := funcmodel.New(p, config.FPGA64().MemBytes, nil)
+	var fOut bytes.Buffer
+	fm, err := funcmodel.New(p, config.FPGA64().MemBytes, &fOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fOut bytes.Buffer
-	fm.Out = &fOut
 	if err := fm.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,11 @@ type System struct {
 	err          error
 	halted       bool
 	checkpointed bool
-	cycleOffset  int64
+	// cycleOffset and instrBase are the cluster cycle and the retired
+	// instructions at the checkpoint this system resumed from (zero for a
+	// fresh one): results and captures count from program start.
+	cycleOffset int64
+	instrBase   uint64
 
 	// commitCycle/commitNow describe the window cycle currently being
 	// committed by the bounded-lookahead engine (-1 when no window commit
@@ -129,10 +133,10 @@ type System struct {
 type Result struct {
 	Cycles     int64 // cluster-domain cycles elapsed (including any resume offset)
 	Ticks      engine.Time
-	Instrs     uint64
-	Halted     bool // program executed sys halt
-	TimedOut   bool // stopped by the cycle budget instead
-	Checkpoint bool // stopped at a sys checkpoint trap
+	Instrs     uint64 // instructions retired (including before any resume)
+	Halted     bool   // program executed sys halt
+	TimedOut   bool   // stopped by the cycle budget instead
+	Checkpoint bool   // stopped at a sys checkpoint trap
 }
 
 // New builds a system for prog under cfg; out receives printf output.
@@ -334,6 +338,11 @@ func (s *System) HostWorkers() int { return s.hostWorkers }
 // zero for a fresh system, the checkpoint's cycle offset after RestoreState.
 func (s *System) StartCycle() int64 { return s.cycleOffset }
 
+// StartInstrs returns the retired-instruction count this system starts
+// counting from: zero for a fresh system, the checkpoint's count after
+// RestoreState.
+func (s *System) StartInstrs() uint64 { return s.instrBase }
+
 // AliveTCUs returns the number of TCUs not decommissioned by permanent
 // faults.
 func (s *System) AliveTCUs() int { return s.aliveTCUs }
@@ -515,7 +524,7 @@ func (s *System) result(maxCycles int64) (*Result, error) {
 	res := &Result{
 		Cycles:     s.cycleOffset + s.clusterClock.Cycle(s.Sched.Now()),
 		Ticks:      s.Sched.Now(),
-		Instrs:     s.Stats.TotalInstrs(),
+		Instrs:     s.instrBase + s.Stats.TotalInstrs(),
 		Halted:     s.halted,
 		Checkpoint: s.checkpointed,
 	}
@@ -568,6 +577,7 @@ func (s *System) checkpointStop() {
 func (s *System) Capture() *checkpoint.State {
 	s.Machine.Master = s.master.ctx
 	st := checkpoint.Capture(s.Machine, s.cycleOffset+s.clusterClock.Cycle(s.Sched.Now()))
+	st.InstrCount = s.instrBase + s.Stats.TotalInstrs()
 	for _, c := range s.clusters {
 		for _, t := range c.tcus {
 			if !t.alive {
@@ -579,14 +589,15 @@ func (s *System) Capture() *checkpoint.State {
 }
 
 // RestoreState resumes a freshly built system from a checkpoint: memory,
-// global registers and the master context are restored, and cycle counting
-// continues from the recorded offset.
+// global registers, the master context and the output printed so far are
+// restored, and cycle and instruction counting continue from the recorded
+// totals.
 func (s *System) RestoreState(st *checkpoint.State) error {
 	if err := checkpoint.Restore(s.Machine, st); err != nil {
 		return err
 	}
 	s.master.ctx = st.Master
-	s.cycleOffset = st.CycleOffset
+	s.cycleOffset, s.instrBase = st.CycleOffset, st.InstrCount
 	// Resume on the same degraded machine: TCUs decommissioned before the
 	// capture stay dead (silently — the decommissions were already counted
 	// and traced in the run that took the checkpoint).

@@ -10,6 +10,7 @@ package funcmodel
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"xmtgo/internal/asm"
@@ -66,8 +67,12 @@ type Machine struct {
 
 	Master Context
 
-	// Out receives sys-trap printf output (Fig. 3 "Printf output").
-	Out io.Writer
+	// Out receives sys-trap printf output (Fig. 3 "Printf output"). New
+	// sets it to the caller's writer behind a recorder, so everything the
+	// program prints is also kept for Output and checkpoints; replacing it
+	// stops the recording.
+	Out     io.Writer
+	printed recorder
 
 	Halted bool
 	// CheckpointRequested is set by the sys checkpoint trap and consumed
@@ -110,6 +115,28 @@ type Machine struct {
 	dirtyLoMax uint32
 	dirtyHiMin uint32
 	memFresh   bool // Mem was made for this machine, not taken from the pool
+}
+
+// recorder passes printed output on to the caller's writer and keeps a copy.
+type recorder struct {
+	text strings.Builder
+	w    io.Writer
+}
+
+func (r *recorder) Write(p []byte) (int, error) {
+	r.text.Write(p)
+	return r.w.Write(p)
+}
+
+// Output returns everything the program has printed since it started,
+// including what it printed before the checkpoint it was resumed from.
+func (m *Machine) Output() string { return m.printed.text.String() }
+
+// SetOutput replaces the recorded output without printing it: a restored
+// checkpoint's output was printed by the run that took it.
+func (m *Machine) SetOutput(s string) {
+	m.printed.text.Reset()
+	m.printed.text.WriteString(s)
 }
 
 // memPool recycles shared-memory buffers between runs, bucketed by size.
@@ -204,7 +231,9 @@ func New(prog *asm.Program, memBytes uint32, out io.Writer) (*Machine, error) {
 		out = io.Discard
 	}
 	mem, fresh := acquireMem(memBytes)
-	m := &Machine{Prog: prog, Mem: mem, Out: out, memFresh: fresh}
+	m := &Machine{Prog: prog, Mem: mem, memFresh: fresh}
+	m.printed.w = out
+	m.Out = &m.printed
 	m.memHalf = memBytes / 2
 	m.dirtyHiMin = memBytes
 	copy(m.Mem[asm.DataBase:], prog.Data)

@@ -33,6 +33,10 @@ type Sampler struct {
 	lastCycle int64 // cycle of the last emitted boundary
 	lastTicks int64
 
+	// instrBase is the instructions retired before the segment started
+	// (System.StartInstrs), so /status counts from program start.
+	instrBase uint64
+
 	// lastProgressCycle is the most recent boundary at which the window
 	// retired at least one instruction — the basis for the /status
 	// watchdog-slack estimate (sample-interval granularity).
@@ -68,13 +72,14 @@ func NewSampler(cfg *config.Config, interval, startCycle int64) *Sampler {
 }
 
 // Attach builds a sampler and registers it on sys. Call after RestoreState
-// so the resume offset is reflected in sample cycles. Returns nil when
-// interval <= 0.
+// so the resume offsets are reflected in sample cycles and /status
+// instructions. Returns nil when interval <= 0.
 func Attach(sys *cycle.System, interval int64) *Sampler {
 	if interval <= 0 {
 		return nil
 	}
 	sp := NewSampler(sys.Cfg, interval, sys.StartCycle())
+	sp.instrBase = sys.StartInstrs()
 	sp.evlog = sys.EventLog
 	sp.windows = sys.WindowStats
 	sys.AddActivityPlugin(sp)
@@ -229,7 +234,7 @@ func (sp *Sampler) publish(s *Sample, cur *stats.Snapshot, aliveTCUs int, done b
 	status := Status{
 		Cycle:              cur.Cycle,
 		Ticks:              cur.Ticks,
-		Instrs:             cur.Instructions.Total,
+		Instrs:             sp.instrBase + cur.Instructions.Total,
 		AliveTCUs:          aliveTCUs,
 		DecommissionedTCUs: cur.Faults.Decommissioned,
 		FaultsInjected:     cur.Faults.Injected,

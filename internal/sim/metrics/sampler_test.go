@@ -288,3 +288,48 @@ func TestAttachDisabled(t *testing.T) {
 		t.Fatal("Attach(0) should disable sampling")
 	}
 }
+
+// TestSamplerStatusAfterResume: the /status block of a run resumed from a
+// checkpoint counts cycles and instructions from program start, as the
+// run's Result does, while its samples stay per-window deltas of the
+// resumed segment alone.
+func TestSamplerStatusAfterResume(t *testing.T) {
+	prog := mustProgram(t, strings.Replace(loopAsm, "        sys   0\n", "        sys   5\n        li    $t0, 300\nL2:     addiu $t0, $t0, -1\n        bne   $t0, $zero, L2\n        sys   0\n", 1))
+	cfg := config.FPGA64()
+	first, err := cycle.New(prog, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res1, err := first.Run(0)
+	if err != nil || !res1.Checkpoint {
+		t.Fatalf("first leg: %+v, %v; want a checkpoint stop", res1, err)
+	}
+	sys, err := cycle.New(prog, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RestoreState(first.Capture()); err != nil {
+		t.Fatal(err)
+	}
+	srv := metrics.NewServer()
+	defer srv.Close()
+	smp := metrics.Attach(sys, 100)
+	smp.SetServer(srv)
+	res, err := sys.Run(0)
+	if err != nil || !res.Halted {
+		t.Fatalf("resumed leg: %+v, %v", res, err)
+	}
+	smp.Finalize(res.Cycles, int64(res.Ticks), sys.Stats, sys.AliveTCUs())
+	st := srv.Latest().Status
+	if st.Instrs != res.Instrs || st.Cycle != res.Cycles || res.Instrs != res1.Instrs+sys.Stats.TotalInstrs() {
+		t.Fatalf("status instrs %d cycle %d; result %d / %d; want the first leg's %d plus the segment's %d",
+			st.Instrs, st.Cycle, res.Instrs, res.Cycles, res1.Instrs, sys.Stats.TotalInstrs())
+	}
+	var window uint64
+	for _, s := range smp.Samples() {
+		window += s.Instrs
+	}
+	if window != sys.Stats.TotalInstrs() {
+		t.Fatalf("samples sum to %d instructions, the resumed segment retired %d", window, sys.Stats.TotalInstrs())
+	}
+}

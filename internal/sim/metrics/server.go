@@ -17,6 +17,7 @@ import (
 )
 
 // Status is the /status payload: the run's current position and health.
+// Cycle and Instrs count from program start, across checkpoint resumes.
 type Status struct {
 	Cycle              int64  `json:"cycle"`
 	Ticks              int64  `json:"ticks"`

@@ -392,6 +392,19 @@ var artifacts = []string{
 // archState is the architectural state a resumed run must reach.
 var archState = []string{"output", "memory", "gregs", "master"}
 
+// sameResumed fails t unless got, a resumed run, reached the architectural
+// state of the uninterrupted run want (plus the artifacts extra) and
+// reports its instruction total. Cycle counts are not compared: a
+// checkpoint holds no micro-architectural state, so resumed segments
+// replay with cold caches and drift by a few cycles.
+func sameResumed(t *testing.T, got, want *bundle, extra ...string) {
+	t.Helper()
+	same(t, got, want, append(archState, extra...)...)
+	if got.res.Instrs != want.res.Instrs {
+		t.Errorf("%s: %d instructions, the uninterrupted %s retired %d", got.id, got.res.Instrs, want.id, want.res.Instrs)
+	}
+}
+
 // except returns every artifact but names.
 func except(names ...string) []string {
 	var out []string
@@ -422,7 +435,12 @@ func runCase(t *testing.T, c mcase) *bundle {
 	p, prog := program(t, c.prog)
 	b := &bundle{id: t.Name() + c.id, art: map[string]string{}}
 	add := func(name, text string) { b.art[name] += text }
+	// out is everything the program printed since it started, before the
+	// checkpoint c resumes from too.
 	var out bytes.Buffer
+	if c.resume != nil {
+		out.WriteString(c.resume.Output)
+	}
 	var races []string
 	var checks uint64
 	for st := c.resume; ; {
@@ -541,6 +559,12 @@ func runCase(t *testing.T, c mcase) *bundle {
 		sys.Release()
 		if st, err = xmtgo.LoadCheckpoint(&buf); err != nil {
 			t.Fatal(err)
+		}
+		// The checkpoint is the resume point: it carries the program's
+		// totals so far, not its last segment's.
+		if st.Output != out.String() || st.InstrCount != res.Instrs {
+			t.Errorf("%s: segment %d: checkpoint carries output %q and %d instructions; the run printed %q and retired %d",
+				b.id, b.segments, st.Output, st.InstrCount, out.String(), res.Instrs)
 		}
 		b.ckpt = st
 	}
@@ -810,7 +834,7 @@ func TestLookaheadCheckpointResume(t *testing.T) {
 			name = "window-derived"
 		}
 		t.Run(name, func(t *testing.T) {
-			same(t, resumed(t, c.engine(0, mode), ref.res.Cycles/5|1), ref, archState...)
+			sameResumed(t, resumed(t, c.engine(0, mode), ref.res.Cycles/5|1), ref)
 		})
 	}
 }
@@ -827,7 +851,7 @@ func TestCycleCheckpointResume(t *testing.T) {
 				c := mcase{prog: prog + "-par", cfg: preset(""), budget: 10_000_000}
 				c.cfg.HostWorkers = w
 				ref := halted(t, runCase(t, c))
-				same(t, resumed(t, c, ref.res.Cycles/5), ref, archState...)
+				sameResumed(t, resumed(t, c, ref.res.Cycles/5), ref)
 			})
 		}
 	}
@@ -844,7 +868,7 @@ func TestXmtsanCheckpointResume(t *testing.T) {
 	if !strings.HasPrefix(ref.art["race"], "race:") {
 		t.Fatal("checkpoint fixture produced no races; the contract is untested")
 	}
-	same(t, resumed(t, c, ref.res.Cycles/4), ref, append(archState, "race")...)
+	sameResumed(t, resumed(t, c, ref.res.Cycles/4), ref, "race")
 }
 
 // TestTelemetryDeterminism: the interval-sample JSONL/CSV streams, the
@@ -932,7 +956,7 @@ func TestWatchdogTripResumeFromCheckpoint(t *testing.T) {
 		t.Fatal("watchdog tripped before any checkpoint was captured; recovery untested")
 	}
 	c.resume, c.id = wedged.ckpt, "/recovered"
-	same(t, halted(t, runCase(t, c)), ref, archState...)
+	sameResumed(t, halted(t, runCase(t, c)), ref)
 }
 
 // TestObservabilityGolden compares the observability renderings of

@@ -74,7 +74,9 @@ echo "== go test -race (job execution: runner, xmtbatch, daemon stop/recovery pa
 # a simulator a worker is ticking; xmtbatch's interrupt path is that Drain.
 # The rest of the daemon suite adds time, not shared state.
 go test -race ./internal/jobrun ./cmd/xmtbatch
-go test -race -timeout 300s -run 'TestDaemonPreemptResumeBitIdentical|TestDaemonCancelPaths|TestDaemonDrainAndResume|TestDaemonCrashRecovery' ./internal/daemon
+# A data directory whose <id>.ckpt is in the former envelope format restarts
+# that job from cycle 0 (with a warning) instead of resuming it.
+go test -race -timeout 300s -run 'TestDaemonPreemptResumeBitIdentical|TestDaemonCancelPaths|TestDaemonDrainAndResume|TestDaemonCrashRecovery|TestDaemonOldEnvelopeRestarts' ./internal/daemon
 
 echo "== lookahead gate (window determinism matrix + rollback sanity + worker contract under -race)"
 # The bounded-lookahead engine must be architecturally invisible: byte-
@@ -110,6 +112,12 @@ go test -fuzz FuzzSchedulerOrder -fuzztime 5s -run '^$' ./internal/sim/engine
 # A clamped SleepUntil against a per-edge poller: same non-poll firings,
 # same Now(), Executed lower by exactly the skipped polls.
 go test -fuzz FuzzSleepUntil -fuzztime 5s -run '^$' ./internal/sim/engine
+
+echo "== CLI checkpoint/resume (a resumed run reports the program's totals)"
+# xmtrun -checkpoint then -resume, in both modes and across them: the
+# resumed run prints the rest of the output, ends in the memory of a run
+# never checkpointed, and reports the uninterrupted instruction total.
+go test -count=1 -run 'TestCLIRunCheckpointResume|TestCLIResumeReportsProgramTotals' .
 
 echo "== telemetry endpoint smoke (xmtsim -serve)"
 # Start xmtsim with a live metrics server mid-run, scrape /metrics and
