@@ -17,6 +17,7 @@
 package xmtgo_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -656,6 +657,77 @@ func BenchmarkCompile(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(lines)*float64(b.N)/b.Elapsed().Seconds(), "lines/sec")
+}
+
+// --- Job completion: what a finished job costs the daemon ---
+
+// doneLoopSrc is the daemon's short serial job (benchmark/ daemon-open's
+// loopSrc at 2000 iterations): a register loop, one store, one print.
+const doneLoopSrc = `
+        .data
+A:      .space 64
+        .text
+        .global main
+main:
+        li    $t0, 2000
+        li    $t2, 0
+Lloop:  addiu $t2, $t2, 1
+        addiu $t0, $t0, -1
+        bne   $t0, $zero, Lloop
+        la    $t1, A
+        sw    $t2, 0($t1)
+        lw    $v0, 0($t1)
+        sys   1
+        sys   0
+`
+
+// BenchmarkJobDone times what the daemon does with a finished job's state:
+// Capture, Digest (its memhash) and Save (a checkpoint write's encoding),
+// on the daemon's loop job with 1 MiB of memory (fpga64) and on chip1024
+// Table I parallel-memory (64 MiB). ckpt_bytes is the encoded size. Compare
+// two commits with `sh scripts/ab.sh REV BenchmarkJobDone`.
+func BenchmarkJobDone(b *testing.B) {
+	loopProg, err := xmtgo.Assemble("loop.s", doneLoopSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	loopCfg := xmtgo.ConfigFPGA64()
+	loopCfg.MemBytes = 1 << 20
+	chip := xmtgo.ConfigChip1024()
+	var a strings.Builder // the kernel's input A, as in sim-par-mem
+	a.WriteString("A =")
+	for i := 0; i < 1024*8; i++ {
+		fmt.Fprintf(&a, " %d", i*7919%1000)
+	}
+	parMem := buildB(b, workloads.TableI(workloads.ParallelMemory, chip.Clusters*chip.TCUsPerCluster, 40),
+		xmtgo.DefaultCompileOptions(), a.String())
+	for _, c := range []struct {
+		name string
+		prog *xmtgo.Program
+		cfg  xmtgo.Config
+	}{{"loop_1MiB", loopProg, loopCfg}, {"chip1024_par_mem", parMem, chip}} {
+		b.Run(c.name, func(b *testing.B) {
+			sys, err := xmtgo.NewSimulator(c.prog, c.cfg, io.Discard)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sys.Release()
+			if res, err := sys.Run(0); err != nil || !res.Halted {
+				b.Fatalf("run: %v", err)
+			}
+			var buf bytes.Buffer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st := sys.Capture()
+				st.Digest()
+				buf.Reset()
+				if err := xmtgo.SaveCheckpoint(&buf, st); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(buf.Len()), "ckpt_bytes")
+		})
+	}
 }
 
 // --- §III-F: synchronous vs asynchronous interconnect ---

@@ -160,6 +160,47 @@ func TestBatchResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestBatchLeavesOnlyTheJournal: jobs that checkpointed on their way to
+// done or to failure leave no checkpoint file in -out, only the journal.
+func TestBatchLeavesOnlyTheJournal(t *testing.T) {
+	out := t.TempDir()
+	res, code := batch(t, map[string]string{"p.s": longSerialAsm, "w.s": memWalkAsm},
+		[]string{"a p.s", "b w.s", "c p.s clusters=2", "wedge w.s fault_plan=cachestall:8x100000000@100-120 watchdog_cycles=2000"},
+		"-checkpoint-every", "500", "-timeout", "10000000", "-retries", "0", "-out", out)
+	if code != 1 || res[3].status != "FAIL" {
+		t.Fatalf("exit %d, wedged job %s: want exit 1 and its FAIL line", code, res[3].line)
+	}
+	for _, r := range res[:3] {
+		if r.status != "ok" {
+			t.Fatalf("%s, want ok", r.line)
+		}
+	}
+	_, recs, err := daemon.OpenJournal(filepath.Join(out, "jobs.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpts := map[string]int{}
+	for _, rec := range recs {
+		if rec.Kind == daemon.RecCkpt {
+			ckpts[rec.ID]++
+		}
+	}
+	if ckpts["j1"] == 0 || ckpts["j2"] == 0 || ckpts["j3"] == 0 {
+		t.Fatalf("checkpoints journaled per job: %v; every ok job must have one, or the test proves nothing", ckpts)
+	}
+	ents, err := os.ReadDir(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "jobs.journal" {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("-out holds %v after the batch, want only jobs.journal", names)
+	}
+}
+
 // TestBatchGivesUpAfterRetries bounds the retry loop: a job wedged by a
 // permanent injected stall must fail with the watchdog diagnostic after
 // exactly retries+1 attempts, not hang, and the batch must exit 1.

@@ -235,4 +235,17 @@ func TestCLIDaemonCrashRecovery(t *testing.T) {
 	if !strings.Contains(string(journal), `"kind":"drain"`) {
 		t.Error("journal missing the clean-shutdown drain marker")
 	}
+	// Both jobs are done, the killed one included: neither left its
+	// checkpoint file behind.
+	ents, err := os.ReadDir(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "jobs.journal" {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Errorf("data directory holds %v after every job finished, want only jobs.journal", names)
+	}
 }

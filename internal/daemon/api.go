@@ -75,8 +75,9 @@ type JobResult struct {
 	Cycles int64  `json:"cycles"`
 	Instrs uint64 `json:"instrs"`
 	Output string `json:"output"`
-	// MemHash fingerprints the final architectural state (FNV-1a over
-	// shared memory, global registers and output), so clients can verify
+	// MemHash fingerprints the final architectural state
+	// (checkpoint.State.Digest in hex: FNV-1a over shared memory, global
+	// registers and output), so clients can verify
 	// recovered or preempted runs are bit-identical to uninterrupted ones
 	// without shipping the memory image.
 	MemHash string `json:"mem_hash,omitempty"`

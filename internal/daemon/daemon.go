@@ -24,8 +24,9 @@ import (
 type Options struct {
 	// Config is the base machine configuration; per-job Sets layer on top.
 	Config config.Config
-	// DataDir holds the journal (jobs.journal) and per-job checkpoint
-	// files (<id>.ckpt). Created if absent.
+	// DataDir holds the journal (jobs.journal) and the checkpoint file
+	// (<id>.ckpt) of each unfinished job that has reached one. Created if
+	// absent.
 	DataDir string
 	// Workers is the number of concurrent simulation workers (min 1).
 	Workers int
@@ -139,9 +140,10 @@ type Daemon struct {
 }
 
 // New opens (or creates) the daemon state under opts.DataDir, replays the
-// journal, re-queues every non-terminal job — jobs that were mid-run when
-// the previous process died resume from their last checkpoint file —
-// and starts the worker pool.
+// journal, re-queues every non-terminal job (jobs that were mid-run when
+// the previous process died resume from their last checkpoint file),
+// deletes the checkpoint files no queued job resumes from, and starts the
+// worker pool.
 func New(opts Options) (*Daemon, error) {
 	if opts.Workers < 1 {
 		opts.Workers = 1
@@ -172,6 +174,7 @@ func New(opts Options) (*Daemon, error) {
 		jl.Close()
 		return nil, err
 	}
+	d.sweepCheckpoints()
 	if opts.Monitor != nil {
 		opts.Monitor.SetPromExtra(d.renderPromObs)
 		opts.Monitor.Handle("/logs", d.obs.ring)
@@ -532,7 +535,7 @@ func (d *Daemon) Cancel(id string) (*JobStatus, *APIError) {
 		d.mu.Unlock()
 		// Journal after the state flip: a crash in between re-queues the
 		// job once, and the cancel is simply lost — never a double-run.
-		d.appendT(Record{Kind: RecCancel, ID: id}, tenantOf(&j.spec))
+		d.journalTerminal(j, Record{Kind: RecCancel, ID: id}, tenantOf(&j.spec))
 		d.obs.tracer.Instant(id, tenantOf(&j.spec), "cancel", j.attempt)
 		j.log.Info("canceled while queued", "op", "cancel")
 		d.mu.Lock()

@@ -3,8 +3,6 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 
 	"xmtgo/internal/jobrun"
 	"xmtgo/internal/obs"
@@ -106,8 +104,8 @@ func (d *Daemon) runJob(j *job) {
 			d.obs.tracer.Instant(j.id, tenant, "resume", att.n)
 		}
 		if _, err := d.appendT(Record{Kind: RecStart, ID: j.id, Attempt: att.n}, tenant); err != nil {
-			d.terminal(j, StateFailed, &JobResult{Err: fmt.Sprintf("journal: %v", err)})
 			d.obs.tracer.Instant(j.id, tenant, "fail", att.n)
+			d.terminal(j, StateFailed, &JobResult{Err: fmt.Sprintf("journal: %v", err)})
 			return
 		}
 		j.log.Info("attempt started", "op", "run", "attempt", att.n,
@@ -120,14 +118,17 @@ func (d *Daemon) runJob(j *job) {
 		d.obs.tracer.Add(obs.Span{Job: j.id, Tenant: tenant, Name: "run",
 			StartNs: att.start, DurNs: d.obs.tracer.Now() - att.start,
 			Attempt: att.n, Priority: j.spec.Priority, Detail: outcomeOf(out.Halted, err)})
+		// A terminal outcome is journaled, then traced and logged, and only
+		// then published: terminal wakes Wait, so a job whose Wait returned
+		// has its last log line written.
 		switch {
 		case errors.Is(err, errAborted):
 			return // simulated crash: leave no clean trace
 		case errors.Is(err, errCanceled):
-			d.appendT(Record{Kind: RecCancel, ID: j.id}, tenant)
-			d.terminal(j, StateCanceled, &JobResult{Cycles: out.Cycles, Output: out.Output, Err: "canceled"})
+			d.journalTerminal(j, Record{Kind: RecCancel, ID: j.id}, tenant)
 			d.obs.tracer.Instant(j.id, tenant, "cancel", att.n)
 			j.log.Info("canceled", "op", "run", "attempt", att.n, "cycle", out.Cycles)
+			d.terminal(j, StateCanceled, &JobResult{Cycles: out.Cycles, Output: out.Output, Err: "canceled"})
 			return
 		case errors.Is(err, errPreempted):
 			d.appendT(Record{Kind: RecPreempt, ID: j.id, Cycle: out.Cycles, Reason: "preempt"}, tenant)
@@ -144,13 +145,13 @@ func (d *Daemon) runJob(j *job) {
 				Cycles:  out.Cycles,
 				Instrs:  out.State.InstrCount,
 				Output:  out.Output,
-				MemHash: memHash(out.State),
+				MemHash: fmt.Sprintf("%016x", out.State.Digest()),
 			}
-			d.appendT(Record{Kind: RecDone, ID: j.id, Result: res}, tenant)
-			d.terminal(j, StateDone, res)
+			d.journalTerminal(j, Record{Kind: RecDone, ID: j.id, Result: res}, tenant)
 			d.obs.tracer.Instant(j.id, tenant, "done", att.n)
 			j.log.Info("done", "op", "run", "attempt", att.n,
 				"cycles", res.Cycles, "instrs", res.Instrs)
+			d.terminal(j, StateDone, res)
 			return
 		}
 
@@ -168,10 +169,10 @@ func (d *Daemon) runJob(j *job) {
 			diag = fmt.Sprintf("cycle budget %d exhausted at cycle %d (attempt %d)", budget, out.Cycles, att.n)
 		}
 		if final {
-			d.appendT(Record{Kind: RecFail, ID: j.id, Reason: diag}, tenant)
-			d.terminal(j, StateFailed, &JobResult{Cycles: out.Cycles, Output: out.Output, Err: diag})
+			d.journalTerminal(j, Record{Kind: RecFail, ID: j.id, Reason: diag}, tenant)
 			d.obs.tracer.Instant(j.id, tenant, "fail", att.n)
 			j.log.Warn("failed", "op", "run", "attempt", att.n, "err", diag)
+			d.terminal(j, StateFailed, &JobResult{Cycles: out.Cycles, Output: out.Output, Err: diag})
 			return
 		}
 		j.retryNs = d.obs.tracer.Now()
@@ -245,19 +246,4 @@ func (d *Daemon) checkpointed(j *job, att *attempt, next *checkpoint.State) erro
 		return errPreempted
 	}
 	return nil
-}
-
-// memHash fingerprints the final architectural state: FNV-1a over shared
-// memory, the global registers and the program output. Two runs with equal
-// hashes ended bit-identical for every architecturally visible artifact.
-func memHash(st *checkpoint.State) string {
-	h := fnv.New64a()
-	h.Write(st.Mem)
-	var b [4]byte
-	for _, g := range st.G {
-		b[0], b[1], b[2], b[3] = byte(g), byte(g>>8), byte(g>>16), byte(g>>24)
-		h.Write(b[:])
-	}
-	io.WriteString(h, st.Output)
-	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -28,7 +28,7 @@ func spanNames(spans []obs.Span, job string) map[string]int {
 // preempt, resume, done), the latency histograms, the structured log ring,
 // and a Perfetto-loadable trace export (ISSUE 10 acceptance).
 func TestDaemonLifecycleObservability(t *testing.T) {
-	var logBuf strings.Builder
+	var logBuf lockedBuffer
 	d := newDaemon(t, t.TempDir(), func(o *Options) {
 		o.Log = &logBuf
 		o.LogLevel = slog.LevelDebug

@@ -64,7 +64,8 @@ type Outcome struct {
 // out, the simulation fails, or Checkpointed ends it. The error is the
 // simulation's or Checkpointed's. Each segment is a fresh simulator resumed
 // from the last state, which carries the run's cycle, instruction and
-// output totals.
+// output totals; its memory goes back to the pool (System.Release) once the
+// segment's state is captured, so the next segment or job reuses it.
 func (r *Runner) Attempt(from *checkpoint.State, budget int64) (Outcome, error) {
 	end := Outcome{State: from}
 	if from != nil {
@@ -78,11 +79,14 @@ func (r *Runner) Attempt(from *checkpoint.State, budget int64) (Outcome, error) 
 			}
 		}
 		sys, err := cycle.New(r.Prog, r.Config, nil)
-		if err == nil && end.State != nil {
-			err = sys.RestoreState(end.State)
-		}
 		if err != nil {
 			return end, err
+		}
+		if end.State != nil {
+			if err := sys.RestoreState(end.State); err != nil {
+				sys.Release()
+				return end, err
+			}
 		}
 		sys.CheckpointEvery(r.CheckpointEvery)
 		if r.Started != nil {
@@ -104,10 +108,14 @@ func (r *Runner) Attempt(from *checkpoint.State, budget int64) (Outcome, error) 
 			smp.Finalize(res.Cycles, int64(res.Ticks), sys.Stats, sys.AliveTCUs())
 		}
 		end.Cycles, end.Output = res.Cycles, sys.Machine.Output()
-		if err != nil || res.TimedOut {
+		var reached *checkpoint.State
+		if err == nil && !res.TimedOut {
+			reached = sys.Capture()
+		}
+		sys.Release()
+		if reached == nil {
 			return end, err
 		}
-		reached := sys.Capture()
 		if res.Halted {
 			end.State, end.Halted = reached, true
 			return end, nil

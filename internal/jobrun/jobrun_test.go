@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"xmtgo/internal/config"
@@ -69,7 +70,8 @@ func sameState(t *testing.T, what string, got, want *checkpoint.State, cycles bo
 		t.Fatalf("%s: output=%q instrs=%d cycle=%d, want %q / %d / %d",
 			what, got.Output, got.InstrCount, got.CycleOffset, want.Output, want.InstrCount, want.CycleOffset)
 	}
-	if !bytes.Equal(got.Mem, want.Mem) || got.G != want.G {
+	sameRun := func(a, b checkpoint.Run) bool { return a.Addr == b.Addr && bytes.Equal(a.Data, b.Data) }
+	if got.MemBytes != want.MemBytes || !slices.EqualFunc(got.Pages, want.Pages, sameRun) || got.G != want.G {
 		t.Fatalf("%s: memory or global registers differ", what)
 	}
 }

@@ -15,6 +15,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
@@ -41,7 +42,14 @@ type State struct {
 	TextLen     int
 	Entry       int
 
-	Mem        []byte
+	// MemBytes is the size of shared memory. Pages holds its non-zero
+	// content as runs of whole 4 KiB pages (the last page of memory may be
+	// shorter), ascending and separated by at least one zero page, each
+	// page with a non-zero byte. Every byte outside the runs is zero, the
+	// data image's bytes included.
+	MemBytes uint32
+	Pages    []Run
+
 	G          [isa.NumGRegs]int32
 	Master     funcmodel.Context
 	InstrCount uint64 // retired since program start, in either mode
@@ -59,7 +67,17 @@ type State struct {
 	DeadTCUs []int
 }
 
-const version = 3
+// Run is Data at shared-memory address Addr.
+type Run struct {
+	Addr uint32
+	Data []byte
+}
+
+// pageSize is the granularity at which Capture scans memory for non-zero
+// content.
+const pageSize = 4096
+
+const version = 4
 
 // Fingerprint hashes the aspects of a linked program that determine
 // execution: instruction semantics (not source lines or symbol names — a
@@ -87,14 +105,25 @@ func Fingerprint(p *asm.Program) uint64 {
 	return h.Sum64()
 }
 
-// Capture snapshots a functional machine.
+// Capture snapshots a functional machine. Its memory is read only inside
+// the machine's dirty watermarks, where every byte it may have made
+// non-zero lies, and only the non-zero pages there are kept.
 func Capture(m *funcmodel.Machine, cycleOffset int64) *State {
+	lo, hi := m.DirtyRange()
+	lo, hi = roundUp(lo, uint32(len(m.Mem))), hi&^(pageSize-1)
+	var pages []Run
+	if lo >= hi {
+		pages = appendRuns(nil, m.Mem, 0, uint32(len(m.Mem)))
+	} else {
+		pages = appendRuns(appendRuns(nil, m.Mem, 0, lo), m.Mem, hi, uint32(len(m.Mem)))
+	}
 	st := &State{
 		Version:     version,
 		Fingerprint: Fingerprint(m.Prog),
 		TextLen:     len(m.Prog.Text),
 		Entry:       m.Prog.Entry,
-		Mem:         append([]byte(nil), m.Mem...),
+		MemBytes:    uint32(len(m.Mem)),
+		Pages:       pages,
 		G:           m.G,
 		Master:      m.Master,
 		InstrCount:  m.InstrCount,
@@ -105,29 +134,119 @@ func Capture(m *funcmodel.Machine, cycleOffset int64) *State {
 	return st
 }
 
-// checkVersion refuses a state of another gob layout.
-func checkVersion(st *State) error {
+// roundUp rounds a up to a page boundary, at most to n.
+func roundUp(a, n uint32) uint32 {
+	return uint32(min((uint64(a)+pageSize-1)&^(pageSize-1), uint64(n)))
+}
+
+var zeroPage [pageSize]byte
+
+// appendRuns appends the non-zero pages of mem[from:to] (from page-aligned)
+// to runs, one Run per stretch of consecutive non-zero pages.
+func appendRuns(runs []Run, mem []byte, from, to uint32) []Run {
+	nonZero := func(a uint32) bool {
+		p := mem[a:min(a+pageSize, to)]
+		return !bytes.Equal(p, zeroPage[:len(p)])
+	}
+	for a := from; a < to; {
+		if !nonZero(a) {
+			a += pageSize
+			continue
+		}
+		end := a + pageSize
+		for end < to && nonZero(end) {
+			end += pageSize
+		}
+		end = min(end, to)
+		runs = append(runs, Run{Addr: a, Data: bytes.Clone(mem[a:end])})
+		a = end
+	}
+	return runs
+}
+
+// FNV-1a, 64-bit (hash/fnv).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// Digest fingerprints the architectural end state: FNV-1a (64-bit) over
+// the dense memory image, then each global register as a little-endian
+// word, then the output. Two runs with equal digests ended bit-identical in
+// every architecturally visible artifact. It is computed from the runs: a
+// zero byte leaves FNV-1a's xor step a no-op, so a gap of n zero bytes
+// multiplies the hash by prime^n (mod 2^64), raised by squaring.
+func (st *State) Digest() uint64 {
+	h := uint64(fnvOffset)
+	zeros := func(n uint32) {
+		for p := uint64(fnvPrime); n > 0; n >>= 1 {
+			if n&1 != 0 {
+				h *= p
+			}
+			p *= p
+		}
+	}
+	data := func(b []byte) {
+		for _, c := range b {
+			h = (h ^ uint64(c)) * fnvPrime
+		}
+	}
+	at := uint32(0)
+	for _, r := range st.Pages {
+		zeros(r.Addr - at)
+		data(r.Data)
+		at = r.Addr + uint32(len(r.Data))
+	}
+	zeros(st.MemBytes - at)
+	for _, g := range st.G {
+		data([]byte{byte(g), byte(g >> 8), byte(g >> 16), byte(g >> 24)})
+	}
+	for i := 0; i < len(st.Output); i++ {
+		h = (h ^ uint64(st.Output[i])) * fnvPrime
+	}
+	return h
+}
+
+// check refuses a state of another gob layout, or one whose runs are not
+// ascending, disjoint and inside its memory.
+func check(st *State) error {
 	if st.Version != version {
 		return fmt.Errorf("checkpoint: version %d not supported (want %d)", st.Version, version)
+	}
+	next := uint64(0)
+	for _, r := range st.Pages {
+		end := uint64(r.Addr) + uint64(len(r.Data))
+		if uint64(r.Addr) < next || end > uint64(st.MemBytes) {
+			return fmt.Errorf("checkpoint: memory run %#x+%d out of order or outside %d bytes of memory", r.Addr, len(r.Data), st.MemBytes)
+		}
+		next = end
 	}
 	return nil
 }
 
-// Restore applies a checkpoint to a freshly created machine for the same
-// program. The recorded output is put back without being printed again.
+// Restore applies a checkpoint to a machine created for the same program:
+// it zeroes the machine's dirty range, the data image included, writes the
+// checkpoint's runs and marks only them dirty, so whatever the machine held
+// before cannot leak into the resumed run. The recorded output is put back
+// without being printed again.
 func Restore(m *funcmodel.Machine, st *State) error {
-	if err := checkVersion(st); err != nil {
+	if err := check(st); err != nil {
 		return err
 	}
 	if fp := Fingerprint(m.Prog); st.Fingerprint != fp {
 		return fmt.Errorf("checkpoint: program mismatch (fingerprint %016x, running %016x; text %d/%d, entry %d/%d)",
 			st.Fingerprint, fp, st.TextLen, len(m.Prog.Text), st.Entry, m.Prog.Entry)
 	}
-	if len(st.Mem) != len(m.Mem) {
-		return fmt.Errorf("checkpoint: memory size mismatch (%d vs %d)", len(st.Mem), len(m.Mem))
+	if int(st.MemBytes) != len(m.Mem) {
+		return fmt.Errorf("checkpoint: memory size mismatch (%d vs %d)", st.MemBytes, len(m.Mem))
 	}
-	copy(m.Mem, st.Mem)
-	m.MarkMemDirty(0, uint32(len(m.Mem)))
+	lo, hi := m.DirtyRange()
+	clear(m.Mem[:lo])
+	clear(m.Mem[hi:])
+	for _, r := range st.Pages {
+		copy(m.Mem[r.Addr:], r.Data)
+		m.MarkMemDirty(r.Addr, r.Addr+uint32(len(r.Data)))
+	}
 	m.G = st.G
 	m.Master = st.Master
 	m.InstrCount = st.InstrCount
@@ -148,7 +267,7 @@ func Load(r io.Reader) (*State, error) {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("checkpoint: %v", err)
 	}
-	if err := checkVersion(&st); err != nil {
+	if err := check(&st); err != nil {
 		return nil, err
 	}
 	return &st, nil

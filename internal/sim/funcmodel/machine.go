@@ -174,20 +174,10 @@ func (m *Machine) ReleaseMemory() {
 	if b == nil {
 		return
 	}
+	lo, hi := m.DirtyRange()
 	m.Mem = nil
-	lo, hi := m.dirtyLoMax, m.dirtyHiMin
-	if lo > uint32(len(b)) {
-		lo = uint32(len(b))
-	}
-	for i := range b[:lo] {
-		b[i] = 0
-	}
-	if hi < lo {
-		hi = lo
-	}
-	for i := range b[hi:] {
-		b[hi+uint32(i)] = 0
-	}
+	clear(b[:lo])
+	clear(b[hi:])
 	if m.memFresh {
 		dropPages(b, lo, hi)
 	}
@@ -200,6 +190,15 @@ func (m *Machine) ReleaseMemory() {
 	if len(memPool.bufs[size]) < memPoolPerSize {
 		memPool.bufs[size] = append(memPool.bufs[size], b)
 	}
+}
+
+// DirtyRange returns the dirty watermarks clamped to the memory: every byte
+// the machine may have made non-zero lies in Mem[:lo] or Mem[hi:], and
+// lo <= hi <= len(Mem).
+func (m *Machine) DirtyRange() (lo, hi uint32) {
+	n := uint32(len(m.Mem))
+	lo, hi = min(m.dirtyLoMax, n), min(m.dirtyHiMin, n)
+	return lo, max(hi, lo)
 }
 
 // MarkMemDirty widens the dirty watermarks for an external mutation of

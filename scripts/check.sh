@@ -75,8 +75,12 @@ echo "== go test -race (job execution: runner, xmtbatch, daemon stop/recovery pa
 # The rest of the daemon suite adds time, not shared state.
 go test -race ./internal/jobrun ./cmd/xmtbatch
 # A data directory whose <id>.ckpt is in the former envelope format restarts
-# that job from cycle 0 (with a warning) instead of resuming it.
-go test -race -timeout 300s -run 'TestDaemonPreemptResumeBitIdentical|TestDaemonCancelPaths|TestDaemonDrainAndResume|TestDaemonCrashRecovery|TestDaemonOldEnvelopeRestarts' ./internal/daemon
+# that job from cycle 0 (with a warning) instead of resuming it. A finished
+# job's checkpoint is unlinked on the worker while clients wait on it, a
+# startup sweep removes those a crash left, and two jobs back to back share
+# pooled memory. The lifecycle test reads the structured log while the
+# worker that finished the job may still be writing to it.
+go test -race -timeout 300s -run 'TestDaemonPreemptResumeBitIdentical|TestDaemonCancelPaths|TestDaemonDrainAndResume|TestDaemonCrashRecovery|TestDaemonOldEnvelopeRestarts|TestDaemonLifecycleObservability|TestDaemonRemovesFinishedCheckpoints|TestDaemonSweepsCheckpointsAtStartup|TestDaemonPooledMemoryDoesNotLeak' ./internal/daemon
 
 echo "== lookahead gate (window determinism matrix + rollback sanity + worker contract under -race)"
 # The bounded-lookahead engine must be architecturally invisible: byte-
@@ -97,7 +101,7 @@ echo "== chaos soak (seeded fault-injection matrix, docs/ROBUSTNESS.md)"
 # (workload, seed) across worker counts even while faults corrupt state.
 go test -race -count=1 -timeout 300s -run 'TestChaosSoak|TestDegradedConformance' .
 
-echo "== fuzz smoke (parser + pre-pass + assembler + memory map + config + config run + analyzer + backend differential + scheduler order + stall sleep)"
+echo "== fuzz smoke (parser + pre-pass + assembler + memory map + config + config run + analyzer + backend differential + scheduler order + stall sleep + checkpoint round trip + digest)"
 go test -fuzz FuzzParseXMTC -fuzztime 5s -run '^$' ./internal/xmtc
 go test -fuzz FuzzAssemble -fuzztime 5s -run '^$' ./internal/asm
 # The in-place memory-map scanner against strings.Fields + strconv.
@@ -112,6 +116,10 @@ go test -fuzz FuzzSchedulerOrder -fuzztime 5s -run '^$' ./internal/sim/engine
 # A clamped SleepUntil against a per-edge poller: same non-poll firings,
 # same Now(), Executed lower by exactly the skipped polls.
 go test -fuzz FuzzSleepUntil -fuzztime 5s -run '^$' ./internal/sim/engine
+# Sparse checkpoints: Capture/Save/Load/Restore reproduce memory exactly, and
+# Digest is hash/fnv over the dense image.
+go test -fuzz FuzzCheckpointRoundTrip -fuzztime 5s -run '^$' ./internal/sim/checkpoint
+go test -fuzz FuzzDigest -fuzztime 5s -run '^$' ./internal/sim/checkpoint
 
 echo "== CLI checkpoint/resume (a resumed run reports the program's totals)"
 # xmtrun -checkpoint then -resume, in both modes and across them: the
