@@ -211,18 +211,27 @@ func spinBarrierDiags(g *dataflow.Graph) []diag.Diagnostic {
 func spunGlobal(cond xmtc.Expr) (*xmtc.Symbol, bool) {
 	var sym *xmtc.Symbol
 	count := 0
-	xmtc.EachExpr(cond, func(e xmtc.Expr) {
-		id, ok := e.(*xmtc.Ident)
-		if !ok || id.Sym == nil || id.Sym.Kind != xmtc.SymGlobal {
-			return
-		}
+	for _, id := range condGlobals(cond) {
 		if id.Sym.Type == nil || !id.Sym.Type.IsScalar() {
-			return
+			continue
 		}
 		if sym != id.Sym {
 			count++
 			sym = id.Sym
 		}
-	})
+	}
 	return sym, count == 1
+}
+
+// condGlobals returns the identifiers of globals a spin loop's condition
+// reads, in source order: the polled locations join-safety and volatile
+// judge.
+func condGlobals(cond xmtc.Expr) []*xmtc.Ident {
+	var ids []*xmtc.Ident
+	xmtc.EachExpr(cond, func(e xmtc.Expr) {
+		if id, ok := e.(*xmtc.Ident); ok && id.Sym != nil && id.Sym.Kind == xmtc.SymGlobal {
+			ids = append(ids, id)
+		}
+	})
+	return ids
 }

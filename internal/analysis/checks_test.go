@@ -420,11 +420,102 @@ int main() {
 }`,
 			want: []string{`ps increment "inc" is 3 here`},
 		},
+		{
+			// The initializer folds; the inner block's inc is another
+			// symbol whose value is unknown.
+			name:  "increment_from_declaration_initializer",
+			check: "ps-misuse",
+			src:   srcPsDeclInit,
+			want:  []string{`:6:9: warning: ps increment "inc" is 3 here`},
+		},
+		{
+			name:  "compound_assignment_makes_increment_unknown",
+			check: "ps-misuse",
+			src:   srcPsCompound,
+			want:  nil,
+		},
+		{
+			// Statically dead code is still checked, in traversal order.
+			name:  "ps_in_dead_code_after_return",
+			check: "ps-misuse",
+			src:   srcPsDeadCode,
+			want:  []string{`:5:5: warning: ps increment "inc" is 2 here`},
+		},
+		{
+			// A nested spawn folds into the outer region: its declarations
+			// are private to the outer spawn's threads too.
+			name:  "psm_to_private_of_nested_spawn",
+			check: "ps-misuse",
+			src:   srcPsmNestedPrivate,
+			want:  []string{`:6:13: warning: psm to thread-private "mine"`},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { runCase(t, c) })
 	}
 }
+
+// Sources pinning the ps-misuse and spin-wait readouts of the dataflow
+// CFG; FuzzAnalyze seeds its corpus with them too.
+const (
+	srcPsDeclInit = `int total = 0;
+int A[8];
+int main() {
+    spawn(0, 7) {
+        int inc = (1 << 2) - 1;
+        ps(inc, total);
+        {
+            int inc = A[$];
+            ps(inc, total);
+        }
+    }
+    return 0;
+}`
+	srcPsCompound = `int total = 0;
+int main() {
+    spawn(0, 7) {
+        int inc = 1;
+        inc += 1;
+        ps(inc, total);
+    }
+    return 0;
+}`
+	srcPsDeadCode = `int total = 0;
+int main() {
+    int inc = 2;
+    return 0;
+    ps(inc, total);
+}`
+	srcPsmNestedPrivate = `int main() {
+    spawn(0, 7) {
+        spawn(0, 3) {
+            int mine = 0;
+            int one = 1;
+            psm(one, mine);
+        }
+    }
+    return 0;
+}`
+	srcDoSpin = `int flag = 0;
+int main() {
+    spawn(0, 7) {
+        if ($ == 0) flag = 1;
+        do { } while (flag == 0);
+    }
+    return 0;
+}`
+	srcForPostSpin = `int flag = 0;
+int main() {
+    spawn(0, 7) {
+        for (; flag == 0; flag++) { }
+    }
+    return 0;
+}`
+)
+
+// readoutSeeds are the sources above, for FuzzAnalyze.
+var readoutSeeds = []string{srcPsDeclInit, srcPsCompound, srcPsDeadCode,
+	srcPsmNestedPrivate, srcDoSpin, srcForPostSpin}
 
 func TestVolatileChecks(t *testing.T) {
 	cases := []lintCase{
@@ -532,6 +623,23 @@ int main() {
     return 0;
 }`,
 			want: []string{`"cnt" is re-read`},
+		},
+		{
+			name:  "do_while_spin",
+			check: "volatile",
+			src:   srcDoSpin,
+			want:  []string{`:5:9: warning: spin-wait on non-volatile global "flag"`},
+		},
+		{
+			// The post clause is not part of the loop body, so the body
+			// "never writes" the flag; join-safety reads the same loop
+			// and sees the post clause's plain store in the region.
+			name: "for_spin_written_by_post_clause",
+			src:  srcForPostSpin,
+			want: []string{
+				`:4:9: warning: spin-wait on "flag" stands in for the spawn's join barrier: the relaxed XMT memory model never obliges the write at for_spin_written_by_post_clause.c:4:27 to become visible here`,
+				`:4:9: warning: spin-wait on non-volatile global "flag": the loop body never writes it`,
+			},
 		},
 	}
 	for _, c := range cases {

@@ -63,13 +63,11 @@ func escapeDiag(esc dataflow.Escape) diag.Diagnostic {
 // accumulator that should be a ps/psm instead. Requires resolved symbols;
 // silently does nothing before sema (Sym is nil).
 func captureDiags(reg *dataflow.Region) []diag.Diagnostic {
-	sp := reg.Spawn
 	single := reg.SingleThread()
-	private := xmtc.DeclaredIn(sp.Body)
 	reported := make(map[*xmtc.Symbol]bool)
 	var ds []diag.Diagnostic
 	serialLocal := func(sym *xmtc.Symbol) bool {
-		if sym == nil || private[sym] || reported[sym] {
+		if sym == nil || reg.Private[sym] || reported[sym] {
 			return false
 		}
 		return sym.Kind == xmtc.SymLocal || sym.Kind == xmtc.SymParam
@@ -87,7 +85,7 @@ func captureDiags(reg *dataflow.Region) []diag.Diagnostic {
 				sym.Name, how),
 		})
 	}
-	xmtc.EachExpr(sp.Body, func(e xmtc.Expr) {
+	xmtc.EachExpr(reg.Spawn.Body, func(e xmtc.Expr) {
 		switch n := e.(type) {
 		case *xmtc.Assign:
 			if id, ok := n.LHS.(*xmtc.Ident); ok && serialLocal(id.Sym) {

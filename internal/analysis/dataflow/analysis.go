@@ -1,34 +1,9 @@
 package dataflow
 
 import (
+	"xmtgo/internal/bitset"
 	"xmtgo/internal/xmtc"
 )
-
-// bits is a fixed-width bitset used by the dataflow solvers.
-type bits []uint64
-
-func newBits(n int) bits { return make(bits, (n+63)/64) }
-
-func (b bits) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bits) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-
-// orWith unions o into b and reports whether b changed.
-func (b bits) orWith(o bits) bool {
-	changed := false
-	for i, w := range o {
-		if nw := b[i] | w; nw != b[i] {
-			b[i] = nw
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (b bits) clone() bits {
-	c := make(bits, len(b))
-	copy(c, b)
-	return c
-}
 
 // DefSite is one definition tracked by reaching-definitions analysis: either
 // a RefDef in some block, or a synthetic entry definition modeling the value
@@ -54,7 +29,7 @@ type Reach struct {
 	g     *Graph
 	defs  []*DefSite
 	bySym map[*xmtc.Symbol][]*DefSite
-	in    []bits // per block ID: definitions reaching the block entry
+	in    []bitset.Set // per block ID: definitions reaching the block entry
 }
 
 // ReachingDefs runs forward reaching-definitions analysis. A strong
@@ -96,10 +71,10 @@ func (g *Graph) ReachingDefs() *Reach {
 	}
 
 	n := len(r.defs)
-	gen := make([]bits, len(g.Blocks))
-	kill := make([]bits, len(g.Blocks))
-	out := make([]bits, len(g.Blocks))
-	r.in = make([]bits, len(g.Blocks))
+	gen := make([]bitset.Set, len(g.Blocks))
+	kill := make([]bitset.Set, len(g.Blocks))
+	out := make([]bitset.Set, len(g.Blocks))
+	r.in = make([]bitset.Set, len(g.Blocks))
 	defAt := make(map[*Block]map[int]*DefSite)
 	for _, d := range r.defs {
 		if d.Block != nil {
@@ -112,7 +87,7 @@ func (g *Graph) ReachingDefs() *Reach {
 		}
 	}
 	for id, blk := range g.Blocks {
-		gen[id], kill[id], out[id], r.in[id] = newBits(n), newBits(n), newBits(n), newBits(n)
+		gen[id], kill[id], out[id], r.in[id] = bitset.New(n), bitset.New(n), bitset.New(n), bitset.New(n)
 		for i := range blk.Refs {
 			ref := &blk.Refs[i]
 			if ref.Kind != RefDef || ref.Sym == nil {
@@ -121,16 +96,16 @@ func (g *Graph) ReachingDefs() *Reach {
 			d := defAt[blk][i]
 			if r.strong(ref) {
 				for _, o := range r.bySym[ref.Sym] {
-					gen[id][o.ID/64] &^= 1 << (uint(o.ID) % 64)
-					kill[id].set(o.ID)
+					gen[id].Clear(o.ID)
+					kill[id].Set(o.ID)
 				}
-				kill[id][d.ID/64] &^= 1 << (uint(d.ID) % 64)
+				kill[id].Clear(d.ID)
 			}
-			gen[id].set(d.ID)
+			gen[id].Set(d.ID)
 		}
 	}
 	for _, d := range entryDefs {
-		r.in[g.Entry.ID].set(d.ID)
+		r.in[g.Entry.ID].Set(d.ID)
 	}
 
 	// Round-robin to a fixpoint; graphs are small and blocks are already in
@@ -139,7 +114,7 @@ func (g *Graph) ReachingDefs() *Reach {
 		changed = false
 		for id, blk := range g.Blocks {
 			for _, p := range blk.Preds {
-				if r.in[id].orWith(out[p.ID]) {
+				if r.in[id].OrWith(out[p.ID]) {
 					changed = true
 				}
 			}
@@ -165,7 +140,7 @@ func (r *Reach) strong(ref *Ref) bool {
 func (r *Reach) At(blk *Block, refIdx int, sym *xmtc.Symbol) []*DefSite {
 	live := make(map[int]bool)
 	for _, d := range r.bySym[sym] {
-		if r.in[blk.ID].has(d.ID) {
+		if r.in[blk.ID].Has(d.ID) {
 			live[d.ID] = true
 		}
 	}
@@ -419,7 +394,7 @@ func Disjoint(a1, c1, a2, c2 int32, reg *Region) bool {
 type Live struct {
 	g   *Graph
 	idx map[*xmtc.Symbol]int
-	out []bits // per block ID: symbols live at block exit
+	out []bitset.Set // per block ID: symbols live at block exit
 }
 
 // Liveness runs backward liveness analysis over all symbols referenced in
@@ -438,21 +413,21 @@ func (g *Graph) Liveness() *Live {
 		}
 	}
 	n := len(l.idx)
-	l.out = make([]bits, len(g.Blocks))
-	in := make([]bits, len(g.Blocks))
+	l.out = make([]bitset.Set, len(g.Blocks))
+	in := make([]bitset.Set, len(g.Blocks))
 	for id := range g.Blocks {
-		l.out[id], in[id] = newBits(n), newBits(n)
+		l.out[id], in[id] = bitset.New(n), bitset.New(n)
 	}
 	for changed := true; changed; {
 		changed = false
 		for id := len(g.Blocks) - 1; id >= 0; id-- {
 			blk := g.Blocks[id]
 			for _, s := range blk.Succs {
-				if l.out[id].orWith(in[s.ID]) {
+				if l.out[id].OrWith(in[s.ID]) {
 					changed = true
 				}
 			}
-			live := l.out[id].clone()
+			live := l.out[id].Clone()
 			for i := len(blk.Refs) - 1; i >= 0; i-- {
 				ref := &blk.Refs[i]
 				if ref.Sym == nil {
@@ -462,16 +437,16 @@ func (g *Graph) Liveness() *Live {
 				switch ref.Kind {
 				case RefDef:
 					if !ref.Weak && !g.AddressTaken[ref.Sym] {
-						live[si/64] &^= 1 << (uint(si) % 64)
+						live.Clear(si)
 					}
 					if ref.Index != nil {
-						live.set(si) // element write reads the base address
+						live.Set(si) // element write reads the base address
 					}
 				case RefUse:
-					live.set(si)
+					live.Set(si)
 				}
 			}
-			if in[id].orWith(live) {
+			if in[id].OrWith(live) {
 				changed = true
 			}
 		}
@@ -500,7 +475,7 @@ func (l *Live) DeadAfter(blk *Block, refIdx int, sym *xmtc.Symbol) bool {
 		}
 	}
 	si, ok := l.idx[sym]
-	return ok && !l.out[blk.ID].has(si)
+	return ok && !l.out[blk.ID].Has(si)
 }
 
 // Reachable returns, indexed by block ID, whether each block is reachable

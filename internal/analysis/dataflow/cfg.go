@@ -15,6 +15,12 @@
 // spawn-race check performed still holds; the CFG only ever adds precision.
 // It also tolerates unchecked ASTs (nil symbols and types), because the
 // spawn-dataflow escape check must run even when sema failed.
+//
+// Its consumers are the checks of package analysis: spawn-race (region
+// reference streams, AffineIndex, TidDependent), spawn-dataflow (region
+// escapes and private sets), ps-misuse (the reference stream's definitions
+// and syncs in traversal order), volatile's spin-wait half and join-safety
+// (SpinLoops), uninit-read (ReachingDefs) and dead-store (Liveness).
 package dataflow
 
 import (
@@ -43,6 +49,7 @@ const (
 type Ref struct {
 	Kind  RefKind
 	Sym   *xmtc.Symbol // nil for RefSync/RefClobber, or when sema failed
+	Call  *xmtc.Call   // RefSync: the ps/psm call
 	Expr  xmtc.Expr    // the access path expression (nil for sync/clobber)
 	Index xmtc.Expr    // innermost array index of the path, nil for scalars
 	RHS   xmtc.Expr    // RefDef: assigned expression, nil when opaque
@@ -94,11 +101,19 @@ type Escape struct {
 
 // SpinLoop is a non-constant loop inside a spawn region whose condition is
 // re-evaluated every iteration — the candidate shape for a spin-wait on a
-// shared location (the sync-safety discipline check inspects these).
+// shared location (the join-safety and volatile checks inspect these).
 type SpinLoop struct {
 	Cond   xmtc.Expr
 	Pos    xmtc.Pos
 	Region *Region
+	// Body is the loop body's span of Graph.Blocks: from the body's entry
+	// block up to the for loop's post block, the do loop's condition
+	// block or the while loop's exit block, dead blocks after a return,
+	// break or continue included. The condition and a for loop's post
+	// clause are not part of it.
+	Body []*Block
+
+	entry, end *Block // delimit Body until the blocks have IDs
 }
 
 // Region is one outermost spawn region. Nested spawns are serialized by the
@@ -156,6 +171,10 @@ func Build(fn *xmtc.FuncDecl) *Graph {
 	b.stmt(fn.Body)
 	b.edge(b.cur, g.Exit)
 	b.place(g.Exit)
+	for i := range g.SpinLoops {
+		sl := &g.SpinLoops[i]
+		sl.Body = g.Blocks[sl.entry.ID:sl.end.ID:sl.end.ID]
+	}
 	return g
 }
 
@@ -388,7 +407,7 @@ func (b *builder) whileStmt(n *xmtc.WhileStmt) {
 	if !known || !val {
 		b.edge(head, exit)
 	}
-	b.noteSpin(n.Cond, n.Pos, known)
+	b.noteSpin(n.Cond, n.Pos, known, body, exit)
 	b.loopBody(exit, head, func() {
 		b.guarded(n.Cond, func() {
 			b.enter(body)
@@ -420,7 +439,7 @@ func (b *builder) doStmt(n *xmtc.DoStmt) {
 	if !known || !val {
 		b.edge(cond, exit)
 	}
-	b.noteSpin(n.Cond, n.Pos, known)
+	b.noteSpin(n.Cond, n.Pos, known, body, cond)
 	b.enter(exit)
 }
 
@@ -444,7 +463,7 @@ func (b *builder) forStmt(n *xmtc.ForStmt) {
 	if !known || !val {
 		b.edge(head, exit)
 	}
-	b.noteSpin(n.Cond, n.Pos, known)
+	b.noteSpin(n.Cond, n.Pos, known, body, post)
 	b.loopBody(exit, post, func() {
 		b.guarded(n.Cond, func() {
 			b.enter(body)
@@ -518,12 +537,14 @@ func (b *builder) loopBody(brk, cont *Block, fn func()) {
 	}
 }
 
-// noteSpin records non-constant loops inside a region as spin candidates.
-func (b *builder) noteSpin(cond xmtc.Expr, pos xmtc.Pos, constCond bool) {
+// noteSpin records non-constant loops inside a region as spin candidates;
+// the body spans the blocks from entry up to end.
+func (b *builder) noteSpin(cond xmtc.Expr, pos xmtc.Pos, constCond bool, entry, end *Block) {
 	if b.region == nil || constCond || cond == nil {
 		return
 	}
-	b.g.SpinLoops = append(b.g.SpinLoops, SpinLoop{Cond: cond, Pos: pos, Region: b.region})
+	b.g.SpinLoops = append(b.g.SpinLoops, SpinLoop{Cond: cond, Pos: pos, Region: b.region,
+		entry: entry, end: end})
 }
 
 func (b *builder) spawnStmt(n *xmtc.SpawnStmt) {
@@ -592,7 +613,7 @@ func (b *builder) expr(e xmtc.Expr, write bool) {
 			// updated atomically at the ps unit / cache module, so it is not
 			// a plain access. Index sub-expressions of the base are ordinary
 			// reads; the increment is read and overwritten with the old base.
-			b.ref(Ref{Kind: RefSync, Pos: n.GetPos()})
+			b.ref(Ref{Kind: RefSync, Call: n, Pos: n.GetPos()})
 			b.syncs++
 			b.g.TotalSyncs++
 			b.indexReads(n.Args[1])

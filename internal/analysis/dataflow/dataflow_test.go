@@ -327,3 +327,46 @@ int main() {
 		t.Fatalf("found %d stores to A, want 3", seen)
 	}
 }
+
+// TestSpinLoopBodySpan pins each spin loop's body span: the body's blocks
+// only (not the condition, nor a for loop's post clause), dead code after a
+// break included, and every prefix-sum sync carrying its call.
+func TestSpinLoopBodySpan(t *testing.T) {
+	g := build(t, `
+int flag = 0;
+int g = 0;
+int main() {
+    spawn(0, 7) {
+        for (; flag == 0; flag++) { g = 1; }
+        do { int one = 1; psm(one, g); } while (flag == 1);
+        while (flag == 2) { g = 2; break; g = 3; }
+    }
+    return 0;
+}`)
+	if len(g.SpinLoops) != 3 {
+		t.Fatalf("spin loops = %d, want 3", len(g.SpinLoops))
+	}
+	var got [3]string
+	for i, sl := range g.SpinLoops {
+		for _, blk := range sl.Body {
+			for _, ref := range blk.Refs {
+				switch {
+				case ref.Kind == dataflow.RefSync:
+					got[i] += " sync:" + ref.Call.Name
+				case ref.Kind == dataflow.RefDef:
+					got[i] += " def:" + ref.Sym.Name
+				case ref.Kind == dataflow.RefUse:
+					got[i] += " use:" + ref.Sym.Name
+				}
+			}
+		}
+	}
+	want := [3]string{
+		" def:g",                            // the for post clause's flag++ is outside
+		" def:one sync:psm use:one def:one", // the do condition is outside
+		" def:g def:g",                      // the dead store after break is inside
+	}
+	if got != want {
+		t.Errorf("body refs = %q, want %q", got, want)
+	}
+}

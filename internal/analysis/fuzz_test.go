@@ -24,6 +24,9 @@ func FuzzAnalyze(f *testing.F) {
 	}
 	f.Add("int main() { spawn(0, 7) { return 1; } }")
 	f.Add("int x; int main() { int y; y = y; while (1) { } }")
+	for _, src := range readoutSeeds {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 64<<10 {
 			return // linear in source size; keep the corpus fast

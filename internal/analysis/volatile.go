@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 
+	"xmtgo/internal/analysis/dataflow"
 	"xmtgo/internal/diag"
 	"xmtgo/internal/xmtc"
 )
@@ -26,6 +27,11 @@ import (
 //
 // Both are warnings; the fix is the volatile qualifier or a ps/psm. Only
 // scalar globals are tracked — array elements are left to spawn-race.
+//
+// The re-read scan walks the statement lists as written: nested braces,
+// declaration initializers, loop conditions and return act (or do not
+// act) as barriers in ways basic blocks do not record. The spin-wait scan
+// reads the dataflow CFG's spin loops, as join-safety does.
 func checkVolatile(u *Unit) []diag.Diagnostic {
 	var ds []diag.Diagnostic
 	// Outermost spawns only: nested spawns are serialized, so their bodies
@@ -41,6 +47,9 @@ func checkVolatile(u *Unit) []diag.Diagnostic {
 		ds = append(ds, w.ds...)
 		return false
 	})
+	for _, g := range u.Graphs() {
+		ds = append(ds, spinWaitDiags(g)...)
+	}
 	return ds
 }
 
@@ -76,12 +85,16 @@ func writtenGlobals(body xmtc.Stmt) map[*xmtc.Symbol]bool {
 }
 
 func (w *volWalker) report(pos xmtc.Pos, format string, args ...any) {
-	w.ds = append(w.ds, diag.Diagnostic{
+	w.ds = append(w.ds, volatileDiag(pos, format, args...))
+}
+
+func volatileDiag(pos xmtc.Pos, format string, args ...any) diag.Diagnostic {
+	return diag.Diagnostic{
 		Check:    "volatile",
 		Severity: diag.Warning,
 		Pos:      pos.Diag(),
 		Msg:      fmt.Sprintf(format, args...),
-	})
+	}
 }
 
 // sharedScalar reports whether sym is a non-volatile global scalar.
@@ -115,15 +128,12 @@ func (w *volWalker) stmts(list []xmtc.Stmt) {
 			w.branch(n.Else)
 			reset()
 		case *xmtc.WhileStmt:
-			w.spin(n.Cond, n.Body, n.GetPos())
 			w.branch(n.Body)
 			reset()
 		case *xmtc.DoStmt:
-			w.spin(n.Cond, n.Body, n.GetPos())
 			w.branch(n.Body)
 			reset()
 		case *xmtc.ForStmt:
-			w.spin(n.Cond, n.Body, n.GetPos())
 			w.branch(n.Body)
 			reset()
 		case *xmtc.SwitchStmt:
@@ -204,49 +214,43 @@ func isWriteTarget(root xmtc.Expr, id *xmtc.Ident) bool {
 	return false
 }
 
-// spin flags a loop inside a spawn that busy-waits on a non-volatile
-// global: the condition reads it, and the body neither writes it nor
+// spinWaitDiags flags the spin loops that busy-wait on a non-volatile
+// global: the condition reads it, and the loop body neither writes it nor
 // performs a prefix-sum.
-func (w *volWalker) spin(cond xmtc.Expr, body xmtc.Stmt, pos xmtc.Pos) {
-	if cond == nil {
-		return
-	}
-	var watched []*xmtc.Ident
-	xmtc.EachExpr(cond, func(x xmtc.Expr) {
-		if id, ok := x.(*xmtc.Ident); ok && sharedScalar(id.Sym) {
-			watched = append(watched, id)
-		}
-	})
-	if len(watched) == 0 {
-		return
-	}
-	writes := make(map[*xmtc.Symbol]bool)
-	syncs := false
-	xmtc.EachExpr(body, func(x xmtc.Expr) {
-		switch n := x.(type) {
-		case *xmtc.Assign:
-			if id, ok := n.LHS.(*xmtc.Ident); ok && id.Sym != nil {
-				writes[id.Sym] = true
-			}
-		case *xmtc.IncDec:
-			if id, ok := n.X.(*xmtc.Ident); ok && id.Sym != nil {
-				writes[id.Sym] = true
-			}
-		case *xmtc.Call:
-			if n.IsPrefixSum() {
-				syncs = true
+func spinWaitDiags(g *dataflow.Graph) []diag.Diagnostic {
+	var ds []diag.Diagnostic
+	for _, sl := range g.SpinLoops {
+		var watched []*xmtc.Ident
+		for _, id := range condGlobals(sl.Cond) {
+			if sharedScalar(id.Sym) {
+				watched = append(watched, id)
 			}
 		}
-	})
-	if syncs {
-		return
-	}
-	for _, id := range watched {
-		if !writes[id.Sym] {
-			w.report(pos,
-				"spin-wait on non-volatile global %q: the loop body never writes it and performs no prefix-sum, so the load hoists out of the loop and the condition never changes; declare %q volatile or synchronize with ps/psm",
-				id.Name, id.Name)
-			return
+		if len(watched) == 0 {
+			continue
+		}
+		writes := make(map[*xmtc.Symbol]bool)
+		syncs := false
+		for _, blk := range sl.Body {
+			for i := range blk.Refs {
+				ref := &blk.Refs[i]
+				syncs = syncs || ref.Kind == dataflow.RefSync
+				if identDef(ref) {
+					writes[ref.Sym] = true
+				}
+			}
+		}
+		if syncs {
+			continue
+		}
+		for _, id := range watched {
+			if !writes[id.Sym] {
+				ds = append(ds, volatileDiag(sl.Pos,
+					"spin-wait on non-volatile global %q: the loop body never writes it and performs no prefix-sum, so the load hoists out of the loop and the condition never changes; declare %q volatile or synchronize with ps/psm",
+					id.Name, id.Name))
+				break
+			}
 		}
 	}
+	return ds
 }

@@ -69,7 +69,7 @@ func loadIsDead(b *ir.Block, i int, v ir.VReg, buf *[]ir.VReg) bool {
 		}
 	}
 	for u := range carrying {
-		if b.LiveOut().Has(u) {
+		if b.LiveOut().Contains(int(u)) {
 			return false
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"xmtgo/internal/bitset"
 	"xmtgo/internal/ir"
 	"xmtgo/internal/isa"
 )
@@ -79,11 +80,11 @@ func buildIntervals(f *ir.Func) []*interval {
 	blockStart, _ := linearize(f)
 
 	iv := make([]interval, f.NumVRegs)
-	seen := ir.NewVRegSet(f.NumVRegs)
+	seen := bitset.New(f.NumVRegs)
 	touch := func(v ir.VReg, p int, inSpawn bool) {
 		it := &iv[v]
-		if !seen.Has(v) {
-			seen.Add(v)
+		if !seen.Has(int(v)) {
+			seen.Set(int(v))
 			*it = interval{v: v, start: p, end: p}
 		}
 		it.start = min(it.start, p)
@@ -97,11 +98,11 @@ func buildIntervals(f *ir.Func) []*interval {
 		bStart := blockStart[bi]
 		bEnd := bStart + len(b.Instrs)
 		inSpawn := b.SpawnID > 0
-		for v := b.LiveIn().Next(0); v != ir.NoReg; v = b.LiveIn().Next(v + 1) {
-			touch(v, bStart, inSpawn)
+		for v := b.LiveIn().Next(0); v >= 0; v = b.LiveIn().Next(v + 1) {
+			touch(ir.VReg(v), bStart, inSpawn)
 		}
-		for v := b.LiveOut().Next(0); v != ir.NoReg; v = b.LiveOut().Next(v + 1) {
-			touch(v, bEnd, inSpawn)
+		for v := b.LiveOut().Next(0); v >= 0; v = b.LiveOut().Next(v + 1) {
+			touch(ir.VReg(v), bEnd, inSpawn)
 		}
 		for ii := range b.Instrs {
 			in := &b.Instrs[ii]
@@ -120,7 +121,7 @@ func buildIntervals(f *ir.Func) []*interval {
 	}
 
 	var out []*interval
-	for v := seen.Next(0); v != ir.NoReg; v = seen.Next(v + 1) {
+	for v := seen.Next(0); v >= 0; v = seen.Next(v + 1) {
 		it := &iv[v]
 		for _, cp := range callPos {
 			if it.start < cp && cp < it.end {
@@ -271,7 +272,8 @@ func allocate(f *ir.Func) (*allocation, error) {
 		}
 		var regs []isa.Reg
 		seen := make(map[isa.Reg]bool)
-		for v := b.LiveIn().Next(0); v != ir.NoReg; v = b.LiveIn().Next(v + 1) {
+		for i := b.LiveIn().Next(0); i >= 0; i = b.LiveIn().Next(i + 1) {
+			v := ir.VReg(i)
 			if r, ok := alloc.regOf[v]; ok && !seen[r] {
 				seen[r] = true
 				regs = append(regs, r)

@@ -94,8 +94,8 @@ func prefetchRegion(f *ir.Func, entry int, maxPerThread int) int {
 	// broadcast live-ins, and constants through pure arithmetic.
 	early := make(map[ir.VReg]bool)
 	early[tid] = true
-	for v := grab.LiveIn().Next(0); v != ir.NoReg; v = grab.LiveIn().Next(v + 1) {
-		early[v] = true
+	for v := grab.LiveIn().Next(0); v >= 0; v = grab.LiveIn().Next(v + 1) {
+		early[ir.VReg(v)] = true
 	}
 	var isEarly func(v ir.VReg, depth int) bool
 	isEarly = func(v ir.VReg, depth int) bool {

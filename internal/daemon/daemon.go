@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,8 +122,8 @@ type Daemon struct {
 	jobs        map[string]*job
 	order       []string // submission order, for list
 	nextID      uint64
-	running     int
-	runningBy   map[string]int // tenant -> running count
+	running     []*job          // the jobs on a worker, at most Workers
+	tenants     map[string]bool // every tenant with a job in jobs
 	draining    bool
 	stopWorkers bool
 	ln          net.Listener
@@ -163,10 +164,10 @@ func New(opts Options) (*Daemon, error) {
 	}
 
 	d := &Daemon{
-		opts:      opts,
-		journal:   jl,
-		jobs:      make(map[string]*job),
-		runningBy: make(map[string]int),
+		opts:    opts,
+		journal: jl,
+		jobs:    make(map[string]*job),
+		tenants: make(map[string]bool),
 	}
 	d.obs = newObsState(&opts)
 	d.cond = sync.NewCond(&d.mu)
@@ -211,6 +212,7 @@ func (d *Daemon) recover(recs []Record) error {
 			}
 			j.log = d.obs.log.With("job", j.id, "tenant", tenantOf(&j.spec))
 			d.jobs[rec.ID] = j
+			d.tenants[tenantOf(&j.spec)] = true
 			d.order = append(d.order, rec.ID)
 			var n uint64
 			if _, err := fmt.Sscanf(rec.ID, "j%d", &n); err == nil && n > d.nextID {
@@ -374,8 +376,8 @@ func (d *Daemon) Submit(spec *JobSpec) (*JobStatus, *APIError) {
 	}
 	if q := d.opts.TenantMaxQueued; q > 0 {
 		queued := 0
-		for _, other := range d.jobs {
-			if other.state == StateQueued && tenantOf(&other.spec) == tenant {
+		for _, other := range d.queue.items {
+			if tenantOf(&other.spec) == tenant {
 				queued++
 			}
 		}
@@ -419,6 +421,7 @@ func (d *Daemon) Submit(spec *JobSpec) (*JobStatus, *APIError) {
 	j.log = d.obs.log.With("job", id, "tenant", tenant)
 	j.submittedNs = d.obs.tracer.Now()
 	d.jobs[id] = j
+	d.tenants[tenant] = true
 	d.order = append(d.order, id)
 	d.queue.push(j)
 	d.maybePreemptLocked(j)
@@ -436,12 +439,12 @@ func (d *Daemon) Submit(spec *JobSpec) (*JobStatus, *APIError) {
 // victim checkpoints at its next quiescent boundary and re-enters the queue
 // with its original position; the resumed run is bit-identical.
 func (d *Daemon) maybePreemptLocked(newJob *job) {
-	if d.running < d.opts.Workers {
+	if len(d.running) < d.opts.Workers {
 		return // a free worker will pick the new job up
 	}
 	var victim *job
-	for _, j := range d.jobs {
-		if j.state != StateRunning || j.preemptReq || j.cancelReq || j.drainReq {
+	for _, j := range d.running {
+		if j.preemptReq || j.cancelReq || j.drainReq {
 			continue
 		}
 		if j.spec.Priority >= newJob.spec.Priority {
@@ -558,7 +561,7 @@ func (d *Daemon) Info() *Info {
 		Config:     d.opts.Config.Name,
 		Workers:    d.opts.Workers,
 		QueueDepth: d.queue.Len(),
-		Running:    d.running,
+		Running:    len(d.running),
 		Draining:   d.draining,
 
 		Preemptions: d.preemptions,
@@ -595,7 +598,7 @@ func (d *Daemon) publishLocked() {
 	}
 	ds := metrics.DaemonStatus{
 		QueueDepth: d.queue.Len(),
-		Running:    d.running,
+		Running:    len(d.running),
 		Workers:    d.opts.Workers,
 		Draining:   d.draining,
 
@@ -610,17 +613,20 @@ func (d *Daemon) publishLocked() {
 		LogDropped: d.obs.ring.Dropped(),
 	}
 	ds.TraceSpans, ds.TraceDropped = d.obs.tracer.Stats()
-	ds.Tenants = make(map[string]metrics.TenantOccupancy)
-	for _, j := range d.jobs {
-		t := tenantOf(&j.spec)
-		occ := ds.Tenants[t]
-		switch j.state {
-		case StateQueued:
-			occ.Queued++
-		case StateRunning:
-			occ.Running++
-		}
-		ds.Tenants[t] = occ
+	// Every tenant the daemon has had keeps a row, at zero when idle.
+	ds.Tenants = make(map[string]metrics.TenantOccupancy, len(d.tenants))
+	for t := range d.tenants {
+		ds.Tenants[t] = metrics.TenantOccupancy{}
+	}
+	for _, j := range d.queue.items {
+		occ := ds.Tenants[tenantOf(&j.spec)]
+		occ.Queued++
+		ds.Tenants[tenantOf(&j.spec)] = occ
+	}
+	for _, j := range d.running {
+		occ := ds.Tenants[tenantOf(&j.spec)]
+		occ.Running++
+		ds.Tenants[tenantOf(&j.spec)] = occ
 	}
 	d.opts.Monitor.PublishDaemon(ds)
 }
@@ -651,7 +657,7 @@ func (d *Daemon) nextJob() *job {
 		var pick *job
 		for !d.queue.empty() {
 			j := d.queue.pop()
-			if q := d.opts.TenantMaxRunning; q > 0 && d.runningBy[tenantOf(&j.spec)] >= q {
+			if q := d.opts.TenantMaxRunning; q > 0 && d.runningOf(tenantOf(&j.spec)) >= q {
 				skipped = append(skipped, j)
 				continue
 			}
@@ -663,8 +669,7 @@ func (d *Daemon) nextJob() *job {
 		}
 		if pick != nil {
 			pick.state = StateRunning
-			d.running++
-			d.runningBy[tenantOf(&pick.spec)]++
+			d.running = append(d.running, pick)
 			if pick.submittedNs > 0 {
 				wait := d.obs.tracer.Now() - pick.submittedNs
 				d.obs.hists.Observe(obs.HistQueueWait, wait)
@@ -680,11 +685,22 @@ func (d *Daemon) nextJob() *job {
 	}
 }
 
+// runningOf counts the tenant's jobs on a worker.
+func (d *Daemon) runningOf(tenant string) int {
+	n := 0
+	for _, j := range d.running {
+		if tenantOf(&j.spec) == tenant {
+			n++
+		}
+	}
+	return n
+}
+
 // release takes a job off a worker: clears the running accounting. Caller
 // then either re-queues it (yield) or marks it terminal.
 func (d *Daemon) releaseLocked(j *job) {
-	d.running--
-	d.runningBy[tenantOf(&j.spec)]--
+	i := slices.Index(d.running, j)
+	d.running = slices.Delete(d.running, i, i+1)
 	j.sys = nil
 	// Completion may unblock a tenant at its running quota.
 	d.cond.Broadcast()
@@ -779,10 +795,7 @@ func (d *Daemon) Serve(ln net.Listener) error {
 // crash) the worker journals nothing. The caller holds d.mu.
 func (d *Daemon) stopWorkersLocked(drain bool) {
 	d.stopWorkers = true
-	for _, j := range d.jobs {
-		if j.state != StateRunning {
-			continue
-		}
+	for _, j := range d.running {
 		if drain {
 			j.drainReq = true
 		}

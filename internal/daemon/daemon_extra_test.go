@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -271,4 +272,42 @@ func TestDaemonOldEnvelopeRestarts(t *testing.T) {
 	if !warned {
 		t.Errorf("no warning naming %s; log:\n%s", ckpt, log.String())
 	}
+}
+
+// TestDaemonTenantOccupancy checks the published per-tenant occupancy
+// against the running and the queued job, and that a tenant whose jobs have
+// all finished keeps its row, at zero.
+func TestDaemonTenantOccupancy(t *testing.T) {
+	msrv := metrics.NewServer()
+	defer msrv.Close()
+	d := newDaemon(t, t.TempDir(), func(o *Options) {
+		o.Monitor = msrv
+		o.Log = io.Discard
+	})
+	defer d.Close()
+	occupancy := func(want map[string]metrics.TenantOccupancy) func() bool {
+		return func() bool {
+			p := msrv.Latest()
+			return p != nil && p.Status.Daemon != nil && reflect.DeepEqual(p.Status.Daemon.Tenants, want)
+		}
+	}
+
+	long := mustSubmit(t, d, &JobSpec{Name: "long", Tenant: "a", Kind: "asm", Source: loopSrc(longIters)})
+	waitFor(t, "long job running", func() bool {
+		st, _ := d.Status(long.ID)
+		return st != nil && st.State == StateRunning
+	})
+	queued := mustSubmit(t, d, &JobSpec{Name: "q", Tenant: "b", Kind: "asm", Source: loopSrc(shortIters)})
+	waitFor(t, "a running, b queued", occupancy(map[string]metrics.TenantOccupancy{
+		"a": {Running: 1}, "b": {Queued: 1}}))
+
+	for _, id := range []string{queued.ID, long.ID} {
+		if _, aerr := d.Cancel(id); aerr != nil {
+			t.Fatalf("cancel %s: %v", id, aerr)
+		}
+	}
+	if _, aerr := d.Wait(long.ID, 30*time.Second); aerr != nil {
+		t.Fatal(aerr)
+	}
+	waitFor(t, "idle tenants at zero", occupancy(map[string]metrics.TenantOccupancy{"a": {}, "b": {}}))
 }

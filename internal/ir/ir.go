@@ -8,7 +8,11 @@
 // can enforce the no-stack rule of parallel code (§IV-D).
 package ir
 
-import "fmt"
+import (
+	"fmt"
+
+	"xmtgo/internal/bitset"
+)
 
 // VReg is a virtual register index (>= 0). NoReg marks unused operands.
 type VReg int32
@@ -145,7 +149,7 @@ type Block struct {
 	SpawnID int
 
 	// liveIn/liveOut are filled by Liveness.
-	liveIn, liveOut VRegSet
+	liveIn, liveOut bitset.Set
 }
 
 // Func is an IR function.

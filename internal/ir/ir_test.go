@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // buildLinear makes a function with one block from the given instructions.
 func buildLinear(instrs ...Instr) *Func {
@@ -192,33 +189,6 @@ func TestLivenessAcrossBlocks(t *testing.T) {
 	}
 	if !b0.LiveOut().Has(0) {
 		t.Fatal("v0 must be live out of entry")
-	}
-}
-
-// TestVRegSet checks the bitset against a map over vregs that straddle
-// word boundaries: Has, and Next's ascending walk.
-func TestVRegSet(t *testing.T) {
-	const n = 200
-	s := NewVRegSet(n)
-	want := map[VReg]bool{}
-	for _, v := range []VReg{0, 1, 62, 63, 64, 65, 127, 128, 150, 191, 199} {
-		s.Add(v)
-		want[v] = true
-	}
-	for v := VReg(-1); v <= n+64; v++ {
-		if s.Has(v) != want[v] {
-			t.Errorf("Has(%d) = %v", v, s.Has(v))
-		}
-	}
-	var walk []VReg
-	for v := s.Next(0); v != NoReg; v = s.Next(v + 1) {
-		walk = append(walk, v)
-	}
-	if len(walk) != len(want) || !slices.IsSorted(walk) {
-		t.Fatalf("Next walks %v", walk)
-	}
-	if s.Next(-5) != 0 || s.Next(n+64) != NoReg || s.Next(151) != 191 {
-		t.Errorf("Next(-5), Next(%d), Next(151) = %d, %d, %d", n+64, s.Next(-5), s.Next(n+64), s.Next(151))
 	}
 }
 

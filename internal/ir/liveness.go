@@ -1,42 +1,6 @@
 package ir
 
-import "math/bits"
-
-// VRegSet is a set of virtual registers: a bitset indexed by VReg, sized
-// for its function's NumVRegs. Members iterate in ascending order:
-//
-//	for v := s.Next(0); v != NoReg; v = s.Next(v + 1) { ... }
-type VRegSet []uint64
-
-// NewVRegSet returns an empty set for the vregs [0, n).
-func NewVRegSet(n int) VRegSet { return make(VRegSet, (n+63)/64) }
-
-// Has reports whether v is in s; a vreg outside the set's range is not.
-func (s VRegSet) Has(v VReg) bool {
-	w := int(v) >> 6
-	return v >= 0 && w < len(s) && s[w]&(1<<(uint(v)&63)) != 0
-}
-
-// Add puts v, which must be in the set's range, into s.
-func (s VRegSet) Add(v VReg) { s[v>>6] |= 1 << (uint(v) & 63) }
-
-// Next returns the least member of s not below v, or NoReg.
-func (s VRegSet) Next(v VReg) VReg {
-	v = max(v, 0)
-	w := int(v) >> 6
-	if w >= len(s) {
-		return NoReg
-	}
-	if rest := s[w] >> (uint(v) & 63); rest != 0 {
-		return v + VReg(bits.TrailingZeros64(rest))
-	}
-	for w++; w < len(s); w++ {
-		if s[w] != 0 {
-			return VReg(w<<6 + bits.TrailingZeros64(s[w]))
-		}
-	}
-	return NoReg
-}
+import "xmtgo/internal/bitset"
 
 // Liveness computes per-block live-in/live-out sets with the standard
 // backward fixed-point iteration. Results feed dead-code elimination and
@@ -45,9 +9,9 @@ func (f *Func) Liveness() {
 	n, words := len(f.Blocks), (f.NumVRegs+63)/64
 	// One slab holds every block's gen, kill, live-in and live-out sets.
 	slab := make([]uint64, 4*n*words)
-	set := func(k int) VRegSet { return VRegSet(slab[k*words : (k+1)*words : (k+1)*words]) }
-	gen := make([]VRegSet, n)
-	kill := make([]VRegSet, n)
+	set := func(k int) bitset.Set { return bitset.Set(slab[k*words : (k+1)*words : (k+1)*words]) }
+	gen := make([]bitset.Set, n)
+	kill := make([]bitset.Set, n)
 	succs := make([][]*Block, n)
 	var buf []VReg
 	for i, b := range f.Blocks {
@@ -56,12 +20,12 @@ func (f *Func) Liveness() {
 			in := &b.Instrs[ii]
 			buf = in.Uses(buf)
 			for _, u := range buf {
-				if !k.Has(u) {
-					g.Add(u)
+				if !k.Has(int(u)) {
+					g.Set(int(u))
 				}
 			}
 			if d := in.Def(); d != NoReg {
-				k.Add(d)
+				k.Set(int(d))
 			}
 		}
 		gen[i], kill[i], succs[i] = g, k, f.Succs(i)
@@ -87,8 +51,8 @@ func (f *Func) Liveness() {
 	}
 }
 
-// LiveIn exposes a block's live-in set (after Liveness).
-func (b *Block) LiveIn() VRegSet { return b.liveIn }
+// LiveIn exposes a block's live-in set of vregs (after Liveness).
+func (b *Block) LiveIn() bitset.Set { return b.liveIn }
 
-// LiveOut exposes a block's live-out set (after Liveness).
-func (b *Block) LiveOut() VRegSet { return b.liveOut }
+// LiveOut exposes a block's live-out set of vregs (after Liveness).
+func (b *Block) LiveOut() bitset.Set { return b.liveOut }

@@ -1,6 +1,10 @@
 package ir
 
-import "math"
+import (
+	"math"
+
+	"xmtgo/internal/bitset"
+)
 
 // Optimize runs the core-pass optimization pipeline: local value numbering
 // (constant folding, algebraic simplification, copy propagation, common
@@ -48,14 +52,14 @@ type lvnTables struct {
 	loads  map[loadKey]VReg
 	// held has every vreg that a copies value, an exprs or loads key
 	// operand or value holds, so redefining any other vreg scans nothing.
-	held VRegSet
+	held bitset.Set
 }
 
 // lvnBlock performs local value numbering on one block.
 func (f *Func) lvnBlock(b *Block, t *lvnTables) {
 	if t.consts == nil {
 		*t = lvnTables{make(map[VReg]int32), make(map[VReg]VReg), make(map[exprKey]VReg), make(map[loadKey]VReg),
-			NewVRegSet(f.NumVRegs)}
+			bitset.New(f.NumVRegs)}
 	}
 	consts, copies, exprs, loads, held := t.consts, t.copies, t.exprs, t.loads, t.held
 	clear(consts)
@@ -66,7 +70,7 @@ func (f *Func) lvnBlock(b *Block, t *lvnTables) {
 	hold := func(vs ...VReg) {
 		for _, v := range vs {
 			if v != NoReg {
-				held.Add(v)
+				held.Set(int(v))
 			}
 		}
 	}
@@ -96,7 +100,7 @@ func (f *Func) lvnBlock(b *Block, t *lvnTables) {
 		// v is redefined: drop every table entry mentioning it.
 		delete(consts, v)
 		delete(copies, v)
-		if !held.Has(v) {
+		if !held.Contains(int(v)) {
 			return
 		}
 		for k, val := range exprs {
@@ -547,7 +551,7 @@ func (f *Func) removeUnreachable() {
 // dce removes pure instructions whose results are never used, using a
 // fixed-point over the non-SSA def/use relation.
 func (f *Func) dce() {
-	needed := NewVRegSet(f.NumVRegs)
+	needed := bitset.New(f.NumVRegs)
 	changed := true
 	var buf []VReg
 	for changed {
@@ -556,7 +560,7 @@ func (f *Func) dce() {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				live := in.HasSideEffects() || in.Op == Jmp || in.Op == Br || in.Op == Ret
-				if d := in.Def(); d != NoReg && needed.Has(d) {
+				if d := in.Def(); d != NoReg && needed.Contains(int(d)) {
 					live = true
 				}
 				if !live {
@@ -564,8 +568,8 @@ func (f *Func) dce() {
 				}
 				buf = in.Uses(buf)
 				for _, u := range buf {
-					if !needed.Has(u) {
-						needed.Add(u)
+					if !needed.Contains(int(u)) {
+						needed.Set(int(u))
 						changed = true
 					}
 				}
@@ -577,7 +581,7 @@ func (f *Func) dce() {
 		for _, in := range b.Instrs {
 			d := in.Def()
 			if !in.HasSideEffects() && in.Op != Jmp && in.Op != Br && in.Op != Ret &&
-				(d == NoReg || !needed.Has(d)) && in.Op != Nop {
+				(d == NoReg || !needed.Contains(int(d))) && in.Op != Nop {
 				continue
 			}
 			if in.Op == Nop {

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"xmtgo/internal/asm"
+	"xmtgo/internal/bitset"
 	"xmtgo/internal/config"
 	"xmtgo/internal/sim/checkpoint"
 	"xmtgo/internal/sim/funcmodel"
 )
 
-func members(a activeSet) []int {
+func members(a bitset.Set) []int {
 	var out []int
 	for i := a.Next(0); i >= 0; i = a.Next(i + 1) {
 		out = append(out, i)
@@ -268,7 +269,7 @@ func TestActiveSetCheckpointResume(t *testing.T) {
 					if err := s.RestoreState(st); err != nil {
 						t.Fatal(err)
 					}
-					for _, set := range []activeSet{s.icn.ports, s.icn.arriving, s.cacheActive} {
+					for _, set := range []bitset.Set{s.icn.ports, s.icn.arriving, s.cacheActive} {
 						if m := members(set); len(m) != 0 {
 							t.Fatalf("restored system has members %v", m)
 						}

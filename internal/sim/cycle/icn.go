@@ -1,6 +1,7 @@
 package cycle
 
 import (
+	"xmtgo/internal/bitset"
 	"xmtgo/internal/sim/engine"
 )
 
@@ -32,8 +33,17 @@ type ICN struct {
 	// (cluster i is port i, the master the last), arriving the modules with
 	// packages in arrival. A port enters where its queue grows on the serial
 	// side (the obWakeICN replay, Master.send), a module in inject.
-	ports    activeSet
-	arriving activeSet
+	//
+	// These active sets (and System.cacheActive) are walked in ascending
+	// index order, the order the all-ports scans they replace visited in —
+	// module service order is memory order, so that order is the
+	// determinism contract. Membership is conservative: a member whose
+	// queue turns out empty (a rollback truncated it, a quiescent
+	// checkpoint drained it) is dropped on its next visit; a non-empty
+	// queue outside its set would never be visited again, so every append
+	// site sets the bit (TestActiveSetInvariant).
+	ports    bitset.Set
+	arriving bitset.Set
 
 	hopsPerTraversal int
 }
@@ -52,8 +62,8 @@ func newICN(sys *System) *ICN {
 	return &ICN{
 		sys:              sys,
 		arrival:          make([][]arrivalPkt, sys.Cfg.CacheModules),
-		ports:            engine.NewBitset(sys.Cfg.Clusters + 1),
-		arriving:         engine.NewBitset(sys.Cfg.CacheModules),
+		ports:            bitset.New(sys.Cfg.Clusters + 1),
+		arriving:         bitset.New(sys.Cfg.CacheModules),
 		hopsPerTraversal: depth,
 	}
 }

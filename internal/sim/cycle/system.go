@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"xmtgo/internal/asm"
+	"xmtgo/internal/bitset"
 	"xmtgo/internal/config"
 	"xmtgo/internal/isa"
 	"xmtgo/internal/sim/checkpoint"
@@ -59,7 +60,7 @@ type System struct {
 	masterMA *engine.MacroActor
 	// cacheActive holds the modules whose service queue may be non-empty:
 	// entered in CacheModule.accept, walked by tickCaches, cacheMA's Cycler.
-	cacheActive activeSet
+	cacheActive bitset.Set
 
 	lineShift uint
 	hashSalt  uint64
@@ -219,7 +220,7 @@ func New(prog *asm.Program, cfg config.Config, out io.Writer) (*System, error) {
 	}
 	s.clusterMA.SetLookahead(deriveLookahead(&cfg), cfg.EngineMode == config.EngineOptimistic)
 	s.icnMA = engine.NewMacroActor("icn", s.Sched, s.icnClock, s.icn)
-	s.cacheActive = engine.NewBitset(cfg.CacheModules)
+	s.cacheActive = bitset.New(cfg.CacheModules)
 	s.cacheMA = engine.NewMacroActor("caches", s.Sched, s.cacheClock, engine.CyclerFunc(s.tickCaches))
 	s.masterMA = engine.NewMacroActor("master", s.Sched, s.masterClock, s.master)
 

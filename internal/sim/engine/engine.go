@@ -27,6 +27,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"xmtgo/internal/bitset"
 )
 
 // Time is simulated time. The unit is abstract ("ticks"); clock domains map
@@ -120,7 +122,7 @@ type Scheduler struct {
 	// while the ring holds anything, and no push can land behind it.
 	shift   uint // log2 of the bucket width in ticks
 	buckets *[numBuckets][]*Event
-	occ     Bitset
+	occ     bitset.Set
 	curB    int64 // absolute bucket number under the cursor
 	head    int
 	sorted  bool
@@ -135,7 +137,7 @@ type Scheduler struct {
 
 // New returns an empty scheduler at time 0 with a one-tick bucket width.
 func New() *Scheduler {
-	return &Scheduler{buckets: new([numBuckets][]*Event), occ: NewBitset(numBuckets)}
+	return &Scheduler{buckets: new([numBuckets][]*Event), occ: bitset.New(numBuckets)}
 }
 
 // SetBucketWidth tunes the calendar-queue bucket width, typically to the

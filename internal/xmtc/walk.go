@@ -5,7 +5,7 @@ package xmtc
 // passes outside this package that only need to reach nodes (the pre-pass
 // rewriters, codegen's frame-slot scan, the analyzer's queries). Passes
 // whose visit order is part of what they compute — sema, Render, codegen
-// lowering, the analyzer's CFG builder and its ps-misuse and volatile walkers —
+// lowering, the analyzer's CFG builder and its volatile re-read walker —
 // keep their own switches.
 
 // children hands each direct child of n to the callbacks in source order.
