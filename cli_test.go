@@ -34,14 +34,14 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// cliTools returns tool name → binary path for xmtcc, xmtsim, xmtrun and
-// xmtbatch.
+// cliTools returns tool name → binary path for xmtcc, xmtsim, xmtrun,
+// xmtbatch and xmtd.
 func cliTools(t *testing.T) map[string]string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	tools := []string{"xmtcc", "xmtsim", "xmtrun", "xmtbatch"}
+	tools := []string{"xmtcc", "xmtsim", "xmtrun", "xmtbatch", "xmtd"}
 	cliBuild.once.Do(func() {
 		if cliBuild.dir, cliBuild.err = os.MkdirTemp("", "xmtcli"); cliBuild.err != nil {
 			return

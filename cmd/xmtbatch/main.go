@@ -47,11 +47,6 @@ import (
 	"xmtgo/internal/sim/metrics"
 )
 
-type listFlag []string
-
-func (l *listFlag) String() string     { return strings.Join(*l, ",") }
-func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
-
 // exitCode carries run's exit status out of fatal; run recovers it so tests
 // can drive the batch in-process.
 type exitCode int
@@ -79,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	fs := flag.NewFlagSet("xmtbatch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var sets listFlag
+	var sets []string
 	var (
 		cfgName   = fs.String("config", "fpga64", "machine preset: fpga64 or chip1024")
 		timeout   = fs.Int64("timeout", 0, "first-attempt cycle budget per job (0 = unlimited: only failed attempts retry)")
@@ -94,7 +89,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		sampleCycles = fs.Int64("sample-cycles", -1, "interval-sampler period for -serve in cluster cycles (-1 = keep the preset's sample_cycles)")
 		pprofFlag    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -serve address")
 	)
-	fs.Var(&sets, "set", "override one configuration key=value for every job (repeatable)")
+	fs.Func("set", "override one configuration key=value for every job (repeatable)", func(kv string) error {
+		sets = append(sets, kv)
+		return nil
+	})
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -107,14 +105,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	cfg, err := config.Preset(*cfgName)
+	cfg, err := config.Resolve(*cfgName, "", sets)
 	if err != nil {
 		fatal(err)
-	}
-	for _, kv := range sets {
-		if err := cfg.Set(kv); err != nil {
-			fatal(err)
-		}
 	}
 	if *workers != 0 {
 		cfg.HostWorkers = *workers
@@ -148,27 +141,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		Backoff:         *backoff,
 		// The jobs file is the only client: every job in it is queued at
 		// once, so the admission bound must not turn jobs away.
-		MaxQueued:    math.MaxInt,
-		SampleCycles: cfg.SampleCycles,
-		LogLevel:     slog.LevelDebug, // a line per checkpoint, as xmtd -log-level debug
+		MaxQueued: math.MaxInt,
+		LogLevel:  slog.LevelDebug, // a line per checkpoint, as xmtd -log-level debug
 	}
 	if !*quiet {
 		opts.Log = stderr
 	}
-	if *serveAddr != "" {
-		msrv := newServer()
-		if *pprofFlag {
-			msrv.EnablePprof()
-		}
-		addr, err := msrv.ListenAndServe(*serveAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(stderr, "serving metrics on http://%s (/metrics /status /stream)\n", addr)
+	msrv, err := metrics.Serve(newServer, *serveAddr, *pprofFlag, stderr)
+	if err != nil {
+		fatal(err)
+	}
+	if msrv != nil {
 		opts.Monitor = msrv
 		defer msrv.Close()
-	} else if *pprofFlag {
-		fatal(fmt.Errorf("-pprof requires -serve"))
 	}
 
 	// First SIGINT/SIGTERM drains: the running job checkpoints at its next
@@ -178,12 +163,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	stopSig := sigctl.Notify("xmtbatch", func() { close(interrupted) })
 	defer stopSig()
 
-	// The journal's history before this run: how many attempts of each job
-	// id resumed from a checkpoint (the daemon counts only its own).
-	prior, err := journalResumes(filepath.Join(dataDir, "jobs.journal"))
-	if err != nil {
-		fatal(err)
-	}
 	d, err := daemon.New(opts)
 	if err != nil {
 		fatal(err)
@@ -243,15 +222,14 @@ wait:
 			continue
 		}
 		st, _ := d.Status(j.id)
-		resumes := prior[st.ID] + st.Resumes
 		switch st.State {
 		case daemon.StateDone:
 			r := st.Result
 			fmt.Fprintf(stdout, "ok   %-20s attempts=%d resumes=%d cycles=%d instrs=%d output=%q\n",
-				j.name, st.Attempt, resumes, r.Cycles, r.Instrs, r.Output)
+				j.name, st.Attempt, st.Resumes, r.Cycles, r.Instrs, r.Output)
 		case daemon.StateFailed, daemon.StateCanceled:
 			failed++
-			fmt.Fprintf(stdout, "FAIL %-20s attempts=%d resumes=%d: %s\n", j.name, st.Attempt, resumes, st.Result.Err)
+			fmt.Fprintf(stdout, "FAIL %-20s attempts=%d resumes=%d: %s\n", j.name, st.Attempt, st.Resumes, st.Result.Err)
 		default:
 			unfinished++
 			saved := "checkpoint saved; re-run to resume"
@@ -259,7 +237,7 @@ wait:
 				saved = "no -out: nothing kept"
 			}
 			fmt.Fprintf(stdout, "INTR %-20s attempts=%d resumes=%d cycles=%d (%s)\n",
-				j.name, st.Attempt, resumes, st.Cycles, saved)
+				j.name, st.Attempt, st.Resumes, st.Cycles, saved)
 		}
 	}
 	if unfinished > 0 {
@@ -270,32 +248,6 @@ wait:
 		return 1
 	}
 	return 0
-}
-
-// journalResumes counts, per job id, the attempts in the journal at path
-// that started after a checkpoint of that job had been committed: the
-// attempts that resumed rather than started over.
-func journalResumes(path string) (map[string]int, error) {
-	jl, recs, err := daemon.OpenJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := jl.Close(); err != nil {
-		return nil, err
-	}
-	resumes := map[string]int{}
-	checkpointed := map[string]bool{}
-	for _, rec := range recs {
-		switch rec.Kind {
-		case daemon.RecCkpt:
-			checkpointed[rec.ID] = true
-		case daemon.RecStart:
-			if checkpointed[rec.ID] {
-				resumes[rec.ID]++
-			}
-		}
-	}
-	return resumes, nil
 }
 
 // job is one line of the jobs file, its program already checked to load,

@@ -25,7 +25,7 @@
 // SIGTERM or SIGINT drains gracefully: admission stops, running jobs
 // checkpoint at their next quiescent boundary, the journal gets its
 // clean-shutdown marker, and xmtd exits 0 with zero lost jobs. A second
-// signal forces immediate exit.
+// signal forces immediate exit with status 130 (internal/sigctl).
 package main
 
 import (
@@ -33,20 +33,13 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 
 	"xmtgo/internal/config"
 	"xmtgo/internal/daemon"
 	"xmtgo/internal/obs"
+	"xmtgo/internal/sigctl"
 	"xmtgo/internal/sim/metrics"
 )
-
-type listFlag []string
-
-func (l *listFlag) String() string     { return strings.Join(*l, ",") }
-func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
 
 // exitCode carries run's exit status out of fatal; run recovers it so tests
 // can drive the daemon in-process.
@@ -65,7 +58,7 @@ func run(args []string) (code int) {
 		}
 	}()
 	fs := flag.NewFlagSet("xmtd", flag.ExitOnError)
-	var sets listFlag
+	var sets []string
 	var (
 		listenAddr = fs.String("listen", "unix:/tmp/xmtd.sock", "job API address: unix:/path or [tcp:]host:port")
 		dataDir    = fs.String("data", "xmtd-data", "durable state directory (journal + checkpoint files)")
@@ -89,17 +82,15 @@ func run(args []string) (code int) {
 		traceOut  = fs.String("trace", "", "write the lifecycle trace (Chrome trace-event JSON) to this file on exit")
 		pprofFlag = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -serve address")
 	)
-	fs.Var(&sets, "set", "override one configuration key=value (repeatable)")
+	fs.Func("set", "override one configuration key=value (repeatable)", func(kv string) error {
+		sets = append(sets, kv)
+		return nil
+	})
 	fs.Parse(args)
 
-	cfg, err := config.Preset(*cfgName)
+	cfg, err := config.Resolve(*cfgName, "", sets)
 	if err != nil {
 		fatal(err)
-	}
-	for _, kv := range sets {
-		if err := cfg.Set(kv); err != nil {
-			fatal(err)
-		}
 	}
 	if *sampleCycles >= 0 {
 		cfg.SampleCycles = *sampleCycles
@@ -119,29 +110,17 @@ func run(args []string) (code int) {
 		TenantMaxRunning: *tenantRunning,
 		TenantMaxBudget:  *tenantBudget,
 
-		SampleCycles: cfg.SampleCycles,
-
 		LogLevel: obs.ParseLevel(*logLevel),
 	}
 	if !*quiet {
 		opts.Log = os.Stderr
 	}
 
-	var msrv *metrics.Server
-	if *serveAddr != "" {
-		msrv = metrics.NewServer()
-		if *pprofFlag {
-			msrv.EnablePprof()
-		}
-		addr, err := msrv.ListenAndServe(*serveAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s (/metrics /status /stream)\n", addr)
-		opts.Monitor = msrv
-	} else if *pprofFlag {
-		fatal(fmt.Errorf("-pprof requires -serve"))
+	msrv, err := metrics.Serve(metrics.NewServer, *serveAddr, *pprofFlag, os.Stderr)
+	if err != nil {
+		fatal(err)
 	}
+	opts.Monitor = msrv
 
 	d, err := daemon.New(opts)
 	if err != nil {
@@ -158,24 +137,19 @@ func run(args []string) (code int) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "xmtd listening on %s:%s (data %s)\n", network, ln.Addr().String(), *dataDir)
 
-	// First signal: graceful drain. Second: force exit.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "xmtd: draining (signal again to force exit)")
+	// First signal: graceful drain. sigctl waits for the second (forced
+	// exit) only once this returns, so the drain runs on its own goroutine.
+	stopSig := sigctl.Notify("xmtd", func() {
 		go func() {
-			<-sigc
-			fmt.Fprintln(os.Stderr, "xmtd: forced exit")
-			os.Exit(1)
+			if err := d.Drain(); err != nil {
+				fmt.Fprintln(os.Stderr, "xmtd: drain:", err)
+			}
+			ln.Close()
 		}()
-		if err := d.Drain(); err != nil {
-			fmt.Fprintln(os.Stderr, "xmtd: drain:", err)
-		}
-		ln.Close()
-	}()
+	})
+	defer stopSig()
+	fmt.Fprintf(os.Stderr, "xmtd listening on %s:%s (data %s)\n", network, ln.Addr().String(), *dataDir)
 
 	if err := d.Serve(ln); err != nil {
 		fatal(err)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -82,6 +84,63 @@ func TestRunServeSubmitDrain(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("run did not exit after drain")
+	}
+}
+
+// TestRunDrainsOnSignal: a SIGINT drains the daemon from sigctl's callback
+// while a job runs. The job is suspended at its next checkpoint, the
+// journal ends in its drain record and run returns 0.
+func TestRunDrainsOnSignal(t *testing.T) {
+	dir := t.TempDir()
+	sock := filepath.Join(dir, "d.sock")
+	data := filepath.Join(dir, "data")
+	code := make(chan int, 1)
+	go func() {
+		code <- run([]string{"-listen", "unix:" + sock, "-data", data, "-q",
+			"-checkpoint-every", "50000", "-set", "mem_bytes=1048576"})
+	}()
+	var c *daemon.Client
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		// A ping is answered once Serve runs, and so after the signal
+		// handler is installed.
+		var err error
+		if c, err = daemon.Dial("unix:" + sock); err == nil {
+			if _, err = c.Ping(); err == nil {
+				break
+			}
+			c.Close()
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never came up: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	defer c.Close()
+	long := strings.Replace(testProg, "2000", "20000000", 1)
+	st, err := c.Submit(&daemon.JobSpec{Name: "long", Kind: "asm", Source: long})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	for s := st; s.State != daemon.StateRunning; time.Sleep(10 * time.Millisecond) {
+		if s, err = c.Status(st.ID); err != nil {
+			t.Fatalf("status: %v", err)
+		}
+	}
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-code:
+		if got != 0 {
+			t.Fatalf("run exited %d after SIGINT, want 0", got)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not exit after SIGINT")
+	}
+	_, recs, err := daemon.OpenJournal(filepath.Join(data, "jobs.journal"))
+	if err != nil || len(recs) < 2 || recs[len(recs)-1].Kind != daemon.RecDrain || recs[len(recs)-2].Reason != "drain" {
+		t.Fatalf("journal after SIGINT (err %v): %+v, want the job suspended for drain, then the drain record", err, recs)
 	}
 }
 

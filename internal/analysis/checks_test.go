@@ -449,6 +449,14 @@ int main() {
 			src:   srcPsmNestedPrivate,
 			want:  []string{`:6:13: warning: psm to thread-private "mine"`},
 		},
+		{
+			// The index of an address-of is evaluated: each ps sees the
+			// increment the &A[...] before it assigned.
+			name:  "increment_assigned_under_address_of",
+			check: "ps-misuse",
+			src:   srcPsAddrOf,
+			want:  []string{`:10:9: warning: ps increment "inc" is 3 here`},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { runCase(t, c) })
@@ -496,6 +504,44 @@ int main() {
     }
     return 0;
 }`
+	srcPsAddrOf = `int total = 0;
+int A[8];
+int main() {
+    spawn(0, 7) {
+        int inc = 2;
+        int *p;
+        p = &A[inc = 1];
+        ps(inc, total);
+        p = &A[inc = 3];
+        ps(inc, total);
+        print_int(*p);
+    }
+    return 0;
+}`
+	srcAddrOfIndex = `int A[8];
+int main() {
+    int i = 0;
+    int *p;
+    i = 3;
+    p = &A[i];
+    print_int(*p);
+    return 0;
+}`
+	srcExprBase = `int A[8];
+int main() {
+    int *p;
+    p = A;
+    print_int((p + 1)[0]);
+    return 0;
+}`
+	srcArrowBase = `struct S { int x; };
+struct S s;
+int main() {
+    struct S *p;
+    p = &s;
+    print_int(p->x);
+    return 0;
+}`
 	srcDoSpin = `int flag = 0;
 int main() {
     spawn(0, 7) {
@@ -515,7 +561,8 @@ int main() {
 
 // readoutSeeds are the sources above, for FuzzAnalyze.
 var readoutSeeds = []string{srcPsDeclInit, srcPsCompound, srcPsDeadCode,
-	srcPsmNestedPrivate, srcDoSpin, srcForPostSpin}
+	srcPsmNestedPrivate, srcDoSpin, srcForPostSpin,
+	srcPsAddrOf, srcAddrOfIndex, srcExprBase, srcArrowBase}
 
 func TestVolatileChecks(t *testing.T) {
 	cases := []lintCase{
@@ -802,6 +849,24 @@ int main() {
     return 0;
 }`,
 			want: nil,
+		},
+		{
+			name:  "index_read_under_address_of",
+			check: "dead-store",
+			src:   srcAddrOfIndex,
+			want:  nil, // &A[i] reads i
+		},
+		{
+			name:  "expression_base_is_read",
+			check: "dead-store",
+			src:   srcExprBase,
+			want:  nil, // (p + 1)[0] reads p
+		},
+		{
+			name:  "arrow_base_is_read",
+			check: "dead-store",
+			src:   srcArrowBase,
+			want:  nil, // p->x reads p
 		},
 	}
 	for _, c := range cases {

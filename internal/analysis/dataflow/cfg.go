@@ -634,9 +634,11 @@ func (b *builder) expr(e xmtc.Expr, write bool) {
 		if n.Op == xmtc.AND {
 			// Address taken: the path escapes reference tracking; remember
 			// the root so definition analyses stay conservative about it.
+			// Its index sub-expressions are still evaluated (the i of &A[i]).
 			if sym := xmtc.RootSym(n.X); sym != nil {
 				b.g.AddressTaken[sym] = true
 			}
+			b.indexReads(n.X)
 			return
 		}
 		b.expr(n.X, false)
@@ -688,14 +690,23 @@ func (b *builder) access(e xmtc.Expr, kind RefKind, tmpl Ref) {
 }
 
 // indexReads emits the reads performed by the index sub-expressions of an
-// access path (the b in hist[b].count).
+// access path (the b in hist[b].count) and by the base it starts from when
+// that is not a variable: the pointer a -> goes through, or an expression
+// such as the p + 1 of (p + 1)[0].
 func (b *builder) indexReads(e xmtc.Expr) {
 	switch n := e.(type) {
 	case *xmtc.Index:
 		b.expr(n.I, false)
 		b.indexReads(n.X)
 	case *xmtc.Member:
-		b.indexReads(n.X)
+		if n.Arrow {
+			b.expr(n.X, false)
+		} else {
+			b.indexReads(n.X)
+		}
+	case *xmtc.Ident:
+	default:
+		b.expr(e, false)
 	}
 }
 

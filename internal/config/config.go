@@ -9,6 +9,7 @@ package config
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"strconv"
@@ -362,6 +363,31 @@ func Preset(name string) (Config, error) {
 		return Chip1024(), nil
 	}
 	return Config{}, fmt.Errorf("config: unknown preset %q (have fpga64, chip1024)", name)
+}
+
+// Resolve builds a front end's configuration in its one order: the named
+// preset, then the key=value file at path (none when empty), then each
+// -set override.
+func Resolve(preset, path string, sets []string) (Config, error) {
+	c, err := Preset(preset)
+	if err != nil {
+		return c, err
+	}
+	if path != "" {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return c, err
+		}
+		if err := c.Load(string(src)); err != nil {
+			return c, err
+		}
+	}
+	for _, kv := range sets {
+		if err := c.Set(kv); err != nil {
+			return c, err
+		}
+	}
+	return c, nil
 }
 
 // field reads and writes one config-file key: get renders the value in a

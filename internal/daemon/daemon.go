@@ -58,10 +58,9 @@ type Options struct {
 
 	// Monitor, when set, receives the daemon block on /status and per-job
 	// interval samples on /stream?job=ID; the daemon also mounts its /logs
-	// ring and latency-histogram series on it. SampleCycles is the sampler
-	// period (0 = default).
-	Monitor      *metrics.Server
-	SampleCycles int64
+	// ring and latency-histogram series on it. A job samples every
+	// sample_cycles of its own configuration (0 = the metrics default).
+	Monitor *metrics.Server
 
 	// Log, when set, receives the structured JSON log stream (one
 	// slog record per line with job/tenant/attempt correlation fields).
@@ -221,6 +220,9 @@ func (d *Daemon) recover(recs []Record) error {
 		case RecStart:
 			if j != nil {
 				j.attempt = rec.Attempt
+				if rec.Resumed {
+					j.resumes++
+				}
 				interrupted[j.id] = true
 			}
 		case RecCkpt:

@@ -1,11 +1,14 @@
 package daemon
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -310,4 +313,89 @@ func TestDaemonTenantOccupancy(t *testing.T) {
 		t.Fatal(aerr)
 	}
 	waitFor(t, "idle tenants at zero", occupancy(map[string]metrics.TenantOccupancy{"a": {}, "b": {}}))
+}
+
+// TestDaemonResumesCountAcrossRestarts: a job's resumes survive the daemon
+// that counted them. Each drain suspends the job after a checkpoint, the
+// next daemon resumes it from there, and every later daemon on the data
+// directory — including one that only reads the finished job back from the
+// journal — reports the resumes of all of them.
+func TestDaemonResumesCountAcrossRestarts(t *testing.T) {
+	spec := JobSpec{Name: "restarted", Source: loopSrc(longIters)}
+	dir := t.TempDir()
+	var cycles int64
+	for i := 0; i < 2; i++ {
+		d := newDaemon(t, dir, nil)
+		if i == 0 {
+			mustSubmit(t, d, &spec)
+		}
+		waitFor(t, "a checkpoint past the last one", func() bool {
+			st, _ := d.Status("j1")
+			return st != nil && st.State == StateRunning && st.Cycles > cycles
+		})
+		if err := d.Drain(); err != nil {
+			t.Fatalf("drain %d: %v", i, err)
+		}
+		st, _ := d.Status("j1")
+		cycles = st.Cycles
+	}
+	d := newDaemon(t, dir, nil)
+	mustDone(t, d, "j1")
+	live, _ := d.Status("j1")
+	d.Close()
+	d = newDaemon(t, dir, nil)
+	defer d.Close()
+	replayed, _ := d.Status("j1")
+	if live.Resumes != 2 || replayed.Resumes != 2 || replayed.Attempt != live.Attempt {
+		t.Errorf("resumes: %d when done, %d replayed (attempts %d / %d), want 2 both times",
+			live.Resumes, replayed.Resumes, live.Attempt, replayed.Attempt)
+	}
+}
+
+// TestDaemonPerJobSamplePeriod: a job's own sample_cycles set is its
+// sampler period under a Monitor; /stream carries its samples 500 cycles
+// apart, the last one a partial window ending at the job's final cycle.
+func TestDaemonPerJobSamplePeriod(t *testing.T) {
+	srv := metrics.NewServer()
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + addr + "/stream?job=j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples := make(chan metrics.Sample, 64)
+	go func() {
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var s metrics.Sample
+			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok && json.Unmarshal([]byte(data), &s) == nil {
+				samples <- s
+			}
+		}
+	}()
+
+	d := newDaemon(t, t.TempDir(), func(o *Options) { o.Monitor = srv })
+	defer d.Close()
+	st := mustSubmit(t, d, &JobSpec{Name: "sampled", Source: loopSrc(shortIters), Sets: []string{"sample_cycles=500"}})
+	res := mustDone(t, d, st.ID)
+	var prev int64
+	n := 0
+	for ; prev < res.Cycles; n++ {
+		select {
+		case s := <-samples:
+			if s.Cycle < res.Cycles && (s.WindowCycles != 500 || s.Cycle != prev+500) {
+				t.Fatalf("sample %d: window %d ending at cycle %d after %d, want 500-cycle windows", n, s.WindowCycles, s.Cycle, prev)
+			}
+			prev = s.Cycle
+		case <-time.After(10 * time.Second):
+			t.Fatalf("stream stopped at cycle %d of %d", prev, res.Cycles)
+		}
+	}
+	if want := (res.Cycles + 499) / 500; int64(n) != want {
+		t.Fatalf("%d samples for a %d-cycle job, want %d", n, res.Cycles, want)
+	}
 }

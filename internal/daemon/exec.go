@@ -61,7 +61,6 @@ func (d *Daemon) runJob(j *job) {
 		Config:          cfg,
 		CheckpointEvery: d.opts.CheckpointEvery,
 		Monitor:         d.opts.Monitor,
-		SampleCycles:    d.opts.SampleCycles,
 		Job:             j.id,
 		// Expose the system for preemption/cancel; deliver requests that
 		// raced with construction.
@@ -103,7 +102,7 @@ func (d *Daemon) runJob(j *job) {
 		if resumed {
 			d.obs.tracer.Instant(j.id, tenant, "resume", att.n)
 		}
-		if _, err := d.appendT(Record{Kind: RecStart, ID: j.id, Attempt: att.n}, tenant); err != nil {
+		if _, err := d.appendT(Record{Kind: RecStart, ID: j.id, Attempt: att.n, Resumed: resumed}, tenant); err != nil {
 			d.obs.tracer.Instant(j.id, tenant, "fail", att.n)
 			d.terminal(j, StateFailed, &JobResult{Err: fmt.Sprintf("journal: %v", err)})
 			return

@@ -35,6 +35,7 @@ type Record struct {
 
 	Spec    *JobSpec   `json:"spec,omitempty"`    // submit
 	Attempt int        `json:"attempt,omitempty"` // start
+	Resumed bool       `json:"resumed,omitempty"` // start: from a checkpoint
 	Cycle   int64      `json:"cycle,omitempty"`   // ckpt, preempt
 	Reason  string     `json:"reason,omitempty"`  // preempt ("preempt"/"drain"), fail
 	Result  *JobResult `json:"result,omitempty"`  // done

@@ -27,10 +27,9 @@ type Runner struct {
 	CheckpointEvery int64
 
 	// Monitor, when set, receives interval samples from every segment,
-	// labeled Job, every SampleCycles cycles (0 = the metrics default).
-	Monitor      *metrics.Server
-	SampleCycles int64
-	Job          string
+	// labeled Job, every Config.SampleCycles cycles (0 = the metrics default).
+	Monitor *metrics.Server
+	Job     string
 
 	// Started, when set, is called with each segment's simulator before it
 	// runs, so the caller can deliver (RequestCheckpoint) a stop request
@@ -94,7 +93,7 @@ func (r *Runner) Attempt(from *checkpoint.State, budget int64) (Outcome, error) 
 		}
 		var smp *metrics.Sampler
 		if r.Monitor != nil {
-			interval := r.SampleCycles
+			interval := r.Config.SampleCycles
 			if interval <= 0 {
 				interval = metrics.DefaultSampleCycles
 			}

@@ -222,6 +222,29 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
+// Serve is the CLIs' -serve/-pprof handling: it makes a server with
+// newServer, mounts pprof when asked, starts it on addr and prints the
+// serving line to w. An empty addr serves nothing (nil server), and asking
+// for pprof then is an error.
+func Serve(newServer func() *Server, addr string, pprof bool, w io.Writer) (*Server, error) {
+	if addr == "" {
+		if pprof {
+			return nil, fmt.Errorf("-pprof requires -serve")
+		}
+		return nil, nil
+	}
+	s := newServer()
+	if pprof {
+		s.EnablePprof()
+	}
+	bound, err := s.ListenAndServe(addr)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "serving metrics on http://%s (/metrics /status /stream)\n", bound)
+	return s, nil
+}
+
 // Close stops the listener and disconnects /stream subscribers. It is
 // idempotent — a second Close is a no-op returning nil — and unblocks every
 // in-flight SSE stream (their subscription channels close, the handlers

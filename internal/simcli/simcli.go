@@ -46,11 +46,6 @@ type Tool struct {
 	Load func(file, src string) (*asm.Program, []diag.Diagnostic, error)
 }
 
-type listFlag []string
-
-func (l *listFlag) String() string     { return strings.Join(*l, ",") }
-func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
-
 // exitCode carries the exit status out of fatal; Main recovers it, so the
 // deferred profile and signal clean-up runs and tests can drive a tool
 // in-process.
@@ -74,7 +69,7 @@ type driver struct {
 	watchdog, sampleCycles                int64
 	cpuProf, memProf                      string
 	samplesOut, countersJSON, serveAddr   string
-	dumps, sets, memmaps                  listFlag
+	dumps, sets, memmaps                  []string
 }
 
 func (d *driver) register(fs *flag.FlagSet) {
@@ -107,9 +102,12 @@ func (d *driver) register(fs *flag.FlagSet) {
 	fs.StringVar(&d.samplesOut, "samples", "", "write the interval-sample time series here (.jsonl or .csv; needs a sampling interval)")
 	fs.StringVar(&d.countersJSON, "counters-json", "", "write the machine-readable counter snapshot (xmt-counters/v1 JSON) to this file")
 	fs.StringVar(&d.serveAddr, "serve", "", "serve live metrics on this address while running (/metrics, /status, /stream)")
-	fs.Var(&d.dumps, "dump", "memory dump at exit: symbol or symbol:words (repeatable)")
-	fs.Var(&d.sets, "set", "override one configuration key=value (repeatable)")
-	fs.Var(&d.memmaps, "mem", "memory-map input file (repeatable)")
+	list := func(name, usage string, dst *[]string) {
+		fs.Func(name, usage, func(v string) error { *dst = append(*dst, v); return nil })
+	}
+	list("dump", "memory dump at exit: symbol or symbol:words (repeatable)", &d.dumps)
+	list("set", "override one configuration key=value (repeatable)", &d.sets)
+	list("mem", "memory-map input file (repeatable)", &d.memmaps)
 }
 
 // Main runs one invocation of the tool and returns its exit status.
@@ -190,16 +188,8 @@ func Main(t Tool, args []string, stdout, stderr io.Writer) (code int) {
 // config resolves preset, configuration file, -set overrides and the
 // flags that shadow a configuration key, in that order.
 func (d *driver) config() config.Config {
-	cfg, err := config.Preset(d.cfgName)
+	cfg, err := config.Resolve(d.cfgName, d.cfgFile, d.sets)
 	d.check(err)
-	if d.cfgFile != "" {
-		src, err := os.ReadFile(d.cfgFile)
-		d.check(err)
-		d.check(cfg.Load(string(src)))
-	}
-	for _, kv := range d.sets {
-		d.check(cfg.Set(kv))
-	}
 	if d.workers != 0 {
 		cfg.HostWorkers = d.workers
 	}
@@ -292,11 +282,9 @@ func (d *driver) runCycle(prog *asm.Program, src string, cfg config.Config, resu
 	if d.samplesOut != "" && smp == nil {
 		d.fatal(fmt.Errorf("-samples needs a sampling interval (-sample-cycles or sample_cycles)"))
 	}
-	if d.serveAddr != "" {
-		msrv := metrics.NewServer()
-		addr, err := msrv.ListenAndServe(d.serveAddr)
-		d.check(err)
-		fmt.Fprintf(d.stderr, "serving metrics on http://%s (/metrics /status /stream)\n", addr)
+	msrv, err := metrics.Serve(metrics.NewServer, d.serveAddr, false, d.stderr)
+	d.check(err)
+	if msrv != nil {
 		smp.SetServer(msrv)
 		defer msrv.Close()
 	}

@@ -68,12 +68,13 @@ go test -race ./internal/sim/engine ./internal/sim/cycle ./internal/sim/funcmode
 # their clusters' rows, and the serial commit takes them back past a stop.
 go test -race -run 'TestHostParallelDeterminism|TestObserverDoesNotPerturb|TestStopMidWindow' .
 
-echo "== go test -race (job execution: runner, xmtbatch, daemon stop/recovery paths)"
+echo "== go test -race (job execution: runner, xmtbatch, xmtd, daemon stop/recovery paths)"
 # The runner's hooks are where other goroutines reach into a running job:
 # the daemon's preempt, cancel, drain and crash paths request a checkpoint on
-# a simulator a worker is ticking; xmtbatch's interrupt path is that Drain.
+# a simulator a worker is ticking; xmtbatch's interrupt path is that Drain,
+# and xmtd starts it on a goroutine of its own from sigctl's callback.
 # The rest of the daemon suite adds time, not shared state.
-go test -race ./internal/jobrun ./cmd/xmtbatch
+go test -race ./internal/jobrun ./cmd/xmtbatch ./cmd/xmtd
 # A data directory whose <id>.ckpt is in the former envelope format restarts
 # that job from cycle 0 (with a warning) instead of resuming it. A finished
 # job's checkpoint is unlinked on the worker while clients wait on it, a
